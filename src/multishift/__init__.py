@@ -16,7 +16,7 @@ from .langmodel import (LanguageSlice, ShiftSpec, enumerate_slice,
                         weighted_count_forbidden_suffix)
 from .ratfield import (Poly, RatFun, RatMat, RootCertificate, largest_real_zero,
                        series_coeffs)
-from .spectral import (AdjMatrix, adjacency_matrix, entropy, is_irreducible,
+from .spectral import (AdjMatrix, Analysis, adjacency_matrix, entropy, is_irreducible,
                        multiplicity_matrix, multiplicity_one_witness, perron_root,
                        perron_vectors, power_iteration)
 from .measures import (Cylinder, MeasureContext, StochMat, cylinder_measure,

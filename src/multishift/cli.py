@@ -19,10 +19,9 @@ import sys
 
 from . import __version__, measures, spectral, verify
 from .errors import BudgetError, MultishiftError, NumericError, SpecError
-from .genfun import build_system, solve_generating_functions
-from .langmodel import (DEFAULT_BUDGET, ShiftSpec, enumerate_slice, validate_spec,
-                        weighted_count, weighted_count_ending_with,
-                        weighted_count_forbidden_suffix)
+from .genfun import solve_generating_functions
+from .langmodel import (DEFAULT_BUDGET, ShiftSpec, enumerate_slice, oracle_tables,
+                        validate_spec)
 from .ratfield import series_coeffs
 
 EXIT_VERIFY = 1
@@ -71,9 +70,10 @@ def parse_cylinder(text: str, spec: ShiftSpec) -> measures.Cylinder:
         try:
             pair, branch = tok.split("#")
             x, y = pair.split("*")
+            j = int(branch)
         except ValueError as exc:
             raise SpecError(f"bad edge token {tok!r}; expected X*Y#j") from exc
-        edges.append((spec.word(x), spec.word(y), int(branch)))
+        edges.append((spec.word(x), spec.word(y), j))
     return measures.Cylinder.from_edges(edges)
 
 
@@ -91,12 +91,12 @@ def emit(report: dict, as_json: bool, table: str | None = None) -> None:
 def cmd_enumerate(args, doc: dict, spec: ShiftSpec) -> int:
     n_max = args.max_n
     budget = args.budget
-    table = {"n": list(range(0, n_max + 1)),
-             "f": [weighted_count(n, spec, budget) for n in range(n_max + 1)]}
-    table["g"] = {"".join(r): [weighted_count_ending_with(r, n, spec, budget)
-                               for n in range(n_max + 1)] for r in spec.repeated_words}
-    table["fa"] = {"".join(a): [weighted_count_forbidden_suffix(a, n, spec, budget)
-                                for n in range(n_max + 1)] for a in spec.forbidden}
+    # one walk for all three tables; a negative --max-n prints empty ones
+    f, g, fa = oracle_tables(spec, max(n_max, 0), budget)
+    keep = slice(0, n_max + 1)
+    table = {"n": list(range(0, n_max + 1)), "f": f[keep],
+             "g": {"".join(r): g[r][keep] for r in spec.repeated_words},
+             "fa": {"".join(a): fa[a][keep] for a in spec.forbidden}}
     if args.slices:
         table["slices"] = [enumerate_slice(n, spec, budget).to_json()
                            for n in range(1, n_max + 1)]
@@ -117,13 +117,11 @@ def cmd_enumerate(args, doc: dict, spec: ShiftSpec) -> int:
 
 
 def cmd_genfun(args, doc: dict, spec: ShiftSpec) -> int:
-    system = build_system(spec)
     sol = solve_generating_functions(spec)
-    result = {"system": system.to_json(), "solution": sol.to_json(),
+    result = {"system": sol.system.to_json(), "solution": sol.to_json(),
               "series": [str(c) for c in series_coeffs(sol.all_words, args.series_n)]}
-    if spec.union_reduced:
-        from .genfun import constraint_correction
-        result["correction"] = constraint_correction(spec).to_json()
+    if sol.correction is not None:
+        result["correction"] = sol.correction.to_json()
     report = report_skeleton("genfun", doc)
     report["result"] = result
     emit(report, True)

@@ -3,10 +3,12 @@
 For a validated spec this module assembles the coefficient matrix tying
 together F (all allowed words), one G per repeated word (words ending
 with it) and one Fa per forbidden word (words whose only forbidden
-occurrence is terminal).  A reduced union uses plain correlation
-polynomials; a non-reduced union switches to tail correlations plus the
-embedded-occurrence corrections.  The reduced case also carries two
-closed forms for F via row sums of inverses, asserted to agree with the
+occurrence is terminal).  One builder serves both modes: it uses tail
+correlations and embedded-occurrence weights, which for a reduced union
+are the plain correlations and weight 1, so there the lower-right block
+of the bordered matrix is the core correlation matrix.  The reduced case
+also carries two closed forms for F, each from the row sums of an
+inverse (one solve against the ones vector), asserted to agree with the
 direct solution.
 """
 
@@ -20,11 +22,6 @@ from .errors import NumericError, SpecError
 from .langmodel import ShiftSpec
 from .ratfield import Poly, RatFun, RatMat
 from .words import Word
-
-
-def corr(u, v) -> Poly:
-    """Correlation polynomial as an exact Poly."""
-    return Poly(W.correlation_poly(u, v))
 
 
 def tail_corr(u, v, alpha: int) -> Poly:
@@ -48,27 +45,13 @@ def correlation_matrix(spec: ShiftSpec) -> RatMat:
     Entry regimes: repeated-vs-repeated rows carry z(1 - 1/m_j)(r_j,
     r_i)_z minus z^|r_j| on the diagonal, forbidden columns carry
     -z(a_j, r_i)_z, and the forbidden rows repeat the pattern with the
-    correlations taken against a_i.
+    correlations taken against a_i.  It is the lower-right block of
+    :func:`system_matrix`.
     """
     _require_reduced(spec, "the reduced counting system")
-    z = Poly.x()
-    reps, fws = spec.repeated, spec.forbidden
-    ell, s = len(reps), len(fws)
-    targets = [r for r, _ in reps] + list(fws)
-    rows = []
-    for i in range(ell + s):
-        t_i = targets[i]
-        row = []
-        for j, (r_j, m_j) in enumerate(reps):
-            e = z * Fraction(m_j - 1, m_j) * corr(r_j, t_i)
-            if i == j:
-                e = e - Poly.monomial(len(r_j))
-            row.append(RatFun(e))
-        for a_j in fws:
-            row.append(RatFun(-(z * corr(a_j, t_i))))
-        rows.append(row)
     labels = _labels(spec)
-    return RatMat.from_rows(rows, labels, labels)
+    return RatMat.from_rows([row[1:] for row in system_matrix(spec).entries[1:]],
+                            labels, labels)
 
 
 def scaling_diagonal(spec: ShiftSpec) -> RatMat:
@@ -91,23 +74,6 @@ def conjugate_correlation_matrix(spec: ShiftSpec) -> RatMat:
     n = p.nrows
     rows = [[p[(j, i)] * d[(j, j)] / d[(i, i)] for j in range(n)] for i in range(n)]
     labels = _labels(spec)
-    return RatMat.from_rows(rows, labels, labels)
-
-
-def system_matrix(spec: ShiftSpec) -> RatMat:
-    """Bordered (1+l+s) matrix of the reduced system, corner z - q."""
-    _require_reduced(spec, "the reduced counting system")
-    z = Poly.x()
-    core = correlation_matrix(spec)
-    top = [RatFun(z - Poly.constant(spec.q))]
-    for _, m in spec.repeated:
-        top.append(RatFun(-(z * Fraction(m - 1, m))))
-    for _ in spec.forbidden:
-        top.append(RatFun(z))
-    rows = [top]
-    for i in range(core.nrows):
-        rows.append([RatFun.one()] + list(core.entries[i]))
-    labels = ("F",) + _labels(spec)
     return RatMat.from_rows(rows, labels, labels)
 
 
@@ -145,9 +111,13 @@ def embedded_weight(spec: ShiftSpec, a: Word, threshold: int = 0) -> int:
     return out
 
 
-def _non_reduced_matrix(spec: ShiftSpec) -> RatMat:
-    """Full bordered matrix when some repeated word sits inside a
-    forbidden one: tail correlations plus embedded-occurrence weights."""
+def system_matrix(spec: ShiftSpec) -> RatMat:
+    """Bordered (1+l+s) matrix of the counting system, corner z - q.
+
+    Tail correlations and embedded-occurrence weights account for a
+    repeated word sitting inside a forbidden one; for a reduced union
+    every tail is the whole correlation and every weight is 1.
+    """
     z = Poly.x()
     reps, fws = spec.repeated, spec.forbidden
 
@@ -158,32 +128,24 @@ def _non_reduced_matrix(spec: ShiftSpec) -> RatMat:
         top.append(RatFun(z * embedded_weight(spec, a)))
     rows = [top]
 
-    for k, (r_k, _) in enumerate(reps):
+    targets = [(r, True) for r in spec.repeated_words] + [(a, False) for a in fws]
+    for k, (t_k, repeated_row) in enumerate(targets):
         row = [RatFun.one()]
         for j, (r_j, m_j) in enumerate(reps):
-            e = z * Fraction(m_j - 1, m_j) * corr(r_j, r_k)
+            # a whole r_j overlapping a forbidden word would sit inside it
+            alpha = len(r_j) if repeated_row else len(r_j) - 1
+            e = z * Fraction(m_j - 1, m_j) * tail_corr(r_j, t_k, alpha)
             if j == k:
                 e = e - Poly.monomial(len(r_j))
             row.append(RatFun(e))
         for a in fws:
-            # overhangs past |r_k| would put the whole appended word
-            # inside a, impossible for a reduced repeated collection
+            # overhangs past |t_k| would put the whole appended word
+            # inside a, impossible for reduced collections
             e = Poly.zero()
-            for t in W.correlation_shifts(a, r_k):
-                if t <= len(r_k):
-                    e = e + Poly.monomial(t, embedded_weight(spec, a))
-            row.append(RatFun(-e))
-        rows.append(row)
-
-    for a_k in fws:
-        row = [RatFun.one()]
-        for r_j, m_j in reps:
-            e = z * Fraction(m_j - 1, m_j) * tail_corr(r_j, a_k, len(r_j) - 1)
-            row.append(RatFun(e))
-        for a_i in fws:
-            e = Poly.zero()
-            for t in W.correlation_shifts(a_i, a_k):
-                e = e + Poly.monomial(t, embedded_weight(spec, a_i, threshold=t))
+            for t in W.correlation_shifts(a, t_k):
+                if t <= len(t_k):
+                    weight = embedded_weight(spec, a, threshold=0 if repeated_row else t)
+                    e = e + Poly.monomial(t, weight)
             row.append(RatFun(-e))
         rows.append(row)
 
@@ -193,12 +155,10 @@ def _non_reduced_matrix(spec: ShiftSpec) -> RatMat:
 
 def build_system(spec: ShiftSpec) -> GenFunSystem:
     """Assemble the counting system in the mode the spec calls for."""
-    if spec.union_reduced:
-        matrix, mode = system_matrix(spec), "reduced"
-    else:
-        matrix, mode = _non_reduced_matrix(spec), "non_reduced"
+    matrix = system_matrix(spec)
     rhs = (RatFun.x(),) + tuple(RatFun.zero() for _ in range(matrix.nrows - 1))
-    return GenFunSystem(matrix, rhs, matrix.row_labels, mode)
+    return GenFunSystem(matrix, rhs, matrix.row_labels,
+                        "reduced" if spec.union_reduced else "non_reduced")
 
 
 @dataclass(frozen=True)
@@ -208,7 +168,12 @@ class GenFunSolution:
     all_words: RatFun                       # F
     ending_with: tuple[tuple[Word, RatFun], ...]   # G per repeated word
     forbidden_tail: tuple[tuple[Word, RatFun], ...]  # Fa per forbidden word
-    mode: str
+    system: GenFunSystem
+    correction: RatFun | None               # R of F = z / (z - q + R), reduced mode only
+
+    @property
+    def mode(self) -> str:
+        return self.system.mode
 
     def series_for(self, name: str) -> RatFun:
         if name == "F":
@@ -230,18 +195,15 @@ class GenFunSolution:
         }
 
 
-def _row_sum_form(spec: ShiftSpec, core: RatMat) -> RatFun:
-    """z over (z - q + weighted row sums of the inverse), the closed form."""
+def _correction(spec: ShiftSpec, core: RatMat) -> RatFun:
+    """Weighted row sums of the inverted core matrix, from one solve
+    against the ones vector; zero for empty collections."""
     z = RatFun.x()
-    denom = z - RatFun(spec.q)
-    if core.nrows:
-        sums = core.inverse().row_sums()
-        ell = len(spec.repeated)
-        for i, (_, m) in enumerate(spec.repeated):
-            denom = denom + z * RatFun(Fraction(m - 1, m)) * sums[i]
-        for j in range(len(spec.forbidden)):
-            denom = denom - z * sums[ell + j]
-    return z / denom
+    weights = [Fraction(m - 1, m) for m in spec.multiplicities] + [-1] * len(spec.forbidden)
+    out = RatFun.zero()
+    for w, row_sum in zip(weights, core.solve([RatFun.one()] * core.nrows)):
+        out = out + z * RatFun(w) * row_sum
+    return out
 
 
 def solve_generating_functions(spec: ShiftSpec) -> GenFunSolution:
@@ -257,12 +219,14 @@ def solve_generating_functions(spec: ShiftSpec) -> GenFunSolution:
     ell = len(spec.repeated)
     gs = tuple((r, sol[1 + i]) for i, (r, _) in enumerate(spec.repeated))
     fas = tuple((a, sol[1 + ell + j]) for j, a in enumerate(spec.forbidden))
+    correction = None
     if system.mode == "reduced":
-        via_rows = _row_sum_form(spec, correlation_matrix(spec))
-        via_conj = _row_sum_form(spec, conjugate_correlation_matrix(spec))
-        if not (f == via_rows == via_conj):
+        z, q = RatFun.x(), RatFun(spec.q)
+        correction = _correction(spec, correlation_matrix(spec))
+        via_conj = z / (z - q + _correction(spec, conjugate_correlation_matrix(spec)))
+        if not (f == z / (z - q + correction) == via_conj):
             raise NumericError("closed forms disagree with the solved system")
-    return GenFunSolution(f, gs, fas, system.mode)
+    return GenFunSolution(f, gs, fas, system, correction)
 
 
 def constraint_correction(spec: ShiftSpec) -> RatFun:
@@ -272,14 +236,4 @@ def constraint_correction(spec: ShiftSpec) -> RatFun:
     empty collections.
     """
     _require_reduced(spec, "the constraint correction")
-    z = RatFun.x()
-    core = correlation_matrix(spec)
-    out = RatFun.zero()
-    if core.nrows:
-        sums = core.inverse().row_sums()
-        ell = len(spec.repeated)
-        for i, (_, m) in enumerate(spec.repeated):
-            out = out + z * RatFun(Fraction(m - 1, m)) * sums[i]
-        for j in range(len(spec.forbidden)):
-            out = out - z * sums[ell + j]
-    return out
+    return _correction(spec, correlation_matrix(spec))

@@ -2,16 +2,19 @@
 branch-erasing projection, push-forwards, and escape-rate estimates.
 
 A :class:`MeasureContext` bundles everything derived from one spec: the
-adjacency matrix, certified root, formula eigenvectors, and the
-row-stochastic matrix of the Shannon-Parry measure.  Cylinder measures
-can then be evaluated along independent routes (eigenvector formula,
-derivative normalization, Markov-chain products) which must agree.
+adjacency matrix, certified root, formula eigenvectors and normalization,
+all read from one :class:`spectral.Analysis`, plus the row-stochastic
+matrix of the Shannon-Parry measure and a label-to-index map.  Cylinder
+measures can then be evaluated along independent routes (eigenvector
+formula, derivative normalization, Markov-chain products) which must
+agree.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -19,9 +22,8 @@ from . import words as W
 from .errors import NumericError, SpecError
 from .langmodel import (DEFAULT_BUDGET, ShiftSpec, extend_repeated_to_full_length,
                         multiplicity, spec_from_matrix, validate_spec, weighted_count)
-from .spectral import (AdjMatrix, EigenData, NormalizationReport, PerronResult,
-                       adjacency_matrix, eigenvector_normalization, is_irreducible,
-                       perron_root, perron_vectors)
+from .spectral import (AdjMatrix, Analysis, EigenData, NormalizationReport, PerronResult,
+                       adjacency_matrix, is_irreducible, perron_root, perron_vectors)
 from .words import Word
 
 MEASURE_TOL = 1e-9
@@ -203,18 +205,22 @@ def project_edges(cyl: Cylinder) -> Cylinder:
 
 
 class MeasureContext:
-    """Everything cylinder measures need, derived once from a spec."""
+    """Everything cylinder measures need, derived once from a spec.
 
-    def __init__(self, spec: ShiftSpec, allow_reducible: bool = False):
-        self.spec = spec
-        self.ext = extend_repeated_to_full_length(spec)
-        self.mat = adjacency_matrix(self.ext)
-        self.vectors: EigenData = perron_vectors(spec, allow_reducible)
+    Accepts a spec or an :class:`Analysis` whose stages it reuses.
+    """
+
+    def __init__(self, source: ShiftSpec | Analysis, allow_reducible: bool = False):
+        an = source if isinstance(source, Analysis) else Analysis(source, allow_reducible)
+        self.spec = an.spec
+        self.ext = an.ext
+        self.mat = an.matrix
+        self.vectors: EigenData = an.vectors
         self.root: PerronResult = self.vectors.root
-        self.norm: NormalizationReport = eigenvector_normalization(spec, allow_reducible)
+        self.norm: NormalizationReport = an.normalization
         self.sp: StochMat = shannon_parry_matrix(
             self.mat, self.root.scalar(), self.vectors.left_normalized, self.vectors.right)
-        self._hat = None
+        self.index_of = {v: i for i, v in enumerate(self.mat.labels)}
 
     @property
     def p(self) -> int:
@@ -228,34 +234,33 @@ class MeasureContext:
     def theta(self):
         return self.root.scalar()
 
-    def _hat_data(self):
+    @cached_property
+    def _hat(self) -> tuple[EigenData, StochMat]:
         """Parry data of the compatible binary matrix, via the same
         correlation pipeline on the derived length-2 collections.
 
         The derived spec renames labels to single symbols, but its block
         order matches ours, so everything is used positionally.
         """
-        if self._hat is None:
-            binary = self.mat.binary()
-            derived = spec_from_matrix(binary.entries)
-            vec = perron_vectors(derived)
-            sp = shannon_parry_matrix(binary, vec.root.scalar(),
-                                      vec.left_normalized, vec.right)
-            self._hat = (vec, sp)
-        return self._hat
+        binary = self.mat.binary()
+        vec = perron_vectors(spec_from_matrix(binary.entries))
+        sp = shannon_parry_matrix(binary, vec.root.scalar(), vec.left_normalized, vec.right)
+        return vec, sp
 
-    def check_cylinder(self, cyl: Cylinder) -> None:
+    def check_cylinder(self, cyl: Cylinder) -> list[int]:
+        """Check the cylinder against the matrix; returns its vertex indices."""
         idx = []
         for v in cyl.vertices:
-            if v not in self.mat.labels:
+            if v not in self.index_of:
                 raise SpecError(f"{''.join(v)} is not an allowed block of length {self.p - 1}")
-            idx.append(self.mat.labels.index(v))
+            idx.append(self.index_of[v])
         for k in range(cyl.n_edges):
             e = self.mat.entries[idx[k]][idx[k + 1]]
             if e == 0:
                 raise SpecError("cylinder path uses a missing edge")
             if cyl.branches is not None and not 1 <= cyl.branches[k] <= e:
                 raise SpecError(f"branch index {cyl.branches[k]} outside 1..{e}")
+        return idx
 
 
 @dataclass(frozen=True)
@@ -286,10 +291,8 @@ def cylinder_measure(ctx: MeasureContext, cyl: Cylinder,
     product, ``parry`` the classical measure of the compatible binary
     matrix.  Branch indices never influence the value.
     """
-    ctx.check_cylinder(cyl)
-    labels = ctx.mat.labels
-    i_first = labels.index(cyl.vertices[0])
-    i_last = labels.index(cyl.vertices[-1])
+    idx = ctx.check_cylinder(cyl)
+    i_first, i_last = idx[0], idx[-1]
     n = cyl.n_edges
     theta = ctx.theta
 
@@ -301,19 +304,17 @@ def cylinder_measure(ctx: MeasureContext, cyl: Cylinder,
                    / (theta ** n * ctx.norm.identity_value))
         elif route == "markov":
             val = ctx.sp.stationary[i_first]
-            for k in range(n):
-                a, b = labels.index(cyl.vertices[k]), labels.index(cyl.vertices[k + 1])
+            for a, b in zip(idx, idx[1:]):
                 val = val * ctx.sp.rows[a][b] / ctx.mat.entries[a][b]
         else:
             raise ValueError(f"route {route!r} not valid for an edge cylinder")
     else:
         if route == "markov":
             val = ctx.sp.stationary[i_first]
-            for k in range(n):
-                a, b = labels.index(cyl.vertices[k]), labels.index(cyl.vertices[k + 1])
+            for a, b in zip(idx, idx[1:]):
                 val = val * ctx.sp.rows[a][b]
         elif route == "parry":
-            vec, _ = ctx._hat_data()
+            vec, _ = ctx._hat
             val = vec.left_normalized[i_first] * vec.right[i_last] / vec.root.scalar() ** n
         else:
             raise ValueError(f"route {route!r} not valid for a vertex cylinder")
@@ -323,11 +324,9 @@ def cylinder_measure(ctx: MeasureContext, cyl: Cylinder,
 
 def preimage_count(ctx: MeasureContext, cyl: Cylinder) -> int:
     """Number of edge cylinders projecting onto the given vertex cylinder."""
-    ctx.check_cylinder(cyl)
-    labels = ctx.mat.labels
+    idx = ctx.check_cylinder(cyl)
     out = 1
-    for k in range(cyl.n_edges):
-        a, b = labels.index(cyl.vertices[k]), labels.index(cyl.vertices[k + 1])
+    for a, b in zip(idx, idx[1:]):
         out *= ctx.mat.entries[a][b]
     return out
 

@@ -1,6 +1,13 @@
 """Adjacency matrices of a spec, Perron data, entropy, and the
 normalization identity.
 
+An :class:`Analysis` derives each stage of one spec once, on first use:
+the extended spec, the adjacency matrix, the Perron root, the formula
+eigenvectors with their residuals, the normalization report and the
+entropy.  :func:`spectral_report`, the measure context and the
+verification suite read every stage from one analysis; the public
+functions below are the same stages for callers that need just one.
+
 The Perron root always travels two independent routes: the largest real
 zero of the exact correction function (or the largest real pole of the
 solved counting series in the non-reduced mode), and a certified
@@ -15,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -79,10 +87,6 @@ class AdjMatrix:
             e >>= 1
         return sum(sum(row) for row in mat)
 
-    def scaled(self, factor: int) -> "AdjMatrix":
-        return AdjMatrix(self.labels,
-                         tuple(tuple(e * factor for e in row) for row in self.entries))
-
     def to_json(self) -> dict:
         return {"labels": ["".join(x) for x in self.labels],
                 "entries": [list(row) for row in self.entries]}
@@ -102,24 +106,23 @@ def _intmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return out
 
 
+def _splice_matrix(spec: ShiftSpec, weight) -> AdjMatrix:
+    """Matrix on the allowed words of length p-1 whose (X, Y) entry is
+    ``weight(X*Y)`` when the splice exists, else 0."""
+    labels = sorted(allowed_words(spec.p - 1, spec), key=spec.sort_key)
+    if not labels:
+        raise SpecError("no allowed words of length p-1; spec is over-constrained")
+    rows = tuple(tuple(0 if (xy := W.star(x, y)) is None else weight(xy) for y in labels)
+                 for x in labels)
+    return AdjMatrix(tuple(labels), rows)
+
+
 def adjacency_matrix(spec: ShiftSpec) -> AdjMatrix:
     """The edge-count matrix: labels are allowed words of length p-1 and
     the (X, Y) entry is the leading multiplicity of the splice X*Y when
     it is allowed, else 0."""
-    labels = sorted(allowed_words(spec.p - 1, spec), key=spec.sort_key)
-    if not labels:
-        raise SpecError("no allowed words of length p-1; spec is over-constrained")
-    rows = []
-    for x in labels:
-        row = []
-        for y in labels:
-            xy = W.star(x, y)
-            if xy is None or not spec.is_allowed(xy):
-                row.append(0)
-            else:
-                row.append(leading_multiplicity(xy, spec))
-        rows.append(tuple(row))
-    return AdjMatrix(tuple(labels), tuple(rows))
+    return _splice_matrix(
+        spec, lambda xy: leading_multiplicity(xy, spec) if spec.is_allowed(xy) else 0)
 
 
 def multiplicity_matrix(spec: ShiftSpec) -> AdjMatrix:
@@ -128,17 +131,7 @@ def multiplicity_matrix(spec: ShiftSpec) -> AdjMatrix:
     Coincides with :func:`adjacency_matrix` exactly when all repeated
     words have length p; otherwise it overcounts paths.
     """
-    labels = sorted(allowed_words(spec.p - 1, spec), key=spec.sort_key)
-    if not labels:
-        raise SpecError("no allowed words of length p-1; spec is over-constrained")
-    rows = []
-    for x in labels:
-        row = []
-        for y in labels:
-            xy = W.star(x, y)
-            row.append(0 if xy is None else multiplicity(xy, spec))
-        rows.append(tuple(row))
-    return AdjMatrix(tuple(labels), tuple(rows))
+    return _splice_matrix(spec, lambda xy: multiplicity(xy, spec))
 
 
 def is_irreducible(mat: AdjMatrix) -> bool:
@@ -297,6 +290,7 @@ class EigenData:
     dot: object
     root: PerronResult
     exact: bool
+    residuals: tuple[float, float]  # scaled (left, right) residuals, see eigen_residuals
 
     def left_of(self, label) -> object:
         return self.left[self.labels.index(W.word(label))]
@@ -334,43 +328,9 @@ def _inverse_row_sums_at(core, theta) -> list:
 
 
 def perron_vectors(spec: ShiftSpec, allow_reducible: bool = False) -> EigenData:
-    """Left and right Perron eigenvectors from the correlation formulas.
-
-    Repeated words are first extended to full length p (the matrix is
-    unchanged by that), which is the setting where the formulas hold.
-    """
-    ext = extend_repeated_to_full_length(spec)
-    root = perron_root(spec, allow_reducible)
-    theta = root.scalar()
-    exact = root.exact is not None
-    labels = tuple(sorted(allowed_words(ext.p - 1, ext), key=ext.sort_key))
-    rsums = _inverse_row_sums_at(genfun.correlation_matrix(ext), theta)
-    ssums = _inverse_row_sums_at(genfun.conjugate_correlation_matrix(ext), theta)
-    ell = len(ext.repeated)
-    one = Fraction(1) if exact else 1.0
-
-    left, right = [], []
-    for x in labels:
-        u = one
-        v = one
-        for i, (r, m) in enumerate(ext.repeated):
-            c = Fraction(m - 1, m)
-            u = u - theta * c * rsums[i] * Poly(W.correlation_poly(r[1:], x))(theta)
-            v = v - theta * c * ssums[i] * Poly(W.correlation_poly(x, r))(theta)
-        for j, a in enumerate(ext.forbidden):
-            u = u + theta * rsums[ell + j] * Poly(W.correlation_poly(a[1:], x))(theta)
-            v = v + theta * ssums[ell + j] * Poly(W.correlation_poly(x, a))(theta)
-        left.append(u)
-        right.append(v)
-
-    dot = sum(u * v for u, v in zip(left, right))
-    if dot == 0:
-        raise NumericError("degenerate eigenvector normalization")
-    left_n = tuple(u / dot for u in left)
-    data = EigenData(labels, tuple(left), tuple(right), left_n, tuple(right),
-                     dot, root, exact)
-    _check_residuals(adjacency_matrix(ext), data)
-    return data
+    """Left and right Perron eigenvectors from the correlation formulas
+    (the :attr:`Analysis.vectors` stage)."""
+    return Analysis(spec, allow_reducible).vectors
 
 
 def eigen_residuals(mat: AdjMatrix, theta: float, left: Sequence, right: Sequence) -> tuple[float, float]:
@@ -381,12 +341,6 @@ def eigen_residuals(mat: AdjMatrix, theta: float, left: Sequence, right: Sequenc
     res_r = float(np.max(np.abs(a @ v - theta * v))) / max(1.0, float(np.max(np.abs(v))))
     res_l = float(np.max(np.abs(u @ a - theta * u))) / max(1.0, float(np.max(np.abs(u))))
     return res_l, res_r
-
-
-def _check_residuals(mat: AdjMatrix, data: EigenData) -> None:
-    res_l, res_r = eigen_residuals(mat, data.root.theta, data.left, data.right)
-    if max(res_l, res_r) > THETA_TOL:
-        raise NumericError(f"eigenvector residuals too large: left {res_l:.3g}, right {res_r:.3g}")
 
 
 @dataclass(frozen=True)
@@ -534,25 +488,9 @@ def correction_derivative_at(spec: ShiftSpec, theta):
 
 def eigenvector_normalization(spec: ShiftSpec,
                               allow_reducible: bool = False) -> NormalizationReport:
-    """Compare U^T V with theta^(p-1) (1 + R'(theta)) on the extended spec.
-
-    The identity is guaranteed under the witness condition; without a
-    witness the comparison is still reported (it is conjectured to hold)
-    but a disagreement is only an error when the witness was found.
-    """
-    ext = extend_repeated_to_full_length(spec)
-    vec = perron_vectors(spec, allow_reducible)
-    theta = vec.root.scalar()
-    rprime = correction_derivative_at(ext, theta)
-    identity = theta ** (ext.p - 1) * (1 + rprime)
-    if vec.exact:
-        agree = vec.dot == identity
-    else:
-        agree = abs(float(vec.dot) - float(identity)) <= THETA_TOL * max(1.0, abs(float(vec.dot)))
-    witness = multiplicity_one_witness(ext)
-    if witness is not None and not agree:
-        raise NumericError("normalization identity failed despite a witness")
-    return NormalizationReport(vec.dot, identity, agree, witness, vec.exact)
+    """U^T V against theta^(p-1) (1 + R'(theta)) (the
+    :attr:`Analysis.normalization` stage)."""
+    return Analysis(spec, allow_reducible).normalization
 
 
 @dataclass(frozen=True)
@@ -567,33 +505,128 @@ class EntropyReport:
                 "estimate_n": self.estimate_n}
 
 
-def entropy(spec: ShiftSpec, estimate_n: int | None = None,
+def entropy(source: ShiftSpec | Analysis, estimate_n: int | None = None,
             budget: int = DEFAULT_BUDGET, allow_reducible: bool = False) -> EntropyReport:
-    """ln(theta), with a finite-size (1/n) ln |slice| sanity estimate."""
-    root = perron_root(spec, allow_reducible)
+    """ln(theta), with a finite-size (1/n) ln |slice| sanity estimate.
+
+    Accepts a spec or an :class:`Analysis` whose root it reuses.
+    """
+    an = source if isinstance(source, Analysis) else Analysis(source, allow_reducible)
+    theta = an.root.theta
+    spec = an.spec
     if estimate_n is None:
         cap = max(2, int(math.log(1 << 20) / math.log(spec.q)))
         estimate_n = max(spec.p, min(12, cap))
     count = weighted_count(estimate_n, spec, budget)
     est = math.log(count) / estimate_n if count else float("-inf")
-    return EntropyReport(math.log(root.theta), est, estimate_n)
+    return EntropyReport(math.log(theta), est, estimate_n)
+
+
+class Analysis:
+    """Every derived stage of one spec, each computed once on first use.
+
+    A stage first reads the stages it needs: the vectors read the
+    extended spec, the root and the matrix; the normalization reads the
+    vectors; the entropy reads the root.  A failed stage is not cached:
+    reading it again repeats the computation and raises again.
+    """
+
+    def __init__(self, spec: ShiftSpec, allow_reducible: bool = False):
+        self.spec = spec
+        self.allow_reducible = allow_reducible
+
+    @cached_property
+    def ext(self) -> ShiftSpec:
+        """The spec with its repeated words extended to full length p."""
+        return extend_repeated_to_full_length(self.spec)
+
+    @cached_property
+    def matrix(self) -> AdjMatrix:
+        """The adjacency matrix, of the spec and of its extension alike
+        (extending the repeated words leaves it unchanged)."""
+        return adjacency_matrix(self.spec)
+
+    @cached_property
+    def root(self) -> PerronResult:
+        return perron_root(self.spec, self.allow_reducible)
+
+    @cached_property
+    def vectors(self) -> EigenData:
+        """Left and right Perron eigenvectors from the correlation formulas.
+
+        They are evaluated on the extended spec, the setting where the
+        formulas hold, and refused when their residuals against the
+        matrix exceed THETA_TOL.
+        """
+        ext, root = self.ext, self.root
+        theta = root.scalar()
+        exact = root.exact is not None
+        rsums = _inverse_row_sums_at(genfun.correlation_matrix(ext), theta)
+        ssums = _inverse_row_sums_at(genfun.conjugate_correlation_matrix(ext), theta)
+        ell = len(ext.repeated)
+        one = Fraction(1) if exact else 1.0
+        labels = self.matrix.labels
+
+        left, right = [], []
+        for x in labels:
+            u = one
+            v = one
+            for i, (r, m) in enumerate(ext.repeated):
+                c = Fraction(m - 1, m)
+                u = u - theta * c * rsums[i] * Poly(W.correlation_poly(r[1:], x))(theta)
+                v = v - theta * c * ssums[i] * Poly(W.correlation_poly(x, r))(theta)
+            for j, a in enumerate(ext.forbidden):
+                u = u + theta * rsums[ell + j] * Poly(W.correlation_poly(a[1:], x))(theta)
+                v = v + theta * ssums[ell + j] * Poly(W.correlation_poly(x, a))(theta)
+            left.append(u)
+            right.append(v)
+
+        dot = sum(u * v for u, v in zip(left, right))
+        if dot == 0:
+            raise NumericError("degenerate eigenvector normalization")
+        res_l, res_r = eigen_residuals(self.matrix, root.theta, left, right)
+        if max(res_l, res_r) > THETA_TOL:
+            raise NumericError(f"eigenvector residuals too large: left {res_l:.3g}, right {res_r:.3g}")
+        return EigenData(labels, tuple(left), tuple(right), tuple(u / dot for u in left),
+                         tuple(right), dot, root, exact, (res_l, res_r))
+
+    @cached_property
+    def normalization(self) -> NormalizationReport:
+        """Compare U^T V with theta^(p-1) (1 + R'(theta)) on the extended spec.
+
+        The identity is guaranteed under the witness condition; without a
+        witness the comparison is still reported (it is conjectured to
+        hold) but a disagreement is only an error when the witness was
+        found.
+        """
+        vec = self.vectors
+        theta = vec.root.scalar()
+        identity = theta ** (self.ext.p - 1) * (1 + correction_derivative_at(self.ext, theta))
+        if vec.exact:
+            agree = vec.dot == identity
+        else:
+            agree = abs(float(vec.dot) - float(identity)) <= THETA_TOL * max(1.0, abs(float(vec.dot)))
+        witness = multiplicity_one_witness(self.ext)
+        if witness is not None and not agree:
+            raise NumericError("normalization identity failed despite a witness")
+        return NormalizationReport(vec.dot, identity, agree, witness, vec.exact)
+
+    @cached_property
+    def entropy(self) -> EntropyReport:
+        return entropy(self)
 
 
 def spectral_report(spec: ShiftSpec, allow_reducible: bool = False) -> dict:
     """Bundle of everything the perron subcommand prints."""
-    mat = adjacency_matrix(spec)
-    root = perron_root(spec, allow_reducible)
-    vec = perron_vectors(spec, allow_reducible)
-    norm = eigenvector_normalization(spec, allow_reducible)
-    ent = entropy(spec, allow_reducible=allow_reducible)
-    res_l, res_r = eigen_residuals(adjacency_matrix(extend_repeated_to_full_length(spec)),
-                                   root.theta, vec.left, vec.right)
-    return {
-        "adjacency": mat.to_json(),
-        "irreducible": is_irreducible(mat),
-        "perron": root.to_json(),
-        "eigenvectors": vec.to_json(),
-        "normalization": norm.to_json(),
-        "entropy": ent.to_json(),
-        "residuals": {"left": format(res_l, ".3g"), "right": format(res_r, ".3g")},
+    an = Analysis(spec, allow_reducible)
+    report = {
+        "adjacency": an.matrix.to_json(),
+        "irreducible": an.root.irreducible,
+        "perron": an.root.to_json(),
+        "eigenvectors": an.vectors.to_json(),
+        "normalization": an.normalization.to_json(),
+        "entropy": an.entropy.to_json(),
     }
+    res_l, res_r = an.vectors.residuals
+    report["residuals"] = {"left": format(res_l, ".3g"), "right": format(res_r, ".3g")}
+    return report

@@ -13,11 +13,9 @@ from fractions import Fraction
 
 from . import genfun, measures, spectral, words as W
 from .errors import MultishiftError
-from .langmodel import (DEFAULT_BUDGET, ShiftSpec, extend_repeated_to_full_length,
-                        oracle_tables)
+from .langmodel import DEFAULT_BUDGET, ShiftSpec, oracle_tables
 from .ratfield import RatFun, series_coeffs
-
-THETA_TOL = 1e-9
+from .spectral import THETA_TOL
 
 
 @dataclass
@@ -98,9 +96,14 @@ def _recurrence_checks(spec: ShiftSpec, f, g, fa, max_n: int) -> list[CheckResul
 def run_verification(spec: ShiftSpec, max_n: int = 10, budget: int = DEFAULT_BUDGET,
                      expected: dict | None = None,
                      allow_reducible: bool = False) -> VerificationReport:
-    """Run the master invariant suite on one spec."""
+    """Run the master invariant suite on one spec.
+
+    Every spectral check reads one :class:`spectral.Analysis`, so each
+    stage runs once.  ``max_n`` is raised to at least p, the reach of
+    the suffix recurrences.
+    """
     checks: list[CheckResult] = []
-    max_n = max(2, max_n)
+    max_n = max(spec.p, max_n)
     f, g, fa = oracle_tables(spec, max_n, budget)
 
     sol = genfun.solve_generating_functions(spec)
@@ -119,14 +122,14 @@ def run_verification(spec: ShiftSpec, max_n: int = 10, budget: int = DEFAULT_BUD
 
     checks.extend(_recurrence_checks(spec, f, g, fa, max_n))
 
-    if spec.union_reduced:
-        correction = genfun.constraint_correction(spec)
+    if sol.correction is not None:
         z = RatFun.x()
-        identity = z / (z - RatFun(spec.q) + correction)
+        identity = z / (z - RatFun(spec.q) + sol.correction)
         checks.append(CheckResult("series_equals_correction_form",
                                   identity == sol.all_words))
 
-    mat = spectral.adjacency_matrix(spec)
+    an = spectral.Analysis(spec, allow_reducible)
+    mat = an.matrix
     if all(len(r) == spec.p for r in spec.repeated_words):
         ok = all(mat.power_sum(n - spec.p + 1) == f[n]
                  for n in range(spec.p, min(spec.p + 6, max_n) + 1))
@@ -135,7 +138,7 @@ def run_verification(spec: ShiftSpec, max_n: int = 10, budget: int = DEFAULT_BUD
     irreducible = spectral.is_irreducible(mat)
     if irreducible or allow_reducible:
         try:
-            root = spectral.perron_root(spec, allow_reducible)
+            root = an.root
             checks.append(CheckResult(
                 "perron_route_agreement", root.route_gap <= THETA_TOL,
                 f"gap {root.route_gap:.3g}"))
@@ -144,14 +147,11 @@ def run_verification(spec: ShiftSpec, max_n: int = 10, budget: int = DEFAULT_BUD
             root = None
         if root is not None and irreducible:
             try:
-                vec = spectral.perron_vectors(spec, allow_reducible)
-                ext_mat = spectral.adjacency_matrix(extend_repeated_to_full_length(spec))
-                res_l, res_r = spectral.eigen_residuals(ext_mat, root.theta,
-                                                        vec.left, vec.right)
+                res_l, res_r = an.vectors.residuals
                 checks.append(CheckResult(
                     "eigen_residuals", max(res_l, res_r) <= THETA_TOL,
                     f"left {res_l:.3g} right {res_r:.3g}"))
-                norm = spectral.eigenvector_normalization(spec, allow_reducible)
+                norm = an.normalization
                 name = "normalization_identity"
                 if norm.witness is None:
                     checks.append(CheckResult(
@@ -159,7 +159,7 @@ def run_verification(spec: ShiftSpec, max_n: int = 10, budget: int = DEFAULT_BUD
                         f"witness unknown; identity {'holds' if norm.agree else 'fails'} empirically"))
                 else:
                     checks.append(CheckResult(name, norm.agree))
-                ctx = measures.MeasureContext(spec, allow_reducible)
+                ctx = measures.MeasureContext(an)
                 kol = measures.kolmogorov_report(ctx, min(4, max_n))
                 checks.append(CheckResult(
                     "measure_additivity", not kol["violations"],
@@ -191,7 +191,10 @@ def run_verification(spec: ShiftSpec, max_n: int = 10, budget: int = DEFAULT_BUD
             against(f"expected_forbidden_tail_counts[{key}]", fa[spec.word(key)], table)
         if "theta" in expected:
             try:
-                root = spectral.perron_root(spec, allow_reducible=True)
+                # on an irreducible matrix the flag changes nothing, so
+                # the analysis root serves
+                root = an.root if irreducible or allow_reducible else \
+                    spectral.perron_root(spec, allow_reducible=True)
                 ok = abs(root.theta - float(expected["theta"])) <= 1e-6
                 checks.append(CheckResult("expected_theta", ok,
                                           f"got {root.theta}, expected {expected['theta']}"))

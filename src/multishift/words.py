@@ -58,21 +58,15 @@ def correlation_poly(u: Sequence[str], v: Sequence[str]) -> tuple[int, ...]:
     The degree is at most ``|u| - 1``; the empty tuple is the zero
     polynomial (no overlap at all).
     """
-    shifts = correlation_shifts(u, v)
-    if not shifts:
-        return ()
-    coeffs = [0] * shifts[0]
-    for t in shifts:
-        coeffs[t - 1] = 1
-    return tuple(coeffs)
+    return tail_correlation_poly(u, v, len(u))
 
 
 def tail_correlation_poly(u: Sequence[str], v: Sequence[str],
                           alpha: int) -> tuple[int, ...]:
     """Correlation polynomial restricted to the last ``alpha`` bits.
 
-    Keeps only overlap lengths ``t <= alpha``; with ``alpha == |u|`` this
-    is exactly :func:`correlation_poly`.
+    Keeps only overlap lengths ``t <= alpha``; ``alpha == |u|`` keeps them
+    all, which is :func:`correlation_poly`.
     """
     u = tuple(u)
     if not 0 <= alpha <= len(u):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,12 +7,16 @@ from pathlib import Path
 from multishift.cli import main
 from multishift.fixtures import fixture_document, list_fixtures
 
-FIXDIR = Path(__file__).resolve().parent.parent / "src" / "multishift" / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
+FIXDIR = SRC / "multishift" / "fixtures"
 
 
 def run_cli(args, stdin_text=None):
+    # the child imports the package from this checkout, like the test process
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "multishift.cli", *args],
-                          capture_output=True, text=True, input=stdin_text)
+                          capture_output=True, text=True, input=stdin_text,
+                          env={**os.environ, "PYTHONPATH": path})
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -172,3 +177,20 @@ def test_exit_code_numeric(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.spectral, "spectral_report", boom)
     doc = {"alphabet": ["0", "1"], "forbidden": [], "repeated": []}
     assert cli.main(["perron", "--spec", write_spec(tmp_path, doc)]) == 4
+
+
+def test_verify_max_n_below_p_is_raised_to_p():
+    # building_blocks has p = 4; the suffix recurrences reach p positions ahead
+    code, out, err = run_cli(["verify", "--spec", str(FIXDIR / "building_blocks.json"),
+                              "--max-n", "2"])
+    assert code == 0, f"{out}{err}"
+    assert "Traceback" not in err
+    assert "PASS recurrence_repeated_suffix" in out
+
+
+def test_exit_code_bad_branch_index():
+    code, _, err = run_cli(["measure", "--spec", str(FIXDIR / "counting.json"),
+                            "--cylinder", "00*00#x"])
+    assert code == 2
+    assert "bad edge token" in err
+    assert "Traceback" not in err

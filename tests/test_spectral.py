@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_spec
+from multishift import genfun, spectral
 from multishift.errors import SpecError
 from multishift.langmodel import (extend_repeated_to_full_length, multiplicity,
                                   oracle_tables, validate_spec)
@@ -11,6 +12,7 @@ from multishift.spectral import (AdjMatrix, adjacency_matrix, eigen_residuals,
                                  eigenvector_normalization, entropy, is_irreducible,
                                  multiplicity_matrix, multiplicity_one_witness,
                                  perron_root, perron_vectors, power_iteration)
+from multishift.verify import run_verification
 
 
 def eigen_spec():
@@ -212,3 +214,26 @@ def test_extension_route_used_for_short_words():
     mat = adjacency_matrix(s)
     res_l, res_r = eigen_residuals(mat, vec.root.theta, vec.left, vec.right)
     assert max(res_l, res_r) <= 1e-9
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_one_analysis_derives_each_stage_once(monkeypatch):
+    iterations = _count_calls(monkeypatch, spectral, "power_iteration")
+    corrections = _count_calls(monkeypatch, genfun, "constraint_correction")
+    spectral.spectral_report(eigen_spec())
+    assert (len(iterations), len(corrections)) == (1, 1)
+
+    roots = _count_calls(monkeypatch, spectral, "perron_root")
+    assert run_verification(eigen_spec(), max_n=6).passed
+    assert len(roots) == 1
