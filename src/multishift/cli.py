@@ -55,7 +55,25 @@ def spec_from_document(doc: dict) -> ShiftSpec:
                                                  for s in alphabet):
         raise SpecError("alphabet must be a list of single-character symbols")
     forbidden = doc.get("forbidden", [])
-    repeated = [(e["word"], e["multiplicity"]) for e in doc.get("repeated", [])]
+    if not isinstance(forbidden, list) or not all(isinstance(a, str) for a in forbidden):
+        raise SpecError("forbidden must be a list of word strings")
+    entries = doc.get("repeated", [])
+    if not isinstance(entries, list):
+        raise SpecError("repeated must be a list of {word, multiplicity} objects")
+    repeated = []
+    for i, e in enumerate(entries):
+        if not isinstance(e, dict):
+            raise SpecError(f"repeated[{i}] must be a {{word, multiplicity}} object")
+        for key in ("word", "multiplicity"):
+            if key not in e:
+                raise SpecError(f"repeated[{i}] has no {key}")
+        if not isinstance(e["word"], str):
+            raise SpecError(f"repeated[{i}].word must be a word string")
+        m = e["multiplicity"]
+        # bool is a subclass of int, but true is no multiplicity
+        if type(m) is not int:
+            raise SpecError(f"repeated[{i}].multiplicity must be an integer, got {m!r}")
+        repeated.append((e["word"], m))
     return validate_spec(alphabet, forbidden, repeated)
 
 
@@ -91,7 +109,7 @@ def emit(report: dict, as_json: bool, table: str | None = None) -> None:
 def cmd_enumerate(args, doc: dict, spec: ShiftSpec) -> int:
     n_max = args.max_n
     budget = args.budget
-    # one walk for all three tables; a negative --max-n prints empty ones
+    # one pass for all three tables; a negative --max-n prints empty ones
     f, g, fa = oracle_tables(spec, max(n_max, 0), budget)
     keep = slice(0, n_max + 1)
     table = {"n": list(range(0, n_max + 1)), "f": f[keep],
@@ -191,7 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
         grp.add_argument("--table", dest="fmt", action="store_const", const="table")
         p.add_argument("--allow-reducible", action="store_true", default=False)
         if budget:
-            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                           help="refuse (exit 3) any count of a length n >= 1 with "
+                                "q**n > BUDGET, checked before counting "
+                                "(default %(default)s)")
 
     p = sub.add_parser("enumerate", help="weighted count tables from the oracle")
     common(p)

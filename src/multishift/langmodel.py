@@ -3,9 +3,12 @@
 A :class:`ShiftSpec` fixes an ordered alphabet, a reduced collection of
 forbidden words, and a reduced collection of repeated words with
 integer multiplicities >= 2.  Every other module consumes validated
-specs.  This module also hosts the brute-force weighted counters
-(depth-first enumeration with multiplicities) that serve as the
-independent oracle for all generating-function output.
+specs.  This module also hosts the weighted counters f(n), g_r(n) and
+f_a(n) that serve as the independent oracle for all generating-function
+output.  They read one transfer pass over the states of the last p - 1
+symbols (:func:`transfer_tables`), which shares no code with the
+correlation route; the word-by-word walk :func:`allowed_words` remains
+for materialized slices.
 """
 
 from __future__ import annotations
@@ -167,8 +170,10 @@ def leading_multiplicity(v: Sequence[str], spec: ShiftSpec) -> int:
     return quot
 
 
-def _check_budget(n: int, spec: ShiftSpec, budget: int) -> None:
-    if spec.q ** n > budget:
+def check_budget(n: int, spec: ShiftSpec, budget: int) -> None:
+    """Refuse a length-n count when the q**n strings of length n exceed
+    the budget; the empty word (n = 0) needs no walk and never does."""
+    if n >= 1 and spec.q ** n > budget:
         raise BudgetError(f"{spec.q}^{n} strings exceed the budget {budget}")
 
 
@@ -180,7 +185,7 @@ def allowed_words(n: int, spec: ShiftSpec, budget: int = DEFAULT_BUDGET) -> Iter
     """
     if n < 0:
         raise ValueError("negative length")
-    _check_budget(n, spec, budget)
+    check_budget(n, spec, budget)
     fwords = spec.forbidden
 
     def extend(prefix: Word) -> Iterator[Word]:
@@ -226,55 +231,92 @@ def enumerate_slice(n: int, spec: ShiftSpec, budget: int = DEFAULT_BUDGET) -> La
     return LanguageSlice(n, tuple(entries), total)
 
 
+def _ends_with(w: Word, x: Word) -> bool:
+    return len(x) <= len(w) and w[len(w) - len(x):] == x
+
+
+def transfer_tables(spec: ShiftSpec, max_n: int, suffixes: Sequence[Word] = ()
+                    ) -> tuple[list[int], dict[Word, list[int]], dict[Word, list[int]]]:
+    """The f, g and fa count tables for n = 0..max_n in one transfer pass.
+
+    Allowed words are grouped by their state, the last k symbols
+    (k = p - 1, more when a word in ``suffixes`` is longer than p), and
+    each state carries the total weight of its words.  Every forbidden,
+    repeated or tracked word that one more symbol completes is a suffix
+    of state + symbol, so each state's q moves are worked out once and
+    cached: the next state, the repeated-word factor, the forbidden word
+    completed (if any) and the tracked words completed.  g is kept for
+    the repeated words and ``suffixes``.  The cost is polynomial in
+    max_n; callers apply the budget.
+    """
+    ends = tuple(dict.fromkeys(spec.repeated_words + tuple(suffixes)))
+    k = max([spec.p] + [len(r) for r in ends]) - 1
+    f = [1] + [0] * max_n
+    g = {r: [0] * (max_n + 1) for r in ends}
+    fa = {a: [0] * (max_n + 1) for a in spec.forbidden}
+    # repeated occurrences inside a terminal forbidden word a do not count
+    discount = {a: 1 for a in spec.forbidden}
+    for a in spec.forbidden:
+        for r, m in spec.repeated:
+            discount[a] *= m ** W.subword_count(a, r)
+
+    def moves_of(state: Word) -> list[tuple[Word, int, Word | None, tuple[Word, ...]]]:
+        out = []
+        for sym in spec.alphabet:
+            w = state + (sym,)
+            factor = 1
+            for r, m in spec.repeated:
+                if _ends_with(w, r):
+                    factor *= m
+            # a reduced collection has at most one forbidden suffix
+            bad = next((a for a in spec.forbidden if _ends_with(w, a)), None)
+            out.append((w[-k:], factor, bad, tuple(r for r in ends if _ends_with(w, r))))
+        return out
+
+    moves: dict[Word, list] = {}
+    layer = {(): 1}
+    for n in range(1, max_n + 1):
+        nxt: dict[Word, int] = {}
+        for state, weight in layer.items():
+            if state not in moves:
+                moves[state] = moves_of(state)
+            for to, factor, bad, done in moves[state]:
+                wt = weight * factor
+                if bad is not None:
+                    fa[bad][n] += wt // discount[bad]
+                    continue
+                nxt[to] = nxt.get(to, 0) + wt
+                for r in done:
+                    g[r][n] += wt
+        layer = nxt
+        f[n] = sum(layer.values())
+    return f, g, fa
+
+
 def weighted_count(n: int, spec: ShiftSpec, budget: int = DEFAULT_BUDGET) -> int:
     """Oracle f(n): total weight of allowed words of length n; f(0) = 1.
 
-    Depth-first sum with an incrementally maintained weight: appending a
-    symbol multiplies the weight by m_j for every repeated word that the
-    new symbol completes as a suffix.
+    Read from :func:`transfer_tables`; the budget applies to q**n.
     """
     if n < 0:
         raise ValueError("negative length")
-    if n == 0:
-        return 1
-    _check_budget(n, spec, budget)
-    fwords = spec.forbidden
-    reps = spec.repeated
-    alphabet = spec.alphabet
-
-    def walk(prefix: Word, weight: int) -> int:
-        if len(prefix) == n:
-            return weight
-        total = 0
-        for sym in alphabet:
-            w = prefix + (sym,)
-            if any(len(a) <= len(w) and w[len(w) - len(a):] == a for a in fwords):
-                continue
-            wt = weight
-            for r, m in reps:
-                if len(r) <= len(w) and w[len(w) - len(r):] == r:
-                    wt *= m
-            total += walk(w, wt)
-        return total
-
-    return walk((), 1)
+    check_budget(n, spec, budget)
+    return transfer_tables(spec, n)[0][n]
 
 
 def weighted_count_ending_with(r: Sequence[str], n: int, spec: ShiftSpec,
                                budget: int = DEFAULT_BUDGET) -> int:
     """Oracle g_r(n): total weight of allowed length-n words with suffix r.
 
-    Includes the word r itself at n = |r|; zero for n < |r| and for n = 0.
+    Includes the word r itself at n = |r|; zero for n < |r| and for
+    n = 0.  Read from :func:`transfer_tables` with r tracked, so r need
+    not be a repeated word.
     """
     r = W.word(r)
     if n <= 0 or n < len(r):
         return 0
-    _check_budget(n, spec, budget)
-    total = 0
-    for w in allowed_words(n, spec, budget):
-        if w[len(w) - len(r):] == r:
-            total += multiplicity(w, spec)
-    return total
+    check_budget(n, spec, budget)
+    return transfer_tables(spec, n, (r,))[1][r][n]
 
 
 def weighted_count_forbidden_suffix(a: Sequence[str], n: int, spec: ShiftSpec,
@@ -284,77 +326,28 @@ def weighted_count_forbidden_suffix(a: Sequence[str], n: int, spec: ShiftSpec,
 
     Such a word is an allowed length n-1 prefix plus the last symbol of
     a; any other forbidden occurrence would either sit in the prefix or
-    be a second suffix, impossible for a reduced collection.
+    be a second suffix, impossible for a reduced collection.  Read from
+    :func:`transfer_tables`.
     """
     a = W.word(a)
     if a not in spec.forbidden:
         raise SpecError(f"{''.join(a)} is not a forbidden word")
     if n <= 0 or n < len(a):
         return 0
-    _check_budget(n, spec, budget)
-    discount = 1
-    for r, m in spec.repeated:
-        discount *= m ** W.subword_count(a, r)
-    total = 0
-    last = a[-1:]
-    for u in allowed_words(n - 1, spec, budget):
-        w = u + last
-        if w[len(w) - len(a):] != a:
-            continue
-        weight = 1
-        for r, m in spec.repeated:
-            weight *= m ** W.subword_count(w, r)
-        # the terminal copy of a contributes exactly the discounted
-        # occurrences, so the quotient is an integer
-        total += weight // discount
-    return total
+    check_budget(n, spec, budget)
+    return transfer_tables(spec, n)[2][a][n]
 
 
 def oracle_tables(spec: ShiftSpec, max_n: int, budget: int = DEFAULT_BUDGET
                   ) -> tuple[list[int], dict[Word, list[int]], dict[Word, list[int]]]:
-    """All three count tables for n = 0..max_n in one walk of the prefix tree.
+    """All three count tables for n = 0..max_n from one transfer pass.
 
-    Same semantics as the individual counters (cross-checked in tests):
-    at each allowed prefix the weight is accumulated into the
-    total/suffix tables, and each one-symbol extension that completes a
-    terminal forbidden word feeds the forbidden-tail table.
+    The budget applies to q**max_n, and not at all when max_n = 0.
     """
     if max_n < 0:
         raise ValueError("negative length")
-    _check_budget(max_n, spec, budget)
-    f = [0] * (max_n + 1)
-    f[0] = 1
-    g = {r: [0] * (max_n + 1) for r in spec.repeated_words}
-    fa = {a: [0] * (max_n + 1) for a in spec.forbidden}
-    discount = {a: 1 for a in spec.forbidden}
-    for a in spec.forbidden:
-        for r, m in spec.repeated:
-            discount[a] *= m ** W.subword_count(a, r)
-
-    def walk(prefix: Word, weight: int) -> None:
-        n = len(prefix)
-        if n:
-            f[n] += weight
-            for r in spec.repeated_words:
-                if len(r) <= n and prefix[n - len(r):] == r:
-                    g[r][n] += weight
-        if n == max_n:
-            return
-        for sym in spec.alphabet:
-            w = prefix + (sym,)
-            suffix_a = next((a for a in spec.forbidden
-                             if len(a) <= n + 1 and w[n + 1 - len(a):] == a), None)
-            wt = weight
-            for r, m in spec.repeated:
-                if len(r) <= n + 1 and w[n + 1 - len(r):] == r:
-                    wt *= m
-            if suffix_a is None:
-                walk(w, wt)
-            else:
-                fa[suffix_a][n + 1] += wt // discount[suffix_a]
-
-    walk((), 1)
-    return f, g, fa
+    check_budget(max_n, spec, budget)
+    return transfer_tables(spec, max_n)
 
 
 def extend_repeated_to_full_length(spec: ShiftSpec) -> ShiftSpec:

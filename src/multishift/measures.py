@@ -20,8 +20,9 @@ from typing import Sequence
 
 from . import words as W
 from .errors import NumericError, SpecError
-from .langmodel import (DEFAULT_BUDGET, ShiftSpec, extend_repeated_to_full_length,
-                        multiplicity, spec_from_matrix, validate_spec, weighted_count)
+from .langmodel import (DEFAULT_BUDGET, ShiftSpec, check_budget,
+                        extend_repeated_to_full_length, multiplicity, spec_from_matrix,
+                        transfer_tables, validate_spec)
 from .spectral import (AdjMatrix, Analysis, EigenData, NormalizationReport, PerronResult,
                        adjacency_matrix, is_irreducible, perron_root, perron_vectors)
 from .words import Word
@@ -539,8 +540,10 @@ def escape_report(source: ShiftSpec | AdjMatrix, hole: Cylinder, n_max: int = 12
         keep = [(r, m) for r, m in spec.repeated if r != wword]
         tau_spec = validate_spec(spec.alphabet, list(spec.forbidden) + [wword], keep)
         p = spec.p
-        tau = tuple(weighted_count(n, tau_spec, budget)
-                    for n in range(p, p + n_max))
+        # the refusal names the first length over the budget
+        for n in range(p, p + n_max):
+            check_budget(n, tau_spec, budget)
+        tau = tuple(transfer_tables(tau_spec, p + n_max - 1)[0][p:])
         if len(tau) >= 2 and tau[-2] > 0 and tau[-1] > 0:
             tau_rate = math.log(tau[-1] / tau[-2])
         if weight == 1:

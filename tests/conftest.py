@@ -1,5 +1,5 @@
 """Shared test helpers: a from-scratch brute-force counter (independent
-of the package's tree-walk oracle) and a seeded random spec generator.
+of the package's transfer-count oracle) and a seeded random spec generator.
 """
 
 from __future__ import annotations

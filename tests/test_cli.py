@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from multishift.cli import main
 from multishift.fixtures import fixture_document, list_fixtures
 
@@ -194,3 +196,27 @@ def test_exit_code_bad_branch_index():
     assert code == 2
     assert "bad edge token" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"repeated": [{"word": "00"}]}, "repeated[0] has no multiplicity"),
+    ({"repeated": [{"word": "00", "multiplicity": "2"}]}, "repeated[0].multiplicity"),
+    ({"repeated": [{"word": "00", "multiplicity": 2.5}]}, "repeated[0].multiplicity"),
+    ({"repeated": [{"word": "00", "multiplicity": True}]}, "repeated[0].multiplicity"),
+    ({"forbidden": "01"}, "forbidden must be a list"),
+    ({"repeated": "00"}, "repeated must be a list"),
+    ({"repeated": ["00"]}, "repeated[0] must be a {word, multiplicity} object"),
+], ids=["no-multiplicity", "string-multiplicity", "float-multiplicity",
+        "bool-multiplicity", "string-forbidden", "string-repeated", "non-object-entry"])
+def test_spec_document_types_are_strict(tmp_path, capsys, doc, field):
+    path = write_spec(tmp_path, {"alphabet": ["0", "1"], **doc})
+    assert main(["enumerate", "--spec", path, "--max-n", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: ") and field in err
+
+
+def test_zero_length_needs_no_budget():
+    code, out, err = run_cli(["enumerate", "--spec", str(FIXDIR / "counting.json"),
+                              "--max-n", "0", "--budget", "0"])
+    assert code == 0, err
+    assert json.loads(out)["result"]["f"] == [1]

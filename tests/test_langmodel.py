@@ -1,9 +1,14 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, event, given, reject, settings, strategies as st
 
 from conftest import brute_tables
 from multishift.errors import BudgetError, SpecError
+from multishift.fixtures import load_fixture
+from multishift.genfun import solve_generating_functions
+from multishift.measures import Cylinder, escape_report
+from multishift.ratfield import series_coeffs
 from multishift.langmodel import (allowed_words, enumerate_slice,
                                   extend_repeated_to_full_length,
                                   forbidden_suffix_multiplicity, leading_multiplicity,
@@ -131,10 +136,47 @@ def test_g_includes_the_word_itself():
     assert weighted_count_ending_with("000", 3, s) == 2
 
 
+@st.composite
+def small_specs(draw):
+    """Valid specs with q <= 3; about half plant a repeated word inside
+    a forbidden one, which makes the union non-reduced."""
+    alphabet = "012"[:draw(st.integers(2, 3))]
+    words = lambda lo, hi: st.text(alphabet, min_size=lo, max_size=hi)
+    repeated = draw(st.lists(st.tuples(words(1, 3), st.integers(2, 4)), max_size=2))
+    forbidden = draw(st.lists(words(2, 4), max_size=3))
+    if repeated and draw(st.booleans()):
+        forbidden.append(draw(words(0, 1)) + repeated[0][0] + draw(words(1, 1)))
+    try:
+        return validate_spec(alphabet, forbidden, repeated)
+    except SpecError:
+        reject()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(small_specs(), st.integers(1, 9))
+def test_oracle_tables_match_brute_force_property(s, max_n):
+    event(f"q={s.q}, union reduced: {s.union_reduced}")
+    assert oracle_tables(s, max_n) == brute_tables(s, max_n)
+
+
 def test_budget_guard():
     s = validate_spec("01", [], [])
     with pytest.raises(BudgetError):
         weighted_count(30, s, budget=2 ** 20)
+    # zero-length counts need no walk, so no budget refuses them
+    assert oracle_tables(s, 0, budget=0) == ([1], {}, {})
+    assert weighted_count(0, s, budget=0) == 1
+
+
+def test_counts_cost_polynomial_in_length():
+    # 2^60 strings: out of reach for any walk over words
+    s = load_fixture("counting")
+    series = series_coeffs(solve_generating_functions(s).all_words, 60)
+    assert weighted_count(60, s, budget=2 ** 80) == series[60]
+    # the budget still bounds q**n, refusing before it counts
+    with pytest.raises(BudgetError, match="4\\^13 strings exceed the budget 16777216"):
+        escape_report(load_fixture("sparse_alpha8"),
+                      Cylinder.from_edges([(("1",), ("0",), 1)]))
 
 
 def test_extension_published_and_matrix_invariance():
