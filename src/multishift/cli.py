@@ -74,7 +74,37 @@ def spec_from_document(doc: dict) -> ShiftSpec:
         if type(m) is not int:
             raise SpecError(f"repeated[{i}].multiplicity must be an integer, got {m!r}")
         repeated.append((e["word"], m))
-    return validate_spec(alphabet, forbidden, repeated)
+    spec = validate_spec(alphabet, forbidden, repeated)
+    if "expected" in doc:
+        _check_expected(doc["expected"], spec)
+    return spec
+
+
+def _check_expected(expected, spec: ShiftSpec) -> None:
+    """Type-check the optional ``expected`` block: count tables are lists
+    of integers keyed by words of the spec, theta is a number."""
+    if not isinstance(expected, dict):
+        raise SpecError("expected must be an object")
+
+    def integer_list(table, field: str) -> None:
+        # bool is a subclass of int, but true is no count
+        if not isinstance(table, list) or any(type(x) is not int for x in table):
+            raise SpecError(f"{field} must be a list of integers, got {table!r}")
+
+    if "f" in expected:
+        integer_list(expected["f"], "expected.f")
+    for key, kind, words in (("g", "repeated", spec.repeated_words),
+                             ("fa", "forbidden", spec.forbidden)):
+        if key not in expected:
+            continue
+        if not isinstance(expected[key], dict):
+            raise SpecError(f"expected.{key} must be an object of {kind} words to counts")
+        for w, table in expected[key].items():
+            if tuple(w) not in words:
+                raise SpecError(f"expected.{key} key {w!r} is not a {kind} word")
+            integer_list(table, f"expected.{key}[{w}]")
+    if "theta" in expected and type(expected["theta"]) not in (int, float):
+        raise SpecError(f"expected.theta must be a number, got {expected['theta']!r}")
 
 
 def parse_cylinder(text: str, spec: ShiftSpec) -> measures.Cylinder:

@@ -7,7 +7,9 @@ all read from one :class:`spectral.Analysis`, plus the row-stochastic
 matrix of the Shannon-Parry measure and a label-to-index map.  Cylinder
 measures can then be evaluated along independent routes (eigenvector
 formula, derivative normalization, Markov-chain products) which must
-agree.
+agree.  The additivity check runs once per (first block, last block,
+length) class of vertex paths and the push-forward check in one walk over
+path prefixes; neither builds a cylinder per path.
 """
 
 from __future__ import annotations
@@ -281,6 +283,12 @@ EDGE_ROUTES = ("shannon_parry", "combinatorial", "markov")
 VERTEX_ROUTES = ("markov", "parry")
 
 
+def _shannon_parry_value(ctx: MeasureContext, i_first: int, i_last: int, n_edges: int):
+    """U_first V_last / theta^n, the measure of every edge cylinder of n
+    edges from block i_first to block i_last."""
+    return ctx.vectors.left_normalized[i_first] * ctx.vectors.right[i_last] / ctx.theta ** n_edges
+
+
 def cylinder_measure(ctx: MeasureContext, cyl: Cylinder,
                      route: str = "shannon_parry") -> MeasureReport:
     """Measure of a cylinder along the requested route.
@@ -299,7 +307,7 @@ def cylinder_measure(ctx: MeasureContext, cyl: Cylinder,
 
     if cyl.is_edge_form:
         if route == "shannon_parry":
-            val = ctx.vectors.left_normalized[i_first] * ctx.vectors.right[i_last] / theta ** n
+            val = _shannon_parry_value(ctx, i_first, i_last, n)
         elif route == "combinatorial":
             val = (ctx.vectors.left[i_first] * ctx.vectors.right[i_last]
                    / (theta ** n * ctx.norm.identity_value))
@@ -333,7 +341,7 @@ def preimage_count(ctx: MeasureContext, cyl: Cylinder) -> int:
 
 
 def _vertex_paths(mat: AdjMatrix, n_edges: int):
-    """All vertex paths with exactly n_edges steps."""
+    """All vertex paths with exactly n_edges steps, in lexicographic order."""
     idx = range(mat.size)
 
     def extend(path):
@@ -348,6 +356,16 @@ def _vertex_paths(mat: AdjMatrix, n_edges: int):
         yield from extend([start])
 
 
+def _successors(mat: AdjMatrix) -> list[tuple[int, ...]]:
+    """For each block, the blocks it has an edge to, in increasing order."""
+    return [tuple(j for j, e in enumerate(row) if e) for row in mat.entries]
+
+
+def _path_word(labels: Sequence[Word], path: Sequence[int]) -> str:
+    """The symbol word read along a vertex path of block indices."""
+    return "".join(Cylinder(tuple(labels[i] for i in path)).word())
+
+
 def pushforward_report(ctx: MeasureContext, n_max: int) -> dict:
     """Check the push-forward identity on every vertex word up to n_max edges.
 
@@ -356,57 +374,110 @@ def pushforward_report(ctx: MeasureContext, n_max: int) -> dict:
     indices never change the measure (checked independently) the total
     is the preimage count times one representative.  Exact equality in
     the exact pipeline, 1e-9 otherwise.
+
+    Both sides are products along the path, so one depth-first walk over
+    the path prefixes of each start block carries the running Markov
+    product and preimage count, each extended by one factor per step in
+    the order the per-cylinder routes use.  The representative measure
+    U_first V_last / theta^n depends only on the first block, the last
+    block and the length n, so it is computed once per such class.  The
+    walk costs one multiplication per vertex path instead of building
+    and measuring two cylinders, and holds O(blocks * n_max) values per
+    start block.  Violations are listed per word, shortest first and
+    lexicographic within one length, as a walk length by length would
+    list them.
     """
-    labels = ctx.mat.labels
-    checked, violations = 0, []
-    for length in range(1, n_max + 1):
-        for path in _vertex_paths(ctx.mat, length):
-            verts = tuple(labels[i] for i in path)
-            vertex_cyl = Cylinder(verts, None)
-            lhs = cylinder_measure(ctx, vertex_cyl, "markov")
-            rep = cylinder_measure(ctx, Cylinder(verts, (1,) * length), "shannon_parry")
-            count = preimage_count(ctx, vertex_cyl)
-            total = count * (rep.exact if ctx.exact else rep.value)
-            checked += 1
-            if ctx.exact:
-                ok = total == lhs.exact
-            else:
-                ok = abs(float(total) - lhs.value) <= MEASURE_TOL
-            if not ok:
-                violations.append({"word": "".join(vertex_cyl.word()),
-                                   "pushforward": float(lhs.value),
-                                   "preimage_sum": float(total)})
-    return {"checked": checked, "violations": violations}
+    mat, sp, exact = ctx.mat, ctx.sp, ctx.exact
+    succ = _successors(mat)
+    checked, found = 0, []
+    for first in range(mat.size):
+        rep = {}  # (last block, length) -> Shannon-Parry value
+        path: list[int] = []
+        # entries: (last block, length, Markov product, preimage count)
+        stack = [(first, 0, sp.stationary[first], 1)]
+        while stack:
+            last, length, pushed, count = stack.pop()
+            del path[length:]
+            path.append(last)
+            if length:
+                if (last, length) not in rep:
+                    rep[last, length] = _shannon_parry_value(ctx, first, last, length)
+                total = count * rep[last, length]
+                checked += 1
+                if exact:
+                    ok = total == pushed
+                else:
+                    ok = abs(float(total) - float(pushed)) <= MEASURE_TOL
+                if not ok:
+                    found.append((length, {"word": _path_word(mat.labels, path),
+                                           "pushforward": float(pushed),
+                                           "preimage_sum": float(total)}))
+            if length < n_max:
+                stack.extend((j, length + 1, pushed * sp.rows[last][j],
+                              count * mat.entries[last][j]) for j in reversed(succ[last]))
+    found.sort(key=lambda item: item[0])
+    return {"checked": checked, "violations": [v for _, v in found]}
 
 
 def kolmogorov_report(ctx: MeasureContext, n_max: int) -> dict:
-    """Additivity of the edge-cylinder measure under one-edge extension."""
-    labels = ctx.mat.labels
+    """Additivity of the edge-cylinder measure under one-edge extension.
+
+    For every vertex path of 1..n_max edges, the measure of its edge
+    cylinder must equal the sum over the one-edge extensions, each
+    weighted by its number of parallel edges.  An edge cylinder of n
+    edges from block f to block l measures U_f V_l / theta^n whatever
+    the blocks in between, and its extensions into block j measure
+    U_f V_j / theta^(n+1).  So both sides, and the defect, depend only
+    on (f, l, n): each reachable class is checked once, with the same
+    operations in the same order as for any one of its paths.
+    ``checked`` still counts vertex paths: for each start block one
+    integer DP over the successor lists counts the paths of each length
+    ending at each block.  That costs O(blocks * n_max * edges) where a
+    check per path grew exponentially with n_max, and holds O(blocks)
+    values per start block.  ``violations`` still lists every failing
+    vertex word in path order; only when a class fails are the paths of
+    its length walked again to name them.
+    """
+    mat, exact = ctx.mat, ctx.exact
+    succ = _successors(mat)
     checked, worst = 0, 0.0
-    violations = []
-    for length in range(1, n_max + 1):
-        for path in _vertex_paths(ctx.mat, length):
-            verts = tuple(labels[i] for i in path)
-            base = cylinder_measure(ctx, Cylinder(verts, (1,) * length), "shannon_parry")
-            last = path[-1]
-            total = Fraction(0) if ctx.exact else 0.0
-            for j in range(ctx.mat.size):
-                e = ctx.mat.entries[last][j]
-                if not e:
+    failing = set()
+    for first in range(mat.size):
+        counts = [0] * mat.size
+        counts[first] = 1
+        # Shannon-Parry values of the cylinders from first, at the current length
+        here = {j: _shannon_parry_value(ctx, first, j, 1) for j in succ[first]}
+        for length in range(1, n_max + 1):
+            reach = [0] * mat.size
+            for k, c in enumerate(counts):
+                if c:
+                    for j in succ[k]:
+                        reach[j] += c
+            counts, ahead = reach, {}
+            for last, c in enumerate(counts):
+                if not c:
                     continue
-                ext = cylinder_measure(
-                    ctx, Cylinder(verts + (labels[j],), (1,) * (length + 1)), "shannon_parry")
-                total += e * (ext.exact if ctx.exact else ext.value)
-            checked += 1
-            if ctx.exact:
-                ok = total == base.exact
-                defect = 0.0 if ok else abs(float(total - base.exact))
-            else:
-                defect = abs(float(total) - base.value)
-                ok = defect <= MEASURE_TOL
-            worst = max(worst, defect)
-            if not ok:
-                violations.append("".join(Cylinder(verts, None).word()))
+                base = here[last]
+                total = Fraction(0) if exact else 0.0
+                for j in succ[last]:
+                    if j not in ahead:
+                        ahead[j] = _shannon_parry_value(ctx, first, j, length + 1)
+                    total += mat.entries[last][j] * ahead[j]
+                checked += c
+                if exact:
+                    ok = total == base
+                    defect = 0.0 if ok else abs(float(total - base))
+                else:
+                    defect = abs(float(total) - float(base))
+                    ok = defect <= MEASURE_TOL
+                worst = max(worst, defect)
+                if not ok:
+                    failing.add((first, last, length))
+            here = ahead
+    violations = [_path_word(mat.labels, path)
+                  for length in sorted({n for _, _, n in failing})
+                  for path in _vertex_paths(mat, length)
+                  if (path[0], path[-1], length) in failing]
     return {"checked": checked, "max_defect": worst, "violations": violations}
 
 

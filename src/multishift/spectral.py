@@ -237,15 +237,16 @@ def _combinatorial_root(spec: ShiftSpec, mat: AdjMatrix,
     return largest_real_zero(RatFun(f.den), lo, hi)
 
 
-def perron_root(source: ShiftSpec | AdjMatrix,
+def perron_root(source: ShiftSpec | AdjMatrix | Analysis,
                 allow_reducible: bool = False,
                 bracket: tuple | None = None) -> PerronResult:
     """Perron root by the combinatorial route, cross-checked iteratively.
 
-    Accepts either a validated spec or a raw integer matrix (which is
-    rephrased through its length-2 collections).  Reducible inputs are
-    an error unless explicitly allowed, in which case the iterative
-    cross-check falls back to a dense eigenvalue computation.
+    Accepts a validated spec, an :class:`Analysis` whose spec and matrix
+    it reuses, or a raw integer matrix (which is rephrased through its
+    length-2 collections).  Reducible inputs are an error unless
+    explicitly allowed, in which case the iterative cross-check falls
+    back to a dense eigenvalue computation.
     """
     if isinstance(source, AdjMatrix):
         from .langmodel import spec_from_matrix
@@ -255,6 +256,8 @@ def perron_root(source: ShiftSpec | AdjMatrix,
             cert = RootCertificate(float(k), Fraction(k), Fraction(k), Fraction(k))
             return PerronResult(float(k), cert, float(k), 0.0, k > 0)
         spec = spec_from_matrix(source.entries)
+    elif isinstance(source, Analysis):
+        spec, mat = source.spec, source.matrix
     else:
         spec = source
         mat = adjacency_matrix(spec)
@@ -357,17 +360,22 @@ class Witness:
                 "Z": "".join(self.connector), "W": "".join(self.cycle)}
 
 
-def multiplicity_one_witness(spec: ShiftSpec,
+def multiplicity_one_witness(spec: ShiftSpec | Analysis,
                              length_bound: int | None = None) -> Witness | None:
     """Bounded search for the normalization witness.
 
     Looks for labels X, Y plus multiplicity-one words Z (X to Y) and W
     (a proper cycle at Y) of length at most the bound (default 3p); a
-    miss returns None and means "unknown", never "impossible".
+    miss returns None and means "unknown", never "impossible".  The
+    search runs on the extended spec; an :class:`Analysis` lends its
+    extension and its matrix.
     """
-    ext = extend_repeated_to_full_length(spec)
+    if isinstance(spec, Analysis):
+        ext, mat = spec.ext, spec.matrix
+    else:
+        ext = extend_repeated_to_full_length(spec)
+        mat = adjacency_matrix(ext)
     bound = length_bound if length_bound is not None else 3 * ext.p
-    mat = adjacency_matrix(ext)
     labels = mat.labels
     n = len(labels)
     max_edges = max(1, bound - (ext.p - 1))
@@ -548,7 +556,7 @@ class Analysis:
 
     @cached_property
     def root(self) -> PerronResult:
-        return perron_root(self.spec, self.allow_reducible)
+        return perron_root(self, self.allow_reducible)
 
     @cached_property
     def vectors(self) -> EigenData:
@@ -606,7 +614,7 @@ class Analysis:
             agree = vec.dot == identity
         else:
             agree = abs(float(vec.dot) - float(identity)) <= THETA_TOL * max(1.0, abs(float(vec.dot)))
-        witness = multiplicity_one_witness(self.ext)
+        witness = multiplicity_one_witness(self)
         if witness is not None and not agree:
             raise NumericError("normalization identity failed despite a witness")
         return NormalizationReport(vec.dot, identity, agree, witness, vec.exact)

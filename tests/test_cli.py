@@ -206,8 +206,16 @@ def test_exit_code_bad_branch_index():
     ({"forbidden": "01"}, "forbidden must be a list"),
     ({"repeated": "00"}, "repeated must be a list"),
     ({"repeated": ["00"]}, "repeated[0] must be a {word, multiplicity} object"),
+    ({"expected": [1]}, "expected must be an object"),
+    ({"expected": {"theta": "abc"}}, "expected.theta must be a number"),
+    ({"expected": {"f": 5}}, "expected.f must be a list of integers"),
+    ({"repeated": [{"word": "00", "multiplicity": 2}], "expected": {"g": [1]}},
+     "expected.g must be an object"),
+    ({"repeated": [{"word": "00", "multiplicity": 2}], "expected": {"g": {"11": [1]}}},
+     "expected.g key '11' is not a repeated word"),
 ], ids=["no-multiplicity", "string-multiplicity", "float-multiplicity",
-        "bool-multiplicity", "string-forbidden", "string-repeated", "non-object-entry"])
+        "bool-multiplicity", "string-forbidden", "string-repeated", "non-object-entry",
+        "list-expected", "string-theta", "int-f", "list-g", "unknown-g-word"])
 def test_spec_document_types_are_strict(tmp_path, capsys, doc, field):
     path = write_spec(tmp_path, {"alphabet": ["0", "1"], **doc})
     assert main(["enumerate", "--spec", path, "--max-n", "2"]) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -6,13 +7,14 @@ import pytest
 
 from conftest import random_spec
 from multishift.errors import SpecError
+from multishift.fixtures import load_fixture, list_fixtures
 from multishift.langmodel import spec_from_matrix, validate_spec
-from multishift.measures import (Cylinder, EDGE_ROUTES, MeasureContext, StochMat,
-                                 cylinder_measure, escape_report, kolmogorov_report,
-                                 lift_rational_stochastic, preimage_count,
-                                 project_edges, pushforward_report,
+from multishift.measures import (MEASURE_TOL, Cylinder, EDGE_ROUTES, MeasureContext,
+                                 StochMat, cylinder_measure, escape_report,
+                                 kolmogorov_report, lift_rational_stochastic,
+                                 preimage_count, project_edges, pushforward_report,
                                  shannon_parry_matrix)
-from multishift.spectral import AdjMatrix, perron_vectors
+from multishift.spectral import AdjMatrix, adjacency_matrix, is_irreducible, perron_vectors
 
 
 def eigen_spec():
@@ -298,3 +300,121 @@ def test_escape_with_extension_needed():
     assert rep.word_weight == 1
     assert rep.counts_match_tau
     assert rep.escape_rate > 0
+
+
+# Reference: the checks evaluated cylinder by cylinder through the public
+# measure routes; the grouped checks must reproduce them exactly.
+
+def _all_vertex_paths(mat, n_edges):
+    paths = [(i,) for i in range(mat.size)]
+    for _ in range(n_edges):
+        paths = [p + (j,) for p in paths for j in range(mat.size) if mat.entries[p[-1]][j]]
+    return paths
+
+
+def reference_pushforward(ctx, n_max):
+    labels = ctx.mat.labels
+    checked, violations = 0, []
+    for length in range(1, n_max + 1):
+        for path in _all_vertex_paths(ctx.mat, length):
+            verts = tuple(labels[i] for i in path)
+            vertex_cyl = Cylinder(verts, None)
+            lhs = cylinder_measure(ctx, vertex_cyl, "markov")
+            rep = cylinder_measure(ctx, Cylinder(verts, (1,) * length), "shannon_parry")
+            total = preimage_count(ctx, vertex_cyl) * (rep.exact if ctx.exact else rep.value)
+            checked += 1
+            if ctx.exact:
+                ok = total == lhs.exact
+            else:
+                ok = abs(float(total) - lhs.value) <= MEASURE_TOL
+            if not ok:
+                violations.append({"word": "".join(vertex_cyl.word()),
+                                   "pushforward": float(lhs.value),
+                                   "preimage_sum": float(total)})
+    return {"checked": checked, "violations": violations}
+
+
+def reference_kolmogorov(ctx, n_max):
+    labels = ctx.mat.labels
+    checked, worst, violations = 0, 0.0, []
+    for length in range(1, n_max + 1):
+        for path in _all_vertex_paths(ctx.mat, length):
+            verts = tuple(labels[i] for i in path)
+            base = cylinder_measure(ctx, Cylinder(verts, (1,) * length), "shannon_parry")
+            total = Fraction(0) if ctx.exact else 0.0
+            for j in range(ctx.mat.size):
+                e = ctx.mat.entries[path[-1]][j]
+                if e:
+                    ext = cylinder_measure(
+                        ctx, Cylinder(verts + (labels[j],), (1,) * (length + 1)),
+                        "shannon_parry")
+                    total += e * (ext.exact if ctx.exact else ext.value)
+            checked += 1
+            if ctx.exact:
+                ok = total == base.exact
+                defect = 0.0 if ok else abs(float(total - base.exact))
+            else:
+                defect = abs(float(total) - base.value)
+                ok = defect <= MEASURE_TOL
+            worst = max(worst, defect)
+            if not ok:
+                violations.append("".join(Cylinder(verts, None).word()))
+    return {"checked": checked, "max_defect": worst, "violations": violations}
+
+
+REFERENCE_SPECS = {name: load_fixture(name) for name in list_fixtures()
+                   if is_irreducible(adjacency_matrix(load_fixture(name)))}
+# a float root with three successors per block, where the order of a sum shows
+REFERENCE_SPECS["three_successors"] = validate_spec("012", ["00"], [("12", 2), ("201", 3)])
+
+
+@pytest.mark.parametrize("name", REFERENCE_SPECS)
+def test_grouped_checks_equal_per_cylinder_reference(name):
+    ctx = MeasureContext(REFERENCE_SPECS[name])
+    for n_max in (3, 4):
+        assert kolmogorov_report(ctx, n_max) == reference_kolmogorov(ctx, n_max)
+        assert pushforward_report(ctx, n_max) == reference_pushforward(ctx, n_max)
+
+
+def _corrupt_rows(ctx, factor):
+    rows = [list(row) for row in ctx.sp.rows]
+    j = next(j for j, e in enumerate(rows[0]) if e)
+    rows[0][j] *= factor
+    ctx.sp = dataclasses.replace(ctx.sp, rows=tuple(map(tuple, rows)))
+    return ("pushforward",)
+
+
+def _corrupt_right(ctx, factor):
+    right = list(ctx.vectors.right)
+    right[0] *= factor
+    ctx.vectors = dataclasses.replace(ctx.vectors, right=tuple(right))
+    return ("kolmogorov", "pushforward")
+
+
+@pytest.mark.parametrize("name", ["counting", "eigenvectors"])  # float, exact
+@pytest.mark.parametrize("corrupt", [_corrupt_rows, _corrupt_right], ids=["rows", "right"])
+def test_grouped_checks_list_the_same_violations(name, corrupt):
+    ctx = MeasureContext(load_fixture(name))
+    failing = corrupt(ctx, Fraction(1001, 1000) if ctx.exact else 1.001)
+    got = {"kolmogorov": kolmogorov_report(ctx, 4), "pushforward": pushforward_report(ctx, 4)}
+    want = {"kolmogorov": reference_kolmogorov(ctx, 4),
+            "pushforward": reference_pushforward(ctx, 4)}
+    assert got == want
+    for check in failing:
+        assert got[check]["violations"]
+
+
+def test_additivity_check_cost_polynomial_in_length():
+    # about 5e10 vertex paths of up to 40 edges: only a count per
+    # (first, last, length) class can answer
+    ctx = MeasureContext(load_fixture("counting"))
+    b = [list(row) for row in ctx.mat.binary().entries]
+    n = len(b)
+    power, expected = [row[:] for row in b], 0
+    for _ in range(40):
+        expected += sum(map(sum, power))
+        power = [[sum(power[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+                 for i in range(n)]
+    report = kolmogorov_report(ctx, 40)
+    assert report["checked"] == expected
+    assert report["violations"] == []

@@ -231,9 +231,11 @@ def _count_calls(monkeypatch, module, name):
 def test_one_analysis_derives_each_stage_once(monkeypatch):
     iterations = _count_calls(monkeypatch, spectral, "power_iteration")
     corrections = _count_calls(monkeypatch, genfun, "constraint_correction")
+    matrices = _count_calls(monkeypatch, spectral, "adjacency_matrix")
     spectral.spectral_report(eigen_spec())
-    assert (len(iterations), len(corrections)) == (1, 1)
+    assert (len(iterations), len(corrections), len(matrices)) == (1, 1, 1)
 
     roots = _count_calls(monkeypatch, spectral, "perron_root")
+    del matrices[:]
     assert run_verification(eigen_spec(), max_n=6).passed
-    assert len(roots) == 1
+    assert (len(roots), len(matrices)) == (1, 1)
