@@ -1,0 +1,67 @@
+"""Run every bundled fixture through seven CLI commands and record the runs.
+
+    python scripts/cli_sweep.py OUTDIR
+
+Each of the 14 fixtures x 7 commands = 98 runs is a fresh
+``python -m multishift.cli`` process on this checkout's ``src``.  Each
+run writes ``OUTDIR/<fixture>.<command>.txt`` with its exit code, stdout
+and stderr, so ``diff -r`` between the OUTDIRs of two checkouts shows
+every byte of output that changed.  The sweep exits 1 when any run
+printed a traceback (an uncaught exception), else 0.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+from multishift.fixtures import list_fixtures, load_fixture  # noqa: E402
+
+
+def commands(p: int) -> dict[str, list[str]]:
+    """The seven runs of one fixture whose words have length at most p."""
+    block = "0" * (p - 1)
+    return {
+        "enumerate": ["enumerate", "--max-n", "7"],
+        "genfun": ["genfun"],
+        "perron": ["perron"],
+        "perron-reducible": ["perron", "--allow-reducible"],
+        "verify": ["verify", "--json", "--max-n", "7", "--allow-reducible"],
+        "measure": ["measure", "--cylinder", "0" * (p + 1)],
+        "escape": ["escape", "--word", f"{block}*{block}#1", "--max-n", "6"],
+    }
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    out.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    fixtures = SRC / "multishift" / "fixtures"
+    tracebacks = []
+    for name in list_fixtures():
+        for cmd, args in commands(load_fixture(name).p).items():
+            run = subprocess.run(
+                [sys.executable, "-m", "multishift.cli", args[0],
+                 "--spec", str(fixtures / f"{name}.json"), *args[1:]],
+                capture_output=True, text=True, env=env)
+            (out / f"{name}.{cmd}.txt").write_text(
+                f"exit {run.returncode}\n--- stdout\n{run.stdout}--- stderr\n{run.stderr}")
+            if "Traceback" in run.stderr:
+                tracebacks.append(f"{name}.{cmd}")
+    print(f"{len(list(out.glob('*.txt')))} runs written to {out}")
+    if tracebacks:
+        print("traceback in: " + ", ".join(tracebacks), file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -111,6 +111,8 @@ def parse_cylinder(text: str, spec: ShiftSpec) -> measures.Cylinder:
     """Cylinder syntax: either a plain symbol word (vertex form) or a
     comma/space separated chain of ``X*Y#j`` edge tokens."""
     tokens = [t for t in text.replace(",", " ").split() if t]
+    if not tokens:
+        raise SpecError("empty cylinder")
     if len(tokens) == 1 and "*" not in tokens[0]:
         return measures.Cylinder.from_vertex_word(spec.word(tokens[0]), spec.p)
     edges = []

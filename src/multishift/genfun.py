@@ -6,32 +6,27 @@ with it) and one Fa per forbidden word (words whose only forbidden
 occurrence is terminal).  One builder serves both modes: it uses tail
 correlations and embedded-occurrence weights, which for a reduced union
 are the plain correlations and weight 1, so there the lower-right block
-of the bordered matrix is the core correlation matrix.  The reduced case
-also carries two closed forms for F, each from the row sums of an
-inverse (one solve against the ones vector), asserted to agree with the
-direct solution.
+of the bordered matrix is the core correlation matrix.
+
+:func:`build_system` builds the system once; :attr:`GenFunSystem.core`
+reads its core, :func:`constraint_correction` solves that core once for
+the correction R, :func:`conjugate_correlation_matrix` rescales it, and
+:func:`solve_generating_functions` solves the system and asserts that
+the closed forms for F from the core and from its conjugate reproduce
+it.  ``spectral.Analysis`` keeps each of these as a stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import words as W
 from .errors import NumericError, SpecError
 from .langmodel import ShiftSpec
 from .ratfield import Poly, RatFun, RatMat
 from .words import Word
-
-
-def tail_corr(u, v, alpha: int) -> Poly:
-    """Tail correlation polynomial as an exact Poly (alpha = 0 gives 0)."""
-    return Poly(W.tail_correlation_poly(u, v, alpha))
-
-
-def _require_reduced(spec: ShiftSpec, what: str) -> None:
-    if not spec.union_reduced:
-        raise SpecError(f"{what} requires a reduced union of forbidden and repeated words")
 
 
 def _labels(spec: ShiftSpec) -> tuple[str, ...]:
@@ -45,13 +40,9 @@ def correlation_matrix(spec: ShiftSpec) -> RatMat:
     Entry regimes: repeated-vs-repeated rows carry z(1 - 1/m_j)(r_j,
     r_i)_z minus z^|r_j| on the diagonal, forbidden columns carry
     -z(a_j, r_i)_z, and the forbidden rows repeat the pattern with the
-    correlations taken against a_i.  It is the lower-right block of
-    :func:`system_matrix`.
+    correlations taken against a_i (see :attr:`GenFunSystem.core`).
     """
-    _require_reduced(spec, "the reduced counting system")
-    labels = _labels(spec)
-    return RatMat.from_rows([row[1:] for row in system_matrix(spec).entries[1:]],
-                            labels, labels)
+    return build_system(spec).core
 
 
 def scaling_diagonal(spec: ShiftSpec) -> RatMat:
@@ -66,15 +57,13 @@ def scaling_diagonal(spec: ShiftSpec) -> RatMat:
     return RatMat.from_rows(rows, labels, labels)
 
 
-def conjugate_correlation_matrix(spec: ShiftSpec) -> RatMat:
-    """D^-1 P^T D, computed entrywise from the diagonal scaling."""
-    _require_reduced(spec, "the conjugate counting system")
-    p = correlation_matrix(spec)
+def conjugate_correlation_matrix(spec: ShiftSpec, core: RatMat) -> RatMat:
+    """D^-1 P^T D of the core P of the spec, computed entrywise from the
+    diagonal scaling."""
     d = scaling_diagonal(spec)
-    n = p.nrows
-    rows = [[p[(j, i)] * d[(j, j)] / d[(i, i)] for j in range(n)] for i in range(n)]
-    labels = _labels(spec)
-    return RatMat.from_rows(rows, labels, labels)
+    n = core.nrows
+    rows = [[core[(j, i)] * d[(j, j)] / d[(i, i)] for j in range(n)] for i in range(n)]
+    return RatMat.from_rows(rows, core.row_labels, core.col_labels)
 
 
 @dataclass(frozen=True)
@@ -93,6 +82,17 @@ class GenFunSystem:
             "matrix": self.matrix.to_json(),
             "rhs": [e.to_json() for e in self.rhs],
         }
+
+    @cached_property
+    def core(self) -> RatMat:
+        """The core correlation matrix: the lower-right block of the
+        bordered matrix, defined for a reduced union only."""
+        if self.mode != "reduced":
+            raise SpecError("the reduced counting system requires a reduced union "
+                            "of forbidden and repeated words")
+        labels = self.labels[1:]
+        return RatMat.from_rows([row[1:] for row in self.matrix.entries[1:]],
+                                labels, labels)
 
 
 def embedded_weight(spec: ShiftSpec, a: Word, threshold: int = 0) -> int:
@@ -134,7 +134,7 @@ def system_matrix(spec: ShiftSpec) -> RatMat:
         for j, (r_j, m_j) in enumerate(reps):
             # a whole r_j overlapping a forbidden word would sit inside it
             alpha = len(r_j) if repeated_row else len(r_j) - 1
-            e = z * Fraction(m_j - 1, m_j) * tail_corr(r_j, t_k, alpha)
+            e = z * Fraction(m_j - 1, m_j) * Poly(W.tail_correlation_poly(r_j, t_k, alpha))
             if j == k:
                 e = e - Poly.monomial(len(r_j))
             row.append(RatFun(e))
@@ -206,6 +206,28 @@ def _correction(spec: ShiftSpec, core: RatMat) -> RatFun:
     return out
 
 
+def constraint_correction(spec: ShiftSpec, core: RatMat) -> RatFun:
+    """The correction R with F = z / (z - q + R) from the core of a reduced spec."""
+    return _correction(spec, core)
+
+
+def _solution(spec: ShiftSpec, system: GenFunSystem, correction: RatFun | None) -> GenFunSolution:
+    """Solve the system; in the reduced mode the closed forms from the
+    correction and from the conjugate core must reproduce the solved F."""
+    sol = system.matrix.solve(list(system.rhs))
+    f = sol[0]
+    ell = len(spec.repeated)
+    gs = tuple((r, sol[1 + i]) for i, (r, _) in enumerate(spec.repeated))
+    fas = tuple((a, sol[1 + ell + j]) for j, a in enumerate(spec.forbidden))
+    if correction is not None:
+        z, q = RatFun.x(), RatFun(spec.q)
+        conjugate = conjugate_correlation_matrix(spec, system.core)
+        via_conj = z / (z - q + _correction(spec, conjugate))
+        if not (f == z / (z - q + correction) == via_conj):
+            raise NumericError("closed forms disagree with the solved system")
+    return GenFunSolution(f, gs, fas, system, correction)
+
+
 def solve_generating_functions(spec: ShiftSpec) -> GenFunSolution:
     """Solve the counting system exactly.
 
@@ -214,26 +236,5 @@ def solve_generating_functions(spec: ShiftSpec) -> GenFunSolution:
     mismatch is an internal error, not a tolerance matter.
     """
     system = build_system(spec)
-    sol = system.matrix.solve(list(system.rhs))
-    f = sol[0]
-    ell = len(spec.repeated)
-    gs = tuple((r, sol[1 + i]) for i, (r, _) in enumerate(spec.repeated))
-    fas = tuple((a, sol[1 + ell + j]) for j, a in enumerate(spec.forbidden))
-    correction = None
-    if system.mode == "reduced":
-        z, q = RatFun.x(), RatFun(spec.q)
-        correction = _correction(spec, correlation_matrix(spec))
-        via_conj = z / (z - q + _correction(spec, conjugate_correlation_matrix(spec)))
-        if not (f == z / (z - q + correction) == via_conj):
-            raise NumericError("closed forms disagree with the solved system")
-    return GenFunSolution(f, gs, fas, system, correction)
-
-
-def constraint_correction(spec: ShiftSpec) -> RatFun:
-    """The rational correction R with F = z / (z - q + R), reduced case.
-
-    Weighted sum of the row sums of the inverted core matrix; zero for
-    empty collections.
-    """
-    _require_reduced(spec, "the constraint correction")
-    return _correction(spec, correlation_matrix(spec))
+    correction = constraint_correction(spec, system.core) if system.mode == "reduced" else None
+    return _solution(spec, system, correction)

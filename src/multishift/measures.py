@@ -26,7 +26,7 @@ from .langmodel import (DEFAULT_BUDGET, ShiftSpec, check_budget,
                         extend_repeated_to_full_length, multiplicity, spec_from_matrix,
                         transfer_tables, validate_spec)
 from .spectral import (AdjMatrix, Analysis, EigenData, NormalizationReport, PerronResult,
-                       adjacency_matrix, is_irreducible, perron_root, perron_vectors)
+                       is_irreducible, perron_root, perron_vectors)
 from .words import Word
 
 MEASURE_TOL = 1e-9
@@ -41,12 +41,6 @@ class StochMat:
     rows: tuple[tuple, ...]
     stationary: tuple
     exact: bool
-
-    def index(self, label) -> int:
-        return self.labels.index(W.word(label))
-
-    def __getitem__(self, xy) -> object:
-        return self.rows[self.index(xy[0])][self.index(xy[1])]
 
     def to_json(self) -> dict:
         out = {"labels": ["".join(x) for x in self.labels],
@@ -539,14 +533,15 @@ def escape_report(source: ShiftSpec | AdjMatrix, hole: Cylinder, n_max: int = 12
     hole word, via a transfer construction on (vertex, matched-prefix)
     states.  When the underlying symbol word has weight one, the counts
     must reproduce the weighted counts of the spec with that word
-    forbidden, and the check is enforced.
+    forbidden, and the check is enforced.  A spec is read through one
+    :class:`Analysis` of its extension, whose matrix and root serve.
     """
     if isinstance(source, AdjMatrix):
         mat = source
         spec = spec_from_matrix(mat.entries) if mat.size >= 2 else None
     else:
-        spec = extend_repeated_to_full_length(source)
-        mat = adjacency_matrix(spec)
+        an = Analysis(extend_repeated_to_full_length(source), allow_reducible)
+        spec, mat = an.spec, an.matrix
     if hole.branches is None:
         raise SpecError("the hole must be a specific edge cylinder (branch indices)")
     labels = mat.labels
@@ -597,7 +592,7 @@ def escape_report(source: ShiftSpec | AdjMatrix, hole: Cylinder, n_max: int = 12
     if isinstance(source, AdjMatrix):
         theta = perron_root(mat, allow_reducible=True).theta
     else:
-        theta = perron_root(spec, allow_reducible).theta
+        theta = an.root.theta
     rate = None if survivor is None else math.log(theta) - survivor
 
     tau = tau_rate = weight = match = None

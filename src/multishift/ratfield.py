@@ -365,9 +365,6 @@ class RatMat:
             rows.append(row)
         return RatMat.from_rows(rows, self.row_labels, other.col_labels)
 
-    def transpose(self) -> "RatMat":
-        return RatMat(tuple(zip(*self.entries)), self.col_labels, self.row_labels)
-
     def row_sums(self) -> list[RatFun]:
         out = []
         for row in self.entries:
@@ -518,10 +515,6 @@ class RootCertificate:
     low: Fraction
     high: Fraction
     exact: Fraction | None = None
-
-    @property
-    def is_exact(self) -> bool:
-        return self.exact is not None
 
     def scalar(self):
         """Preferred evaluation point: exact Fraction when certified, else float."""

@@ -2,11 +2,13 @@
 normalization identity.
 
 An :class:`Analysis` derives each stage of one spec once, on first use:
-the extended spec, the adjacency matrix, the Perron root, the formula
-eigenvectors with their residuals, the normalization report and the
-entropy.  :func:`spectral_report`, the measure context and the
-verification suite read every stage from one analysis; the public
-functions below are the same stages for callers that need just one.
+the extended spec, the adjacency matrix, one counting system per
+distinct spec (the spec and its extension), the constraint correction,
+the counting series, the Perron root, the formula eigenvectors, the
+normalization report and the entropy.  :func:`spectral_report`, the
+measure context, the escape report and the verification suite read
+every stage from one analysis; the public functions below are the same
+stages for callers that need just one.
 
 The Perron root always travels two independent routes: the largest real
 zero of the exact correction function (or the largest real pole of the
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -55,12 +57,6 @@ class AdjMatrix:
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    def index(self, label: Sequence[str]) -> int:
-        return self.labels.index(W.word(label))
-
-    def __getitem__(self, xy: tuple[Sequence[str], Sequence[str]]) -> int:
-        return self.entries[self.index(xy[0])][self.index(xy[1])]
 
     def row_sums(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.entries)
@@ -191,11 +187,6 @@ def power_iteration(mat: AdjMatrix, tol: float = POWER_TOL,
                        f"(enclosure [{lower - 1}, {upper - 1}])")
 
 
-def _spectral_radius_float(mat: AdjMatrix) -> float:
-    """Dense eigenvalue fallback for reducible matrices (override path)."""
-    return float(max(abs(np.linalg.eigvals(np.array(mat.entries, dtype=float)))))
-
-
 @dataclass(frozen=True)
 class PerronResult:
     """Perron root with its exact certificate and the iterative cross-check."""
@@ -224,14 +215,13 @@ class PerronResult:
         }
 
 
-def _combinatorial_root(spec: ShiftSpec, mat: AdjMatrix,
+def _combinatorial_root(an: Analysis, mat: AdjMatrix,
                         bracket: tuple | None) -> RootCertificate:
     # the root never exceeds the maximal row sum of a non-negative matrix
     lo, hi = bracket if bracket else (Fraction(1), Fraction(mat.max_row_sum + 1))
-    if spec.union_reduced:
-        target = RatFun.x() - RatFun(spec.q) + genfun.constraint_correction(spec)
-        return largest_real_zero(target, lo, hi)
-    f = genfun.solve_generating_functions(spec).all_words
+    if an.correction is not None:
+        return largest_real_zero(RatFun.x() - RatFun(an.spec.q) + an.correction, lo, hi)
+    f = an.solution.all_words
     if f.den.degree < 1:
         raise NumericError("counting series has no pole; nothing to certify")
     return largest_real_zero(RatFun(f.den), lo, hi)
@@ -242,11 +232,11 @@ def perron_root(source: ShiftSpec | AdjMatrix | Analysis,
                 bracket: tuple | None = None) -> PerronResult:
     """Perron root by the combinatorial route, cross-checked iteratively.
 
-    Accepts a validated spec, an :class:`Analysis` whose spec and matrix
-    it reuses, or a raw integer matrix (which is rephrased through its
-    length-2 collections).  Reducible inputs are an error unless
-    explicitly allowed, in which case the iterative cross-check falls
-    back to a dense eigenvalue computation.
+    Accepts a validated spec, an :class:`Analysis` whose matrix,
+    correction and solution it reuses, or a raw integer matrix (which is
+    rephrased through its length-2 collections).  Reducible inputs are an
+    error unless explicitly allowed, in which case the iterative
+    cross-check falls back to a dense eigenvalue computation.
     """
     if isinstance(source, AdjMatrix):
         from .langmodel import spec_from_matrix
@@ -255,20 +245,18 @@ def perron_root(source: ShiftSpec | AdjMatrix | Analysis,
             k = mat.entries[0][0]
             cert = RootCertificate(float(k), Fraction(k), Fraction(k), Fraction(k))
             return PerronResult(float(k), cert, float(k), 0.0, k > 0)
-        spec = spec_from_matrix(source.entries)
-    elif isinstance(source, Analysis):
-        spec, mat = source.spec, source.matrix
+        an = Analysis(spec_from_matrix(source.entries))
     else:
-        spec = source
-        mat = adjacency_matrix(spec)
+        an = source if isinstance(source, Analysis) else Analysis(source)
+        mat = an.matrix
     irreducible = is_irreducible(mat)
     if not irreducible and not allow_reducible:
         raise SpecError("adjacency matrix is reducible; pass allow_reducible to proceed")
-    cert = _combinatorial_root(spec, mat, bracket)
+    cert = _combinatorial_root(an, mat, bracket)
     if irreducible:
         theta_iter = power_iteration(mat).theta
-    else:
-        theta_iter = _spectral_radius_float(mat)
+    else:  # dense eigenvalue fallback for a reducible matrix
+        theta_iter = float(max(abs(np.linalg.eigvals(np.array(mat.entries, dtype=float)))))
     gap = abs(cert.value - theta_iter)
     if gap > THETA_TOL:
         raise RouteMismatchError(
@@ -295,12 +283,6 @@ class EigenData:
     exact: bool
     residuals: tuple[float, float]  # scaled (left, right) residuals, see eigen_residuals
 
-    def left_of(self, label) -> object:
-        return self.left[self.labels.index(W.word(label))]
-
-    def right_of(self, label) -> object:
-        return self.right[self.labels.index(W.word(label))]
-
     def to_json(self) -> dict:
         def fmt(xs):
             return [format(float(x), ".15g") for x in xs]
@@ -320,14 +302,13 @@ class EigenData:
         return out
 
 
-def _inverse_row_sums_at(core, theta) -> list:
-    """Row sums of the inverse of an evaluated matrix: solve M x = 1."""
-    n = core.nrows
-    if n == 0:
-        return []
+def _inverse_row_sums_at(core, theta) -> tuple[list, list]:
+    """M = core(theta) and the row sums of M^-1, from one solve of M x = 1."""
     m = core.evaluate(theta)
+    if not m:
+        return m, []
     one = Fraction(1) if isinstance(theta, Fraction) else 1.0
-    return solve_numeric(m, [one] * n)
+    return m, solve_numeric(m, [one] * len(m))
 
 
 def perron_vectors(spec: ShiftSpec, allow_reducible: bool = False) -> EigenData:
@@ -385,7 +366,8 @@ def multiplicity_one_witness(spec: ShiftSpec | Analysis,
               and multiplicity(W.star(labels[i], labels[j]), ext) == 1
               for j in range(n)] for i in range(n)]
 
-    def shortest_from(src: int) -> tuple[dict[int, int | None], dict[int, int]]:
+    @cache
+    def paths_from(src: int) -> tuple[dict[int, int | None], dict[int, int]]:
         parent: dict[int, int | None] = {src: None}
         depth = {src: 0}
         queue = [src]
@@ -413,13 +395,6 @@ def multiplicity_one_witness(spec: ShiftSpec | Analysis,
         for idx in path[1:]:
             w = w + labels[idx][-1:]
         return w
-
-    search: dict[int, tuple[dict, dict]] = {}
-
-    def paths_from(src: int):
-        if src not in search:
-            search[src] = shortest_from(src)
-        return search[src]
 
     for y in range(n):
         cycle: list[int] | None = None
@@ -467,22 +442,16 @@ class NormalizationReport:
         return out
 
 
-def correction_derivative_at(spec: ShiftSpec, theta):
-    """Derivative of the constraint correction at theta, evaluated
-    through linear solves (no symbolic inversion of the big matrix).
-
-    With R(z) the weighted row-sum vector of the inverted core matrix,
-    r'(theta) comes from r' = -P^{-1} P' r and the product rule on the
+def correction_derivative_at(spec: ShiftSpec, core, theta, m: list, r: list):
+    """Derivative of the constraint correction at theta from the core P,
+    its value m = P(theta) and the row sums r of m^-1, through one
+    linear solve: r' = -P^{-1} P' r and the product rule on the
     diagonal weights.
     """
-    core = genfun.correlation_matrix(spec)
     n = core.nrows
     if n == 0:
         return Fraction(0) if isinstance(theta, Fraction) else 0.0
-    m = core.evaluate(theta)
     md = [[e.derivative()(theta) for e in row] for row in core.entries]
-    one = Fraction(1) if isinstance(theta, Fraction) else 1.0
-    r = solve_numeric(m, [one] * n)
     rhs = [sum(md[i][j] * r[j] for j in range(n)) for i in range(n)]
     rprime = [-x for x in solve_numeric(m, rhs)]
     ell = len(spec.repeated)
@@ -533,10 +502,16 @@ def entropy(source: ShiftSpec | Analysis, estimate_n: int | None = None,
 class Analysis:
     """Every derived stage of one spec, each computed once on first use.
 
-    A stage first reads the stages it needs: the vectors read the
-    extended spec, the root and the matrix; the normalization reads the
-    vectors; the entropy reads the root.  A failed stage is not cached:
-    reading it again repeats the computation and raises again.
+    A stage first reads the stages it needs.  ``ext``, ``matrix`` and
+    ``system`` read the spec; ``ext_system`` reads ``ext`` (it is
+    ``system`` when the extension is the spec); ``correction`` reads the
+    core of ``system``; ``solution`` reads ``system`` and ``correction``;
+    ``root`` reads ``matrix`` and ``correction`` (or ``solution`` for a
+    non-reduced union); ``vectors`` read ``root``, ``matrix`` and the
+    core of ``ext_system`` evaluated at the root; ``normalization``
+    reads ``vectors`` and that same evaluated core; ``entropy`` reads
+    ``root``.  A failed stage is not cached: reading it again repeats
+    the computation and raises again.
     """
 
     def __init__(self, spec: ShiftSpec, allow_reducible: bool = False):
@@ -555,8 +530,33 @@ class Analysis:
         return adjacency_matrix(self.spec)
 
     @cached_property
+    def system(self) -> genfun.GenFunSystem:
+        return genfun.build_system(self.spec)
+
+    @cached_property
+    def ext_system(self) -> genfun.GenFunSystem:
+        return self.system if self.ext is self.spec else genfun.build_system(self.ext)
+
+    @cached_property
+    def correction(self) -> RatFun | None:
+        """R of F = z / (z - q + R); None for a non-reduced union (no core)."""
+        if self.system.mode != "reduced":
+            return None
+        return genfun.constraint_correction(self.spec, self.system.core)
+
+    @cached_property
+    def solution(self) -> genfun.GenFunSolution:
+        return genfun._solution(self.spec, self.system, self.correction)
+
+    @cached_property
     def root(self) -> PerronResult:
         return perron_root(self, self.allow_reducible)
+
+    @cached_property
+    def _core_at_root(self) -> tuple[list, list]:
+        """The extended core evaluated at the root, with its inverse's row sums."""
+        theta = self.root.scalar()
+        return _inverse_row_sums_at(self.ext_system.core, theta)
 
     @cached_property
     def vectors(self) -> EigenData:
@@ -569,8 +569,9 @@ class Analysis:
         ext, root = self.ext, self.root
         theta = root.scalar()
         exact = root.exact is not None
-        rsums = _inverse_row_sums_at(genfun.correlation_matrix(ext), theta)
-        ssums = _inverse_row_sums_at(genfun.conjugate_correlation_matrix(ext), theta)
+        _, rsums = self._core_at_root
+        _, ssums = _inverse_row_sums_at(
+            genfun.conjugate_correlation_matrix(ext, self.ext_system.core), theta)
         ell = len(ext.repeated)
         one = Fraction(1) if exact else 1.0
         labels = self.matrix.labels
@@ -609,7 +610,9 @@ class Analysis:
         """
         vec = self.vectors
         theta = vec.root.scalar()
-        identity = theta ** (self.ext.p - 1) * (1 + correction_derivative_at(self.ext, theta))
+        m, r = self._core_at_root
+        derivative = correction_derivative_at(self.ext, self.ext_system.core, theta, m, r)
+        identity = theta ** (self.ext.p - 1) * (1 + derivative)
         if vec.exact:
             agree = vec.dot == identity
         else:

@@ -98,15 +98,16 @@ def run_verification(spec: ShiftSpec, max_n: int = 10, budget: int = DEFAULT_BUD
                      allow_reducible: bool = False) -> VerificationReport:
     """Run the master invariant suite on one spec.
 
-    Every spectral check reads one :class:`spectral.Analysis`, so each
-    stage runs once.  ``max_n`` is raised to at least p, the reach of
-    the suffix recurrences.
+    The series checks and every spectral check read one
+    :class:`spectral.Analysis`, so each stage runs once.  ``max_n`` is
+    raised to at least p, the reach of the suffix recurrences.
     """
     checks: list[CheckResult] = []
     max_n = max(spec.p, max_n)
     f, g, fa = oracle_tables(spec, max_n, budget)
 
-    sol = genfun.solve_generating_functions(spec)
+    an = spectral.Analysis(spec, allow_reducible)
+    sol = an.solution
     fs = series_coeffs(sol.all_words, max_n)
     checks.append(CheckResult(
         "series_vs_oracle_all_words", fs == [Fraction(x) for x in f],
@@ -128,7 +129,6 @@ def run_verification(spec: ShiftSpec, max_n: int = 10, budget: int = DEFAULT_BUD
         checks.append(CheckResult("series_equals_correction_form",
                                   identity == sol.all_words))
 
-    an = spectral.Analysis(spec, allow_reducible)
     mat = an.matrix
     if all(len(r) == spec.p for r in spec.repeated_words):
         ok = all(mat.power_sum(n - spec.p + 1) == f[n]
@@ -194,7 +194,7 @@ def run_verification(spec: ShiftSpec, max_n: int = 10, budget: int = DEFAULT_BUD
                 # on an irreducible matrix the flag changes nothing, so
                 # the analysis root serves
                 root = an.root if irreducible or allow_reducible else \
-                    spectral.perron_root(spec, allow_reducible=True)
+                    spectral.perron_root(an, allow_reducible=True)
                 ok = abs(root.theta - float(expected["theta"])) <= 1e-6
                 checks.append(CheckResult("expected_theta", ok,
                                           f"got {root.theta}, expected {expected['theta']}"))

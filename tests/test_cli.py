@@ -198,6 +198,16 @@ def test_exit_code_bad_branch_index():
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("args", [["measure", "--cylinder", ""],
+                                  ["escape", "--word", " , "]],
+                         ids=["measure", "escape"])
+def test_exit_code_empty_cylinder(args):
+    code, _, err = run_cli([args[0], "--spec", str(FIXDIR / "counting.json"), *args[1:]])
+    assert code == 2
+    assert "empty cylinder" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("doc, field", [
     ({"repeated": [{"word": "00"}]}, "repeated[0] has no multiplicity"),
     ({"repeated": [{"word": "00", "multiplicity": "2"}]}, "repeated[0].multiplicity"),

@@ -27,7 +27,7 @@ def test_core_matrix_published():
 
 
 def test_conjugate_matrix_published():
-    q = conjugate_correlation_matrix(eigen_spec())
+    q = conjugate_correlation_matrix(eigen_spec(), correlation_matrix(eigen_spec()))
     assert q[(0, 0)] == RatFun(Poly([0, 0, 0, Fraction(-1, 3)]))
     assert q[(0, 1)] == RatFun(Poly([0, -1]))
     assert q[(1, 0)] == RatFun(Poly([0, 0, Fraction(2, 3)]))
@@ -106,11 +106,14 @@ def test_repeated_only_system():
 
 
 def test_correction_published_values():
+    def correction(s):
+        return constraint_correction(s, correlation_matrix(s))
+
     s = validate_spec("01", ["010"], [("100", 3)])
-    assert constraint_correction(s) == RatFun(Poly([2, -1]), Poly([2, 1, 0, 1]))
+    assert correction(s) == RatFun(Poly([2, -1]), Poly([2, 1, 0, 1]))
     s2 = validate_spec("01", ["00"], [("01", 2), ("10", 3), ("11", 2)])
-    assert constraint_correction(s2) == RatFun(Poly([-6, -3]), Poly([-3, 0, 1]))
-    assert constraint_correction(validate_spec("01", [], [])).is_zero
+    assert correction(s2) == RatFun(Poly([-6, -3]), Poly([-3, 0, 1]))
+    assert correction(validate_spec("01", [], [])).is_zero
 
 
 def test_correction_identity():
@@ -119,14 +122,16 @@ def test_correction_identity():
               validate_spec("0123", [], [("10", 2), ("20", 3), ("30", 3)])):
         sol = solve_generating_functions(s)
         z = RatFun.x()
-        assert z / (z - RatFun(s.q) + constraint_correction(s)) == sol.all_words
+        correction = constraint_correction(s, correlation_matrix(s))
+        assert z / (z - RatFun(s.q) + correction) == sol.all_words
 
 
 def test_correction_requires_reduced_union():
+    s = validate_spec("01", ["001"], [("00", 2)])
     with pytest.raises(SpecError):
-        constraint_correction(validate_spec("01", ["001"], [("00", 2)]))
+        build_system(s).core
     with pytest.raises(SpecError):
-        correlation_matrix(validate_spec("01", ["001"], [("00", 2)]))
+        correlation_matrix(s)
 
 
 def test_series_match_oracle_fixed_specs():

@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_spec
-from multishift import genfun, spectral
+from multishift import genfun, ratfield, spectral
 from multishift.errors import SpecError
+from multishift.fixtures import list_fixtures, load_fixture
 from multishift.langmodel import (extend_repeated_to_full_length, multiplicity,
                                   oracle_tables, validate_spec)
+from multishift.measures import Cylinder, escape_report
 from multishift.spectral import (AdjMatrix, adjacency_matrix, eigen_residuals,
                                  eigenvector_normalization, entropy, is_irreducible,
                                  multiplicity_matrix, multiplicity_one_witness,
@@ -239,3 +241,38 @@ def test_one_analysis_derives_each_stage_once(monkeypatch):
     del matrices[:]
     assert run_verification(eigen_spec(), max_n=6).passed
     assert (len(roots), len(matrices)) == (1, 1)
+
+
+def test_one_counting_system_per_distinct_spec(monkeypatch):
+    systems = _count_calls(monkeypatch, genfun, "system_matrix")
+    numeric = _count_calls(monkeypatch, spectral, "solve_numeric")
+    matrices = _count_calls(monkeypatch, spectral, "adjacency_matrix")
+    symbolic = _count_calls(monkeypatch, ratfield.RatMat, "solve")
+
+    def counts(run):
+        for calls in (systems, symbolic, numeric, matrices):
+            del calls[:]
+        run()
+        return len(systems), len(symbolic), len(numeric), len(matrices)
+
+    # counting: the extension is the spec; extension: a new extended spec
+    # and a second system; nonreduced: no core, one solve of the system
+    counting, extension = load_fixture("counting"), load_fixture("extension")
+    assert extend_repeated_to_full_length(counting) is counting
+    assert counts(lambda: spectral.spectral_report(counting)) == (1, 1, 3, 1)
+    assert counts(lambda: spectral.spectral_report(extension)) == (2, 1, 3, 1)
+    nonreduced = load_fixture("nonreduced")
+    assert counts(lambda: spectral.spectral_report(nonreduced, True)) == (2, 1, 3, 1)
+    assert counts(lambda: run_verification(counting, max_n=6)) == (1, 3, 3, 1)
+    assert counts(lambda: run_verification(extension, max_n=6)) == (2, 3, 3, 1)
+    assert counts(lambda: run_verification(nonreduced, max_n=6,
+                                           allow_reducible=True)) == (1, 1, 0, 1)
+    hole = Cylinder((("0", "0"), ("0", "0")), (1,))
+    assert counts(lambda: escape_report(counting, hole, 6)) == (1, 1, 0, 1)
+
+
+def test_analysis_solution_equals_the_standalone_solve():
+    for name in list_fixtures():
+        s = load_fixture(name)
+        assert spectral.Analysis(s).solution.to_json() == \
+            genfun.solve_generating_functions(s).to_json(), name
