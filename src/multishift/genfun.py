@@ -10,7 +10,8 @@ of the bordered matrix is the core correlation matrix.
 
 :func:`build_system` builds the system once; :attr:`GenFunSystem.core`
 reads its core, :func:`constraint_correction` solves that core once for
-the correction R, :func:`conjugate_correlation_matrix` rescales it, and
+the correction R, :func:`conjugate_correlation_matrix` rescales it once
+per system (:attr:`GenFunSystem.conjugate`), and
 :func:`solve_generating_functions` solves the system and asserts that
 the closed forms for F from the core and from its conjugate reproduce
 it.  ``spectral.Analysis`` keeps each of these as a stage.
@@ -45,24 +46,14 @@ def correlation_matrix(spec: ShiftSpec) -> RatMat:
     return build_system(spec).core
 
 
-def scaling_diagonal(spec: ShiftSpec) -> RatMat:
-    """Diagonal z(1 - 1/m_i) over repeated rows, -z over forbidden rows."""
-    z = Poly.x()
-    entries = [z * Fraction(m - 1, m) for _, m in spec.repeated] + \
-              [-z for _ in spec.forbidden]
-    n = len(entries)
-    rows = [[RatFun(entries[i]) if i == j else RatFun.zero() for j in range(n)]
-            for i in range(n)]
-    labels = _labels(spec)
-    return RatMat.from_rows(rows, labels, labels)
-
-
-def conjugate_correlation_matrix(spec: ShiftSpec, core: RatMat) -> RatMat:
-    """D^-1 P^T D of the core P of the spec, computed entrywise from the
-    diagonal scaling."""
-    d = scaling_diagonal(spec)
+def conjugate_correlation_matrix(system: GenFunSystem) -> RatMat:
+    """D^-1 P^T D of the core P of a reduced system, entrywise.  D is
+    diagonal with z(1 - 1/m_i) over repeated rows and -z over forbidden
+    rows: minus the top row of the bordered matrix after the corner."""
+    core = system.core
+    d = [-e for e in system.matrix.entries[0][1:]]
     n = core.nrows
-    rows = [[core[(j, i)] * d[(j, j)] / d[(i, i)] for j in range(n)] for i in range(n)]
+    rows = [[core[(j, i)] * d[j] / d[i] for j in range(n)] for i in range(n)]
     return RatMat.from_rows(rows, core.row_labels, core.col_labels)
 
 
@@ -93,6 +84,11 @@ class GenFunSystem:
         labels = self.labels[1:]
         return RatMat.from_rows([row[1:] for row in self.matrix.entries[1:]],
                                 labels, labels)
+
+    @cached_property
+    def conjugate(self) -> RatMat:
+        """The conjugate core D^-1 P^T D, built once per system."""
+        return conjugate_correlation_matrix(self)
 
 
 def embedded_weight(spec: ShiftSpec, a: Word, threshold: int = 0) -> int:
@@ -195,20 +191,17 @@ class GenFunSolution:
         }
 
 
-def _correction(spec: ShiftSpec, core: RatMat) -> RatFun:
-    """Weighted row sums of the inverted core matrix, from one solve
-    against the ones vector; zero for empty collections."""
+def constraint_correction(spec: ShiftSpec, core: RatMat) -> RatFun:
+    """The correction R with F = z / (z - q + R) from the core of a
+    reduced spec (or from its conjugate): weighted row sums of the
+    inverted core, from one solve against the ones vector; zero for
+    empty collections."""
     z = RatFun.x()
     weights = [Fraction(m - 1, m) for m in spec.multiplicities] + [-1] * len(spec.forbidden)
     out = RatFun.zero()
     for w, row_sum in zip(weights, core.solve([RatFun.one()] * core.nrows)):
         out = out + z * RatFun(w) * row_sum
     return out
-
-
-def constraint_correction(spec: ShiftSpec, core: RatMat) -> RatFun:
-    """The correction R with F = z / (z - q + R) from the core of a reduced spec."""
-    return _correction(spec, core)
 
 
 def _solution(spec: ShiftSpec, system: GenFunSystem, correction: RatFun | None) -> GenFunSolution:
@@ -221,8 +214,7 @@ def _solution(spec: ShiftSpec, system: GenFunSystem, correction: RatFun | None) 
     fas = tuple((a, sol[1 + ell + j]) for j, a in enumerate(spec.forbidden))
     if correction is not None:
         z, q = RatFun.x(), RatFun(spec.q)
-        conjugate = conjugate_correlation_matrix(spec, system.core)
-        via_conj = z / (z - q + _correction(spec, conjugate))
+        via_conj = z / (z - q + constraint_correction(spec, system.conjugate))
         if not (f == z / (z - q + correction) == via_conj):
             raise NumericError("closed forms disagree with the solved system")
     return GenFunSolution(f, gs, fas, system, correction)

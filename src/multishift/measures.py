@@ -336,23 +336,15 @@ def preimage_count(ctx: MeasureContext, cyl: Cylinder) -> int:
 
 def _vertex_paths(mat: AdjMatrix, n_edges: int):
     """All vertex paths with exactly n_edges steps, in lexicographic order."""
-    idx = range(mat.size)
-
     def extend(path):
         if len(path) == n_edges + 1:
             yield tuple(path)
             return
-        for j in idx:
-            if mat.entries[path[-1]][j]:
-                yield from extend(path + [j])
+        for j, _ in mat.successors[path[-1]]:
+            yield from extend(path + [j])
 
-    for start in idx:
+    for start in range(mat.size):
         yield from extend([start])
-
-
-def _successors(mat: AdjMatrix) -> list[tuple[int, ...]]:
-    """For each block, the blocks it has an edge to, in increasing order."""
-    return [tuple(j for j, e in enumerate(row) if e) for row in mat.entries]
 
 
 def _path_word(labels: Sequence[Word], path: Sequence[int]) -> str:
@@ -382,7 +374,7 @@ def pushforward_report(ctx: MeasureContext, n_max: int) -> dict:
     list them.
     """
     mat, sp, exact = ctx.mat, ctx.sp, ctx.exact
-    succ = _successors(mat)
+    succ = mat.successors
     checked, found = 0, []
     for first in range(mat.size):
         rep = {}  # (last block, length) -> Shannon-Parry value
@@ -407,8 +399,8 @@ def pushforward_report(ctx: MeasureContext, n_max: int) -> dict:
                                            "pushforward": float(pushed),
                                            "preimage_sum": float(total)}))
             if length < n_max:
-                stack.extend((j, length + 1, pushed * sp.rows[last][j],
-                              count * mat.entries[last][j]) for j in reversed(succ[last]))
+                stack.extend((j, length + 1, pushed * sp.rows[last][j], count * e)
+                             for j, e in reversed(succ[last]))
     found.sort(key=lambda item: item[0])
     return {"checked": checked, "violations": [v for _, v in found]}
 
@@ -433,19 +425,19 @@ def kolmogorov_report(ctx: MeasureContext, n_max: int) -> dict:
     its length walked again to name them.
     """
     mat, exact = ctx.mat, ctx.exact
-    succ = _successors(mat)
+    succ = mat.successors
     checked, worst = 0, 0.0
     failing = set()
     for first in range(mat.size):
         counts = [0] * mat.size
         counts[first] = 1
         # Shannon-Parry values of the cylinders from first, at the current length
-        here = {j: _shannon_parry_value(ctx, first, j, 1) for j in succ[first]}
+        here = {j: _shannon_parry_value(ctx, first, j, 1) for j, _ in succ[first]}
         for length in range(1, n_max + 1):
             reach = [0] * mat.size
             for k, c in enumerate(counts):
                 if c:
-                    for j in succ[k]:
+                    for j, _ in succ[k]:
                         reach[j] += c
             counts, ahead = reach, {}
             for last, c in enumerate(counts):
@@ -453,10 +445,10 @@ def kolmogorov_report(ctx: MeasureContext, n_max: int) -> dict:
                     continue
                 base = here[last]
                 total = Fraction(0) if exact else 0.0
-                for j in succ[last]:
+                for j, e in succ[last]:
                     if j not in ahead:
                         ahead[j] = _shannon_parry_value(ctx, first, j, length + 1)
-                    total += mat.entries[last][j] * ahead[j]
+                    total += e * ahead[j]
                 checked += c
                 if exact:
                     ok = total == base
@@ -559,28 +551,23 @@ def escape_report(source: ShiftSpec | AdjMatrix, hole: Cylinder, n_max: int = 12
     if not hole_seq:
         raise SpecError("the hole needs at least one edge")
 
-    edges = [(i, j, b) for i in range(mat.size) for j in range(mat.size)
-             for b in range(1, mat.entries[i][j] + 1)]
+    # the edges leaving each block, one per parallel branch
+    leaving = [[(i, j, b) for j, e in row for b in range(1, e + 1)]
+               for i, row in enumerate(mat.successors)]
+    edges = [edge for row in leaving for edge in row]
     table = _hole_automaton(edges, hole_seq)
     k = len(hole_seq)
 
     counts = [1]
-    state_counts: dict[tuple[int, int], int] = {}
-    if n_max >= 1:
-        for i, j, b in edges:
-            s = table[0][(i, j, b)]
-            if s < k:
-                state_counts[(j, s)] = state_counts.get((j, s), 0) + 1
-        counts.append(sum(state_counts.values()))
-    for _ in range(2, n_max + 1):
+    # (block, matched prefix of the hole) -> paths ending there
+    state_counts = {(v, 0): 1 for v in range(mat.size)}
+    for _ in range(n_max):
         nxt: dict[tuple[int, int], int] = {}
         for (v, s), c in state_counts.items():
-            for i, j, b in edges:
-                if i != v:
-                    continue
-                s2 = table[s][(i, j, b)]
+            for edge in leaving[v]:
+                s2 = table[s][edge]
                 if s2 < k:
-                    key = (j, s2)
+                    key = (edge[1], s2)
                     nxt[key] = nxt.get(key, 0) + c
         state_counts = nxt
         counts.append(sum(state_counts.values()))

@@ -12,9 +12,9 @@ stages for callers that need just one.
 
 The Perron root always travels two independent routes: the largest real
 zero of the exact correction function (or the largest real pole of the
-solved counting series in the non-reduced mode), and a certified
-power-iteration enclosure on the integer matrix.  The routes must agree
-to 1e-9 or the computation refuses to answer.
+solved counting series in the non-reduced mode) isolated by Sturm
+sequences, and an exact Collatz-Wielandt enclosure on the integer
+matrix; the two must meet or the computation refuses to answer.
 
 Eigenvectors come from the correlation formulas; when the root is
 certified exact the whole pipeline stays in big rationals.
@@ -28,13 +28,11 @@ from functools import cache, cached_property
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from . import genfun, words as W
 from .errors import NumericError, RouteMismatchError, SpecError
 from .langmodel import (DEFAULT_BUDGET, ShiftSpec, allowed_words,
                         extend_repeated_to_full_length, leading_multiplicity,
-                        multiplicity, weighted_count)
+                        multiplicity, spec_from_matrix, weighted_count)
 from .ratfield import Poly, RatFun, RootCertificate, largest_real_zero, solve_numeric
 from .words import Word
 
@@ -70,47 +68,40 @@ class AdjMatrix:
         return AdjMatrix(self.labels,
                          tuple(tuple(1 if e else 0 for e in row) for row in self.entries))
 
+    @cached_property
+    def successors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per row i, the pairs (j, e) with e = entries[i][j] > 0 in increasing
+        j: the block graph every walk reads (reports print the entries)."""
+        return tuple(tuple((j, e) for j, e in enumerate(row) if e) for row in self.entries)
+
     def power_sum(self, k: int) -> int:
-        """Sum of all entries of the k-th power, exact."""
-        n = self.size
-        mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        base = [list(row) for row in self.entries]
-        e = k
-        while e:
-            if e & 1:
-                mat = _intmul(mat, base)
-            base = _intmul(base, base)
-            e >>= 1
-        return sum(sum(row) for row in mat)
+        """Sum of all entries of the k-th power, 1^T A^k 1, by k sparse
+        products with the ones vector."""
+        v = [1] * self.size
+        for _ in range(k):
+            v = [sum(e * v[j] for j, e in row) for row in self.successors]
+        return sum(v)
 
     def to_json(self) -> dict:
         return {"labels": ["".join(x) for x in self.labels],
                 "entries": [list(row) for row in self.entries]}
 
 
-def _intmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            aik = a[i][k]
-            if aik:
-                row = b[k]
-                oro = out[i]
-                for j in range(n):
-                    oro[j] += aik * row[j]
-    return out
-
-
 def _splice_matrix(spec: ShiftSpec, weight) -> AdjMatrix:
     """Matrix on the allowed words of length p-1 whose (X, Y) entry is
-    ``weight(X*Y)`` when the splice exists, else 0."""
+    ``weight(X*Y)`` when the splice exists (Y = X[1:] + s), else 0."""
     labels = sorted(allowed_words(spec.p - 1, spec), key=spec.sort_key)
     if not labels:
         raise SpecError("no allowed words of length p-1; spec is over-constrained")
-    rows = tuple(tuple(0 if (xy := W.star(x, y)) is None else weight(xy) for y in labels)
-                 for x in labels)
-    return AdjMatrix(tuple(labels), rows)
+    index = {x: i for i, x in enumerate(labels)}
+    rows = []
+    for x in labels:
+        row = [0] * len(labels)
+        for s in spec.alphabet:
+            if (j := index.get(x[1:] + (s,))) is not None:
+                row[j] = weight(x + (s,))
+        rows.append(tuple(row))
+    return AdjMatrix(tuple(labels), tuple(rows))
 
 
 def adjacency_matrix(spec: ShiftSpec) -> AdjMatrix:
@@ -130,61 +121,93 @@ def multiplicity_matrix(spec: ShiftSpec) -> AdjMatrix:
     return _splice_matrix(spec, lambda xy: multiplicity(xy, spec))
 
 
+def _strong_components(mat: AdjMatrix) -> list[list[int]]:
+    """Strongly connected components of the positive-entry digraph, by
+    Tarjan's algorithm (1972) over the successor lists, without
+    recursion.  A block's low link drops to the size once its component
+    is out, so finished blocks never lower another's."""
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    work: list[tuple] = []  # (block, its number, its unread successors, its stack slot)
+    components = []
+
+    def enter(v: int) -> None:
+        low[v] = len(low)
+        work.append((v, low[v], iter(mat.successors[v]), len(stack)))
+        stack.append(v)
+
+    for root in range(mat.size):
+        if root not in low:
+            enter(root)
+        while work:
+            v, index, edges, slot = work[-1]
+            for w, _ in edges:
+                if w not in low:
+                    enter(w)
+                    break
+                low[v] = min(low[v], low[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index:
+                    components.append(stack[slot:])
+                    del stack[slot:]
+                    low.update(dict.fromkeys(components[-1], mat.size))
+    return components
+
+
 def is_irreducible(mat: AdjMatrix) -> bool:
-    """Strong connectivity of the positive-entry digraph."""
-    n = mat.size
-    if n == 0:
-        return False
-    if n == 1:
-        return mat.entries[0][0] > 0
-
-    def reach(transpose: bool) -> set[int]:
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                e = mat.entries[j][i] if transpose else mat.entries[i][j]
-                if e and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return seen
-
-    return len(reach(False)) == n and len(reach(True)) == n
+    """Strong connectivity of the positive-entry digraph: one strong
+    component, which for a single block needs its loop."""
+    return len(_strong_components(mat)) == 1 and (mat.size > 1 or mat.entries[0][0] > 0)
 
 
 @dataclass(frozen=True)
 class PowerResult:
-    theta: float
-    lower: float
-    upper: float
-    vector: tuple[float, ...]
+    lower: Fraction
+    upper: Fraction
     iterations: int
 
 
-def power_iteration(mat: AdjMatrix, tol: float = POWER_TOL,
-                    max_iter: int = POWER_CAP) -> PowerResult:
-    """Certified enclosure of the Perron root of an irreducible matrix.
+def power_iteration(mat: AdjMatrix) -> PowerResult:
+    """Collatz-Wielandt enclosure of the Perron root of an irreducible matrix.
 
-    Iterates on A + I (primitive, so no period trouble) and stops when
-    the min/max Rayleigh-type ratios pinch to relative ``tol``; those
-    ratios bracket the true eigenvalue at every step.
+    Iterates on A + I (primitive, so no period trouble) in floats until
+    the min/max ratios ((A+I)v)_i / v_i pinch to relative POWER_TOL.
+    For every positive v those ratios, less one, bound the spectral
+    radius of a non-negative matrix (Collatz 1942, Wielandt 1950); they
+    are taken exactly on the final vector, so rounding on the way cannot
+    break the enclosure.
     """
-    n = mat.size
-    b = np.array(mat.entries, dtype=float) + np.eye(n)
-    v = np.ones(n)
-    lower, upper = 0.0, math.inf
-    for it in range(1, max_iter + 1):
-        w = b @ v
-        ratios = w / v
-        lower, upper = float(ratios.min()), float(ratios.max())
-        if upper - lower <= tol * lower:
-            v = w / w.sum()
-            return PowerResult((lower + upper) / 2 - 1.0, lower - 1.0, upper - 1.0,
-                               tuple(v), it)
-        v = w / w.sum()
-    raise NumericError(f"power iteration did not converge in {max_iter} steps "
-                       f"(enclosure [{lower - 1}, {upper - 1}])")
+    succ = mat.successors
+    v = [1.0] * mat.size
+    for it in range(1, POWER_CAP + 1):
+        w = [x + sum(e * v[j] for j, e in row) for x, row in zip(v, succ)]
+        ratios = [a / b for a, b in zip(w, v)]
+        lower, upper = min(ratios), max(ratios)
+        total = sum(w)
+        v = [a / total for a in w]
+        if upper - lower <= POWER_TOL * lower:
+            break
+    else:
+        raise NumericError(f"power iteration did not converge in {POWER_CAP} steps "
+                           f"(enclosure [{lower - 1}, {upper - 1}])")
+    fv = [Fraction(x) for x in v]  # exact: every float is a dyadic rational
+    exact = [(x + sum(e * fv[j] for j, e in row)) / x for x, row in zip(fv, succ)]
+    return PowerResult(min(exact) - 1, max(exact) - 1, it)
+
+
+def _cw_enclosure(mat: AdjMatrix) -> tuple[Fraction, Fraction]:
+    """Enclosure of the spectral radius of any non-negative matrix: the
+    largest over its strong components, each enclosed by the power
+    iteration on its irreducible block (a one-block component gives its
+    diagonal entry exactly, in one step)."""
+    blocks = [power_iteration(mat if len(comp) == mat.size else AdjMatrix(
+        tuple(mat.labels[i] for i in comp),
+        tuple(tuple(mat.entries[i][j] for j in comp) for i in comp)))
+        for comp in _strong_components(mat)]
+    return max(b.lower for b in blocks), max(b.upper for b in blocks)
 
 
 @dataclass(frozen=True)
@@ -215,10 +238,9 @@ class PerronResult:
         }
 
 
-def _combinatorial_root(an: Analysis, mat: AdjMatrix,
-                        bracket: tuple | None) -> RootCertificate:
+def _combinatorial_root(an: Analysis, mat: AdjMatrix) -> RootCertificate:
     # the root never exceeds the maximal row sum of a non-negative matrix
-    lo, hi = bracket if bracket else (Fraction(1), Fraction(mat.max_row_sum + 1))
+    lo, hi = Fraction(1), Fraction(mat.max_row_sum + 1)
     if an.correction is not None:
         return largest_real_zero(RatFun.x() - RatFun(an.spec.q) + an.correction, lo, hi)
     f = an.solution.all_words
@@ -228,18 +250,18 @@ def _combinatorial_root(an: Analysis, mat: AdjMatrix,
 
 
 def perron_root(source: ShiftSpec | AdjMatrix | Analysis,
-                allow_reducible: bool = False,
-                bracket: tuple | None = None) -> PerronResult:
+                allow_reducible: bool = False) -> PerronResult:
     """Perron root by the combinatorial route, cross-checked iteratively.
 
     Accepts a validated spec, an :class:`Analysis` whose matrix,
     correction and solution it reuses, or a raw integer matrix (which is
-    rephrased through its length-2 collections).  Reducible inputs are an
-    error unless explicitly allowed, in which case the iterative
-    cross-check falls back to a dense eigenvalue computation.
+    rephrased through its length-2 collections).  The Sturm interval must
+    meet the exact Collatz-Wielandt enclosure, whose midpoint is
+    ``theta_iterative``.  Reducible inputs are an error unless explicitly
+    allowed, in which case the enclosure is the largest over the strong
+    components.
     """
     if isinstance(source, AdjMatrix):
-        from .langmodel import spec_from_matrix
         mat = source
         if mat.size == 1:
             k = mat.entries[0][0]
@@ -252,16 +274,14 @@ def perron_root(source: ShiftSpec | AdjMatrix | Analysis,
     irreducible = is_irreducible(mat)
     if not irreducible and not allow_reducible:
         raise SpecError("adjacency matrix is reducible; pass allow_reducible to proceed")
-    cert = _combinatorial_root(an, mat, bracket)
-    if irreducible:
-        theta_iter = power_iteration(mat).theta
-    else:  # dense eigenvalue fallback for a reducible matrix
-        theta_iter = float(max(abs(np.linalg.eigvals(np.array(mat.entries, dtype=float)))))
-    gap = abs(cert.value - theta_iter)
-    if gap > THETA_TOL:
+    cert = _combinatorial_root(an, mat)
+    lower, upper = _cw_enclosure(mat)
+    if cert.low > upper or cert.high < lower:
         raise RouteMismatchError(
-            f"combinatorial root {cert.value} vs iterative {theta_iter}: gap {gap:.3g}")
-    return PerronResult(cert.value, cert, theta_iter, gap, irreducible)
+            f"combinatorial root in [{float(cert.low)!r}, {float(cert.high)!r}] misses "
+            f"the iterative enclosure [{float(lower)!r}, {float(upper)!r}]")
+    theta_iter = float((lower + upper) / 2)
+    return PerronResult(cert.value, cert, theta_iter, abs(cert.value - theta_iter), irreducible)
 
 
 @dataclass(frozen=True)
@@ -318,13 +338,18 @@ def perron_vectors(spec: ShiftSpec, allow_reducible: bool = False) -> EigenData:
 
 
 def eigen_residuals(mat: AdjMatrix, theta: float, left: Sequence, right: Sequence) -> tuple[float, float]:
-    """Scaled infinity-norm residuals of the two eigen equations."""
-    a = np.array(mat.entries, dtype=float)
-    u = np.array([float(x) for x in left])
-    v = np.array([float(x) for x in right])
-    res_r = float(np.max(np.abs(a @ v - theta * v))) / max(1.0, float(np.max(np.abs(v))))
-    res_l = float(np.max(np.abs(u @ a - theta * u))) / max(1.0, float(np.max(np.abs(u))))
-    return res_l, res_r
+    """Infinity-norm residuals of the two eigen equations, each relative
+    to ||A|| ||v|| (maximal row sum times largest entry), so that they do
+    not grow with the multiplicities."""
+    u, v = [float(x) for x in left], [float(x) for x in right]
+    ua = [0.0] * mat.size
+    for x, row in zip(u, mat.successors):
+        for j, e in row:
+            ua[j] += x * e
+    av = [sum(e * v[j] for j, e in row) for row in mat.successors]
+    return tuple(max(abs(a - theta * b) for a, b in zip(image, vec))
+                 / (mat.max_row_sum * max(map(abs, vec)) or 1.0)
+                 for image, vec in ((ua, u), (av, v)))
 
 
 @dataclass(frozen=True)
@@ -341,47 +366,35 @@ class Witness:
                 "Z": "".join(self.connector), "W": "".join(self.cycle)}
 
 
-def multiplicity_one_witness(spec: ShiftSpec | Analysis,
-                             length_bound: int | None = None) -> Witness | None:
+def multiplicity_one_witness(spec: ShiftSpec | Analysis) -> Witness | None:
     """Bounded search for the normalization witness.
 
     Looks for labels X, Y plus multiplicity-one words Z (X to Y) and W
-    (a proper cycle at Y) of length at most the bound (default 3p); a
-    miss returns None and means "unknown", never "impossible".  The
-    search runs on the extended spec; an :class:`Analysis` lends its
-    extension and its matrix.
+    (a proper cycle at Y) of length at most 3p; a miss returns None and
+    means "unknown", never "impossible".  The search runs on the
+    extended spec; an :class:`Analysis` lends its extension and matrix.
     """
-    if isinstance(spec, Analysis):
-        ext, mat = spec.ext, spec.matrix
-    else:
-        ext = extend_repeated_to_full_length(spec)
-        mat = adjacency_matrix(ext)
-    bound = length_bound if length_bound is not None else 3 * ext.p
+    an = spec if isinstance(spec, Analysis) else Analysis(spec)
+    ext, mat = an.ext, an.matrix
     labels = mat.labels
     n = len(labels)
-    max_edges = max(1, bound - (ext.p - 1))
+    max_edges = 2 * ext.p + 1  # words of at most 3p symbols
     # edges whose spliced word carries weight one in the extended spec;
     # labels themselves always have weight one (shorter than p)
-    plain = [[bool(mat.entries[i][j])
-              and multiplicity(W.star(labels[i], labels[j]), ext) == 1
-              for j in range(n)] for i in range(n)]
+    plain = [[j for j, _ in row if multiplicity(W.star(labels[i], labels[j]), ext) == 1]
+             for i, row in enumerate(mat.successors)]
 
     @cache
     def paths_from(src: int) -> tuple[dict[int, int | None], dict[int, int]]:
         parent: dict[int, int | None] = {src: None}
         depth = {src: 0}
         queue = [src]
-        while queue:
-            nxt = []
-            for i in queue:
-                if depth[i] == max_edges:
-                    continue
-                for j in range(n):
-                    if plain[i][j] and j not in parent:
-                        parent[j] = i
-                        depth[j] = depth[i] + 1
-                        nxt.append(j)
-            queue = nxt
+        for i in queue:  # the list grows behind the loop: breadth first
+            if depth[i] < max_edges:
+                for j in plain[i]:
+                    if j not in parent:
+                        parent[j], depth[j] = i, depth[i] + 1
+                        queue.append(j)
         return parent, depth
 
     def rebuild(parent: dict[int, int | None], dst: int) -> list[int]:
@@ -398,9 +411,7 @@ def multiplicity_one_witness(spec: ShiftSpec | Analysis,
 
     for y in range(n):
         cycle: list[int] | None = None
-        for j in range(n):
-            if not plain[y][j]:
-                continue
+        for j in plain[y]:
             if j == y:
                 cycle = [y, y]
                 break
@@ -563,23 +574,21 @@ class Analysis:
         """Left and right Perron eigenvectors from the correlation formulas.
 
         They are evaluated on the extended spec, the setting where the
-        formulas hold, and refused when their residuals against the
-        matrix exceed THETA_TOL.
+        formulas hold, and refused when their relative residuals against
+        the matrix exceed THETA_TOL.
         """
         ext, root = self.ext, self.root
         theta = root.scalar()
         exact = root.exact is not None
         _, rsums = self._core_at_root
-        _, ssums = _inverse_row_sums_at(
-            genfun.conjugate_correlation_matrix(ext, self.ext_system.core), theta)
+        _, ssums = _inverse_row_sums_at(self.ext_system.conjugate, theta)
         ell = len(ext.repeated)
         one = Fraction(1) if exact else 1.0
         labels = self.matrix.labels
 
         left, right = [], []
         for x in labels:
-            u = one
-            v = one
+            u = v = one
             for i, (r, m) in enumerate(ext.repeated):
                 c = Fraction(m - 1, m)
                 u = u - theta * c * rsums[i] * Poly(W.correlation_poly(r[1:], x))(theta)
@@ -628,16 +637,25 @@ class Analysis:
 
 
 def spectral_report(spec: ShiftSpec, allow_reducible: bool = False) -> dict:
-    """Bundle of everything the perron subcommand prints."""
+    """Bundle of everything the perron subcommand prints.
+
+    On a reducible matrix the formula eigenvectors may fail; the report
+    then prints null for them, their normalization and their residuals.
+    """
     an = Analysis(spec, allow_reducible)
-    report = {
+    try:
+        vec, norm = an.vectors, an.normalization
+        residuals = dict(zip(("left", "right"), (format(r, ".3g") for r in vec.residuals)))
+    except NumericError:
+        if an.root.irreducible:
+            raise
+        vec = norm = residuals = None
+    return {
         "adjacency": an.matrix.to_json(),
         "irreducible": an.root.irreducible,
         "perron": an.root.to_json(),
-        "eigenvectors": an.vectors.to_json(),
-        "normalization": an.normalization.to_json(),
+        "eigenvectors": None if vec is None else vec.to_json(),
+        "normalization": None if norm is None else norm.to_json(),
         "entropy": an.entropy.to_json(),
+        "residuals": residuals,
     }
-    res_l, res_r = an.vectors.residuals
-    report["residuals"] = {"left": format(res_l, ".3g"), "right": format(res_r, ".3g")}
-    return report

@@ -62,7 +62,7 @@ def test_2_exact_eigen_reproduction():
     assert p[(0, 1)] == RatFun(Poly([0, 0, -1]))
     assert p[(1, 0)] == RatFun(Poly([0, Fraction(2, 3)]))
     assert p[(1, 1)] == RatFun(Poly([0, -1, 0, -1]))
-    q = conjugate_correlation_matrix(spec, p)
+    q = conjugate_correlation_matrix(build_system(spec))
     assert q[(0, 1)] == RatFun(Poly([0, -1]))
     assert q[(1, 0)] == RatFun(Poly([0, 0, Fraction(2, 3)]))
 

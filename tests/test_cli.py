@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -73,6 +75,47 @@ def test_perron_report_published_values():
     assert result["eigenvectors"]["V_exact"] == ["2/3", "2/3", "4/3", "4/3"]
     assert result["normalization"]["UtV_exact"] == "11/3"
     assert result["irreducible"] is True
+
+
+def test_perron_forced_reducible_report_omits_failed_vectors():
+    # first_language is reducible and its formula vectors degenerate
+    code, out, err = run_cli(["perron", "--spec", str(FIXDIR / "first_language.json"),
+                              "--allow-reducible"])
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["irreducible"] is False
+    assert result["perron"]["certificate"]["exact"] == "2"
+    assert result["entropy"]["entropy"] == format(math.log(2), ".15g")
+    assert result["eigenvectors"] is None
+    assert result["normalization"] is None
+    assert result["residuals"] is None
+    # nonreduced is reducible too, but its formula vectors are valid
+    code, out, err = run_cli(["perron", "--spec", str(FIXDIR / "nonreduced.json"),
+                              "--allow-reducible"])
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["irreducible"] is False and result["eigenvectors"]["exact"] is True
+
+
+@pytest.mark.parametrize("m", [10 ** 8, 10 ** 10])
+def test_perron_large_multiplicity(tmp_path, m):
+    doc = {"alphabet": ["0", "1"], "forbidden": ["11"],
+           "repeated": [{"word": "00", "multiplicity": m}]}
+    code, out, err = run_cli(["perron", "--spec", write_spec(tmp_path, doc)])
+    assert code == 0, err
+    cert = json.loads(out)["result"]["perron"]["certificate"]
+    low, high = Fraction(cert["low"]), Fraction(cert["high"])
+    # the root (m + sqrt(m^2 + 4)) / 2 is the positive zero of x^2 - m x - 1
+    assert 0 < low and low * low - m * low - 1 <= 0 <= high * high - m * high - 1
+
+
+def test_cli_import_needs_no_numpy():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, multishift.cli; assert 'numpy' not in sys.modules, 'numpy imported'"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_measure_routes_agree():

@@ -6,8 +6,7 @@ from conftest import random_spec
 from multishift.errors import SpecError
 from multishift.genfun import (build_system, conjugate_correlation_matrix,
                                constraint_correction, correlation_matrix,
-                               scaling_diagonal, solve_generating_functions,
-                               system_matrix)
+                               solve_generating_functions, system_matrix)
 from multishift.langmodel import oracle_tables, validate_spec
 from multishift.ratfield import Poly, RatFun, series_coeffs
 
@@ -27,7 +26,7 @@ def test_core_matrix_published():
 
 
 def test_conjugate_matrix_published():
-    q = conjugate_correlation_matrix(eigen_spec(), correlation_matrix(eigen_spec()))
+    q = conjugate_correlation_matrix(build_system(eigen_spec()))
     assert q[(0, 0)] == RatFun(Poly([0, 0, 0, Fraction(-1, 3)]))
     assert q[(0, 1)] == RatFun(Poly([0, -1]))
     assert q[(1, 0)] == RatFun(Poly([0, 0, Fraction(2, 3)]))
@@ -35,10 +34,16 @@ def test_conjugate_matrix_published():
 
 
 def test_scaling_diagonal():
-    d = scaling_diagonal(eigen_spec())
-    assert d[(0, 0)] == RatFun(Poly([0, Fraction(2, 3)]))
-    assert d[(1, 1)] == RatFun(Poly([0, -1]))
-    assert d[(0, 1)].is_zero
+    # the conjugate core reads D off the reduced system: minus its top row
+    # after the corner
+    def diagonal(spec):
+        return [-e for e in system_matrix(spec).entries[0][1:]]
+
+    d = diagonal(eigen_spec())
+    assert d[0] == RatFun(Poly([0, Fraction(2, 3)]))
+    assert d[1] == RatFun(Poly([0, -1]))
+    d = diagonal(validate_spec("01", ["010"], [("000", 2)]))
+    assert d == [RatFun(Poly([0, Fraction(1, 2)])), RatFun(Poly([0, -1]))]
 
 
 def test_bordered_matrix_shape_and_empty_collections():

@@ -1,14 +1,15 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_spec
-from multishift import genfun, ratfield, spectral
+from multishift import genfun, ratfield, spectral, words
 from multishift.errors import SpecError
 from multishift.fixtures import list_fixtures, load_fixture
-from multishift.langmodel import (extend_repeated_to_full_length, multiplicity,
-                                  oracle_tables, validate_spec)
+from multishift.langmodel import (extend_repeated_to_full_length, leading_multiplicity,
+                                  multiplicity, oracle_tables, validate_spec)
 from multishift.measures import Cylinder, escape_report
 from multishift.spectral import (AdjMatrix, adjacency_matrix, eigen_residuals,
                                  eigenvector_normalization, entropy, is_irreducible,
@@ -93,6 +94,88 @@ def test_perron_root_matrix_input_and_reducible():
     assert pr.exact == 2
     one = perron_root(AdjMatrix((("x",),), ((4,),)))
     assert one.exact == 4
+
+
+@pytest.mark.parametrize("entries, theta", [
+    (((2, 1), (0, 2)), 2),  # a Jordan block: whole-matrix iteration converges like 1/k
+    (((1, 1, 0), (0, 3, 1), (0, 0, 2)), 3),
+    (((1, 1, 1), (1, 1, 0), (0, 0, 1)), 2),  # a two-block component beside a loop
+])
+def test_reducible_root_is_the_largest_component_root(entries, theta):
+    mat = AdjMatrix(tuple((str(i),) for i in range(len(entries))), entries)
+    assert not is_irreducible(mat)
+    lower, upper = spectral._cw_enclosure(mat)
+    assert lower <= theta <= upper and upper - lower <= 1e-10
+    pr = perron_root(mat, allow_reducible=True)
+    assert pr.exact == theta and not pr.irreducible
+    assert pr.theta_iterative == float((lower + upper) / 2)
+
+
+def test_cw_enclosure_meets_the_sturm_certificate_on_every_fixture():
+    for name in list_fixtures():
+        an = spectral.Analysis(load_fixture(name), allow_reducible=True)
+        cert = an.root.certificate
+        lower, upper = spectral._cw_enclosure(an.matrix)
+        assert cert.low <= upper and lower <= cert.high, name
+        assert upper - lower <= 1e-10 * upper, name
+
+
+def _random_matrices(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        entries = tuple(tuple(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(n))
+                        for _ in range(n))
+        yield AdjMatrix(tuple((str(i),) for i in range(n)), entries)
+
+
+def test_power_sum_matches_dense_products():
+    def dense_power_sum(entries, k):
+        n = len(entries)
+        power = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(k):
+            power = [[sum(power[i][m] * entries[m][j] for m in range(n)) for j in range(n)]
+                     for i in range(n)]
+        return sum(map(sum, power))
+
+    for mat in _random_matrices(7, 40):
+        for k in range(6):
+            assert mat.power_sum(k) == dense_power_sum(mat.entries, k)
+
+
+def test_irreducibility_matches_reachability():
+    def reachable(entries, i):
+        seen, todo = {i}, [i]
+        while todo:
+            k = todo.pop()
+            for j, e in enumerate(entries[k]):
+                if e and j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        return seen
+
+    for mat in _random_matrices(11, 200):
+        n = mat.size
+        # every block reaches every block in one step or more
+        want = all(len({j for k in range(n) if mat.entries[i][k]
+                        for j in reachable(mat.entries, k)}) == n for i in range(n))
+        assert is_irreducible(mat) == want, mat.entries
+
+
+def test_adjacency_matrix_splices_each_label_with_q_successors(monkeypatch):
+    s = validate_spec("01", ["0000"], [("01", 2)])
+    stars = _count_calls(monkeypatch, words, "star")
+    mat = adjacency_matrix(s)
+    assert mat.size == 8 and len(stars) <= s.q * mat.size
+    monkeypatch.undo()
+    # the entries are those of the definition over every pair of labels
+    rng = random.Random(5)
+    for spec in [s] + [random_spec(rng, flag) for flag in (False, True)]:
+        mat = adjacency_matrix(spec)
+        want = tuple(tuple(0 if (xy := words.star(x, y)) is None or not spec.is_allowed(xy)
+                           else leading_multiplicity(xy, spec) for y in mat.labels)
+                     for x in mat.labels)
+        assert mat.entries == want
 
 
 def test_power_iteration_enclosure():
@@ -276,3 +359,13 @@ def test_analysis_solution_equals_the_standalone_solve():
         s = load_fixture(name)
         assert spectral.Analysis(s).solution.to_json() == \
             genfun.solve_generating_functions(s).to_json(), name
+
+
+def test_conjugate_core_built_once_per_counting_system(monkeypatch):
+    conjugates = _count_calls(monkeypatch, genfun, "conjugate_correlation_matrix")
+    # counting: the extension is the spec, so the solution and the right
+    # eigenvector read one conjugate; extension: two systems, two conjugates
+    for name, want in (("counting", 1), ("extension", 2)):
+        del conjugates[:]
+        assert run_verification(load_fixture(name), max_n=6).passed
+        assert len(conjugates) == want, name
