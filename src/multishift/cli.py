@@ -4,8 +4,8 @@ Subcommands: ``enumerate`` (weighted count tables), ``genfun`` (exact
 counting series), ``perron`` (root, eigenvectors, entropy,
 normalization), ``measure`` (cylinder measures by route), ``escape``
 (hole avoidance counts and rates), and ``verify`` (the cross-validation
-suite).  Reports are deterministic JSON (``--json``, the default) or
-plain tables (``--table``) where applicable.
+suite).  Reports are deterministic JSON; ``enumerate`` and ``verify``
+also print plain tables (``--table``, the default for ``verify``).
 
 Exit codes: 0 ok, 1 verification failure, 2 bad spec, 3 budget
 exceeded, 4 numeric failure, 5 I/O or parse error.
@@ -131,11 +131,8 @@ def report_skeleton(command: str, doc: dict) -> dict:
     return {"tool": f"multishift {__version__}", "command": command, "spec": doc}
 
 
-def emit(report: dict, as_json: bool, table: str | None = None) -> None:
-    if as_json or table is None:
-        print(json.dumps(report, indent=2))
-    else:
-        print(table)
+def emit(report: dict) -> None:
+    print(json.dumps(report, indent=2))
 
 
 def cmd_enumerate(args, doc: dict, spec: ShiftSpec) -> int:
@@ -150,19 +147,17 @@ def cmd_enumerate(args, doc: dict, spec: ShiftSpec) -> int:
     if args.slices:
         table["slices"] = [enumerate_slice(n, spec, budget).to_json()
                            for n in range(1, n_max + 1)]
-    report = report_skeleton("enumerate", doc)
-    report["result"] = table
     if args.fmt == "table":
-        lines = []
         heads = ["n", "f"] + [f"g[{k}]" for k in table["g"]] + [f"fa[{k}]" for k in table["fa"]]
-        lines.append("  ".join(f"{h:>10}" for h in heads))
+        print("  ".join(f"{h:>10}" for h in heads))
         for i, n in enumerate(table["n"]):
             row = [n, table["f"][i]] + [v[i] for v in table["g"].values()] \
                 + [v[i] for v in table["fa"].values()]
-            lines.append("  ".join(f"{x:>10}" for x in row))
-        emit(report, False, "\n".join(lines))
+            print("  ".join(f"{x:>10}" for x in row))
     else:
-        emit(report, True)
+        report = report_skeleton("enumerate", doc)
+        report["result"] = table
+        emit(report)
     return 0
 
 
@@ -174,14 +169,14 @@ def cmd_genfun(args, doc: dict, spec: ShiftSpec) -> int:
         result["correction"] = sol.correction.to_json()
     report = report_skeleton("genfun", doc)
     report["result"] = result
-    emit(report, True)
+    emit(report)
     return 0
 
 
 def cmd_perron(args, doc: dict, spec: ShiftSpec) -> int:
     report = report_skeleton("perron", doc)
     report["result"] = spectral.spectral_report(spec, args.allow_reducible)
-    emit(report, True)
+    emit(report)
     return 0
 
 
@@ -197,7 +192,7 @@ def cmd_measure(args, doc: dict, spec: ShiftSpec) -> int:
         if len(vals) > 1 else "0"
     report = report_skeleton("measure", doc)
     report["result"] = result
-    emit(report, True)
+    emit(report)
     return 0
 
 
@@ -208,7 +203,7 @@ def cmd_escape(args, doc: dict, spec: ShiftSpec) -> int:
     rep = measures.escape_report(spec, cyl, args.max_n, args.budget, args.allow_reducible)
     report = report_skeleton("escape", doc)
     report["result"] = rep.to_json()
-    emit(report, True)
+    emit(report)
     return 0
 
 
@@ -219,7 +214,7 @@ def cmd_verify(args, doc: dict, spec: ShiftSpec) -> int:
     if args.fmt == "json":
         report = report_skeleton("verify", doc)
         report["result"] = rep.to_json()
-        emit(report, True)
+        emit(report)
     else:
         for check in rep.checks:
             print(check.line())
@@ -233,13 +228,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, budget=True, default_fmt="json"):
+    def common(p, budget=True, fmt=None, reducible=True):
+        """The options a subcommand reads: the spec, the output format when
+        it prints tables (``fmt`` is the default), the reducible override
+        when it takes the Perron root, and the budget when it counts."""
         p.add_argument("--spec", required=True, help="spec JSON path, or - for stdin")
-        grp = p.add_mutually_exclusive_group()
-        grp.add_argument("--json", dest="fmt", action="store_const", const="json",
-                         default=default_fmt)
-        grp.add_argument("--table", dest="fmt", action="store_const", const="table")
-        p.add_argument("--allow-reducible", action="store_true", default=False)
+        if fmt:
+            grp = p.add_mutually_exclusive_group()
+            grp.add_argument("--json", dest="fmt", action="store_const", const="json",
+                             default=fmt)
+            grp.add_argument("--table", dest="fmt", action="store_const", const="table")
+        if reducible:
+            p.add_argument("--allow-reducible", action="store_true", default=False)
         if budget:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                            help="refuse (exit 3) any count of a length n >= 1 with "
@@ -247,13 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(default %(default)s)")
 
     p = sub.add_parser("enumerate", help="weighted count tables from the oracle")
-    common(p)
+    common(p, fmt="json", reducible=False)
     p.add_argument("--max-n", type=int, default=10)
     p.add_argument("--slices", action="store_true", help="include full weighted slices")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("genfun", help="exact counting series and their system")
-    common(p, budget=False)
+    common(p, budget=False, reducible=False)
     p.add_argument("--series-n", type=int, default=12)
     p.set_defaults(func=cmd_genfun)
 
@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_escape)
 
     p = sub.add_parser("verify", help="run the cross-validation suite")
-    common(p, default_fmt="table")
+    common(p, fmt="table")
     p.add_argument("--max-n", type=int, default=10)
     p.set_defaults(func=cmd_verify)
     return parser

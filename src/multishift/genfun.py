@@ -30,6 +30,13 @@ from .ratfield import Poly, RatFun, RatMat
 from .words import Word
 
 
+def targets(spec: ShiftSpec) -> tuple[tuple[Word, Fraction], ...]:
+    """The rows of the core in order, each word with its weight in the
+    correction: (m - 1)/m for a repeated word, -1 for a forbidden one."""
+    return tuple((r, Fraction(m - 1, m)) for r, m in spec.repeated) + \
+        tuple((a, Fraction(-1)) for a in spec.forbidden)
+
+
 def _labels(spec: ShiftSpec) -> tuple[str, ...]:
     return tuple(f"G[{''.join(r)}]" for r in spec.repeated_words) + \
         tuple(f"Fa[{''.join(a)}]" for a in spec.forbidden)
@@ -197,9 +204,8 @@ def constraint_correction(spec: ShiftSpec, core: RatMat) -> RatFun:
     inverted core, from one solve against the ones vector; zero for
     empty collections."""
     z = RatFun.x()
-    weights = [Fraction(m - 1, m) for m in spec.multiplicities] + [-1] * len(spec.forbidden)
     out = RatFun.zero()
-    for w, row_sum in zip(weights, core.solve([RatFun.one()] * core.nrows)):
+    for (_, w), row_sum in zip(targets(spec), core.solve([RatFun.one()] * core.nrows)):
         out = out + z * RatFun(w) * row_sum
     return out
 

@@ -45,10 +45,6 @@ class ShiftSpec:
     def repeated_words(self) -> tuple[Word, ...]:
         return tuple(r for r, _ in self.repeated)
 
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(m for _, m in self.repeated)
-
     def sort_key(self, w: Sequence[str]):
         """Lexicographic key in declared alphabet order."""
         return tuple(self._index[s] for s in w)
@@ -367,24 +363,23 @@ def extend_repeated_to_full_length(spec: ShiftSpec) -> ShiftSpec:
     return validate_spec(spec.alphabet, spec.forbidden, new)
 
 
-def spec_from_matrix(entries: Sequence[Sequence[int]],
-                     alphabet: Sequence[str] | None = None) -> ShiftSpec:
+def spec_from_matrix(entries: Sequence[Sequence[int]]) -> ShiftSpec:
     """Length-2 collections of a non-negative integer matrix.
 
-    Zero entries become forbidden two-symbol words, entries above one
-    become repeated words with that multiplicity; the union is reduced
-    by construction and the associated adjacency matrix is the input.
+    Row i is named by the i-th symbol of 0-9a-z.  Zero entries become
+    forbidden two-symbol words, entries above one become repeated words
+    with that multiplicity; the union is reduced by construction and the
+    associated adjacency matrix is the input.
     """
     n = len(entries)
     if any(len(row) != n for row in entries):
         raise SpecError("matrix must be square")
     if n < 2:
         raise SpecError("matrix order must be at least 2 to name symbols")
-    if alphabet is None:
-        digits = "0123456789abcdefghijklmnopqrstuvwxyz"
-        if n > len(digits):
-            raise SpecError("matrix too large for the default symbol pool")
-        alphabet = tuple(digits[:n])
+    digits = "0123456789abcdefghijklmnopqrstuvwxyz"
+    if n > len(digits):
+        raise SpecError("matrix too large for the default symbol pool")
+    alphabet = tuple(digits[:n])
     fw, rp = [], []
     for i, row in enumerate(entries):
         for j, e in enumerate(row):

@@ -4,12 +4,19 @@ branch-erasing projection, push-forwards, and escape-rate estimates.
 A :class:`MeasureContext` bundles everything derived from one spec: the
 adjacency matrix, certified root, formula eigenvectors and normalization,
 all read from one :class:`spectral.Analysis`, plus the row-stochastic
-matrix of the Shannon-Parry measure and a label-to-index map.  Cylinder
-measures can then be evaluated along independent routes (eigenvector
-formula, derivative normalization, Markov-chain products) which must
-agree.  The additivity check runs once per (first block, last block,
-length) class of vertex paths and the push-forward check in one walk over
-path prefixes; neither builds a cylinder per path.
+matrix of the Shannon-Parry measure.  Cylinder measures can then be
+evaluated along independent routes (eigenvector formula, derivative
+normalization, Markov-chain products) which must agree.  The additivity
+check runs once per (first block, last block, length) class of vertex
+paths and the push-forward check in one walk over path prefixes; neither
+builds a cylinder per path.
+
+Every check here (stochastic rows, stationarity, normalization,
+additivity, push-forward) compares by :func:`spectral.agree`: exact
+equality when the root is an exact rational, so the whole pipeline is
+in Fractions, else a gap of at most THETA_TOL relative to the larger
+side.  No check uses an absolute tolerance, which would go blind as
+cylinders get small.
 """
 
 from __future__ import annotations
@@ -26,11 +33,8 @@ from .langmodel import (DEFAULT_BUDGET, ShiftSpec, check_budget,
                         extend_repeated_to_full_length, multiplicity, spec_from_matrix,
                         transfer_tables, validate_spec)
 from .spectral import (AdjMatrix, Analysis, EigenData, NormalizationReport, PerronResult,
-                       is_irreducible, perron_root, perron_vectors)
+                       agree, is_irreducible, perron_root, perron_vectors)
 from .words import Word
-
-MEASURE_TOL = 1e-9
-ROW_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -56,22 +60,12 @@ def _validate_stochastic(sm: StochMat) -> StochMat:
     n = len(sm.labels)
     for i in range(n):
         s = sum(sm.rows[i])
-        if sm.exact:
-            if s != 1:
-                raise NumericError(f"row {i} sums to {s}, not 1")
-        elif abs(float(s) - 1.0) > ROW_TOL:
-            raise NumericError(f"row {i} sums to {float(s)}, off by {abs(float(s)-1)}")
+        if not agree(s, 1):
+            raise NumericError(f"row {i} sums to {s}, not 1")
     for j in range(n):
-        s = sum(sm.stationary[i] * sm.rows[i][j] for i in range(n))
-        if sm.exact:
-            if s != sm.stationary[j]:
-                raise NumericError("stationary vector is not stationary")
-        elif abs(float(s) - float(sm.stationary[j])) > MEASURE_TOL:
+        if not agree(sum(sm.stationary[i] * sm.rows[i][j] for i in range(n)), sm.stationary[j]):
             raise NumericError("stationary vector is not stationary")
-    total = sum(sm.stationary)
-    if sm.exact and total != 1:
-        raise NumericError("stationary vector does not sum to 1")
-    if not sm.exact and abs(float(total) - 1.0) > ROW_TOL:
+    if not agree(sum(sm.stationary), 1):
         raise NumericError("stationary vector does not sum to 1")
     return sm
 
@@ -80,34 +74,28 @@ def shannon_parry_matrix(mat: AdjMatrix, theta, left_normalized: Sequence,
                          right: Sequence) -> StochMat:
     """Stochastic matrix A_XY V_Y / (theta V_X) with stationary U o V.
 
-    Expects the normalized eigenvector pair (dot product one).  Exact
-    rationals stay exact; floats get their rows renormalized to kill
-    residual round-off before validation.
+    Expects the normalized eigenvector pair (dot product one).  Rows and
+    the stationary vector are divided by their sums, which kills residual
+    round-off in floats and changes nothing in exact rationals, where the
+    sums are exactly one.
     """
     n = mat.size
-    exact = isinstance(theta, Fraction) and all(isinstance(v, Fraction) for v in right)
-    dot = sum(u * v for u, v in zip(left_normalized, right))
-    if exact:
-        if dot != 1:
-            raise NumericError("eigenvector pair is not normalized")
-    elif abs(float(dot) - 1.0) > MEASURE_TOL:
+    if not agree(sum(u * v for u, v in zip(left_normalized, right)), 1):
         raise NumericError("eigenvector pair is not normalized")
     rows = []
     for i in range(n):
         if right[i] == 0:
             raise NumericError("zero eigenvector entry; matrix not irreducible?")
         row = [mat.entries[i][j] * right[j] / (theta * right[i]) for j in range(n)]
-        if not exact:
-            s = sum(row)
-            if abs(s - 1.0) > MEASURE_TOL:
-                raise NumericError(f"row {i} of the stochastic matrix sums to {s}")
-            row = [e / s for e in row]
-        rows.append(tuple(row))
+        s = sum(row)
+        if not agree(s, 1):
+            raise NumericError(f"row {i} of the stochastic matrix sums to {s}")
+        rows.append(tuple(e / s for e in row))
     stationary = [u * v for u, v in zip(left_normalized, right)]
-    if not exact:
-        t = sum(stationary)
-        stationary = [x / t for x in stationary]
-    return _validate_stochastic(StochMat(mat.labels, tuple(rows), tuple(stationary), exact))
+    t = sum(stationary)
+    stationary = [x / t for x in stationary]
+    return _validate_stochastic(StochMat(mat.labels, tuple(rows), tuple(stationary),
+                                         isinstance(theta, Fraction)))
 
 
 def lift_rational_stochastic(sm: StochMat) -> AdjMatrix:
@@ -217,11 +205,6 @@ class MeasureContext:
         self.norm: NormalizationReport = an.normalization
         self.sp: StochMat = shannon_parry_matrix(
             self.mat, self.root.scalar(), self.vectors.left_normalized, self.vectors.right)
-        self.index_of = {v: i for i, v in enumerate(self.mat.labels)}
-
-    @property
-    def p(self) -> int:
-        return self.ext.p
 
     @property
     def exact(self) -> bool:
@@ -243,21 +226,6 @@ class MeasureContext:
         vec = perron_vectors(spec_from_matrix(binary.entries))
         sp = shannon_parry_matrix(binary, vec.root.scalar(), vec.left_normalized, vec.right)
         return vec, sp
-
-    def check_cylinder(self, cyl: Cylinder) -> list[int]:
-        """Check the cylinder against the matrix; returns its vertex indices."""
-        idx = []
-        for v in cyl.vertices:
-            if v not in self.index_of:
-                raise SpecError(f"{''.join(v)} is not an allowed block of length {self.p - 1}")
-            idx.append(self.index_of[v])
-        for k in range(cyl.n_edges):
-            e = self.mat.entries[idx[k]][idx[k + 1]]
-            if e == 0:
-                raise SpecError("cylinder path uses a missing edge")
-            if cyl.branches is not None and not 1 <= cyl.branches[k] <= e:
-                raise SpecError(f"branch index {cyl.branches[k]} outside 1..{e}")
-        return idx
 
 
 @dataclass(frozen=True)
@@ -294,7 +262,7 @@ def cylinder_measure(ctx: MeasureContext, cyl: Cylinder,
     product, ``parry`` the classical measure of the compatible binary
     matrix.  Branch indices never influence the value.
     """
-    idx = ctx.check_cylinder(cyl)
+    idx = ctx.mat.path(cyl.vertices, cyl.branches)
     i_first, i_last = idx[0], idx[-1]
     n = cyl.n_edges
     theta = ctx.theta
@@ -327,7 +295,7 @@ def cylinder_measure(ctx: MeasureContext, cyl: Cylinder,
 
 def preimage_count(ctx: MeasureContext, cyl: Cylinder) -> int:
     """Number of edge cylinders projecting onto the given vertex cylinder."""
-    idx = ctx.check_cylinder(cyl)
+    idx = ctx.mat.path(cyl.vertices, cyl.branches)
     out = 1
     for a, b in zip(idx, idx[1:]):
         out *= ctx.mat.entries[a][b]
@@ -358,8 +326,9 @@ def pushforward_report(ctx: MeasureContext, n_max: int) -> dict:
     The Markov product for the projected cylinder must equal the total
     eigenvector-formula measure of its branch preimage; since branch
     indices never change the measure (checked independently) the total
-    is the preimage count times one representative.  Exact equality in
-    the exact pipeline, 1e-9 otherwise.
+    is the preimage count times one representative.  The two sides must
+    :func:`spectral.agree`: exactly in the exact pipeline, to a relative
+    THETA_TOL in floats.
 
     Both sides are products along the path, so one depth-first walk over
     the path prefixes of each start block carries the running Markov
@@ -373,7 +342,7 @@ def pushforward_report(ctx: MeasureContext, n_max: int) -> dict:
     lexicographic within one length, as a walk length by length would
     list them.
     """
-    mat, sp, exact = ctx.mat, ctx.sp, ctx.exact
+    mat, sp = ctx.mat, ctx.sp
     succ = mat.successors
     checked, found = 0, []
     for first in range(mat.size):
@@ -390,11 +359,7 @@ def pushforward_report(ctx: MeasureContext, n_max: int) -> dict:
                     rep[last, length] = _shannon_parry_value(ctx, first, last, length)
                 total = count * rep[last, length]
                 checked += 1
-                if exact:
-                    ok = total == pushed
-                else:
-                    ok = abs(float(total) - float(pushed)) <= MEASURE_TOL
-                if not ok:
+                if not agree(total, pushed):
                     found.append((length, {"word": _path_word(mat.labels, path),
                                            "pushforward": float(pushed),
                                            "preimage_sum": float(total)}))
@@ -410,7 +375,8 @@ def kolmogorov_report(ctx: MeasureContext, n_max: int) -> dict:
 
     For every vertex path of 1..n_max edges, the measure of its edge
     cylinder must equal the sum over the one-edge extensions, each
-    weighted by its number of parallel edges.  An edge cylinder of n
+    weighted by its number of parallel edges, where the two sides must
+    :func:`spectral.agree`.  An edge cylinder of n
     edges from block f to block l measures U_f V_l / theta^n whatever
     the blocks in between, and its extensions into block j measure
     U_f V_j / theta^(n+1).  So both sides, and the defect, depend only
@@ -424,7 +390,7 @@ def kolmogorov_report(ctx: MeasureContext, n_max: int) -> dict:
     vertex word in path order; only when a class fails are the paths of
     its length walked again to name them.
     """
-    mat, exact = ctx.mat, ctx.exact
+    mat = ctx.mat
     succ = mat.successors
     checked, worst = 0, 0.0
     failing = set()
@@ -444,20 +410,14 @@ def kolmogorov_report(ctx: MeasureContext, n_max: int) -> dict:
                 if not c:
                     continue
                 base = here[last]
-                total = Fraction(0) if exact else 0.0
+                total = 0
                 for j, e in succ[last]:
                     if j not in ahead:
                         ahead[j] = _shannon_parry_value(ctx, first, j, length + 1)
                     total += e * ahead[j]
                 checked += c
-                if exact:
-                    ok = total == base
-                    defect = 0.0 if ok else abs(float(total - base))
-                else:
-                    defect = abs(float(total) - float(base))
-                    ok = defect <= MEASURE_TOL
-                worst = max(worst, defect)
-                if not ok:
+                worst = max(worst, abs(float(total - base)))
+                if not agree(total, base):
                     failing.add((first, last, length))
             here = ahead
     violations = [_path_word(mat.labels, path)
@@ -536,18 +496,8 @@ def escape_report(source: ShiftSpec | AdjMatrix, hole: Cylinder, n_max: int = 12
         spec, mat = an.spec, an.matrix
     if hole.branches is None:
         raise SpecError("the hole must be a specific edge cylinder (branch indices)")
-    labels = mat.labels
-    idx = {v: i for i, v in enumerate(labels)}
-    for v in hole.vertices:
-        if v not in idx:
-            raise SpecError(f"{''.join(v)} is not a block label")
-    hole_seq = []
-    for k in range(hole.n_edges):
-        a, b = idx[hole.vertices[k]], idx[hole.vertices[k + 1]]
-        e = mat.entries[a][b]
-        if not 1 <= hole.branches[k] <= e:
-            raise SpecError("hole uses a missing edge or branch")
-        hole_seq.append((a, b, hole.branches[k]))
+    idx = mat.path(hole.vertices, hole.branches)
+    hole_seq = list(zip(idx, idx[1:], hole.branches))
     if not hole_seq:
         raise SpecError("the hole needs at least one edge")
 
@@ -586,7 +536,7 @@ def escape_report(source: ShiftSpec | AdjMatrix, hole: Cylinder, n_max: int = 12
     if spec is not None:
         if isinstance(source, AdjMatrix):
             # derived spec renames blocks to single symbols
-            wword = tuple(spec.alphabet[idx[v]] for v in hole.vertices)
+            wword = tuple(spec.alphabet[i] for i in idx)
         else:
             wword = hole.word()
         weight = multiplicity(wword, spec)

@@ -556,12 +556,14 @@ def _variations(chain: list[Poly], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def largest_real_zero(f: RatFun | Poly, lo, hi,
-                      width: Fraction = Fraction(1, 10 ** 12)) -> RootCertificate:
+ROOT_WIDTH = Fraction(1, 10 ** 12)
+
+
+def largest_real_zero(f: RatFun | Poly, lo, hi) -> RootCertificate:
     """Largest real root of the reduced numerator of ``f`` in [lo, hi].
 
     Sturm counting isolates the root; bisection shrinks the bracket to
-    ``width``.  Exact rational hits (including integer roots) are
+    ROOT_WIDTH.  Exact rational hits (including integer roots) are
     detected and certified in the result.
     """
     g = f.num if isinstance(f, RatFun) else f
@@ -584,7 +586,7 @@ def largest_real_zero(f: RatFun | Poly, lo, hi,
         if exact is not None:
             return RootCertificate(float(exact), exact, exact, exact)
         raise RootBracketError(f"no real root in ({a}, {b}]")
-    while b - a > width:
+    while b - a > ROOT_WIDTH:
         mid = (a + b) / 2
         if g(mid) == 0:
             # exact hit: keep it unless a larger root remains to the right

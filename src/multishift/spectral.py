@@ -41,6 +41,16 @@ POWER_TOL = 1e-12
 POWER_CAP = 10 ** 5
 
 
+def agree(a, b) -> bool:
+    """The agreement rule of every numeric check: exact equality unless
+    a float is involved, else a relative gap of at most THETA_TOL, so
+    that the rule neither goes blind on small values nor breaks on large
+    ones."""
+    if not (isinstance(a, float) or isinstance(b, float)):
+        return a == b
+    return abs(a - b) <= THETA_TOL * max(abs(a), abs(b))
+
+
 @dataclass(frozen=True)
 class AdjMatrix:
     """Non-negative integer matrix indexed by labeled words."""
@@ -69,10 +79,39 @@ class AdjMatrix:
                          tuple(tuple(1 if e else 0 for e in row) for row in self.entries))
 
     @cached_property
+    def index(self) -> dict[Word, int]:
+        """Label to row index."""
+        return {x: i for i, x in enumerate(self.labels)}
+
+    @cached_property
     def successors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per row i, the pairs (j, e) with e = entries[i][j] > 0 in increasing
         j: the block graph every walk reads (reports print the entries)."""
         return tuple(tuple((j, e) for j, e in enumerate(row) if e) for row in self.entries)
+
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Strong components of the positive-entry digraph (see
+        :func:`_strong_components`)."""
+        return tuple(map(tuple, _strong_components(self)))
+
+    def path(self, vertices: Sequence[Word],
+             branches: Sequence[int] | None = None) -> list[int]:
+        """Row indices of a path of labels, refused unless every label is
+        a block, every step an edge and every branch index within 1..e."""
+        idx = []
+        for v in vertices:
+            if v not in self.index:
+                raise SpecError(f"{''.join(v)} is not an allowed block of length "
+                                f"{len(self.labels[0])}")
+            idx.append(self.index[v])
+        for k, (a, b) in enumerate(zip(idx, idx[1:])):
+            e = self.entries[a][b]
+            if e == 0:
+                raise SpecError("cylinder path uses a missing edge")
+            if branches is not None and not 1 <= branches[k] <= e:
+                raise SpecError(f"branch index {branches[k]} outside 1..{e}")
+        return idx
 
     def power_sum(self, k: int) -> int:
         """Sum of all entries of the k-th power, 1^T A^k 1, by k sparse
@@ -160,7 +199,7 @@ def _strong_components(mat: AdjMatrix) -> list[list[int]]:
 def is_irreducible(mat: AdjMatrix) -> bool:
     """Strong connectivity of the positive-entry digraph: one strong
     component, which for a single block needs its loop."""
-    return len(_strong_components(mat)) == 1 and (mat.size > 1 or mat.entries[0][0] > 0)
+    return len(mat.components) == 1 and (mat.size > 1 or mat.entries[0][0] > 0)
 
 
 @dataclass(frozen=True)
@@ -206,7 +245,7 @@ def _cw_enclosure(mat: AdjMatrix) -> tuple[Fraction, Fraction]:
     blocks = [power_iteration(mat if len(comp) == mat.size else AdjMatrix(
         tuple(mat.labels[i] for i in comp),
         tuple(tuple(mat.entries[i][j] for j in comp) for i in comp)))
-        for comp in _strong_components(mat)]
+        for comp in mat.components]
     return max(b.lower for b in blocks), max(b.upper for b in blocks)
 
 
@@ -325,10 +364,7 @@ class EigenData:
 def _inverse_row_sums_at(core, theta) -> tuple[list, list]:
     """M = core(theta) and the row sums of M^-1, from one solve of M x = 1."""
     m = core.evaluate(theta)
-    if not m:
-        return m, []
-    one = Fraction(1) if isinstance(theta, Fraction) else 1.0
-    return m, solve_numeric(m, [one] * len(m))
+    return m, solve_numeric(m, [1] * len(m)) if m else []
 
 
 def perron_vectors(spec: ShiftSpec, allow_reducible: bool = False) -> EigenData:
@@ -461,17 +497,12 @@ def correction_derivative_at(spec: ShiftSpec, core, theta, m: list, r: list):
     """
     n = core.nrows
     if n == 0:
-        return Fraction(0) if isinstance(theta, Fraction) else 0.0
+        return 0
     md = [[e.derivative()(theta) for e in row] for row in core.entries]
     rhs = [sum(md[i][j] * r[j] for j in range(n)) for i in range(n)]
     rprime = [-x for x in solve_numeric(m, rhs)]
-    ell = len(spec.repeated)
-    weights = [Fraction(mm - 1, mm) for _, mm in spec.repeated] + \
-              [Fraction(-1)] * len(spec.forbidden)
-    total = sum(w * (r[i] + theta * rprime[i]) for i, w in enumerate(weights[:ell]))
-    total += sum(w * (r[ell + j] + theta * rprime[ell + j])
-                 for j, w in enumerate(weights[ell:]))
-    return total
+    return sum(w * (r[i] + theta * rprime[i])
+               for i, (_, w) in enumerate(genfun.targets(spec)))
 
 
 def eigenvector_normalization(spec: ShiftSpec,
@@ -493,19 +524,18 @@ class EntropyReport:
                 "estimate_n": self.estimate_n}
 
 
-def entropy(source: ShiftSpec | Analysis, estimate_n: int | None = None,
-            budget: int = DEFAULT_BUDGET, allow_reducible: bool = False) -> EntropyReport:
-    """ln(theta), with a finite-size (1/n) ln |slice| sanity estimate.
+def entropy(source: ShiftSpec | Analysis, allow_reducible: bool = False) -> EntropyReport:
+    """ln(theta), with a finite-size (1/n) ln |slice| sanity estimate at
+    n = max(p, min(12, max(2, floor(log_q 2^20)))).
 
     Accepts a spec or an :class:`Analysis` whose root it reuses.
     """
     an = source if isinstance(source, Analysis) else Analysis(source, allow_reducible)
     theta = an.root.theta
     spec = an.spec
-    if estimate_n is None:
-        cap = max(2, int(math.log(1 << 20) / math.log(spec.q)))
-        estimate_n = max(spec.p, min(12, cap))
-    count = weighted_count(estimate_n, spec, budget)
+    cap = max(2, int(math.log(1 << 20) / math.log(spec.q)))
+    estimate_n = max(spec.p, min(12, cap))
+    count = weighted_count(estimate_n, spec, DEFAULT_BUDGET)
     est = math.log(count) / estimate_n if count else float("-inf")
     return EntropyReport(math.log(theta), est, estimate_n)
 
@@ -582,20 +612,16 @@ class Analysis:
         exact = root.exact is not None
         _, rsums = self._core_at_root
         _, ssums = _inverse_row_sums_at(self.ext_system.conjugate, theta)
-        ell = len(ext.repeated)
         one = Fraction(1) if exact else 1.0
         labels = self.matrix.labels
+        targets = genfun.targets(ext)
 
         left, right = [], []
         for x in labels:
             u = v = one
-            for i, (r, m) in enumerate(ext.repeated):
-                c = Fraction(m - 1, m)
-                u = u - theta * c * rsums[i] * Poly(W.correlation_poly(r[1:], x))(theta)
-                v = v - theta * c * ssums[i] * Poly(W.correlation_poly(x, r))(theta)
-            for j, a in enumerate(ext.forbidden):
-                u = u + theta * rsums[ell + j] * Poly(W.correlation_poly(a[1:], x))(theta)
-                v = v + theta * ssums[ell + j] * Poly(W.correlation_poly(x, a))(theta)
+            for i, (t, w) in enumerate(targets):
+                u = u - theta * w * rsums[i] * Poly(W.correlation_poly(t[1:], x))(theta)
+                v = v - theta * w * ssums[i] * Poly(W.correlation_poly(x, t))(theta)
             left.append(u)
             right.append(v)
 
@@ -622,14 +648,11 @@ class Analysis:
         m, r = self._core_at_root
         derivative = correction_derivative_at(self.ext, self.ext_system.core, theta, m, r)
         identity = theta ** (self.ext.p - 1) * (1 + derivative)
-        if vec.exact:
-            agree = vec.dot == identity
-        else:
-            agree = abs(float(vec.dot) - float(identity)) <= THETA_TOL * max(1.0, abs(float(vec.dot)))
+        ok = agree(vec.dot, identity)
         witness = multiplicity_one_witness(self)
-        if witness is not None and not agree:
+        if witness is not None and not ok:
             raise NumericError("normalization identity failed despite a witness")
-        return NormalizationReport(vec.dot, identity, agree, witness, vec.exact)
+        return NormalizationReport(vec.dot, identity, ok, witness, vec.exact)
 
     @cached_property
     def entropy(self) -> EntropyReport:

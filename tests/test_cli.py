@@ -57,6 +57,30 @@ def test_enumerate_table_format():
     assert out.splitlines()[1].split() == ["0", "1", "0", "0"]
 
 
+@pytest.mark.parametrize("args", [
+    ["perron", "--table"], ["genfun", "--json"], ["measure", "--cylinder", "000", "--table"],
+    ["escape", "--word", "00*00#1", "--json"], ["enumerate", "--allow-reducible"],
+    ["genfun", "--allow-reducible"]],
+    ids=["perron-table", "genfun-json", "measure-table", "escape-json",
+         "enumerate-reducible", "genfun-reducible"])
+def test_options_no_command_reads_are_refused(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main([args[0], "--spec", str(FIXDIR / "counting.json"), *args[1:]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fixture, word, why", [
+    ("counting", "01*10#1", "cylinder path uses a missing edge"),
+    ("counting", "00*00#3", "branch index 3 outside 1..2"),
+    ("entropy_split", "000", "00 is not an allowed block of length 2")],
+    ids=["missing-edge", "branch-range", "unknown-block"])
+def test_escape_and_measure_refuse_a_path_alike(capsys, fixture, word, why):
+    for command, option in (("escape", "--word"), ("measure", "--cylinder")):
+        code = main([command, "--spec", str(FIXDIR / f"{fixture}.json"), option, word])
+        assert (code, capsys.readouterr().err) == (2, f"spec error: {why}\n"), command
+
+
 def test_genfun_nonreduced_series():
     code, out, _ = run_cli(["genfun", "--spec", str(FIXDIR / "nonreduced.json")])
     assert code == 0

@@ -9,12 +9,13 @@ from conftest import random_spec
 from multishift.errors import SpecError
 from multishift.fixtures import load_fixture, list_fixtures
 from multishift.langmodel import spec_from_matrix, validate_spec
-from multishift.measures import (MEASURE_TOL, Cylinder, EDGE_ROUTES, MeasureContext,
+from multishift.measures import (Cylinder, EDGE_ROUTES, MeasureContext,
                                  StochMat, cylinder_measure, escape_report,
                                  kolmogorov_report, lift_rational_stochastic,
                                  preimage_count, project_edges, pushforward_report,
                                  shannon_parry_matrix)
-from multishift.spectral import AdjMatrix, adjacency_matrix, is_irreducible, perron_vectors
+from multishift.spectral import (AdjMatrix, adjacency_matrix, agree, is_irreducible,
+                                 perron_vectors)
 
 
 def eigen_spec():
@@ -312,6 +313,10 @@ def _all_vertex_paths(mat, n_edges):
     return paths
 
 
+def _value(ctx, report):
+    return report.exact if ctx.exact else report.value
+
+
 def reference_pushforward(ctx, n_max):
     labels = ctx.mat.labels
     checked, violations = 0, []
@@ -321,13 +326,9 @@ def reference_pushforward(ctx, n_max):
             vertex_cyl = Cylinder(verts, None)
             lhs = cylinder_measure(ctx, vertex_cyl, "markov")
             rep = cylinder_measure(ctx, Cylinder(verts, (1,) * length), "shannon_parry")
-            total = preimage_count(ctx, vertex_cyl) * (rep.exact if ctx.exact else rep.value)
+            total = preimage_count(ctx, vertex_cyl) * _value(ctx, rep)
             checked += 1
-            if ctx.exact:
-                ok = total == lhs.exact
-            else:
-                ok = abs(float(total) - lhs.value) <= MEASURE_TOL
-            if not ok:
+            if not agree(total, _value(ctx, lhs)):
                 violations.append({"word": "".join(vertex_cyl.word()),
                                    "pushforward": float(lhs.value),
                                    "preimage_sum": float(total)})
@@ -340,24 +341,19 @@ def reference_kolmogorov(ctx, n_max):
     for length in range(1, n_max + 1):
         for path in _all_vertex_paths(ctx.mat, length):
             verts = tuple(labels[i] for i in path)
-            base = cylinder_measure(ctx, Cylinder(verts, (1,) * length), "shannon_parry")
-            total = Fraction(0) if ctx.exact else 0.0
+            base = _value(ctx, cylinder_measure(ctx, Cylinder(verts, (1,) * length),
+                                                "shannon_parry"))
+            total = 0
             for j in range(ctx.mat.size):
                 e = ctx.mat.entries[path[-1]][j]
                 if e:
                     ext = cylinder_measure(
                         ctx, Cylinder(verts + (labels[j],), (1,) * (length + 1)),
                         "shannon_parry")
-                    total += e * (ext.exact if ctx.exact else ext.value)
+                    total += e * _value(ctx, ext)
             checked += 1
-            if ctx.exact:
-                ok = total == base.exact
-                defect = 0.0 if ok else abs(float(total - base.exact))
-            else:
-                defect = abs(float(total) - base.value)
-                ok = defect <= MEASURE_TOL
-            worst = max(worst, defect)
-            if not ok:
+            worst = max(worst, abs(float(total - base)))
+            if not agree(total, base):
                 violations.append("".join(Cylinder(verts, None).word()))
     return {"checked": checked, "max_defect": worst, "violations": violations}
 
@@ -402,6 +398,42 @@ def test_grouped_checks_list_the_same_violations(name, corrupt):
     assert got == want
     for check in failing:
         assert got[check]["violations"]
+
+
+def _path_words(mat, n_max, keep):
+    """Words of the vertex paths of 1..n_max edges that keep selects, in
+    check order: by length, then lexicographic."""
+    return ["".join(Cylinder(tuple(mat.labels[i] for i in path)).word())
+            for length in range(1, n_max + 1)
+            for path in _all_vertex_paths(mat, length) if keep(path)]
+
+
+def test_small_relative_error_flagged_on_every_path_of_the_right_vector():
+    # an absolute bound passes an error of 1e-6 once the cylinders are
+    # small: at length 12 it flagged 72 of these 3325 additivity failures
+    ctx = MeasureContext(load_fixture("counting"))
+    assert not ctx.exact
+    _corrupt_right(ctx, 1 + 1e-6)
+    succ = ctx.mat.successors
+    # both sides of the additivity check read V at the last block and at
+    # its successors; the push-forward reads it at the last block only
+    reaches = {i for i, row in enumerate(succ) if i == 0 or any(j == 0 for j, _ in row)}
+    kol = kolmogorov_report(ctx, 12)
+    assert kol["violations"] == _path_words(ctx.mat, 12, lambda path: path[-1] in reaches)
+    assert len(kol["violations"]) == 3325
+    push = pushforward_report(ctx, 12)
+    assert [v["word"] for v in push["violations"]] == \
+        _path_words(ctx.mat, 12, lambda path: path[-1] == 0)
+
+
+def test_small_relative_error_flagged_on_every_path_through_a_markov_row():
+    ctx = MeasureContext(load_fixture("counting"))
+    j = next(j for j, e in enumerate(ctx.sp.rows[0]) if e)
+    _corrupt_rows(ctx, 1 + 1e-6)
+    push = pushforward_report(ctx, 12)
+    assert [v["word"] for v in push["violations"]] == \
+        _path_words(ctx.mat, 12, lambda path: (0, j) in zip(path, path[1:]))
+    assert kolmogorov_report(ctx, 12)["violations"] == []
 
 
 def test_additivity_check_cost_polynomial_in_length():

@@ -11,7 +11,7 @@ from multishift.fixtures import list_fixtures, load_fixture
 from multishift.langmodel import (extend_repeated_to_full_length, leading_multiplicity,
                                   multiplicity, oracle_tables, validate_spec)
 from multishift.measures import Cylinder, escape_report
-from multishift.spectral import (AdjMatrix, adjacency_matrix, eigen_residuals,
+from multishift.spectral import (AdjMatrix, adjacency_matrix, agree, eigen_residuals,
                                  eigenvector_normalization, entropy, is_irreducible,
                                  multiplicity_matrix, multiplicity_one_witness,
                                  perron_root, perron_vectors, power_iteration)
@@ -369,3 +369,32 @@ def test_conjugate_core_built_once_per_counting_system(monkeypatch):
         del conjugates[:]
         assert run_verification(load_fixture(name), max_n=6).passed
         assert len(conjugates) == want, name
+
+
+def test_strong_components_once_per_matrix(monkeypatch):
+    # irreducibility, the root's enclosure and verify's own check read them
+    tarjan = _count_calls(monkeypatch, spectral, "_strong_components")
+    assert run_verification(load_fixture("counting"), max_n=6).passed
+    assert len(tarjan) == 1
+
+
+def test_agree_exact_on_rationals():
+    assert agree(Fraction(1, 3), Fraction(2, 6))
+    assert not agree(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10 ** 40))
+    assert agree(1, Fraction(1)) and not agree(0, Fraction(1, 10 ** 40))
+
+
+def test_agree_relative_on_floats():
+    # a relative gap of 1e-10 passes and one of 1e-8 fails at every scale;
+    # an absolute 1e-9 refused the first above 10 and passed the second
+    # below 0.1
+    for scale in (1e-20, 1.0, 1e20):
+        assert agree(scale, scale * (1 + 1e-10))
+        assert not agree(scale, scale * (1 + 1e-8))
+    assert agree(0.0, 0.0) and not agree(0.0, 1e-300)
+
+
+def test_agree_mixed_is_relative():
+    assert agree(Fraction(1, 3), 1 / 3) and agree(1 / 3, Fraction(1, 3))
+    assert not agree(Fraction(1, 3), (1 / 3) * (1 + 1e-8))
+    assert not agree(1e-12, Fraction(1, 10 ** 12) * 2)
