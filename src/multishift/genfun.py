@@ -55,12 +55,13 @@ def correlation_matrix(spec: ShiftSpec) -> RatMat:
 
 def conjugate_correlation_matrix(system: GenFunSystem) -> RatMat:
     """D^-1 P^T D of the core P of a reduced system, entrywise.  D is
-    diagonal with z(1 - 1/m_i) over repeated rows and -z over forbidden
-    rows: minus the top row of the bordered matrix after the corner."""
+    diagonal with c_i z: c_i = 1 - 1/m_i over repeated rows and -1 over
+    forbidden rows, minus the top row of the bordered matrix after the
+    corner.  So entry (i, j) is P_ji scaled by the constant c_j / c_i."""
     core = system.core
-    d = [-e for e in system.matrix.entries[0][1:]]
+    c = [-e.num.coeff(1) for e in system.matrix.entries[0][1:]]
     n = core.nrows
-    rows = [[core[(j, i)] * d[j] / d[i] for j in range(n)] for i in range(n)]
+    rows = [[core[(j, i)] * (c[j] / c[i]) for j in range(n)] for i in range(n)]
     return RatMat.from_rows(rows, core.row_labels, core.col_labels)
 
 
@@ -200,14 +201,15 @@ class GenFunSolution:
 
 def constraint_correction(spec: ShiftSpec, core: RatMat) -> RatFun:
     """The correction R with F = z / (z - q + R) from the core of a
-    reduced spec (or from its conjugate): weighted row sums of the
-    inverted core, from one solve against the ones vector; zero for
-    empty collections."""
-    z = RatFun.x()
-    out = RatFun.zero()
-    for (_, w), row_sum in zip(targets(spec), core.solve([RatFun.one()] * core.nrows)):
-        out = out + z * RatFun(w) * row_sum
-    return out
+    reduced spec (or from its conjugate): R = z * sum_i w_i x_i, the
+    weighted row sums x = C^-1 1 of the inverted core.  One solve by
+    Cramer gives x_i = y_i / D over one common denominator, so R is the
+    single quotient z * sum_i w_i y_i / D; zero for empty collections."""
+    ys, det = core.cramer([RatFun.one()] * core.nrows)
+    num = Poly.zero()
+    for (_, w), y in zip(targets(spec), ys):
+        num = num + y * w
+    return RatFun(num.shift(1), det)
 
 
 def _solution(spec: ShiftSpec, system: GenFunSystem, correction: RatFun | None) -> GenFunSolution:

@@ -2,14 +2,19 @@
 rational functions, matrices over the rational-function field, power
 series in 1/z, and certified real-root isolation.
 
-All symbolic computation is exact (``fractions.Fraction``); floats only
-appear when a caller evaluates at a float point.  Matrix inversion
-clears denominators and runs fraction-free (Bareiss) elimination over
-the polynomial ring, so ``M @ M.inverse()`` is the identity exactly.
+All symbolic computation is exact; floats only appear when a caller
+evaluates at a float point.  Polynomials and rational functions carry
+``fractions.Fraction`` coefficients.  Linear solves run over Z[z]: each
+row is scaled to integer polynomial entries, Bareiss elimination and the
+back substitution use exact divisions with a remainder check, and every
+unknown comes out as y_i / D over one common denominator D, the
+determinant of the scaled matrix up to sign (Cramer's rule).  So
+``M @ M.inverse()`` is the identity exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -283,6 +288,14 @@ class RatFun:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "RatFun":
+        if isinstance(other, (int, Fraction)):
+            # a nonzero constant keeps the parts coprime and the denominator
+            # monic, so the product is canonical without a gcd
+            if not other:
+                return RatFun.zero()
+            out = object.__new__(RatFun)
+            out.num, out.den = self.num * other, self.den
+            return out
         other = self._coerce(other)
         return RatFun(self.num * other.num, self.den * other.den)
 
@@ -374,40 +387,49 @@ class RatMat:
             out.append(acc)
         return out
 
-    def _cleared_rows(self, extra: Sequence[Sequence[RatFun]]) -> tuple[list[list[Poly]], list[list[Poly]]]:
-        """Scale each row (and its right-hand entries) by the row's
-        denominator lcm; returns polynomial rows for fraction-free work."""
-        left, right = [], []
-        for i in range(self.nrows):
-            row = list(self.entries[i])
-            ext = list(extra[i])
-            d = Poly.one()
-            for e in row + ext:
-                d = Poly.lcm(d, e.den)
-            left.append([e.num * d.exact_div(e.den) for e in row])
-            right.append([e.num * d.exact_div(e.den) for e in ext])
-        return left, right
+    def _integer_rows(self, extra: Sequence[Sequence[RatFun]]) -> list[list[list[int]]]:
+        """The augmented rows [self | extra] over Z[z]: each row is scaled
+        by the lcm of its denominators, then by the lcm of its coefficient
+        denominators.  Entries are ascending integer coefficient lists."""
+        rows = []
+        for row, ext in zip(self.entries, extra):
+            row = list(row) + list(ext)
+            dens = [e.den for e in row if e.den.degree > 0]
+            if dens:
+                d = functools.reduce(Poly.lcm, dens)
+                polys = [e.num * d.exact_div(e.den) for e in row]
+            else:
+                polys = [e.num for e in row]
+            scale = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
+            rows.append([[c.numerator * (scale // c.denominator) for c in p.coeffs]
+                         for p in polys])
+        return rows
 
     def inverse(self) -> "RatMat":
-        """Exact inverse via fraction-free elimination over the polynomial ring."""
+        """Exact inverse: one fraction-free solve against the identity."""
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
         if n == 0:
             return self
-        ident = RatMat.identity(n)
-        left, right = self._cleared_rows(ident.entries)
-        sol = _bareiss_solve(left, right)
-        return RatMat.from_rows(sol, self.col_labels, self.row_labels)
+        ys, det = _bareiss_solve(self._integer_rows(RatMat.identity(n).entries))
+        d = Poly(det)
+        return RatMat.from_rows([[RatFun(Poly(y), d) for y in row] for row in ys],
+                                self.col_labels, self.row_labels)
 
-    def solve(self, rhs: Sequence[RatFun]) -> list[RatFun]:
-        """Solve self * x = rhs exactly."""
+    def cramer(self, rhs: Sequence[RatFun]) -> tuple[list[Poly], Poly]:
+        """Cramer's rule for self * x = rhs: numerators y in Z[z] and one
+        common denominator D, the determinant of the row-scaled matrix up
+        to sign, with x_i = y_i / D."""
         if self.nrows != self.ncols or len(rhs) != self.nrows:
             raise ValueError("shape mismatch in solve")
-        extra = [[RatFun._coerce(rhs[i])] for i in range(self.nrows)]
-        left, right = self._cleared_rows(extra)
-        sol = _bareiss_solve(left, right)
-        return [row[0] for row in sol]
+        ys, det = _bareiss_solve(self._integer_rows([[RatFun._coerce(b)] for b in rhs]))
+        return [Poly(y[0]) for y in ys], Poly(det)
+
+    def solve(self, rhs: Sequence[RatFun]) -> list[RatFun]:
+        """Solve self * x = rhs exactly: x_i = y_i / D from :meth:`cramer`."""
+        ys, det = self.cramer(rhs)
+        return [RatFun(y, det) for y in ys]
 
     def evaluate(self, x) -> list[list]:
         """Entrywise evaluation at a scalar (Fraction exact, float numeric)."""
@@ -421,39 +443,90 @@ class RatMat:
         }
 
 
-def _bareiss_solve(a: list[list[Poly]], rhs: list[list[Poly]]) -> list[list[RatFun]]:
-    """Fraction-free forward elimination, then back substitution in the field.
+def _zmul(a: list[int], b: list[int]) -> list[int]:
+    """Product in Z[z] of ascending coefficient lists ([] is zero)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
-    ``a`` is square with polynomial entries; ``rhs`` holds one or more
-    right-hand columns per row.  Rows are consumed destructively.
+
+def _zsub(a: list[int], b: list[int]) -> list[int]:
+    """Difference in Z[z], trimmed of leading zeros."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zdiv(a: list[int], b: list[int]) -> list[int]:
+    """Exact quotient a / b in Z[z]; a remainder, in a coefficient or in
+    the polynomial, raises NumericError."""
+    if not a:
+        return []
+    db, lead = len(b) - 1, b[-1]
+    rem = list(a)
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c, r = divmod(rem[k + db], lead)
+        if r:
+            raise NumericError("exact Z[z] division left a remainder")
+        q[k] = c
+        if c:
+            for i in range(db):
+                rem[k + i] -= c * b[i]
+    if any(rem[:db]):
+        raise NumericError("exact Z[z] division left a remainder")
+    return q
+
+
+def _bareiss_solve(aug: list[list[list[int]]]) -> tuple[list[list[list[int]]], list[int]]:
+    """Fraction-free solve over Z[z] of the augmented rows [A | B].
+
+    The forward pass is Bareiss elimination; every division by the
+    previous pivot is exact in Z[z].  The last pivot D is det A up to the
+    sign of the row swaps, so by Cramer y = D * A^-1 B lies in Z[z], and
+    back substitution over the eliminated rows finds it by exact division:
+    y_ij = (D * b_ij - sum_{k>i} a_ik * y_kj) / a_ii.  Returns y, one row
+    per unknown and one column per right-hand column, and D.  Rows are
+    consumed destructively.
     """
-    n = len(a)
-    m = len(rhs[0]) if rhs else 0
-    aug = [list(a[i]) + list(rhs[i]) for i in range(n)]
-    width = n + m
-    prev = Poly.one()
+    n = len(aug)
+    if n == 0:
+        return [], [1]
+    width = len(aug[0])
+    prev = [1]
     for k in range(n):
-        piv = next((i for i in range(k, n) if not aug[i][k].is_zero), None)
+        piv = next((i for i in range(k, n) if aug[i][k]), None)
         if piv is None:
             raise SingularMatrixError("singular matrix in exact elimination")
         if piv != k:
             aug[k], aug[piv] = aug[piv], aug[k]
-        pivot = aug[k][k]
+        pivot, top = aug[k][k], aug[k]
         for i in range(k + 1, n):
-            head = aug[i][k]
+            row = aug[i]
+            head = row[k]
             for j in range(k + 1, width):
-                aug[i][j] = (pivot * aug[i][j] - head * aug[k][j]).exact_div(prev)
-            aug[i][k] = Poly.zero()
+                e = _zsub(_zmul(pivot, row[j]), _zmul(head, top[j]))
+                row[j] = _zdiv(e, prev)
+            row[k] = []
         prev = pivot
-    out: list[list[RatFun]] = [[RatFun.zero()] * m for _ in range(n)]
+    det = prev
+    ys: list[list[list[int]]] = [[] for _ in range(n)]
     for i in range(n - 1, -1, -1):
-        diag = RatFun(aug[i][i])
-        for col in range(m):
-            acc = RatFun(aug[i][n + col])
+        row = aug[i]
+        for col in range(n, width):
+            acc = _zmul(det, row[col])
             for j in range(i + 1, n):
-                acc = acc - RatFun(aug[i][j]) * out[j][col]
-            out[i][col] = acc / diag
-    return out
+                acc = _zsub(acc, _zmul(row[j], ys[j][col - n]))
+            ys[i].append(_zdiv(acc, row[i]))
+    return ys, det
 
 
 def solve_numeric(matrix: Sequence[Sequence], rhs: Sequence) -> list:

@@ -1,5 +1,7 @@
 """Shared test helpers: a from-scratch brute-force counter (independent
-of the package's transfer-count oracle) and a seeded random spec generator.
+of the package's transfer-count oracle), a seeded random spec generator,
+a hypothesis strategy for small specs, and the field-arithmetic linear
+solve that the fraction-free solver is checked against.
 """
 
 from __future__ import annotations
@@ -8,9 +10,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import reject, strategies as st
 
-from multishift.errors import SpecError
+from multishift.errors import SingularMatrixError, SpecError
 from multishift.langmodel import ShiftSpec, validate_spec
+from multishift.ratfield import Poly, RatFun, RatMat
 from multishift.spectral import adjacency_matrix, is_irreducible
 
 
@@ -98,6 +102,60 @@ def random_spec(rng: random.Random, want_nonreduced: bool) -> ShiftSpec:
             continue
         return spec
     raise RuntimeError("could not sample a spec with the requested shape")
+
+
+@st.composite
+def small_specs(draw):
+    """Valid specs with q <= 3; about half plant a repeated word inside
+    a forbidden one, which makes the union non-reduced."""
+    alphabet = "012"[:draw(st.integers(2, 3))]
+    words = lambda lo, hi: st.text(alphabet, min_size=lo, max_size=hi)
+    repeated = draw(st.lists(st.tuples(words(1, 3), st.integers(2, 4)), max_size=2))
+    forbidden = draw(st.lists(words(2, 4), max_size=3))
+    if repeated and draw(st.booleans()):
+        forbidden.append(draw(words(0, 1)) + repeated[0][0] + draw(words(1, 1)))
+    try:
+        return validate_spec(alphabet, forbidden, repeated)
+    except SpecError:
+        reject()
+
+
+def reference_solve(m: RatMat, columns) -> list[list[RatFun]]:
+    """m^-1 times the right-hand columns (one list of entries per row) by
+    the field route: each row cleared to Q[z] by its denominator lcm, a
+    Bareiss forward pass, then back substitution with a canonical RatFun
+    at every step."""
+    n = m.nrows
+    aug = []
+    for row, ext in zip(m.entries, columns):
+        row = list(row) + [RatFun._coerce(e) for e in ext]
+        d = Poly.one()
+        for e in row:
+            d = Poly.lcm(d, e.den)
+        aug.append([e.num * d.exact_div(e.den) for e in row])
+    width = len(aug[0]) if aug else 0
+    prev = Poly.one()
+    for k in range(n):
+        piv = next((i for i in range(k, n) if not aug[i][k].is_zero), None)
+        if piv is None:
+            raise SingularMatrixError("singular matrix in exact elimination")
+        aug[k], aug[piv] = aug[piv], aug[k]
+        pivot = aug[k][k]
+        for i in range(k + 1, n):
+            head = aug[i][k]
+            for j in range(k + 1, width):
+                aug[i][j] = (pivot * aug[i][j] - head * aug[k][j]).exact_div(prev)
+            aug[i][k] = Poly.zero()
+        prev = pivot
+    out = [[RatFun.zero()] * (width - n) for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        diag = RatFun(aug[i][i])
+        for col in range(width - n):
+            acc = RatFun(aug[i][n + col])
+            for j in range(i + 1, n):
+                acc = acc - RatFun(aug[i][j]) * out[j][col]
+            out[i][col] = acc / diag
+    return out
 
 
 @pytest.fixture(scope="session")

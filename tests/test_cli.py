@@ -1,13 +1,18 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
+from multishift import ratfield
 from multishift.cli import main
 from multishift.fixtures import fixture_document, list_fixtures
 
@@ -246,6 +251,54 @@ def test_exit_code_numeric(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.spectral, "spectral_report", boom)
     doc = {"alphabet": ["0", "1"], "forbidden": [], "repeated": []}
     assert cli.main(["perron", "--spec", write_spec(tmp_path, doc)]) == 4
+
+
+def test_inexact_division_exits_numeric(monkeypatch, capsys):
+    exact = ratfield._zdiv
+
+    def skewed(a, b):
+        # one more in the constant term: a division by any non-unit
+        # polynomial now leaves a remainder
+        return exact([(a[0] if a else 0) + 1] + a[1:], b)
+
+    monkeypatch.setattr(ratfield, "_zdiv", skewed)
+    assert main(["genfun", "--spec", str(FIXDIR / "counting.json")]) == 4
+    err = capsys.readouterr().err
+    assert err == "numeric failure: exact Z[z] division left a remainder\n"
+
+
+@st.composite
+def spec_documents(draw):
+    """Small spec documents over two or three symbols; about half carry one
+    fault: a repeated or lone symbol, an empty or foreign word, or a
+    multiplicity below 2."""
+    alphabet = draw(st.sampled_from(("01", "012")))
+    words = lambda lo: st.text(alphabet, min_size=lo, max_size=4)
+    doc = {"alphabet": list(alphabet),
+           "forbidden": draw(st.lists(words(2), max_size=3, unique=True)),
+           "repeated": [{"word": w, "multiplicity": m} for w, m in
+                        draw(st.lists(st.tuples(words(1), st.integers(2, 4)), max_size=2,
+                                      unique_by=lambda t: t[0]))]}
+    fault = draw(st.sampled_from((None, None, None, "symbols", "word", "multiplicity")))
+    if fault == "symbols":
+        doc["alphabet"] = draw(st.sampled_from((["0"], ["0", "0"], ["0", "1", "1"])))
+    elif fault == "word":
+        doc["forbidden"].append(draw(st.sampled_from(("", "x", "0x"))))
+    elif fault == "multiplicity":
+        doc["repeated"].append({"word": draw(words(1)), "multiplicity": draw(st.integers(0, 1))})
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec_documents(), st.sampled_from([("perron",), ("genfun",),
+                                          ("verify", "--max-n", "4")]))
+def test_random_documents_exit_with_a_documented_code(doc, command):
+    stdin = io.StringIO(json.dumps(doc))
+    with mock.patch("sys.stdin", stdin), redirect_stdout(io.StringIO()), \
+            redirect_stderr(io.StringIO()):
+        code = main([command[0], "--spec", "-", *command[1:]])
+    event(f"{command[0]} exit {code}")
+    assert code in (0, 2, 3, 4, 5) or (code == 1 and command[0] == "verify")
 
 
 def test_verify_max_n_below_p_is_raised_to_p():

@@ -2,11 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_spec
+from hypothesis import HealthCheck, given, settings
+
+from conftest import random_spec, reference_solve, small_specs
 from multishift.errors import SpecError
+from multishift.fixtures import list_fixtures, load_fixture
 from multishift.genfun import (build_system, conjugate_correlation_matrix,
                                constraint_correction, correlation_matrix,
-                               solve_generating_functions, system_matrix)
+                               solve_generating_functions, system_matrix, targets)
 from multishift.langmodel import oracle_tables, validate_spec
 from multishift.ratfield import Poly, RatFun, series_coeffs
 
@@ -129,6 +132,57 @@ def test_correction_identity():
         z = RatFun.x()
         correction = constraint_correction(s, correlation_matrix(s))
         assert z / (z - RatFun(s.q) + correction) == sol.all_words
+
+
+def reference_correction(spec, core):
+    """z * sum_i w_i x_i with x = core^-1 1 from the field-route solve."""
+    z = RatFun.x()
+    xs = reference_solve(core, [[RatFun.one()]] * core.nrows)
+    out = RatFun.zero()
+    for (_, w), (x,) in zip(targets(spec), xs):
+        out = out + z * RatFun(w) * x
+    return out
+
+
+def reduced_cores():
+    for name in list_fixtures():
+        system = build_system(load_fixture(name))
+        if system.mode == "reduced":
+            yield name, system
+
+
+def test_correction_by_cramer_equals_the_field_solve_on_fixtures():
+    for name, system in reduced_cores():
+        s = load_fixture(name)
+        for core in (system.core, system.conjugate):
+            assert constraint_correction(s, core) == reference_correction(s, core), name
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(small_specs().filter(lambda s: s.union_reduced))
+def test_correction_by_cramer_equals_the_field_solve_property(s):
+    system = build_system(s)
+    for core in (system.core, system.conjugate):
+        assert constraint_correction(s, core) == reference_correction(s, core)
+
+
+def test_common_denominator_is_the_scaled_core_determinant():
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+
+    def expr(coeffs):
+        return sum(sympy.Rational(c.numerator, c.denominator) * z ** k
+                   for k, c in enumerate(map(Fraction, coeffs)))
+
+    for name, system in reduced_cores():
+        core = system.core
+        ones = [RatFun.one()] * core.nrows
+        # the rows Cramer eliminates: each core row scaled into Z[z]
+        scaled = [[expr(e) for e in row[:-1]]
+                  for row in core._integer_rows([[b] for b in ones])]
+        det = sympy.Matrix(core.nrows, core.nrows, sum(scaled, [])).det()
+        d = expr(core.cramer(ones)[1].coeffs)
+        assert sympy.expand(det - d) == 0 or sympy.expand(det + d) == 0, name
 
 
 def test_correction_requires_reduced_union():

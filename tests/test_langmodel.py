@@ -1,9 +1,9 @@
 import random
 
 import pytest
-from hypothesis import HealthCheck, event, given, reject, settings, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from conftest import brute_tables
+from conftest import brute_tables, small_specs
 from multishift.errors import BudgetError, SpecError
 from multishift.fixtures import load_fixture
 from multishift.genfun import solve_generating_functions
@@ -134,22 +134,6 @@ def test_oracle_tables_match_brute_force():
 def test_g_includes_the_word_itself():
     s = spec_counting()
     assert weighted_count_ending_with("000", 3, s) == 2
-
-
-@st.composite
-def small_specs(draw):
-    """Valid specs with q <= 3; about half plant a repeated word inside
-    a forbidden one, which makes the union non-reduced."""
-    alphabet = "012"[:draw(st.integers(2, 3))]
-    words = lambda lo, hi: st.text(alphabet, min_size=lo, max_size=hi)
-    repeated = draw(st.lists(st.tuples(words(1, 3), st.integers(2, 4)), max_size=2))
-    forbidden = draw(st.lists(words(2, 4), max_size=3))
-    if repeated and draw(st.booleans()):
-        forbidden.append(draw(words(0, 1)) + repeated[0][0] + draw(words(1, 1)))
-    try:
-        return validate_spec(alphabet, forbidden, repeated)
-    except SpecError:
-        reject()
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])

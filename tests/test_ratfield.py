@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from multishift.errors import PoleError, RootBracketError, SingularMatrixError
-from multishift.ratfield import (Poly, RatFun, RatMat, largest_real_zero,
+from conftest import reference_solve
+from multishift.errors import NumericError, PoleError, RootBracketError, SingularMatrixError
+from multishift.ratfield import (Poly, RatFun, RatMat, _zdiv, largest_real_zero,
                                  series_coeffs, solve_numeric)
 
 Z = Poly.x()
@@ -78,6 +79,66 @@ def test_mat_singular_raises():
     m = RatMat.from_rows([[RatFun(Z), RatFun(Z)], [RatFun(Z), RatFun(Z)]])
     with pytest.raises(SingularMatrixError):
         m.inverse()
+
+
+def random_entry(rng: random.Random, rational: bool) -> RatFun:
+    """A polynomial of degree < 3 with small Fraction coefficients, over
+    z + c with c in {-1, 0, 1/2, 2} when ``rational``."""
+    num = Poly([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                for _ in range(rng.randint(0, 3))])
+    if not rational:
+        return RatFun(num)
+    return RatFun(num, Poly([rng.choice((-1, 0, Fraction(1, 2), 2)), 1]))
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["polynomial", "rational"])
+def test_solve_and_inverse_equal_the_field_reference(rational):
+    rng = random.Random(7 + rational)
+    solved = 0
+    for n in range(6):
+        for _ in range(3):
+            m = RatMat.from_rows([[random_entry(rng, rational) for _ in range(n)]
+                                  for _ in range(n)])
+            rhs = [random_entry(rng, rational) for _ in range(n)]
+            try:
+                want = reference_solve(m, [[b] for b in rhs])
+            except SingularMatrixError:
+                with pytest.raises(SingularMatrixError):
+                    m.solve(rhs)
+                with pytest.raises(SingularMatrixError):
+                    m.inverse()
+                continue
+            solved += 1
+            assert m.solve(rhs) == [row[0] for row in want]
+            ident = RatMat.identity(n).entries
+            assert m.inverse().entries == tuple(map(tuple, reference_solve(m, ident)))
+    assert solved >= 12
+
+
+def test_singular_combinations_raise():
+    rng = random.Random(3)
+    for n in (2, 3, 5):
+        rows = [[random_entry(rng, True) for _ in range(n)] for _ in range(n - 1)]
+        a, b = random_entry(rng, True), random_entry(rng, False)
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+        m = RatMat.from_rows(rows)
+        for attempt in (m.inverse, lambda: m.solve([RatFun.one()] * n),
+                        lambda: m.cramer([RatFun.one()] * n)):
+            with pytest.raises(SingularMatrixError):
+                attempt()
+
+
+def test_exact_division_in_z_z():
+    # (z^2 - 1) / (z - 1) and 6z^2 / (2z)
+    assert _zdiv([-1, 0, 1], [-1, 1]) == [1, 1]
+    assert _zdiv([0, 0, 6], [0, 2]) == [0, 3]
+    assert _zdiv([], [5, 1]) == []
+    for num, den in (([1], [2]),           # 1 / 2: a coefficient remainder
+                     ([1, 1], [0, 1]),     # (z + 1) / z: a polynomial remainder
+                     ([0, 0, 1], [0, 1, 1]),
+                     ([3], [0, 1])):       # lower degree than the divisor
+        with pytest.raises(NumericError):
+            _zdiv(num, den)
 
 
 def test_row_sums_published_values():

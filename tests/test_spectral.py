@@ -330,7 +330,7 @@ def test_one_counting_system_per_distinct_spec(monkeypatch):
     systems = _count_calls(monkeypatch, genfun, "system_matrix")
     numeric = _count_calls(monkeypatch, spectral, "solve_numeric")
     matrices = _count_calls(monkeypatch, spectral, "adjacency_matrix")
-    symbolic = _count_calls(monkeypatch, ratfield.RatMat, "solve")
+    symbolic = _count_calls(monkeypatch, ratfield.RatMat, "cramer")
 
     def counts(run):
         for calls in (systems, symbolic, numeric, matrices):
