@@ -38,7 +38,9 @@ def load_spec_document(path: str) -> dict:
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers invalid JSON, bytes that are not UTF-8 and integer
+    # literals past the int-digits limit; RecursionError covers deep nesting
+    except (OSError, ValueError, RecursionError) as exc:
         raise IOError(f"cannot read spec: {exc}") from exc
 
 

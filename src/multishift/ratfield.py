@@ -4,12 +4,16 @@ series in 1/z, and certified real-root isolation.
 
 All symbolic computation is exact; floats only appear when a caller
 evaluates at a float point.  Polynomials and rational functions carry
-``fractions.Fraction`` coefficients.  Linear solves run over Z[z]: each
-row is scaled to integer polynomial entries, Bareiss elimination and the
-back substitution use exact divisions with a remainder check, and every
+``fractions.Fraction`` coefficients, but the heavy algorithms run over
+Z[z] on integer coefficient lists.  Linear solves scale each row to
+integer polynomial entries; Bareiss elimination and the back
+substitution use exact divisions with a remainder check, and every
 unknown comes out as y_i / D over one common denominator D, the
 determinant of the scaled matrix up to sign (Cramer's rule).  So
-``M @ M.inverse()`` is the identity exactly.
+``M @ M.inverse()`` is the identity exactly.  Polynomial gcds and Sturm
+chains are primitive remainder sequences over Z[z], and Sturm bisection
+takes its signs from integer evaluations, so no Fraction is built per
+chain element or per step.
 """
 
 from __future__ import annotations
@@ -176,12 +180,16 @@ class Poly:
 
     @staticmethod
     def gcd(a: "Poly", b: "Poly") -> "Poly":
-        while not b.is_zero:
-            a, b = b, a.divmod(b)[1]
-            # keep coefficients tame; monic rescale is harmless for a gcd
-            if not b.is_zero:
-                b = b.monic()
-        return a.monic() if not a.is_zero else a
+        """Monic gcd (zero only for two zeros), by the primitive remainder
+        sequence over Z[z] from the primitive integer forms of a and b:
+        each element is a nonzero multiple of the Euclidean remainder
+        over Q, so the last nonzero one, made monic, is the gcd."""
+        x, y = _zprimitive(a), _zprimitive(b)
+        while y:
+            if len(y) == 1:
+                return Poly.one()
+            x, y = y, _zprimpart(_zprem(x, y))
+        return Poly([Fraction(c, x[-1]) for c in x])
 
     @staticmethod
     def lcm(a: "Poly", b: "Poly") -> "Poly":
@@ -237,9 +245,11 @@ class RatFun:
         if num.is_zero:
             self.num, self.den = Poly.zero(), Poly.one()
             return
-        g = Poly.gcd(num, den)
-        if g.degree > 0:
-            num, den = num.exact_div(g), den.exact_div(g)
+        # a polynomial over a constant is canonical once made monic
+        if den.degree > 0:
+            g = Poly.gcd(num, den)
+            if g.degree > 0:
+                num, den = num.exact_div(g), den.exact_div(g)
         lead = den.leading
         self.num = num * (1 / lead)
         self.den = den * (1 / lead)
@@ -486,6 +496,52 @@ def _zdiv(a: list[int], b: list[int]) -> list[int]:
     return q
 
 
+def _zprimpart(a: list[int]) -> list[int]:
+    """a divided by its content, the positive gcd of its coefficients."""
+    g = math.gcd(*a)
+    return [c // g for c in a] if g > 1 else a
+
+
+def _zprimitive(p: Poly) -> list[int]:
+    """The primitive integer form of p: the positive multiple of p with
+    coprime integer coefficients ([] for zero)."""
+    if p.is_zero:
+        return []
+    scale = math.lcm(*(c.denominator for c in p.coeffs))
+    return _zprimpart([c.numerator * (scale // c.denominator) for c in p.coeffs])
+
+
+def _zprem(a: list[int], b: list[int]) -> list[int]:
+    """Pseudo-remainder of a by b (deg b >= 1) over Z: a times a power of
+    |lc(b)|, less a multiple of b, of degree below deg b.  Scaling by
+    |lc(b)| rather than lc(b) makes it a positive multiple of the
+    remainder over Q."""
+    db = len(b) - 1
+    lead = b[-1]
+    if lead < 0:
+        b, lead = [-c for c in b], -lead
+    rem = list(a)
+    while len(rem) > db:
+        h = rem.pop()
+        k = len(rem) - db
+        rem = [lead * c for c in rem]
+        for i in range(db):
+            rem[k + i] -= h * b[i]
+        while rem and not rem[-1]:
+            rem.pop()
+    return rem
+
+
+def _zsign(p: list[int], u: int, v: int) -> int:
+    """Sign of p(u/v) for v > 0: the sign of sum c_i u^i v^(d-i), which
+    is v^d p(u/v), by homogeneous Horner."""
+    acc, vk = 0, 1
+    for c in reversed(p):
+        acc = acc * u + c * vk
+        vk *= v
+    return (acc > 0) - (acc < 0)
+
+
 def _bareiss_solve(aug: list[list[list[int]]]) -> tuple[list[list[list[int]]], list[int]]:
     """Fraction-free solve over Z[z] of the augmented rows [A | B].
 
@@ -607,25 +663,24 @@ def _squarefree(p: Poly) -> Poly:
     return p.exact_div(g) if g.degree > 0 else p
 
 
-def _sturm_chain(p: Poly) -> list[Poly]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero and chain[-1].degree > 0:
-        rem = chain[-2].divmod(chain[-1])[1]
-        if rem.is_zero:
+def _sturm_chain(g: list[int]) -> list[list[int]]:
+    """Sturm chain of a primitive g in Z[z] (degree >= 1) as a primitive
+    remainder sequence: g and the primitive part of g', then each next
+    element is minus the primitive part of the pseudo-remainder of the
+    previous two.  Every element is a positive multiple of the chain
+    over Q whose next element is minus the remainder, so every sign
+    sequence is the same."""
+    chain = [g, _zprimpart([i * c for i, c in enumerate(g)][1:])]
+    while len(chain[-1]) > 1:
+        rem = _zprem(chain[-2], chain[-1])
+        if not rem:
             break
-        # positive rescale keeps the sign sequence intact
-        chain.append(-rem * (1 / abs(rem.leading)))
-    if chain[-1].is_zero:
-        chain.pop()
+        chain.append(_zprimpart([-c for c in rem]))
     return chain
 
 
-def _variations(chain: list[Poly], x: Fraction) -> int:
-    signs = []
-    for s in chain:
-        v = s(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+def _variations(chain: list[list[int]], x: Fraction) -> int:
+    signs = [s for s in (_zsign(p, x.numerator, x.denominator) for p in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -636,21 +691,24 @@ def largest_real_zero(f: RatFun | Poly, lo, hi) -> RootCertificate:
     """Largest real root of the reduced numerator of ``f`` in [lo, hi].
 
     Sturm counting isolates the root; bisection shrinks the bracket to
-    ROOT_WIDTH.  Exact rational hits (including integer roots) are
-    detected and certified in the result.
+    ROOT_WIDTH.  The squarefree numerator and its Sturm chain are kept
+    as primitive integer polynomials, positive multiples of their
+    Fraction forms, and every sign at a rational point u/v comes from
+    the integer v^d p(u/v).  Exact rational hits (including integer
+    roots) are detected and certified in the result.
     """
     g = f.num if isinstance(f, RatFun) else f
     if g.is_zero or g.degree < 1:
         raise RootBracketError("numerator has no roots")
-    g = _squarefree(g)
+    g = _zprimitive(_squarefree(g))
     a, b = _fr(lo), _fr(hi)
     if a >= b:
         raise ValueError("empty bracket")
     exact: Fraction | None = None
-    if g(a) == 0:
+    if _zsign(g, a.numerator, a.denominator) == 0:
         exact = a
-        g = g.deflate(a)
-    if g.degree < 1:
+        g = _zdiv(g, [-a.numerator, a.denominator])
+    if len(g) < 2:
         if exact is not None:
             return RootCertificate(float(exact), exact, exact, exact)
         raise RootBracketError("no real root in bracket")
@@ -661,10 +719,10 @@ def largest_real_zero(f: RatFun | Poly, lo, hi) -> RootCertificate:
         raise RootBracketError(f"no real root in ({a}, {b}]")
     while b - a > ROOT_WIDTH:
         mid = (a + b) / 2
-        if g(mid) == 0:
+        if _zsign(g, mid.numerator, mid.denominator) == 0:
             # exact hit: keep it unless a larger root remains to the right
-            quot = g.deflate(mid)
-            if quot.degree >= 1:
+            quot = _zdiv(g, [-mid.numerator, mid.denominator])
+            if len(quot) > 1:
                 chain2 = _sturm_chain(quot)
                 if _variations(chain2, mid) - _variations(chain2, b) > 0:
                     g, chain, a = quot, chain2, mid
@@ -676,7 +734,7 @@ def largest_real_zero(f: RatFun | Poly, lo, hi) -> RootCertificate:
             b = mid
     # integer (or bracket-endpoint) exactness inside the final interval
     k = Fraction(math.floor(b))
-    if a < k <= b and g(k) == 0:
+    if a < k <= b and _zsign(g, k.numerator, 1) == 0:
         return RootCertificate(float(k), k, k, k)
     mid = (a + b) / 2
     return RootCertificate(float(mid), a, b, None)

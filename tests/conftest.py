@@ -1,20 +1,24 @@
 """Shared test helpers: a from-scratch brute-force counter (independent
 of the package's transfer-count oracle), a seeded random spec generator,
-a hypothesis strategy for small specs, and the field-arithmetic linear
-solve that the fraction-free solver is checked against.
+a hypothesis strategy for small specs, and the field-arithmetic
+references that the fraction-free code is checked against: the linear
+solve, the Euclidean gcd and the Sturm isolation over Fraction
+coefficients.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import reject, strategies as st
 
-from multishift.errors import SingularMatrixError, SpecError
+from multishift.errors import RootBracketError, SingularMatrixError, SpecError
 from multishift.langmodel import ShiftSpec, validate_spec
-from multishift.ratfield import Poly, RatFun, RatMat
+from multishift.ratfield import ROOT_WIDTH, Poly, RatFun, RatMat, RootCertificate, _fr
 from multishift.spectral import adjacency_matrix, is_irreducible
 
 
@@ -156,6 +160,90 @@ def reference_solve(m: RatMat, columns) -> list[list[RatFun]]:
                 acc = acc - RatFun(aug[i][j]) * out[j][col]
             out[i][col] = acc / diag
     return out
+
+
+def reference_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by the Euclidean algorithm over Fraction coefficients."""
+    while not b.is_zero:
+        a, b = b, a.divmod(b)[1]
+        # keep coefficients tame; monic rescale is harmless for a gcd
+        if not b.is_zero:
+            b = b.monic()
+    return a.monic() if not a.is_zero else a
+
+
+def _reference_squarefree(p: Poly) -> Poly:
+    g = reference_gcd(p, p.derivative())
+    return p.exact_div(g) if g.degree > 0 else p
+
+
+def reference_sturm_chain(p: Poly) -> list[Poly]:
+    """Sturm chain over Fraction coefficients: -rem scaled by 1/|lc|."""
+    chain = [p, p.derivative()]
+    while not chain[-1].is_zero and chain[-1].degree > 0:
+        rem = chain[-2].divmod(chain[-1])[1]
+        if rem.is_zero:
+            break
+        # positive rescale keeps the sign sequence intact
+        chain.append(-rem * (1 / abs(rem.leading)))
+    if chain[-1].is_zero:
+        chain.pop()
+    return chain
+
+
+def _reference_variations(chain: list[Poly], x: Fraction) -> int:
+    signs = []
+    for s in chain:
+        v = s(x)
+        if v != 0:
+            signs.append(1 if v > 0 else -1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def reference_largest_real_zero(f: RatFun | Poly, lo, hi) -> RootCertificate:
+    """Sturm bisection with Fraction-coefficient chains and Fraction
+    Horner evaluation at every step."""
+    g = f.num if isinstance(f, RatFun) else f
+    if g.is_zero or g.degree < 1:
+        raise RootBracketError("numerator has no roots")
+    g = _reference_squarefree(g)
+    a, b = _fr(lo), _fr(hi)
+    if a >= b:
+        raise ValueError("empty bracket")
+    exact: Fraction | None = None
+    if g(a) == 0:
+        exact = a
+        g = g.deflate(a)
+    if g.degree < 1:
+        if exact is not None:
+            return RootCertificate(float(exact), exact, exact, exact)
+        raise RootBracketError("no real root in bracket")
+    chain = reference_sturm_chain(g)
+    if _reference_variations(chain, a) - _reference_variations(chain, b) == 0:
+        if exact is not None:
+            return RootCertificate(float(exact), exact, exact, exact)
+        raise RootBracketError(f"no real root in ({a}, {b}]")
+    while b - a > ROOT_WIDTH:
+        mid = (a + b) / 2
+        if g(mid) == 0:
+            # exact hit: keep it unless a larger root remains to the right
+            quot = g.deflate(mid)
+            if quot.degree >= 1:
+                chain2 = reference_sturm_chain(quot)
+                if _reference_variations(chain2, mid) - _reference_variations(chain2, b) > 0:
+                    g, chain, a = quot, chain2, mid
+                    continue
+            return RootCertificate(float(mid), mid, mid, mid)
+        if _reference_variations(chain, mid) - _reference_variations(chain, b) > 0:
+            a = mid
+        else:
+            b = mid
+    # integer (or bracket-endpoint) exactness inside the final interval
+    k = Fraction(math.floor(b))
+    if a < k <= b and g(k) == 0:
+        return RootCertificate(float(k), k, k, k)
+    mid = (a + b) / 2
+    return RootCertificate(float(mid), a, b, None)
 
 
 @pytest.fixture(scope="session")

@@ -211,6 +211,17 @@ def test_exit_code_io():
     assert code == 5
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe", b"[" * 200000, b'{"alphabet": ["0", "1"], "n": ' + b"9" * 5000 + b"}"],
+    ids=["not-utf8", "deep-nesting", "5000-digit-integer"])
+def test_unreadable_spec_exits_io_without_traceback(tmp_path, content):
+    path = tmp_path / "spec.json"
+    path.write_bytes(content)
+    code, _, err = run_cli(["perron", "--spec", str(path)])
+    assert code == 5
+    assert err.startswith("cannot read spec: ") and "Traceback" not in err
+
+
 def test_exit_code_unknown_keys(tmp_path):
     doc = {"alphabet": ["0", "1"], "verboten": ["00"]}
     code, _, err = run_cli(["verify", "--spec", write_spec(tmp_path, doc)])

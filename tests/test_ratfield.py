@@ -3,11 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import reference_solve
+from conftest import (_reference_squarefree, reference_gcd, reference_largest_real_zero,
+                      reference_solve, reference_sturm_chain)
+from multishift import spectral
 from multishift.errors import NumericError, PoleError, RootBracketError, SingularMatrixError
-from multishift.ratfield import (Poly, RatFun, RatMat, _zdiv, largest_real_zero,
-                                 series_coeffs, solve_numeric)
+from multishift.fixtures import list_fixtures, load_fixture
+from multishift.ratfield import (Poly, RatFun, RatMat, _sturm_chain, _zdiv, _zprimitive,
+                                 largest_real_zero, series_coeffs, solve_numeric)
 
 Z = Poly.x()
 
@@ -234,3 +238,103 @@ def test_certificate_endpoints_bracket_a_sign_change():
     cert = largest_real_zero(RatFun(poly), 1, 3)
     assert cert.exact is None
     assert poly(cert.low) * poly(cert.high) < 0
+
+
+def small_polys(max_size=5):
+    return st.lists(st.integers(-6, 6), max_size=max_size).map(Poly)
+
+
+quarters = st.integers(-12, 12).map(lambda k: Fraction(k, 4))
+
+
+@st.composite
+def bracketed_polys(draw):
+    """A polynomial with planted quarter-integer and repeated roots, and a
+    bracket whose endpoints may be roots or bisection midpoints."""
+    roots = draw(st.lists(quarters, max_size=3))
+    p = draw(small_polys())
+    for r in roots:
+        p = p * Poly((-r, 1))
+    if draw(st.booleans()):
+        p = p * draw(small_polys(3)) ** 2
+    ends = roots + [Fraction(draw(st.integers(-3, 0))), Fraction(draw(st.integers(1, 4)))]
+    lo, hi = draw(st.sampled_from(ends)), draw(st.sampled_from(ends))
+    assume(lo != hi)
+    return p, min(lo, hi), max(lo, hi)
+
+
+def outcome(isolate, p, lo, hi):
+    try:
+        return isolate(p, lo, hi)
+    except RootBracketError as exc:
+        return type(exc)
+
+
+def assert_positive_multiples(ints: list[list[int]], ref: list[Poly]):
+    assert len(ints) == len(ref)
+    for q, r in zip(ints, ref):
+        scale = Fraction(q[-1]) / r.leading
+        assert scale > 0 and list(q) == [scale * c for c in r.coeffs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(bracketed_polys())
+# (z - 2)^2 (z^2 - z - 1): a repeated root
+@example(((Z - Poly.constant(2)) ** 2 * (Z ** 2 - Z - Poly.one()), Fraction(1), Fraction(3)))
+# z^4 + 4z + 4: its chain has degrees 4, 3, 1, 0, and the degree-1
+# divisor has a negative leading coefficient and takes three steps
+@example((Poly((4, 4, 0, 0, 1)), Fraction(-4), Fraction(5)))
+# negative leading coefficients, and pseudo-divisions by the derivative
+# that end after one step because the z^(d-1) term is missing
+@example((Poly((4, 3, -1, 0, -1)), Fraction(-4), Fraction(5)))
+@example((Poly((-1, 0, -1)), Fraction(-4), Fraction(5)))
+@example((Poly((-3, 4, 3, -4, 0, -3)), Fraction(-4), Fraction(5)))
+# the midpoint 3/2 of [1, 2] is a root, the largest in the bracket or not
+@example(((Z - Poly.constant(Fraction(3, 2))) * (Z ** 2 - Poly.constant(2)),
+          Fraction(1), Fraction(3)))
+@example(((Z - Poly.constant(Fraction(3, 2))) * (Z ** 2 - Poly.constant(3)),
+          Fraction(1), Fraction(3)))
+# roots at lo and at hi
+@example(((Z - Poly.one()) * (Z - Poly.constant(3)), Fraction(1), Fraction(3)))
+@example(((Z - Poly.one()) * (Z + Poly.one()), Fraction(1), Fraction(3)))
+def test_isolation_equals_the_fraction_reference(case):
+    p, lo, hi = case
+    assert outcome(largest_real_zero, p, lo, hi) == \
+        outcome(reference_largest_real_zero, p, lo, hi)
+    if p.degree >= 1:
+        g = _reference_squarefree(p)
+        assert_positive_multiples(_sturm_chain(_zprimitive(g)), reference_sturm_chain(g))
+
+
+def test_isolation_equals_the_reference_on_every_fixture(monkeypatch):
+    isolated = []
+
+    def checked(f, lo, hi):
+        cert = largest_real_zero(f, lo, hi)
+        assert cert == reference_largest_real_zero(f, lo, hi)
+        g = _reference_squarefree(f.num)
+        assert_positive_multiples(_sturm_chain(_zprimitive(g)), reference_sturm_chain(g))
+        isolated.append(cert)
+        return cert
+
+    monkeypatch.setattr(spectral, "largest_real_zero", checked)
+    for name in list_fixtures():
+        spectral.Analysis(load_fixture(name), allow_reducible=True).root
+    assert len(isolated) == len(list_fixtures())
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_polys(), small_polys(), small_polys(4),
+       st.integers(-3, 3).map(lambda k: Fraction(k, 2) or Fraction(1)))
+@example(Poly(), Poly(), Poly(), Fraction(1))
+@example(Poly(), Poly((3,)), Poly((1, 1)), Fraction(-2))
+def test_gcd_equals_the_euclidean_reference(a, b, common, c):
+    for x, y in ((a, b), (a * common, b * common), (a * common, Poly.constant(c)),
+                 (Poly.zero(), b * common), (a * c, Poly.zero())):
+        assert Poly.gcd(x, y) == reference_gcd(x, y)
+    # over a constant the gcd is skipped; over c * common it is not
+    num = a * common
+    by_constant = RatFun(num, Poly.constant(c))
+    assert (by_constant.num, by_constant.den) == (num * (1 / c), Poly.one())
+    if not common.is_zero:
+        assert by_constant == RatFun(num * common, common * c)
