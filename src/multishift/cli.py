@@ -35,7 +35,7 @@ def load_spec_document(path: str) -> dict:
     """Read a spec JSON document from a path or stdin ('-')."""
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            return json.loads(sys.stdin.buffer.read().decode("utf-8"))
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     # ValueError covers invalid JSON, bytes that are not UTF-8 and integer

@@ -8,10 +8,11 @@ correlations and embedded-occurrence weights, which for a reduced union
 are the plain correlations and weight 1, so there the lower-right block
 of the bordered matrix is the core correlation matrix.
 
-:func:`build_system` builds the system once; :attr:`GenFunSystem.core`
+:func:`system_rows` builds the bordered matrix once as polynomial rows,
+which :func:`build_system` wraps and keeps; :attr:`GenFunSystem.core`
 reads its core, :func:`constraint_correction` solves that core once for
-the correction R, :func:`conjugate_correlation_matrix` rescales it once
-per system (:attr:`GenFunSystem.conjugate`), and
+the correction R, :func:`conjugate_rows` rescales it once per system
+(:attr:`GenFunSystem.conjugate`), and
 :func:`solve_generating_functions` solves the system and asserts that
 the closed forms for F from the core and from its conjugate reproduce
 it.  ``spectral.Analysis`` keeps each of these as a stage.
@@ -53,26 +54,32 @@ def correlation_matrix(spec: ShiftSpec) -> RatMat:
     return build_system(spec).core
 
 
+def conjugate_rows(rows) -> list[list[Poly]]:
+    """D^-1 P^T D of the core P of the bordered rows of a reduced
+    system, entrywise.  D is diagonal with c_i z: c_i = 1 - 1/m_i over
+    repeated rows and -1 over forbidden rows, minus the top row after
+    the corner.  So entry (i, j) is P_ji scaled by the constant c_j / c_i."""
+    c = [-e.coeff(1) for e in rows[0][1:]]
+    n = len(c)
+    return [[rows[1 + j][1 + i] * (c[j] / c[i]) for j in range(n)] for i in range(n)]
+
+
 def conjugate_correlation_matrix(system: GenFunSystem) -> RatMat:
-    """D^-1 P^T D of the core P of a reduced system, entrywise.  D is
-    diagonal with c_i z: c_i = 1 - 1/m_i over repeated rows and -1 over
-    forbidden rows, minus the top row of the bordered matrix after the
-    corner.  So entry (i, j) is P_ji scaled by the constant c_j / c_i."""
-    core = system.core
-    c = [-e.num.coeff(1) for e in system.matrix.entries[0][1:]]
-    n = core.nrows
-    rows = [[core[(j, i)] * (c[j] / c[i]) for j in range(n)] for i in range(n)]
-    return RatMat.from_rows(rows, core.row_labels, core.col_labels)
+    """The conjugate core of a reduced system (:func:`conjugate_rows`)."""
+    labels = system.labels[1:]
+    return RatMat.from_rows(conjugate_rows(system.rows), labels, labels)
 
 
 @dataclass(frozen=True)
 class GenFunSystem:
-    """Coefficient matrix, right-hand side (z, 0, ..., 0) and unknown labels."""
+    """Coefficient matrix, right-hand side (z, 0, ..., 0), unknown labels
+    and the polynomial rows of the matrix."""
 
     matrix: RatMat
     rhs: tuple[RatFun, ...]
     labels: tuple[str, ...]
     mode: str  # "reduced" | "non_reduced"
+    rows: tuple[tuple[Poly, ...], ...]
 
     def to_json(self) -> dict:
         return {
@@ -115,8 +122,9 @@ def embedded_weight(spec: ShiftSpec, a: Word, threshold: int = 0) -> int:
     return out
 
 
-def system_matrix(spec: ShiftSpec) -> RatMat:
-    """Bordered (1+l+s) matrix of the counting system, corner z - q.
+def system_rows(spec: ShiftSpec) -> tuple[tuple[Poly, ...], ...]:
+    """Bordered (1+l+s) matrix of the counting system as rows of
+    polynomials, corner z - q.
 
     Tail correlations and embedded-occurrence weights account for a
     repeated word sitting inside a forbidden one; for a reduced union
@@ -125,23 +133,23 @@ def system_matrix(spec: ShiftSpec) -> RatMat:
     z = Poly.x()
     reps, fws = spec.repeated, spec.forbidden
 
-    top = [RatFun(z - Poly.constant(spec.q))]
+    top = [z - Poly.constant(spec.q)]
     for _, m in reps:
-        top.append(RatFun(-(z * Fraction(m - 1, m))))
+        top.append(-(z * Fraction(m - 1, m)))
     for a in fws:
-        top.append(RatFun(z * embedded_weight(spec, a)))
-    rows = [top]
+        top.append(z * embedded_weight(spec, a))
+    rows = [tuple(top)]
 
     targets = [(r, True) for r in spec.repeated_words] + [(a, False) for a in fws]
     for k, (t_k, repeated_row) in enumerate(targets):
-        row = [RatFun.one()]
+        row = [Poly.one()]
         for j, (r_j, m_j) in enumerate(reps):
             # a whole r_j overlapping a forbidden word would sit inside it
             alpha = len(r_j) if repeated_row else len(r_j) - 1
             e = z * Fraction(m_j - 1, m_j) * Poly(W.tail_correlation_poly(r_j, t_k, alpha))
             if j == k:
                 e = e - Poly.monomial(len(r_j))
-            row.append(RatFun(e))
+            row.append(e)
         for a in fws:
             # overhangs past |t_k| would put the whole appended word
             # inside a, impossible for reduced collections
@@ -150,19 +158,24 @@ def system_matrix(spec: ShiftSpec) -> RatMat:
                 if t <= len(t_k):
                     weight = embedded_weight(spec, a, threshold=0 if repeated_row else t)
                     e = e + Poly.monomial(t, weight)
-            row.append(RatFun(-e))
-        rows.append(row)
+            row.append(-e)
+        rows.append(tuple(row))
+    return tuple(rows)
 
+
+def system_matrix(spec: ShiftSpec, rows: tuple[tuple[Poly, ...], ...]) -> RatMat:
+    """The bordered rows of :func:`system_rows` as a labelled matrix."""
     labels = ("F",) + _labels(spec)
     return RatMat.from_rows(rows, labels, labels)
 
 
 def build_system(spec: ShiftSpec) -> GenFunSystem:
     """Assemble the counting system in the mode the spec calls for."""
-    matrix = system_matrix(spec)
+    rows = system_rows(spec)
+    matrix = system_matrix(spec, rows)
     rhs = (RatFun.x(),) + tuple(RatFun.zero() for _ in range(matrix.nrows - 1))
     return GenFunSystem(matrix, rhs, matrix.row_labels,
-                        "reduced" if spec.union_reduced else "non_reduced")
+                        "reduced" if spec.union_reduced else "non_reduced", rows)
 
 
 @dataclass(frozen=True)

@@ -197,18 +197,6 @@ class Poly:
             return Poly.zero()
         return (a * b).exact_div(Poly.gcd(a, b)).monic()
 
-    def deflate(self, root: Rational) -> "Poly":
-        """Exact division by (z - root); the root must be exact."""
-        r = _fr(root)
-        out: list[Fraction] = [Fraction(0)] * self.degree
-        acc = Fraction(0)
-        for k in range(self.degree, 0, -1):
-            acc = self.coeff(k) + acc * r
-            out[k - 1] = acc
-        if self.coeff(0) + acc * r != 0:
-            raise NumericError(f"{root} is not a root; cannot deflate")
-        return Poly(out)
-
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]
 
@@ -319,10 +307,6 @@ class RatFun:
 
     def __rtruediv__(self, other) -> "RatFun":
         return self._coerce(other) / self
-
-    def derivative(self) -> "RatFun":
-        return RatFun(self.num.derivative() * self.den - self.num * self.den.derivative(),
-                      self.den * self.den)
 
     def __call__(self, x):
         """Evaluate; exact with an exact pole check for Fraction input."""
@@ -440,10 +424,6 @@ class RatMat:
         """Solve self * x = rhs exactly: x_i = y_i / D from :meth:`cramer`."""
         ys, det = self.cramer(rhs)
         return [RatFun(y, det) for y in ys]
-
-    def evaluate(self, x) -> list[list]:
-        """Entrywise evaluation at a scalar (Fraction exact, float numeric)."""
-        return [[e(x) for e in row] for row in self.entries]
 
     def to_json(self) -> dict:
         return {
@@ -713,7 +693,9 @@ def largest_real_zero(f: RatFun | Poly, lo, hi) -> RootCertificate:
             return RootCertificate(float(exact), exact, exact, exact)
         raise RootBracketError("no real root in bracket")
     chain = _sturm_chain(g)
-    if _variations(chain, a) - _variations(chain, b) == 0:
+    # the count at b is kept until b moves or the chain is replaced
+    vb = _variations(chain, b)
+    if _variations(chain, a) - vb == 0:
         if exact is not None:
             return RootCertificate(float(exact), exact, exact, exact)
         raise RootBracketError(f"no real root in ({a}, {b}]")
@@ -724,14 +706,16 @@ def largest_real_zero(f: RatFun | Poly, lo, hi) -> RootCertificate:
             quot = _zdiv(g, [-mid.numerator, mid.denominator])
             if len(quot) > 1:
                 chain2 = _sturm_chain(quot)
-                if _variations(chain2, mid) - _variations(chain2, b) > 0:
-                    g, chain, a = quot, chain2, mid
+                vb2 = _variations(chain2, b)
+                if _variations(chain2, mid) - vb2 > 0:
+                    g, chain, a, vb = quot, chain2, mid, vb2
                     continue
             return RootCertificate(float(mid), mid, mid, mid)
-        if _variations(chain, mid) - _variations(chain, b) > 0:
+        vm = _variations(chain, mid)
+        if vm - vb > 0:
             a = mid
         else:
-            b = mid
+            b, vb = mid, vm
     # integer (or bracket-endpoint) exactness inside the final interval
     k = Fraction(math.floor(b))
     if a < k <= b and _zsign(g, k.numerator, 1) == 0:

@@ -2,11 +2,13 @@
 normalization identity.
 
 An :class:`Analysis` derives each stage of one spec once, on first use:
-the extended spec, the adjacency matrix, one counting system per
-distinct spec (the spec and its extension), the constraint correction,
-the counting series, the Perron root, the formula eigenvectors, the
-normalization report and the entropy.  :func:`spectral_report`, the
-measure context, the escape report and the verification suite read
+the extended spec, the adjacency matrix, the counting system, the
+constraint correction, the counting series, the Perron root, the
+formula eigenvectors, the normalization report and the entropy.  The
+eigen stages read the extension's core only at the root: its
+polynomial rows, built once per distinct spec, are evaluated there, so
+no symbolic system is built for the extension.  :func:`spectral_report`,
+the measure context, the escape report and the verification suite read
 every stage from one analysis; the public functions below are the same
 stages for callers that need just one.
 
@@ -361,12 +363,6 @@ class EigenData:
         return out
 
 
-def _inverse_row_sums_at(core, theta) -> tuple[list, list]:
-    """M = core(theta) and the row sums of M^-1, from one solve of M x = 1."""
-    m = core.evaluate(theta)
-    return m, solve_numeric(m, [1] * len(m)) if m else []
-
-
 def perron_vectors(spec: ShiftSpec, allow_reducible: bool = False) -> EigenData:
     """Left and right Perron eigenvectors from the correlation formulas
     (the :attr:`Analysis.vectors` stage)."""
@@ -489,16 +485,13 @@ class NormalizationReport:
         return out
 
 
-def correction_derivative_at(spec: ShiftSpec, core, theta, m: list, r: list):
-    """Derivative of the constraint correction at theta from the core P,
-    its value m = P(theta) and the row sums r of m^-1, through one
-    linear solve: r' = -P^{-1} P' r and the product rule on the
-    diagonal weights.
-    """
-    n = core.nrows
-    if n == 0:
-        return 0
-    md = [[e.derivative()(theta) for e in row] for row in core.entries]
+def correction_derivative_at(spec: ShiftSpec, rows, theta, m: list, r: list):
+    """Derivative of the constraint correction at theta from the core P
+    of bordered polynomial rows, its value m = P(theta) and the row sums
+    r of m^-1, through one linear solve: r' = -P^{-1} P' r and the
+    product rule on the diagonal weights."""
+    n = len(m)
+    md = [[e.derivative()(theta) for e in row[1:]] for row in rows[1:]]
     rhs = [sum(md[i][j] * r[j] for j in range(n)) for i in range(n)]
     rprime = [-x for x in solve_numeric(m, rhs)]
     return sum(w * (r[i] + theta * rprime[i])
@@ -544,15 +537,16 @@ class Analysis:
     """Every derived stage of one spec, each computed once on first use.
 
     A stage first reads the stages it needs.  ``ext``, ``matrix`` and
-    ``system`` read the spec; ``ext_system`` reads ``ext`` (it is
-    ``system`` when the extension is the spec); ``correction`` reads the
-    core of ``system``; ``solution`` reads ``system`` and ``correction``;
-    ``root`` reads ``matrix`` and ``correction`` (or ``solution`` for a
-    non-reduced union); ``vectors`` read ``root``, ``matrix`` and the
-    core of ``ext_system`` evaluated at the root; ``normalization``
-    reads ``vectors`` and that same evaluated core; ``entropy`` reads
-    ``root``.  A failed stage is not cached: reading it again repeats
-    the computation and raises again.
+    ``system`` read the spec; ``ext_rows`` reads ``ext`` (it is the rows
+    of ``system`` when the extension is the spec); ``correction`` reads
+    the core of ``system``; ``solution`` reads ``system`` and
+    ``correction``; ``root`` reads ``matrix`` and ``correction`` (or
+    ``solution`` for a non-reduced union); ``vectors`` read ``root``,
+    ``matrix`` and the core of ``ext_rows`` and its conjugate at the
+    root; ``normalization`` reads ``vectors`` and that core and its
+    derivative at the root; ``entropy`` reads ``root``.  A failed stage
+    is not cached: reading it again repeats the computation and raises
+    again.
     """
 
     def __init__(self, spec: ShiftSpec, allow_reducible: bool = False):
@@ -575,8 +569,10 @@ class Analysis:
         return genfun.build_system(self.spec)
 
     @cached_property
-    def ext_system(self) -> genfun.GenFunSystem:
-        return self.system if self.ext is self.spec else genfun.build_system(self.ext)
+    def ext_rows(self) -> tuple[tuple[Poly, ...], ...]:
+        """The bordered counting matrix of ``ext`` as polynomial rows, built
+        once per distinct spec; the eigen stages evaluate it at the root."""
+        return self.system.rows if self.ext is self.spec else genfun.system_rows(self.ext)
 
     @cached_property
     def correction(self) -> RatFun | None:
@@ -595,9 +591,10 @@ class Analysis:
 
     @cached_property
     def _core_at_root(self) -> tuple[list, list]:
-        """The extended core evaluated at the root, with its inverse's row sums."""
+        """The extended core at the root, with its inverse's row sums."""
         theta = self.root.scalar()
-        return _inverse_row_sums_at(self.ext_system.core, theta)
+        m = [[e(theta) for e in row[1:]] for row in self.ext_rows[1:]]
+        return m, solve_numeric(m, [1] * len(m))
 
     @cached_property
     def vectors(self) -> EigenData:
@@ -611,7 +608,8 @@ class Analysis:
         theta = root.scalar()
         exact = root.exact is not None
         _, rsums = self._core_at_root
-        _, ssums = _inverse_row_sums_at(self.ext_system.conjugate, theta)
+        conj = [[e(theta) for e in row] for row in genfun.conjugate_rows(self.ext_rows)]
+        ssums = solve_numeric(conj, [1] * len(conj))
         one = Fraction(1) if exact else 1.0
         labels = self.matrix.labels
         targets = genfun.targets(ext)
@@ -646,7 +644,7 @@ class Analysis:
         vec = self.vectors
         theta = vec.root.scalar()
         m, r = self._core_at_root
-        derivative = correction_derivative_at(self.ext, self.ext_system.core, theta, m, r)
+        derivative = correction_derivative_at(self.ext, self.ext_rows, theta, m, r)
         identity = theta ** (self.ext.p - 1) * (1 + derivative)
         ok = agree(vec.dot, identity)
         witness = multiplicity_one_witness(self)

@@ -1,9 +1,9 @@
 """Shared test helpers: a from-scratch brute-force counter (independent
 of the package's transfer-count oracle), a seeded random spec generator,
-a hypothesis strategy for small specs, and the field-arithmetic
-references that the fraction-free code is checked against: the linear
+a hypothesis strategy for small specs, the field-arithmetic
+references that the fraction-free code is checked against (the linear
 solve, the Euclidean gcd and the Sturm isolation over Fraction
-coefficients.
+coefficients), and the symbolic route to the normalization identity.
 """
 
 from __future__ import annotations
@@ -17,8 +17,10 @@ import pytest
 from hypothesis import reject, strategies as st
 
 from multishift.errors import RootBracketError, SingularMatrixError, SpecError
-from multishift.langmodel import ShiftSpec, validate_spec
-from multishift.ratfield import ROOT_WIDTH, Poly, RatFun, RatMat, RootCertificate, _fr
+from multishift.genfun import build_system, targets
+from multishift.langmodel import ShiftSpec, extend_repeated_to_full_length, validate_spec
+from multishift.ratfield import (ROOT_WIDTH, Poly, RatFun, RatMat, RootCertificate, _fr,
+                                 solve_numeric)
 from multishift.spectral import adjacency_matrix, is_irreducible
 
 
@@ -213,7 +215,7 @@ def reference_largest_real_zero(f: RatFun | Poly, lo, hi) -> RootCertificate:
     exact: Fraction | None = None
     if g(a) == 0:
         exact = a
-        g = g.deflate(a)
+        g = g.exact_div(Poly((-a, 1)))
     if g.degree < 1:
         if exact is not None:
             return RootCertificate(float(exact), exact, exact, exact)
@@ -227,7 +229,7 @@ def reference_largest_real_zero(f: RatFun | Poly, lo, hi) -> RootCertificate:
         mid = (a + b) / 2
         if g(mid) == 0:
             # exact hit: keep it unless a larger root remains to the right
-            quot = g.deflate(mid)
+            quot = g.exact_div(Poly((-mid, 1)))
             if quot.degree >= 1:
                 chain2 = reference_sturm_chain(quot)
                 if _reference_variations(chain2, mid) - _reference_variations(chain2, b) > 0:
@@ -244,6 +246,25 @@ def reference_largest_real_zero(f: RatFun | Poly, lo, hi) -> RootCertificate:
         return RootCertificate(float(k), k, k, k)
     mid = (a + b) / 2
     return RootCertificate(float(mid), a, b, None)
+
+
+def reference_identity(spec: ShiftSpec, theta):
+    """theta^(p-1) (1 + R'(theta)) on the extended spec by the symbolic
+    route: the core P of the extension's symbolic system, the quotient
+    rule on every entry, both evaluated at theta, and one solve of the
+    block system [[P, 0], [P', P]] (x, x') = (1, 0), the derivative of
+    P x = 1.  Then R = z sum w_i x_i gives R' = sum w_i (x_i + z x_i')."""
+    ext = extend_repeated_to_full_length(spec)
+    core = build_system(ext).core
+    n = core.nrows
+    value = [[e(theta) for e in row] for row in core.entries]
+    slope = [[RatFun(e.num.derivative() * e.den - e.num * e.den.derivative(),
+                     e.den * e.den)(theta) for e in row] for row in core.entries]
+    zero = [0 * theta] * n
+    block = [row + zero for row in value] + [d + v for d, v in zip(slope, value)]
+    xs = solve_numeric(block, [1 + 0 * theta] * n + zero)
+    derivative = sum(w * (xs[i] + theta * xs[n + i]) for i, (_, w) in enumerate(targets(ext)))
+    return theta ** (ext.p - 1) * (1 + derivative)
 
 
 @pytest.fixture(scope="session")

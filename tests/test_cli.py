@@ -236,6 +236,23 @@ def test_stdin_spec():
     assert json.loads(out)["result"]["f"] == [1, 2, 5, 13]
 
 
+def test_stdin_spec_is_decoded_strictly():
+    # \xff\xfe is no UTF-8 (it is a UTF-16 byte order mark): the decoding
+    # error is reported, not a JSON one, in any locale
+    proc = subprocess.run([sys.executable, "-m", "multishift.cli", "perron", "--spec", "-"],
+                          capture_output=True, input=b"\xff\xfe",
+                          env={**os.environ, "PYTHONPATH": str(SRC), "LC_ALL": "C"})
+    assert proc.returncode == 5
+    assert b"can't decode" in proc.stderr and b"Traceback" not in proc.stderr
+    doc = {"alphabet": ["0", "1"], "forbidden": ["00"], "name": "\u00e9t\u00e9"}
+    proc = subprocess.run([sys.executable, "-m", "multishift.cli", "enumerate", "--spec", "-",
+                           "--max-n", "3"], capture_output=True,
+                          input=json.dumps(doc, ensure_ascii=False).encode("utf-8"),
+                          env={**os.environ, "PYTHONPATH": str(SRC), "LC_ALL": "C"})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["f"] == [1, 2, 3, 5]
+
+
 def test_reports_are_deterministic():
     args = ["perron", "--spec", str(FIXDIR / "no_witness.json")]
     outs = {run_cli(args)[1] for _ in range(3)}
@@ -304,7 +321,7 @@ def spec_documents(draw):
 @given(spec_documents(), st.sampled_from([("perron",), ("genfun",),
                                           ("verify", "--max-n", "4")]))
 def test_random_documents_exit_with_a_documented_code(doc, command):
-    stdin = io.StringIO(json.dumps(doc))
+    stdin = io.TextIOWrapper(io.BytesIO(json.dumps(doc).encode("utf-8")))
     with mock.patch("sys.stdin", stdin), redirect_stdout(io.StringIO()), \
             redirect_stderr(io.StringIO()):
         code = main([command[0], "--spec", "-", *command[1:]])

@@ -9,7 +9,7 @@ from multishift.errors import SpecError
 from multishift.fixtures import list_fixtures, load_fixture
 from multishift.genfun import (build_system, conjugate_correlation_matrix,
                                constraint_correction, correlation_matrix,
-                               solve_generating_functions, system_matrix, targets)
+                               solve_generating_functions, targets)
 from multishift.langmodel import oracle_tables, validate_spec
 from multishift.ratfield import Poly, RatFun, series_coeffs
 
@@ -40,7 +40,7 @@ def test_scaling_diagonal():
     # the conjugate core reads D off the reduced system: minus its top row
     # after the corner
     def diagonal(spec):
-        return [-e for e in system_matrix(spec).entries[0][1:]]
+        return [-e for e in build_system(spec).matrix.entries[0][1:]]
 
     d = diagonal(eigen_spec())
     assert d[0] == RatFun(Poly([0, Fraction(2, 3)]))
@@ -51,7 +51,7 @@ def test_scaling_diagonal():
 
 def test_bordered_matrix_shape_and_empty_collections():
     s = validate_spec("01", ["010"], [("000", 2)])
-    left = system_matrix(s)
+    left = build_system(s).matrix
     assert left.nrows == 3
     assert left[(0, 0)] == RatFun(Z - Poly.constant(2))
     assert left[(0, 1)] == RatFun(Poly([0, Fraction(-1, 2)]))
@@ -59,7 +59,7 @@ def test_bordered_matrix_shape_and_empty_collections():
     assert left[(1, 0)] == RatFun(1) and left[(2, 0)] == RatFun(1)
     # no repeated words: the border reduces to the classical layout
     s2 = validate_spec("01", ["010"], [])
-    left2 = system_matrix(s2)
+    left2 = build_system(s2).matrix
     assert left2.nrows == 2
     assert left2[(0, 1)] == RatFun(Z)
     assert left2[(1, 1)] == RatFun(-(Z * Poly((1, 0, 1))))  # -z (a,a)_z

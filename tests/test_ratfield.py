@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (_reference_squarefree, reference_gcd, reference_largest_real_zero,
                       reference_solve, reference_sturm_chain)
-from multishift import spectral
+from multishift import ratfield, spectral
 from multishift.errors import NumericError, PoleError, RootBracketError, SingularMatrixError
 from multishift.fixtures import list_fixtures, load_fixture
 from multishift.ratfield import (Poly, RatFun, RatMat, _sturm_chain, _zdiv, _zprimitive,
@@ -31,8 +31,11 @@ def test_poly_divmod_exact():
 
 
 def test_poly_deflate():
+    # deflation by an exact root is exact division by z - root
     p = (Z - Poly.constant(3)) * (Z + Poly.one())
-    assert p.deflate(3) == Z + Poly.one()
+    assert p.exact_div(Z - Poly.constant(3)) == Z + Poly.one()
+    with pytest.raises(NumericError):
+        p.exact_div(Z - Poly.constant(2))
 
 
 def test_ratfun_canonical_routes():
@@ -321,6 +324,34 @@ def test_isolation_equals_the_reference_on_every_fixture(monkeypatch):
     for name in list_fixtures():
         spectral.Analysis(load_fixture(name), allow_reducible=True).root
     assert len(isolated) == len(list_fixtures())
+
+
+def _count_points(monkeypatch):
+    """Wrap ratfield._variations; the list records (chain, point) per count."""
+    counted = []
+
+    def recorded(chain, x):
+        counted.append((tuple(map(tuple, chain)), x))
+        return variations(chain, x)
+
+    variations = ratfield._variations
+    monkeypatch.setattr(ratfield, "_variations", recorded)
+    return counted
+
+
+def test_isolation_counts_each_point_once_per_chain(monkeypatch):
+    counted = _count_points(monkeypatch)
+    for name in list_fixtures():
+        del counted[:]
+        spectral.Analysis(load_fixture(name), allow_reducible=True).root
+        assert counted and len(set(counted)) == len(counted), name
+    # a midpoint that is an exact root replaces the chain by the deflated one
+    for p in ((Z - Poly.constant(Fraction(3, 2))) * (Z ** 2 - Poly.constant(2)),
+              (Z - Poly.constant(Fraction(3, 2))) * (Z ** 2 - Poly.constant(3))):
+        del counted[:]
+        assert largest_real_zero(p, 1, 3) == reference_largest_real_zero(p, 1, 3)
+        assert len({chain for chain, _ in counted}) == 2
+        assert len(set(counted)) == len(counted)
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_spec
+from conftest import random_spec, reference_identity
 from multishift import genfun, ratfield, spectral, words
-from multishift.errors import SpecError
+from multishift.errors import NumericError, SpecError
 from multishift.fixtures import list_fixtures, load_fixture
 from multishift.langmodel import (extend_repeated_to_full_length, leading_multiplicity,
                                   multiplicity, oracle_tables, validate_spec)
@@ -328,30 +328,33 @@ def test_one_analysis_derives_each_stage_once(monkeypatch):
 
 def test_one_counting_system_per_distinct_spec(monkeypatch):
     systems = _count_calls(monkeypatch, genfun, "system_matrix")
+    rows = _count_calls(monkeypatch, genfun, "system_rows")
     numeric = _count_calls(monkeypatch, spectral, "solve_numeric")
     matrices = _count_calls(monkeypatch, spectral, "adjacency_matrix")
     symbolic = _count_calls(monkeypatch, ratfield.RatMat, "cramer")
 
     def counts(run):
-        for calls in (systems, symbolic, numeric, matrices):
+        for calls in (systems, rows, symbolic, numeric, matrices):
             del calls[:]
         run()
-        return len(systems), len(symbolic), len(numeric), len(matrices)
+        return len(systems), len(rows), len(symbolic), len(numeric), len(matrices)
 
-    # counting: the extension is the spec; extension: a new extended spec
-    # and a second system; nonreduced: no core, one solve of the system
+    # counting: the extension is the spec, so its rows are the system's;
+    # extension and nonreduced: one symbolic system, and the extended spec
+    # builds only its polynomial rows; nonreduced: no core, one solve of
+    # the system
     counting, extension = load_fixture("counting"), load_fixture("extension")
     assert extend_repeated_to_full_length(counting) is counting
-    assert counts(lambda: spectral.spectral_report(counting)) == (1, 1, 3, 1)
-    assert counts(lambda: spectral.spectral_report(extension)) == (2, 1, 3, 1)
+    assert counts(lambda: spectral.spectral_report(counting)) == (1, 1, 1, 3, 1)
+    assert counts(lambda: spectral.spectral_report(extension)) == (1, 2, 1, 3, 1)
     nonreduced = load_fixture("nonreduced")
-    assert counts(lambda: spectral.spectral_report(nonreduced, True)) == (2, 1, 3, 1)
-    assert counts(lambda: run_verification(counting, max_n=6)) == (1, 3, 3, 1)
-    assert counts(lambda: run_verification(extension, max_n=6)) == (2, 3, 3, 1)
+    assert counts(lambda: spectral.spectral_report(nonreduced, True)) == (1, 2, 1, 3, 1)
+    assert counts(lambda: run_verification(counting, max_n=6)) == (1, 1, 3, 3, 1)
+    assert counts(lambda: run_verification(extension, max_n=6)) == (1, 2, 3, 3, 1)
     assert counts(lambda: run_verification(nonreduced, max_n=6,
-                                           allow_reducible=True)) == (1, 1, 0, 1)
+                                           allow_reducible=True)) == (1, 1, 1, 0, 1)
     hole = Cylinder((("0", "0"), ("0", "0")), (1,))
-    assert counts(lambda: escape_report(counting, hole, 6)) == (1, 1, 0, 1)
+    assert counts(lambda: escape_report(counting, hole, 6)) == (1, 1, 1, 0, 1)
 
 
 def test_analysis_solution_equals_the_standalone_solve():
@@ -363,9 +366,9 @@ def test_analysis_solution_equals_the_standalone_solve():
 
 def test_conjugate_core_built_once_per_counting_system(monkeypatch):
     conjugates = _count_calls(monkeypatch, genfun, "conjugate_correlation_matrix")
-    # counting: the extension is the spec, so the solution and the right
-    # eigenvector read one conjugate; extension: two systems, two conjugates
-    for name, want in (("counting", 1), ("extension", 2)):
+    # the solution reads the conjugate of its system; the right eigenvector
+    # rescales the extension's rows at the root and builds no symbolic one
+    for name, want in (("counting", 1), ("extension", 1)):
         del conjugates[:]
         assert run_verification(load_fixture(name), max_n=6).passed
         assert len(conjugates) == want, name
@@ -398,3 +401,25 @@ def test_agree_mixed_is_relative():
     assert agree(Fraction(1, 3), 1 / 3) and agree(1 / 3, Fraction(1, 3))
     assert not agree(Fraction(1, 3), (1 / 3) * (1 + 1e-8))
     assert not agree(1e-12, Fraction(1, 10 ** 12) * 2)
+
+
+def test_normalization_identity_equals_the_symbolic_route():
+    rng = random.Random(11)
+    specs = [(name, load_fixture(name)) for name in list_fixtures()]
+    specs += [(f"random {i}", random_spec(rng, i % 2 == 1)) for i in range(6)]
+    extended = 0
+    for name, s in specs:
+        an = spectral.Analysis(s, allow_reducible=True)
+        try:
+            got = an.normalization.identity_value
+        except NumericError:
+            # the formula vectors of a reducible matrix may fail
+            assert not an.root.irreducible, name
+            continue
+        want = reference_identity(s, an.root.scalar())
+        if an.root.exact is not None:
+            assert got == want, name
+        else:
+            assert agree(got, want), name
+        extended += an.ext is not s
+    assert extended >= 5
