@@ -146,7 +146,8 @@ def system_rows(spec: ShiftSpec) -> tuple[tuple[Poly, ...], ...]:
         for j, (r_j, m_j) in enumerate(reps):
             # a whole r_j overlapping a forbidden word would sit inside it
             alpha = len(r_j) if repeated_row else len(r_j) - 1
-            e = z * Fraction(m_j - 1, m_j) * Poly(W.tail_correlation_poly(r_j, t_k, alpha))
+            corr = W.tail_correlation_poly(r_j, t_k, alpha)
+            e = z * Fraction(m_j - 1, m_j) * Poly(corr) if corr else Poly.zero()
             if j == k:
                 e = e - Poly.monomial(len(r_j))
             row.append(e)

@@ -29,9 +29,8 @@ from typing import Sequence
 
 from . import words as W
 from .errors import NumericError, SpecError
-from .langmodel import (DEFAULT_BUDGET, ShiftSpec, check_budget,
-                        extend_repeated_to_full_length, multiplicity, spec_from_matrix,
-                        transfer_tables, validate_spec)
+from .langmodel import (DEFAULT_BUDGET, ShiftSpec, check_budget, multiplicity,
+                        spec_from_matrix, transfer_tables, validate_spec)
 from .spectral import (AdjMatrix, Analysis, EigenData, NormalizationReport, PerronResult,
                        agree, is_irreducible, perron_root, perron_vectors)
 from .words import Word
@@ -486,14 +485,15 @@ def escape_report(source: ShiftSpec | AdjMatrix, hole: Cylinder, n_max: int = 12
     states.  When the underlying symbol word has weight one, the counts
     must reproduce the weighted counts of the spec with that word
     forbidden, and the check is enforced.  A spec is read through one
-    :class:`Analysis` of its extension, whose matrix and root serve.
+    :class:`Analysis`: its extension gives the weights and the spec with
+    the hole word forbidden, its matrix and root the rest.
     """
     if isinstance(source, AdjMatrix):
         mat = source
         spec = spec_from_matrix(mat.entries) if mat.size >= 2 else None
     else:
-        an = Analysis(extend_repeated_to_full_length(source), allow_reducible)
-        spec, mat = an.spec, an.matrix
+        an = Analysis(source, allow_reducible)
+        spec, mat = an.ext, an.matrix
     if hole.branches is None:
         raise SpecError("the hole must be a specific edge cylinder (branch indices)")
     idx = mat.path(hole.vertices, hole.branches)

@@ -1,19 +1,20 @@
-"""Exact algebra substrate: polynomials over big rationals, canonical
+"""Exact algebra substrate: polynomials over the rationals, canonical
 rational functions, matrices over the rational-function field, power
 series in 1/z, and certified real-root isolation.
 
 All symbolic computation is exact; floats only appear when a caller
-evaluates at a float point.  Polynomials and rational functions carry
-``fractions.Fraction`` coefficients, but the heavy algorithms run over
-Z[z] on integer coefficient lists.  Linear solves scale each row to
-integer polynomial entries; Bareiss elimination and the back
-substitution use exact divisions with a remainder check, and every
-unknown comes out as y_i / D over one common denominator D, the
-determinant of the scaled matrix up to sign (Cramer's rule).  So
-``M @ M.inverse()`` is the identity exactly.  Polynomial gcds and Sturm
-chains are primitive remainder sequences over Z[z], and Sturm bisection
-takes its signs from integer evaluations, so no Fraction is built per
-chain element or per step.
+evaluates at a float point.  A polynomial is integer coefficients over
+one positive denominator in lowest terms, so its arithmetic, gcds and
+Sturm chains all run over Z[z] on integer coefficient lists, and an
+exact evaluation at u/v is one homogeneous Horner sum over the
+integers, divided once.  Linear solves scale each row to integer
+polynomial entries; Bareiss elimination and the back substitution use
+exact divisions with a remainder check, and every unknown comes out as
+y_i / D over one common denominator D, the determinant of the scaled
+matrix up to sign (Cramer's rule).  So ``M @ M.inverse()`` is the
+identity exactly.  Polynomial gcds and Sturm chains are primitive
+remainder sequences over Z[z], and Sturm bisection takes its signs from
+integer evaluations.
 """
 
 from __future__ import annotations
@@ -34,27 +35,44 @@ def _fr(x) -> Fraction:
 
 
 class Poly:
-    """Univariate polynomial with exact rational coefficients, ascending order."""
+    """Univariate polynomial with rational coefficients, ascending order.
 
-    __slots__ = ("coeffs",)
+    Stored canonically as integer coefficients ``ints`` (no trailing
+    zero) over one positive ``den`` coprime to them, so equal
+    polynomials have equal ``(ints, den)``.  ``coeffs``, ``coeff`` and
+    ``leading`` are read-only Fraction views."""
 
-    def __init__(self, coeffs: Iterable[Rational] = ()):
-        cs = [_fr(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+    __slots__ = ("ints", "den")
+
+    def __new__(cls, coeffs: Iterable[Rational] = (), den: int = 1):
+        if not den:
+            raise ZeroDivisionError("polynomial with zero denominator")
+        cs = list(coeffs)
+        scale = math.lcm(*(c.denominator for c in cs))
+        return cls._of([c.numerator * (scale // c.denominator) for c in cs], den * scale)
+
+    @classmethod
+    def _of(cls, ints: list[int], den: int = 1) -> "Poly":
+        """ints / den in lowest terms, for a list of ints (consumed) and a
+        nonzero den: trimmed, over a positive den coprime to them all."""
+        while ints and not ints[-1]:
+            ints.pop()
+        g = math.gcd(den, *ints) * (-1 if den < 0 else 1)
+        p = object.__new__(cls)
+        p.ints, p.den = tuple(c // g for c in ints), den // g
+        return p
 
     @classmethod
     def zero(cls) -> "Poly":
-        return cls(())
+        return cls._of([])
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls((1,))
+        return cls._of([1])
 
     @classmethod
     def x(cls) -> "Poly":
-        return cls((0, 1))
+        return cls._of([0, 1])
 
     @classmethod
     def constant(cls, c: Rational) -> "Poly":
@@ -65,55 +83,55 @@ class Poly:
         return cls([0] * k + [c])
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.ints)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.ints[-1], self.den)
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return Fraction(self.ints[k], self.den) if 0 <= k < len(self.ints) else Fraction(0)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.ints == other.ints and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.ints, self.den))
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return Poly._of([-c for c in self.ints], self.den)
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
+        a, b, da, db = self.ints, other.ints, self.den, other.den
+        if da != db:
+            den = math.lcm(da, db)
+            a, b, da = [c * (den // da) for c in a], [c * (den // db) for c in b], den
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return Poly._of(out, da)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
-        if self.is_zero or other.is_zero:
-            return Poly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return Poly(out)
+            n, d = other.numerator, other.denominator
+            return Poly._of([c * n for c in self.ints], self.den * d)
+        return Poly._of(_zmul(self.ints, other.ints), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -128,68 +146,47 @@ class Poly:
 
     def shift(self, k: int) -> "Poly":
         """Multiply by z**k."""
-        if self.is_zero:
-            return self
-        return Poly([Fraction(0)] * k + list(self.coeffs))
+        return Poly._of([0] * k + list(self.ints), self.den) if self.ints else self
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Poly._of([i * c for i, c in enumerate(self.ints)][1:], self.den)
 
     def __call__(self, x):
         """Horner evaluation; exact for Fraction/int input, float for float."""
         if isinstance(x, float):
-            acc = 0.0
-            for c in reversed(self.coeffs):
-                acc = acc * x + float(c)
+            # int true division rounds correctly, so each term is float(coeff)
+            acc, den = 0.0, self.den
+            for c in reversed(self.ints):
+                acc = acc * x + c / den
             return acc
         x = _fr(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        d, lead = other.degree, other.leading
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            f = rem[-1] / lead
-            q[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= f * c
-            rem.pop()
-        return Poly(q), Poly(rem)
+        v = x.denominator
+        return Fraction(_zhorner(self.ints, x.numerator, v), self.den * v ** max(self.degree, 0))
 
     def exact_div(self, other: "Poly") -> "Poly":
-        q, r = self.divmod(other)
-        if not r.is_zero:
-            raise NumericError("exact polynomial division left a remainder")
-        return q
+        """The quotient in Q[z]; a remainder raises NumericError.  By
+        Gauss's lemma the primitive parts divide exactly in Z[z]."""
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        ga, gb = math.gcd(*self.ints) or 1, math.gcd(*other.ints)
+        q = _zdiv([c // ga for c in self.ints], [c // gb for c in other.ints])
+        return Poly._of([c * ga * other.den for c in q], self.den * gb)
 
     def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        return self * (1 / self.leading)
+        return Poly._of(list(self.ints), self.ints[-1]) if self.ints else self
 
     @staticmethod
     def gcd(a: "Poly", b: "Poly") -> "Poly":
         """Monic gcd (zero only for two zeros), by the primitive remainder
-        sequence over Z[z] from the primitive integer forms of a and b:
-        each element is a nonzero multiple of the Euclidean remainder
-        over Q, so the last nonzero one, made monic, is the gcd."""
-        x, y = _zprimitive(a), _zprimitive(b)
+        sequence over Z[z] from the primitive parts of a and b: each
+        element is a nonzero multiple of the Euclidean remainder over Q,
+        so the last nonzero one, made monic, is the gcd."""
+        x, y = _zprimpart(list(a.ints)), _zprimpart(list(b.ints))
         while y:
             if len(y) == 1:
                 return Poly.one()
             x, y = y, _zprimpart(_zprem(x, y))
-        return Poly([Fraction(c, x[-1]) for c in x])
+        return Poly._of(x, x[-1]) if x else Poly.zero()
 
     @staticmethod
     def lcm(a: "Poly", b: "Poly") -> "Poly":
@@ -383,8 +380,8 @@ class RatMat:
 
     def _integer_rows(self, extra: Sequence[Sequence[RatFun]]) -> list[list[list[int]]]:
         """The augmented rows [self | extra] over Z[z]: each row is scaled
-        by the lcm of its denominators, then by the lcm of its coefficient
-        denominators.  Entries are ascending integer coefficient lists."""
+        by the lcm of its denominators, then by the lcm of its polynomials'
+        ``den``.  Entries are ascending integer coefficient lists."""
         rows = []
         for row, ext in zip(self.entries, extra):
             row = list(row) + list(ext)
@@ -394,9 +391,8 @@ class RatMat:
                 polys = [e.num * d.exact_div(e.den) for e in row]
             else:
                 polys = [e.num for e in row]
-            scale = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
-            rows.append([[c.numerator * (scale // c.denominator) for c in p.coeffs]
-                         for p in polys])
+            scale = math.lcm(*(p.den for p in polys))
+            rows.append([[c * (scale // p.den) for c in p.ints] for p in polys])
         return rows
 
     def inverse(self) -> "RatMat":
@@ -407,8 +403,8 @@ class RatMat:
         if n == 0:
             return self
         ys, det = _bareiss_solve(self._integer_rows(RatMat.identity(n).entries))
-        d = Poly(det)
-        return RatMat.from_rows([[RatFun(Poly(y), d) for y in row] for row in ys],
+        d = Poly._of(det)
+        return RatMat.from_rows([[RatFun(Poly._of(y), d) for y in row] for row in ys],
                                 self.col_labels, self.row_labels)
 
     def cramer(self, rhs: Sequence[RatFun]) -> tuple[list[Poly], Poly]:
@@ -418,7 +414,7 @@ class RatMat:
         if self.nrows != self.ncols or len(rhs) != self.nrows:
             raise ValueError("shape mismatch in solve")
         ys, det = _bareiss_solve(self._integer_rows([[RatFun._coerce(b)] for b in rhs]))
-        return [Poly(y[0]) for y in ys], Poly(det)
+        return [Poly._of(y[0]) for y in ys], Poly._of(det)
 
     def solve(self, rhs: Sequence[RatFun]) -> list[RatFun]:
         """Solve self * x = rhs exactly: x_i = y_i / D from :meth:`cramer`."""
@@ -482,15 +478,6 @@ def _zprimpart(a: list[int]) -> list[int]:
     return [c // g for c in a] if g > 1 else a
 
 
-def _zprimitive(p: Poly) -> list[int]:
-    """The primitive integer form of p: the positive multiple of p with
-    coprime integer coefficients ([] for zero)."""
-    if p.is_zero:
-        return []
-    scale = math.lcm(*(c.denominator for c in p.coeffs))
-    return _zprimpart([c.numerator * (scale // c.denominator) for c in p.coeffs])
-
-
 def _zprem(a: list[int], b: list[int]) -> list[int]:
     """Pseudo-remainder of a by b (deg b >= 1) over Z: a times a power of
     |lc(b)|, less a multiple of b, of degree below deg b.  Scaling by
@@ -512,14 +499,15 @@ def _zprem(a: list[int], b: list[int]) -> list[int]:
     return rem
 
 
-def _zsign(p: list[int], u: int, v: int) -> int:
-    """Sign of p(u/v) for v > 0: the sign of sum c_i u^i v^(d-i), which
-    is v^d p(u/v), by homogeneous Horner."""
+def _zhorner(p: Sequence[int], u: int, v: int) -> int:
+    """sum c_i u^i v^(d-i) for p of degree d, which is v^d p(u/v), by
+    homogeneous Horner: one integer, however many coefficients."""
     acc, vk = 0, 1
     for c in reversed(p):
         acc = acc * u + c * vk
         vk *= v
-    return (acc > 0) - (acc < 0)
+    return acc
+
 
 
 def _bareiss_solve(aug: list[list[list[int]]]) -> tuple[list[list[list[int]]], list[int]]:
@@ -660,7 +648,8 @@ def _sturm_chain(g: list[int]) -> list[list[int]]:
 
 
 def _variations(chain: list[list[int]], x: Fraction) -> int:
-    signs = [s for s in (_zsign(p, x.numerator, x.denominator) for p in chain) if s]
+    # v^d p(x) has the sign of p(x), since the denominator v is positive
+    signs = [s > 0 for s in (_zhorner(p, x.numerator, x.denominator) for p in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -673,19 +662,19 @@ def largest_real_zero(f: RatFun | Poly, lo, hi) -> RootCertificate:
     Sturm counting isolates the root; bisection shrinks the bracket to
     ROOT_WIDTH.  The squarefree numerator and its Sturm chain are kept
     as primitive integer polynomials, positive multiples of their
-    Fraction forms, and every sign at a rational point u/v comes from
+    rational forms, and every sign at a rational point u/v comes from
     the integer v^d p(u/v).  Exact rational hits (including integer
     roots) are detected and certified in the result.
     """
     g = f.num if isinstance(f, RatFun) else f
     if g.is_zero or g.degree < 1:
         raise RootBracketError("numerator has no roots")
-    g = _zprimitive(_squarefree(g))
+    g = _zprimpart(list(_squarefree(g).ints))
     a, b = _fr(lo), _fr(hi)
     if a >= b:
         raise ValueError("empty bracket")
     exact: Fraction | None = None
-    if _zsign(g, a.numerator, a.denominator) == 0:
+    if not _zhorner(g, a.numerator, a.denominator):
         exact = a
         g = _zdiv(g, [-a.numerator, a.denominator])
     if len(g) < 2:
@@ -701,7 +690,7 @@ def largest_real_zero(f: RatFun | Poly, lo, hi) -> RootCertificate:
         raise RootBracketError(f"no real root in ({a}, {b}]")
     while b - a > ROOT_WIDTH:
         mid = (a + b) / 2
-        if _zsign(g, mid.numerator, mid.denominator) == 0:
+        if not _zhorner(g, mid.numerator, mid.denominator):
             # exact hit: keep it unless a larger root remains to the right
             quot = _zdiv(g, [-mid.numerator, mid.denominator])
             if len(quot) > 1:
@@ -718,7 +707,7 @@ def largest_real_zero(f: RatFun | Poly, lo, hi) -> RootCertificate:
             b, vb = mid, vm
     # integer (or bracket-endpoint) exactness inside the final interval
     k = Fraction(math.floor(b))
-    if a < k <= b and _zsign(g, k.numerator, 1) == 0:
+    if a < k <= b and not _zhorner(g, k.numerator, 1):
         return RootCertificate(float(k), k, k, k)
     mid = (a + b) / 2
     return RootCertificate(float(mid), a, b, None)

@@ -1,9 +1,11 @@
 """Shared test helpers: a from-scratch brute-force counter (independent
 of the package's transfer-count oracle), a seeded random spec generator,
 a hypothesis strategy for small specs, the field-arithmetic
-references that the fraction-free code is checked against (the linear
-solve, the Euclidean gcd and the Sturm isolation over Fraction
-coefficients), and the symbolic route to the normalization identity.
+references that the fraction-free code is checked against (a polynomial
+over Fraction coefficients, and on it the linear solve, the Euclidean
+gcd and the Sturm isolation), and the symbolic route to the
+normalization identity.  The field references take ``ratfield`` values
+through their Fraction views and run no ``ratfield.Poly`` arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import reject, strategies as st
 
-from multishift.errors import RootBracketError, SingularMatrixError, SpecError
+from multishift.errors import NumericError, RootBracketError, SingularMatrixError, SpecError
 from multishift.genfun import build_system, targets
 from multishift.langmodel import ShiftSpec, extend_repeated_to_full_length, validate_spec
 from multishift.ratfield import (ROOT_WIDTH, Poly, RatFun, RatMat, RootCertificate, _fr,
@@ -126,21 +128,146 @@ def small_specs(draw):
         reject()
 
 
+class FractionPoly:
+    """Reference polynomial: a trimmed tuple of Fraction coefficients,
+    ascending, with schoolbook field arithmetic.  Built from anything
+    with a ``coeffs`` view (a ``ratfield.Poly``) or from coefficients."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in getattr(coeffs, "coeffs", coeffs)]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def leading(self) -> Fraction:
+        return self.coeffs[-1]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FractionPoly) and self.coeffs == other.coeffs
+
+    def __neg__(self):
+        return FractionPoly([-c for c in self.coeffs])
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return FractionPoly(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FractionPoly([c * other for c in self.coeffs])
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FractionPoly(out)
+
+    def derivative(self):
+        return FractionPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def __call__(self, x):
+        """Horner evaluation, a Fraction or float operation per coefficient."""
+        acc = 0.0 if isinstance(x, float) else Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + (float(c) if isinstance(x, float) else c)
+        return acc
+
+    def divmod(self, other):
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
+        rem = list(self.coeffs)
+        while len(rem) > other.degree and rem:
+            k = len(rem) - 1 - other.degree
+            f = rem[-1] / other.leading
+            q[k] = f
+            for i, c in enumerate(other.coeffs):
+                rem[k + i] -= f * c
+            rem.pop()
+            while rem and rem[-1] == 0:
+                rem.pop()
+        return FractionPoly(q), FractionPoly(rem)
+
+    def exact_div(self, other):
+        q, r = self.divmod(other)
+        if not r.is_zero:
+            raise NumericError("exact polynomial division left a remainder")
+        return q
+
+    def monic(self):
+        return self * (1 / self.leading) if self.coeffs else self
+
+
+ONE = FractionPoly((1,))
+
+
+def reference_gcd(a, b) -> FractionPoly:
+    """Monic gcd by the Euclidean algorithm over Fraction coefficients."""
+    a, b = FractionPoly(a), FractionPoly(b)
+    while not b.is_zero:
+        a, b = b, a.divmod(b)[1]
+        # keep coefficients tame; monic rescale is harmless for a gcd
+        b = b.monic()
+    return a.monic()
+
+
+def reference_lcm(a, b) -> FractionPoly:
+    a, b = FractionPoly(a), FractionPoly(b)
+    if a.is_zero or b.is_zero:
+        return FractionPoly()
+    return (a * b).exact_div(reference_gcd(a, b)).monic()
+
+
+def _reference_quotient(num: FractionPoly, den: FractionPoly):
+    """num / den in canonical form: coprime, monic denominator, 0 / 1."""
+    if num.is_zero:
+        return num, ONE
+    g = reference_gcd(num, den)
+    num, den = num.exact_div(g), den.exact_div(g)
+    return num * (1 / den.leading), den.monic()
+
+
+def _as_ratfun(num: FractionPoly, den: FractionPoly) -> RatFun:
+    """A canonical reference quotient as a RatFun, assembled from its
+    coefficients so that no ratfield arithmetic touches it."""
+    out = object.__new__(RatFun)
+    out.num, out.den = Poly(num.coeffs), Poly(den.coeffs)
+    return out
+
+
 def reference_solve(m: RatMat, columns) -> list[list[RatFun]]:
     """m^-1 times the right-hand columns (one list of entries per row) by
     the field route: each row cleared to Q[z] by its denominator lcm, a
-    Bareiss forward pass, then back substitution with a canonical RatFun
-    at every step."""
+    Bareiss forward pass, then back substitution with a canonical
+    quotient at every step."""
     n = m.nrows
     aug = []
     for row, ext in zip(m.entries, columns):
-        row = list(row) + [RatFun._coerce(e) for e in ext]
-        d = Poly.one()
+        row = list(row) + list(ext)
+        d = ONE
         for e in row:
-            d = Poly.lcm(d, e.den)
-        aug.append([e.num * d.exact_div(e.den) for e in row])
+            d = reference_lcm(d, e.den)
+        aug.append([FractionPoly(e.num) * d.exact_div(FractionPoly(e.den)) for e in row])
     width = len(aug[0]) if aug else 0
-    prev = Poly.one()
+    prev = ONE
     for k in range(n):
         piv = next((i for i in range(k, n) if not aug[i][k].is_zero), None)
         if piv is None:
@@ -151,36 +278,28 @@ def reference_solve(m: RatMat, columns) -> list[list[RatFun]]:
             head = aug[i][k]
             for j in range(k + 1, width):
                 aug[i][j] = (pivot * aug[i][j] - head * aug[k][j]).exact_div(prev)
-            aug[i][k] = Poly.zero()
+            aug[i][k] = FractionPoly()
         prev = pivot
-    out = [[RatFun.zero()] * (width - n) for _ in range(n)]
+    out = [[None] * (width - n) for _ in range(n)]
     for i in range(n - 1, -1, -1):
-        diag = RatFun(aug[i][i])
         for col in range(width - n):
-            acc = RatFun(aug[i][n + col])
+            num, den = aug[i][n + col], ONE
             for j in range(i + 1, n):
-                acc = acc - RatFun(aug[i][j]) * out[j][col]
-            out[i][col] = acc / diag
-    return out
+                xn, xd = out[j][col]
+                num, den = _reference_quotient(num * xd - aug[i][j] * xn * den, den * xd)
+            out[i][col] = _reference_quotient(num, den * aug[i][i])
+    return [[_as_ratfun(*x) for x in row] for row in out]
 
 
-def reference_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm over Fraction coefficients."""
-    while not b.is_zero:
-        a, b = b, a.divmod(b)[1]
-        # keep coefficients tame; monic rescale is harmless for a gcd
-        if not b.is_zero:
-            b = b.monic()
-    return a.monic() if not a.is_zero else a
-
-
-def _reference_squarefree(p: Poly) -> Poly:
+def _reference_squarefree(p) -> FractionPoly:
+    p = FractionPoly(p)
     g = reference_gcd(p, p.derivative())
     return p.exact_div(g) if g.degree > 0 else p
 
 
-def reference_sturm_chain(p: Poly) -> list[Poly]:
+def reference_sturm_chain(p) -> list[FractionPoly]:
     """Sturm chain over Fraction coefficients: -rem scaled by 1/|lc|."""
+    p = FractionPoly(p)
     chain = [p, p.derivative()]
     while not chain[-1].is_zero and chain[-1].degree > 0:
         rem = chain[-2].divmod(chain[-1])[1]
@@ -193,7 +312,7 @@ def reference_sturm_chain(p: Poly) -> list[Poly]:
     return chain
 
 
-def _reference_variations(chain: list[Poly], x: Fraction) -> int:
+def _reference_variations(chain: list[FractionPoly], x: Fraction) -> int:
     signs = []
     for s in chain:
         v = s(x)
@@ -202,10 +321,10 @@ def _reference_variations(chain: list[Poly], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def reference_largest_real_zero(f: RatFun | Poly, lo, hi) -> RootCertificate:
+def reference_largest_real_zero(f, lo, hi) -> RootCertificate:
     """Sturm bisection with Fraction-coefficient chains and Fraction
     Horner evaluation at every step."""
-    g = f.num if isinstance(f, RatFun) else f
+    g = FractionPoly(f.num if isinstance(f, RatFun) else f)
     if g.is_zero or g.degree < 1:
         raise RootBracketError("numerator has no roots")
     g = _reference_squarefree(g)
@@ -215,7 +334,7 @@ def reference_largest_real_zero(f: RatFun | Poly, lo, hi) -> RootCertificate:
     exact: Fraction | None = None
     if g(a) == 0:
         exact = a
-        g = g.exact_div(Poly((-a, 1)))
+        g = g.exact_div(FractionPoly((-a, 1)))
     if g.degree < 1:
         if exact is not None:
             return RootCertificate(float(exact), exact, exact, exact)
@@ -229,7 +348,7 @@ def reference_largest_real_zero(f: RatFun | Poly, lo, hi) -> RootCertificate:
         mid = (a + b) / 2
         if g(mid) == 0:
             # exact hit: keep it unless a larger root remains to the right
-            quot = g.exact_div(Poly((-mid, 1)))
+            quot = g.exact_div(FractionPoly((-mid, 1)))
             if quot.degree >= 1:
                 chain2 = reference_sturm_chain(quot)
                 if _reference_variations(chain2, mid) - _reference_variations(chain2, b) > 0:

@@ -9,6 +9,7 @@ from conftest import random_spec
 from multishift.errors import SpecError
 from multishift.fixtures import load_fixture, list_fixtures
 from multishift.langmodel import spec_from_matrix, validate_spec
+from multishift.ratfield import RatMat
 from multishift.measures import (Cylinder, EDGE_ROUTES, MeasureContext,
                                  StochMat, cylinder_measure, escape_report,
                                  kolmogorov_report, lift_rational_stochastic,
@@ -301,6 +302,23 @@ def test_escape_with_extension_needed():
     assert rep.word_weight == 1
     assert rep.counts_match_tau
     assert rep.escape_rate > 0
+
+
+def test_escape_solves_the_core_of_the_spec_not_of_its_extension(monkeypatch):
+    # the extension (core order 5) only supplies the weights and the spec
+    # with the hole word forbidden; the root is solved on the spec's core
+    orders = []
+    cramer = RatMat.cramer
+
+    def recorded(self, rhs):
+        orders.append(self.nrows)
+        return cramer(self, rhs)
+
+    monkeypatch.setattr(RatMat, "cramer", recorded)
+    spec = load_fixture("extension")
+    rep = escape_report(spec, Cylinder.from_edges([("111", "111", 1)]), n_max=8)
+    assert rep.counts_match_tau
+    assert orders and set(orders) == {2}
 
 
 # Reference: the checks evaluated cylinder by cylinder through the public

@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import (_reference_squarefree, reference_gcd, reference_largest_real_zero,
-                      reference_solve, reference_sturm_chain)
+from conftest import (FractionPoly, _reference_squarefree, reference_gcd, reference_lcm,
+                      reference_largest_real_zero, reference_solve, reference_sturm_chain)
 from multishift import ratfield, spectral
 from multishift.errors import NumericError, PoleError, RootBracketError, SingularMatrixError
 from multishift.fixtures import list_fixtures, load_fixture
-from multishift.ratfield import (Poly, RatFun, RatMat, _sturm_chain, _zdiv, _zprimitive,
+from multishift.ratfield import (Poly, RatFun, RatMat, _sturm_chain, _zdiv, _zprimpart,
                                  largest_real_zero, series_coeffs, solve_numeric)
 
 Z = Poly.x()
@@ -25,9 +25,12 @@ def test_poly_basic_ops():
 
 
 def test_poly_divmod_exact():
-    a = (Z - Poly.constant(2)) * (Z ** 2 + Poly.one())
-    q, r = a.divmod(Z - Poly.constant(2))
-    assert r.is_zero and q == Z ** 2 + Poly.one()
+    # the reference's long division, which the property tests lean on
+    a = FractionPoly((-2, 1)) * FractionPoly((1, 0, 1))
+    q, r = a.divmod(FractionPoly((-2, 1)))
+    assert r.is_zero and q == FractionPoly((1, 0, 1))
+    q, r = a.divmod(FractionPoly((0, 2)))
+    assert q == FractionPoly((Fraction(1, 2), -1, Fraction(1, 2))) and r == FractionPoly((-2,))
 
 
 def test_poly_deflate():
@@ -36,6 +39,54 @@ def test_poly_deflate():
     assert p.exact_div(Z - Poly.constant(3)) == Z + Poly.one()
     with pytest.raises(NumericError):
         p.exact_div(Z - Poly.constant(2))
+
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=97)
+coefficient_lists = st.lists(rationals, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficient_lists, coefficient_lists, st.lists(rationals, min_size=1, max_size=3),
+       rationals, st.integers(-4, 4), st.floats(-3, 3, allow_nan=False))
+@example([Fraction(1, 3), 0, Fraction(-1, 3)], [Fraction(1, 3)], [0], Fraction(0), 0, -0.0)
+def test_poly_ops_equal_the_fraction_reference(a, b, c, s, k, x):
+    pa, pb, pc = Poly(a), Poly(b), Poly(c)
+    ra, rb, rc = FractionPoly(a), FractionPoly(b), FractionPoly(c)
+    assert pa.coeffs == ra.coeffs and pa.to_json() == [str(e) for e in ra.coeffs]
+    pairs = [(pa + pb, ra + rb), (pa - pb, ra - rb), (pa * pb, ra * rb),
+             (pa * s, ra * s), (s * pa, ra * s), (pa * k, ra * k),
+             (pa.derivative(), ra.derivative()), (pa.monic(), ra.monic()),
+             (Poly.gcd(pa, pb), reference_gcd(ra, rb)), (Poly.lcm(pa, pb), reference_lcm(ra, rb))]
+    if not rc.is_zero:
+        pairs.append(((pa * pc).exact_div(pc), (ra * rc).exact_div(rc)))
+    for got, want in pairs:
+        assert got.coeffs == want.coeffs
+        assert got.to_json() == [str(e) for e in want.coeffs]
+    if not rb.is_zero:
+        q, r = ra.divmod(rb)
+        if r.is_zero:
+            assert pa.exact_div(pb).coeffs == q.coeffs
+        else:
+            with pytest.raises(NumericError):
+                pa.exact_div(pb)
+    assert pa(s) == ra(s) and pa(k) == ra(k)
+    assert isinstance(pa(s), Fraction)
+    # float evaluation is bit-identical, signed zeros included
+    assert pa(x).hex() == ra(x).hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficient_lists, st.integers(-6, 6).filter(bool))
+def test_poly_is_canonical_whatever_the_route(a, k):
+    p = Poly(a)
+    assert p.den > 0 and math.gcd(p.den, *p.ints) == 1 and (not p.ints or p.ints[-1])
+    scale = math.lcm(*(e.denominator for e in a))
+    routes = [Poly([e * k for e in a], k),                       # Fraction input over k
+              Poly([int(e * scale * k) for e in a], scale * k),  # unreduced, maybe negative
+              Poly(a + [0, 0]),                                  # untrimmed
+              (p + p) * Fraction(1, 2), (p * Z).exact_div(Z)]
+    for q in routes:
+        assert (q.ints, q.den, hash(q)) == (p.ints, p.den, hash(p)) and q == p
 
 
 def test_ratfun_canonical_routes():
@@ -280,6 +331,11 @@ def assert_positive_multiples(ints: list[list[int]], ref: list[Poly]):
         assert scale > 0 and list(q) == [scale * c for c in r.coeffs]
 
 
+def primitive(p: FractionPoly) -> list[int]:
+    """The primitive integer form of a reference polynomial."""
+    return _zprimpart(list(Poly(p.coeffs).ints))
+
+
 @settings(max_examples=200, deadline=None)
 @given(bracketed_polys())
 # (z - 2)^2 (z^2 - z - 1): a repeated root
@@ -306,7 +362,7 @@ def test_isolation_equals_the_fraction_reference(case):
         outcome(reference_largest_real_zero, p, lo, hi)
     if p.degree >= 1:
         g = _reference_squarefree(p)
-        assert_positive_multiples(_sturm_chain(_zprimitive(g)), reference_sturm_chain(g))
+        assert_positive_multiples(_sturm_chain(primitive(g)), reference_sturm_chain(g))
 
 
 def test_isolation_equals_the_reference_on_every_fixture(monkeypatch):
@@ -316,7 +372,7 @@ def test_isolation_equals_the_reference_on_every_fixture(monkeypatch):
         cert = largest_real_zero(f, lo, hi)
         assert cert == reference_largest_real_zero(f, lo, hi)
         g = _reference_squarefree(f.num)
-        assert_positive_multiples(_sturm_chain(_zprimitive(g)), reference_sturm_chain(g))
+        assert_positive_multiples(_sturm_chain(primitive(g)), reference_sturm_chain(g))
         isolated.append(cert)
         return cert
 
@@ -362,7 +418,7 @@ def test_isolation_counts_each_point_once_per_chain(monkeypatch):
 def test_gcd_equals_the_euclidean_reference(a, b, common, c):
     for x, y in ((a, b), (a * common, b * common), (a * common, Poly.constant(c)),
                  (Poly.zero(), b * common), (a * c, Poly.zero())):
-        assert Poly.gcd(x, y) == reference_gcd(x, y)
+        assert Poly.gcd(x, y).coeffs == reference_gcd(x, y).coeffs
     # over a constant the gcd is skipped; over c * common it is not
     num = a * common
     by_constant = RatFun(num, Poly.constant(c))
