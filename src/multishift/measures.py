@@ -7,9 +7,11 @@ all read from one :class:`spectral.Analysis`, plus the row-stochastic
 matrix of the Shannon-Parry measure.  Cylinder measures can then be
 evaluated along independent routes (eigenvector formula, derivative
 normalization, Markov-chain products) which must agree.  The additivity
-check runs once per (first block, last block, length) class of vertex
-paths and the push-forward check in one walk over path prefixes; neither
-builds a cylinder per path.
+check is decided once per block, by the row identity of the right
+eigenvector, and the push-forward check by a product certificate over
+one factor per block and per edge; both count the vertex paths they
+cover by a DP over (block, length) and walk the paths only to name the
+failing words.
 
 Every check here (stochastic rows, stationarity, normalization,
 additivity, push-forward) compares by :func:`spectral.agree`: exact
@@ -31,8 +33,8 @@ from . import words as W
 from .errors import NumericError, SpecError
 from .langmodel import (DEFAULT_BUDGET, ShiftSpec, check_budget, multiplicity,
                         spec_from_matrix, transfer_tables, validate_spec)
-from .spectral import (AdjMatrix, Analysis, EigenData, NormalizationReport, PerronResult,
-                       agree, is_irreducible, perron_root, perron_vectors)
+from .spectral import (THETA_TOL, AdjMatrix, Analysis, EigenData, NormalizationReport,
+                       PerronResult, agree, is_irreducible, perron_root, perron_vectors)
 from .words import Word
 
 
@@ -55,15 +57,25 @@ class StochMat:
         return out
 
 
-def _validate_stochastic(sm: StochMat) -> StochMat:
+def _validate_stochastic(sm: StochMat,
+                         successors: Sequence[Sequence[tuple[int, int]]]) -> StochMat:
+    """Check the rows, the stationarity pi P = pi and the total of pi.
+
+    pi P is one product over the successor lists, with i ascending, so
+    each entry sums the same nonzero terms in the same order as the
+    dense column sum did.
+    """
     n = len(sm.labels)
     for i in range(n):
         s = sum(sm.rows[i])
         if not agree(s, 1):
             raise NumericError(f"row {i} sums to {s}, not 1")
-    for j in range(n):
-        if not agree(sum(sm.stationary[i] * sm.rows[i][j] for i in range(n)), sm.stationary[j]):
-            raise NumericError("stationary vector is not stationary")
+    image = [0] * n
+    for i, row in enumerate(successors):
+        for j, _ in row:
+            image[j] += sm.stationary[i] * sm.rows[i][j]
+    if not all(agree(x, pi) for x, pi in zip(image, sm.stationary)):
+        raise NumericError("stationary vector is not stationary")
     if not agree(sum(sm.stationary), 1):
         raise NumericError("stationary vector does not sum to 1")
     return sm
@@ -94,7 +106,7 @@ def shannon_parry_matrix(mat: AdjMatrix, theta, left_normalized: Sequence,
     t = sum(stationary)
     stationary = [x / t for x in stationary]
     return _validate_stochastic(StochMat(mat.labels, tuple(rows), tuple(stationary),
-                                         isinstance(theta, Fraction)))
+                                         isinstance(theta, Fraction)), mat.successors)
 
 
 def lift_rational_stochastic(sm: StochMat) -> AdjMatrix:
@@ -319,27 +331,76 @@ def _path_word(labels: Sequence[Word], path: Sequence[int]) -> str:
     return "".join(Cylinder(tuple(labels[i] for i in path)).word())
 
 
-def pushforward_report(ctx: MeasureContext, n_max: int) -> dict:
-    """Check the push-forward identity on every vertex word up to n_max edges.
+def _path_count(mat: AdjMatrix, n_max: int) -> int:
+    """Number of vertex paths of 1..n_max edges: one count DP over
+    (block, length) from every start block at once."""
+    counts, total = [1] * mat.size, 0
+    for _ in range(n_max):
+        reach = [0] * mat.size
+        for k, c in enumerate(counts):
+            if c:
+                for j, _ in mat.successors[k]:
+                    reach[j] += c
+        counts = reach
+        total += sum(counts)
+    return total
 
-    The Markov product for the projected cylinder must equal the total
-    eigenvector-formula measure of its branch preimage; since branch
-    indices never change the measure (checked independently) the total
-    is the preimage count times one representative.  The two sides must
-    :func:`spectral.agree`: exactly in the exact pipeline, to a relative
-    THETA_TOL in floats.
 
-    Both sides are products along the path, so one depth-first walk over
-    the path prefixes of each start block carries the running Markov
-    product and preimage count, each extended by one factor per step in
-    the order the per-cylinder routes use.  The representative measure
-    U_first V_last / theta^n depends only on the first block, the last
-    block and the length n, so it is computed once per such class.  The
-    walk costs one multiplication per vertex path instead of building
-    and measuring two cylinders, and holds O(blocks * n_max) values per
-    start block.  Violations are listed per word, shortest first and
-    lexicographic within one length, as a walk length by length would
-    list them.
+def _pushforward_certified(ctx: MeasureContext, n_max: int) -> bool:
+    """Whether every vertex path of 1..n_max edges passes the push-forward
+    check, decided without walking the paths.
+
+    Along a path f -> ... -> l the Markov product over the preimage sum
+    is c_f times the product of c_ab over its edges, with
+    c_f = pi_f / (U_f V_f) and c_ab = P_ab theta V_a / (A_ab V_b): the
+    V factors telescope, whatever the values.  In exact arithmetic every
+    path passes when every factor is one.  In floats a min/max product
+    DP over (block, length) bounds the ratio on all paths of each
+    length, and every bound must lie within 3/4 THETA_TOL of one; the
+    other quarter covers the rounding of an n_max-factor product.  A
+    zero or negative factor is never certified.
+    """
+    mat, sp, vec, theta = ctx.mat, ctx.sp, ctx.vectors, ctx.theta
+    left, right = vec.left_normalized, vec.right
+    if any(u * v == 0 for u, v in zip(left, right)):
+        return False
+    start = [pi / (u * v) for pi, u, v in zip(sp.stationary, left, right)]
+    edge = [[sp.rows[a][b] * theta * right[a] / (e * right[b]) for b, e in row]
+            for a, row in enumerate(mat.successors)]
+    if ctx.exact:
+        return all(c == 1 for c in start) and all(c == 1 for row in edge for c in row)
+    if not all(c > 0 for c in start) or not all(c > 0 for row in edge for c in row):
+        return False
+    lo, hi = 1 - 0.75 * THETA_TOL, 1 + 0.75 * THETA_TOL
+    low, high = start, start
+    for _ in range(n_max):
+        next_low, next_high = [None] * mat.size, [None] * mat.size
+        for a, row in enumerate(mat.successors):
+            if low[a] is None:
+                continue
+            for (b, _), c in zip(row, edge[a]):
+                x, y = low[a] * c, high[a] * c
+                if next_low[b] is None or x < next_low[b]:
+                    next_low[b] = x
+                if next_high[b] is None or y > next_high[b]:
+                    next_high[b] = y
+        low, high = next_low, next_high
+        if any(x is not None and not lo <= x for x in low) or \
+                any(y is not None and not y <= hi for y in high):
+            return False
+    return True
+
+
+def _pushforward_walk(ctx: MeasureContext, n_max: int) -> dict:
+    """The push-forward check path by path, naming every failing word.
+
+    One depth-first walk over the path prefixes of each start block
+    carries the running Markov product and preimage count, each extended
+    by one factor per step in the order the per-cylinder routes use.
+    The representative measure U_first V_last / theta^n is computed once
+    per (first block, last block, length) class.  Violations are listed
+    per word, shortest first and lexicographic within one length, as a
+    walk length by length would list them.
     """
     mat, sp = ctx.mat, ctx.sp
     succ = mat.successors
@@ -369,61 +430,75 @@ def pushforward_report(ctx: MeasureContext, n_max: int) -> dict:
     return {"checked": checked, "violations": [v for _, v in found]}
 
 
+def pushforward_report(ctx: MeasureContext, n_max: int) -> dict:
+    """Check the push-forward identity on every vertex word up to n_max edges.
+
+    The Markov product for the projected cylinder must equal the total
+    eigenvector-formula measure of its branch preimage; since branch
+    indices never change the measure (checked independently) the total
+    is the preimage count times one representative.  The two sides must
+    :func:`spectral.agree`: exactly in the exact pipeline, to a relative
+    THETA_TOL in floats.
+
+    Their ratio is a product of one factor per start block and one per
+    edge, so a certificate over the factors (see
+    :func:`_pushforward_certified`) decides every path at once in
+    O(edges * n_max), and ``checked`` comes from the path-count DP.  Only
+    when the certificate fails are the paths walked, one by one, to name
+    the violations.
+    """
+    if not _pushforward_certified(ctx, n_max):
+        return _pushforward_walk(ctx, n_max)
+    return {"checked": _path_count(ctx.mat, n_max), "violations": []}
+
+
 def kolmogorov_report(ctx: MeasureContext, n_max: int) -> dict:
     """Additivity of the edge-cylinder measure under one-edge extension.
 
     For every vertex path of 1..n_max edges, the measure of its edge
     cylinder must equal the sum over the one-edge extensions, each
     weighted by its number of parallel edges, where the two sides must
-    :func:`spectral.agree`.  An edge cylinder of n
-    edges from block f to block l measures U_f V_l / theta^n whatever
-    the blocks in between, and its extensions into block j measure
-    U_f V_j / theta^(n+1).  So both sides, and the defect, depend only
-    on (f, l, n): each reachable class is checked once, with the same
-    operations in the same order as for any one of its paths.
-    ``checked`` still counts vertex paths: for each start block one
-    integer DP over the successor lists counts the paths of each length
-    ending at each block.  That costs O(blocks * n_max * edges) where a
-    check per path grew exponentially with n_max, and holds O(blocks)
-    values per start block.  ``violations`` still lists every failing
-    vertex word in path order; only when a class fails are the paths of
-    its length walked again to name them.
+    :func:`spectral.agree`.  An edge cylinder of n edges from block f to
+    block l measures U_f V_l / theta^n whatever the blocks in between,
+    and its extensions into block j measure U_f V_j / theta^(n+1).  The
+    factor U_f / theta^n is common to both sides and the agreement rule
+    is relative, so every path ending at block l passes when the row
+    identity sum_j A_lj V_j / theta = V_l agrees: each block is decided
+    once.  ``checked`` counts the vertex paths by one all-starts
+    path-count DP.  ``max_defect`` is the row defect times the largest
+    U_f / theta^n over the classes (f, l, n) that reach the row, which
+    one max-DP over (block, length) gives.  The work is
+    O(edges * n_max) where a check per path grew exponentially with
+    n_max.  ``violations`` lists every path that ends at a failing row,
+    in path order; the paths are walked only for the lengths at which a
+    failing row is reached.
     """
-    mat = ctx.mat
-    succ = mat.successors
-    checked, worst = 0, 0.0
-    failing = set()
-    for first in range(mat.size):
-        counts = [0] * mat.size
-        counts[first] = 1
-        # Shannon-Parry values of the cylinders from first, at the current length
-        here = {j: _shannon_parry_value(ctx, first, j, 1) for j, _ in succ[first]}
-        for length in range(1, n_max + 1):
-            reach = [0] * mat.size
-            for k, c in enumerate(counts):
-                if c:
-                    for j, _ in succ[k]:
-                        reach[j] += c
-            counts, ahead = reach, {}
-            for last, c in enumerate(counts):
-                if not c:
-                    continue
-                base = here[last]
-                total = 0
-                for j, e in succ[last]:
-                    if j not in ahead:
-                        ahead[j] = _shannon_parry_value(ctx, first, j, length + 1)
-                    total += e * ahead[j]
-                checked += c
-                worst = max(worst, abs(float(total - base)))
-                if not agree(total, base):
-                    failing.add((first, last, length))
-            here = ahead
-    violations = [_path_word(mat.labels, path)
-                  for length in sorted({n for _, _, n in failing})
-                  for path in _vertex_paths(mat, length)
-                  if (path[0], path[-1], length) in failing]
-    return {"checked": checked, "max_defect": worst, "violations": violations}
+    mat, vec, theta = ctx.mat, ctx.vectors, ctx.theta
+    left, right = vec.left_normalized, vec.right
+    defects, failing = [], set()
+    for last, row in enumerate(mat.successors):
+        total = sum(e * right[j] for j, e in row) / theta
+        defects.append(abs(total - right[last]))
+        if not agree(total, right[last]):
+            failing.add(last)
+    # largest U_f over the first blocks of the paths of each length ending
+    # at each block (None where none ends), and its largest U_f / theta^n
+    top, scale, lengths = list(left), [0] * mat.size, []
+    for length in range(1, n_max + 1):
+        reach = [None] * mat.size
+        for k, u in enumerate(top):
+            if u is not None:
+                for j, _ in mat.successors[k]:
+                    if reach[j] is None or u > reach[j]:
+                        reach[j] = u
+        top, power = reach, theta ** length
+        scale = [s if u is None else max(s, u / power) for s, u in zip(scale, top)]
+        if any(top[last] is not None for last in failing):
+            lengths.append(length)
+    violations = [_path_word(mat.labels, path) for length in lengths
+                  for path in _vertex_paths(mat, length) if path[-1] in failing]
+    worst = max([0.0] + [float(s * d) for s, d in zip(scale, defects)])
+    return {"checked": _path_count(mat, n_max), "max_defect": worst, "violations": violations}
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,24 @@
 import dataclasses
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_spec
-from multishift.errors import SpecError
+from multishift import measures
+from multishift.errors import NumericError, SpecError
 from multishift.fixtures import load_fixture, list_fixtures
 from multishift.langmodel import spec_from_matrix, validate_spec
 from multishift.ratfield import RatMat
-from multishift.measures import (Cylinder, EDGE_ROUTES, MeasureContext,
-                                 StochMat, cylinder_measure, escape_report,
+from multishift.measures import (Cylinder, EDGE_ROUTES, MeasureContext, StochMat,
+                                 _validate_stochastic, cylinder_measure, escape_report,
                                  kolmogorov_report, lift_rational_stochastic,
                                  preimage_count, project_edges, pushforward_report,
                                  shannon_parry_matrix)
-from multishift.spectral import (AdjMatrix, adjacency_matrix, agree, is_irreducible,
-                                 perron_vectors)
+from multishift.spectral import (THETA_TOL, AdjMatrix, adjacency_matrix, agree,
+                                 is_irreducible, perron_vectors)
 
 
 def eigen_spec():
@@ -55,6 +57,18 @@ def test_shannon_parry_exact_rows_and_stationarity():
     for j in range(n):
         assert sum(ctx.sp.stationary[i] * ctx.sp.rows[i][j] for i in range(n)) \
             == ctx.sp.stationary[j]
+
+
+def test_stationarity_is_checked_over_the_successor_lists():
+    # float and exact: the stationary vector reversed still sums to one
+    # but is not stationary
+    float_mat, _, float_sp = sp_of_matrix([[2, 1], [1, 0]])
+    exact = MeasureContext(eigen_spec())
+    for mat, sp in ((float_mat, float_sp), (exact.mat, exact.sp)):
+        assert _validate_stochastic(sp, mat.successors) is sp
+        wrong = dataclasses.replace(sp, stationary=sp.stationary[::-1])
+        with pytest.raises(NumericError, match="not stationary"):
+            _validate_stochastic(wrong, mat.successors)
 
 
 def test_cylinder_forms_and_projection():
@@ -382,11 +396,39 @@ REFERENCE_SPECS = {name: load_fixture(name) for name in list_fixtures()
 REFERENCE_SPECS["three_successors"] = validate_spec("012", ["00"], [("12", 2), ("201", 3)])
 
 
+def assert_matches_reference(ctx, got, want, n_max):
+    """Compare an additivity report with its reference: exact roots the
+    whole report, float roots ``checked`` and ``violations`` equal and
+    ``max_defect`` within its rounding.
+
+    Each side of one check is a cylinder measure, about one at most,
+    computed in at most degree + n_max + 2 rounded operations.  The
+    check per block and the reference per path round in different
+    orders, so their defects may differ by a few ulps of one for each.
+    """
+    if ctx.exact:
+        assert got == want
+        return
+    degree = max(len(row) for row in ctx.mat.successors)
+    bound = 4 * (degree + n_max + 2) * sys.float_info.epsilon
+    assert {**got, "max_defect": None} == {**want, "max_defect": None}
+    assert abs(got["max_defect"] - want["max_defect"]) <= bound
+
+
 @pytest.mark.parametrize("name", REFERENCE_SPECS)
-def test_grouped_checks_equal_per_cylinder_reference(name):
+def test_grouped_checks_equal_per_cylinder_reference(name, monkeypatch):
+    # nothing fails here, so the row identities and the product
+    # certificate decide every path: the walks, which only name
+    # failures, must not run
+    def refuse(*args):
+        raise AssertionError("a path walk ran although no check fails")
+
+    monkeypatch.setattr(measures, "_vertex_paths", refuse)
+    monkeypatch.setattr(measures, "_pushforward_walk", refuse)
     ctx = MeasureContext(REFERENCE_SPECS[name])
     for n_max in (3, 4):
-        assert kolmogorov_report(ctx, n_max) == reference_kolmogorov(ctx, n_max)
+        assert_matches_reference(ctx, kolmogorov_report(ctx, n_max),
+                                 reference_kolmogorov(ctx, n_max), n_max)
         assert pushforward_report(ctx, n_max) == reference_pushforward(ctx, n_max)
 
 
@@ -405,17 +447,46 @@ def _corrupt_right(ctx, factor):
     return ("kolmogorov", "pushforward")
 
 
-@pytest.mark.parametrize("name", ["counting", "eigenvectors"])  # float, exact
-@pytest.mark.parametrize("corrupt", [_corrupt_rows, _corrupt_right], ids=["rows", "right"])
+def _corrupt_stationary(ctx, factor):
+    # the start factor of the push-forward product
+    stationary = list(ctx.sp.stationary)
+    stationary[0] *= factor
+    ctx.sp = dataclasses.replace(ctx.sp, stationary=tuple(stationary))
+    return ("pushforward",)
+
+
+CORRUPTED_SPECS = {name: REFERENCE_SPECS[name]
+                   for name in ("counting", "eigenvectors", "three_successors")}
+# a float root on 27 blocks, with parallel edges
+CORRUPTED_SPECS["q3_p4"] = validate_spec("012", [], [("0121", 2), ("22", 3)])
+
+
+@pytest.mark.parametrize("name", CORRUPTED_SPECS)
+@pytest.mark.parametrize("corrupt", [_corrupt_rows, _corrupt_right, _corrupt_stationary],
+                         ids=["rows", "right", "stationary"])
 def test_grouped_checks_list_the_same_violations(name, corrupt):
-    ctx = MeasureContext(load_fixture(name))
+    ctx = MeasureContext(CORRUPTED_SPECS[name])
     failing = corrupt(ctx, Fraction(1001, 1000) if ctx.exact else 1.001)
     got = {"kolmogorov": kolmogorov_report(ctx, 4), "pushforward": pushforward_report(ctx, 4)}
     want = {"kolmogorov": reference_kolmogorov(ctx, 4),
             "pushforward": reference_pushforward(ctx, 4)}
-    assert got == want
-    for check in failing:
-        assert got[check]["violations"]
+    assert_matches_reference(ctx, got["kolmogorov"], want["kolmogorov"], 4)
+    assert got["pushforward"] == want["pushforward"]
+    for check in ("kolmogorov", "pushforward"):
+        assert bool(got[check]["violations"]) == (check in failing)
+
+
+@pytest.mark.parametrize("factor", [1 + THETA_TOL / 2, 1 + 2 * THETA_TOL],
+                         ids=["inside", "beyond"])
+def test_pushforward_certificate_at_the_tolerance(factor):
+    # a start factor just inside the relative tolerance passes on every
+    # path; just beyond it, every path from that block fails
+    ctx = MeasureContext(load_fixture("counting"))
+    _corrupt_stationary(ctx, factor)
+    got = pushforward_report(ctx, 4)
+    assert got == reference_pushforward(ctx, 4)
+    want = _path_words(ctx.mat, 4, lambda path: path[0] == 0) if factor > 1 + THETA_TOL else []
+    assert [v["word"] for v in got["violations"]] == want
 
 
 def _path_words(mat, n_max, keep):
@@ -454,17 +525,30 @@ def test_small_relative_error_flagged_on_every_path_through_a_markov_row():
     assert kolmogorov_report(ctx, 12)["violations"] == []
 
 
-def test_additivity_check_cost_polynomial_in_length():
-    # about 5e10 vertex paths of up to 40 edges: only a count per
-    # (first, last, length) class can answer
-    ctx = MeasureContext(load_fixture("counting"))
-    b = [list(row) for row in ctx.mat.binary().entries]
+def _paths_up_to(mat, n_max):
+    """Sum over n = 1..n_max of 1^T B^n 1 for the binary matrix B."""
+    b = [list(row) for row in mat.binary().entries]
     n = len(b)
-    power, expected = [row[:] for row in b], 0
-    for _ in range(40):
-        expected += sum(map(sum, power))
+    power, total = [row[:] for row in b], 0
+    for _ in range(n_max):
+        total += sum(map(sum, power))
         power = [[sum(power[i][k] * b[k][j] for k in range(n)) for j in range(n)]
                  for i in range(n)]
+    return total
+
+
+def test_additivity_check_cost_polynomial_in_length():
+    # about 5e10 vertex paths of up to 40 edges: only a check per block
+    # and a count per (block, length) can answer
+    ctx = MeasureContext(load_fixture("counting"))
     report = kolmogorov_report(ctx, 40)
-    assert report["checked"] == expected
+    assert report["checked"] == _paths_up_to(ctx.mat, 40)
+    assert report["violations"] == []
+
+
+def test_pushforward_check_cost_polynomial_in_length():
+    ctx = MeasureContext(load_fixture("counting"))
+    assert not ctx.exact
+    report = pushforward_report(ctx, 40)
+    assert report["checked"] == _paths_up_to(ctx.mat, 40)
     assert report["violations"] == []
