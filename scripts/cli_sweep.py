@@ -1,8 +1,8 @@
-"""Run every bundled fixture through seven CLI commands and record the runs.
+"""Run every bundled fixture through eight CLI commands and record the runs.
 
     python scripts/cli_sweep.py OUTDIR
 
-Each of the 14 fixtures x 7 commands = 98 runs is a fresh
+Each of the 14 fixtures x 8 commands = 112 runs is a fresh
 ``python -m multishift.cli`` process on this checkout's ``src``.  Each
 run writes ``OUTDIR/<fixture>.<command>.txt`` with its exit code, stdout
 and stderr, so ``diff -r`` between the OUTDIRs of two checkouts shows
@@ -24,10 +24,11 @@ from multishift.fixtures import list_fixtures, load_fixture  # noqa: E402
 
 
 def commands(p: int) -> dict[str, list[str]]:
-    """The seven runs of one fixture whose words have length at most p."""
+    """The eight runs of one fixture whose words have length at most p."""
     block = "0" * (p - 1)
     return {
         "enumerate": ["enumerate", "--max-n", "7"],
+        "enumerate-slices": ["enumerate", "--max-n", "7", "--slices"],
         "genfun": ["genfun"],
         "perron": ["perron"],
         "perron-reducible": ["perron", "--allow-reducible"],

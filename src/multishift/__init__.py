@@ -10,8 +10,8 @@ from .errors import (BudgetError, MultishiftError, NumericError, PoleError,
                      RootBracketError, RouteMismatchError, SingularMatrixError,
                      SpecError)
 from .langmodel import (LanguageSlice, ShiftSpec, enumerate_slice,
-                        extend_repeated_to_full_length, leading_multiplicity,
-                        multiplicity, spec_from_matrix, validate_spec,
+                        extend_repeated_to_full_length, language_slices,
+                        leading_multiplicity, multiplicity, spec_from_matrix, validate_spec,
                         weighted_count, weighted_count_ending_with,
                         weighted_count_forbidden_suffix)
 from .ratfield import (Poly, RatFun, RatMat, RootCertificate, largest_real_zero,

@@ -20,7 +20,7 @@ import sys
 from . import __version__, measures, spectral, verify
 from .errors import BudgetError, MultishiftError, NumericError, SpecError
 from .genfun import solve_generating_functions
-from .langmodel import (DEFAULT_BUDGET, ShiftSpec, enumerate_slice, oracle_tables,
+from .langmodel import (DEFAULT_BUDGET, ShiftSpec, language_slices, oracle_tables,
                         validate_spec)
 from .ratfield import series_coeffs
 
@@ -146,9 +146,6 @@ def cmd_enumerate(args, doc: dict, spec: ShiftSpec) -> int:
     table = {"n": list(range(0, n_max + 1)), "f": f[keep],
              "g": {"".join(r): g[r][keep] for r in spec.repeated_words},
              "fa": {"".join(a): fa[a][keep] for a in spec.forbidden}}
-    if args.slices:
-        table["slices"] = [enumerate_slice(n, spec, budget).to_json()
-                           for n in range(1, n_max + 1)]
     if args.fmt == "table":
         heads = ["n", "f"] + [f"g[{k}]" for k in table["g"]] + [f"fa[{k}]" for k in table["fa"]]
         print("  ".join(f"{h:>10}" for h in heads))
@@ -157,6 +154,8 @@ def cmd_enumerate(args, doc: dict, spec: ShiftSpec) -> int:
                 + [v[i] for v in table["fa"].values()]
             print("  ".join(f"{x:>10}" for x in row))
     else:
+        if args.slices:
+            table["slices"] = [s.to_json() for s in language_slices(n_max, spec, budget)]
         report = report_skeleton("enumerate", doc)
         report["result"] = table
         emit(report)
@@ -251,7 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="weighted count tables from the oracle")
     common(p, fmt="json", reducible=False)
     p.add_argument("--max-n", type=int, default=10)
-    p.add_argument("--slices", action="store_true", help="include full weighted slices")
+    p.add_argument("--slices", action="store_true",
+                   help="JSON output only: include the weighted slices, every allowed "
+                        "word of each length 1..MAX_N with its multiplicity")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("genfun", help="exact counting series and their system")

@@ -7,8 +7,11 @@ specs.  This module also hosts the weighted counters f(n), g_r(n) and
 f_a(n) that serve as the independent oracle for all generating-function
 output.  They read one transfer pass over the states of the last p - 1
 symbols (:func:`transfer_tables`), which shares no code with the
-correlation route; the word-by-word walk :func:`allowed_words` remains
-for materialized slices.
+correlation route.  The weighted slices themselves, every allowed word
+with its multiplicity, come from one layered walk over the same states
+(:func:`language_slices`); the unweighted depth-first walk
+:func:`allowed_words` lists the words of one length for block labels and
+the extension.
 """
 
 from __future__ import annotations
@@ -212,23 +215,65 @@ class LanguageSlice:
         }
 
 
-def enumerate_slice(n: int, spec: ShiftSpec, budget: int = DEFAULT_BUDGET) -> LanguageSlice:
-    """Materialize the weighted language slice of length n."""
-    if n < 1:
-        raise ValueError("slice length must be >= 1")
-    entries = []
-    total = 0
-    for w in allowed_words(n, spec, budget):
-        m = 1
-        for r, mult in spec.repeated:
-            m *= mult ** W.subword_count(w, r)
-        entries.append((w, m))
-        total += m
-    return LanguageSlice(n, tuple(entries), total)
-
-
 def _ends_with(w: Word, x: Word) -> bool:
     return len(x) <= len(w) and w[len(w) - len(x):] == x
+
+
+def language_slices(n_max: int, spec: ShiftSpec, budget: int = DEFAULT_BUDGET
+                    ) -> Iterator[LanguageSlice]:
+    """The weighted slices of lengths 1..n_max from one layered walk.
+
+    Layer n is layer n - 1 with each word extended by each allowed
+    symbol in alphabet order, so every slice comes out lexicographic.
+    A word's weight is its prefix's weight times m_r for each repeated
+    word r that the new symbol completes.  Forbidden and repeated words
+    have length at most p, so both depend only on the state, the last
+    p - 1 symbols: each state's allowed symbols, factors and next
+    states are worked out once, when a word first reaches it.  Only the
+    current layer is kept.  The budget applies to q**n_max; n_max <= 0
+    yields nothing.
+    """
+    if n_max < 1:
+        return
+    check_budget(n_max, spec, budget)
+    k = spec.p - 1
+
+    def moves_of(state: Word) -> list[tuple[Word, int, Word]]:
+        out = []
+        for sym in spec.alphabet:
+            w = state + (sym,)
+            if any(_ends_with(w, a) for a in spec.forbidden):
+                continue
+            factor = 1
+            for r, m in spec.repeated:
+                if _ends_with(w, r):
+                    factor *= m
+            out.append(((sym,), factor, w[-k:]))
+        return out
+
+    moves: dict[Word, list[tuple[Word, int, Word]]] = {}
+    layer: list[tuple[Word, int, Word]] = [((), 1, ())]  # (word, weight, state)
+    for n in range(1, n_max + 1):
+        nxt = []
+        for w, weight, state in layer:
+            step = moves.get(state)
+            if step is None:
+                step = moves[state] = moves_of(state)
+            for sym, factor, to in step:
+                nxt.append((w + sym, weight * factor, to))
+        layer = nxt
+        entries = tuple((w, m) for w, m, _ in layer)
+        yield LanguageSlice(n, entries, sum(m for _, m in entries))
+
+
+def enumerate_slice(n: int, spec: ShiftSpec, budget: int = DEFAULT_BUDGET) -> LanguageSlice:
+    """The weighted language slice of length n: the last slice of
+    :func:`language_slices`, so the budget applies to q**n."""
+    if n < 1:
+        raise ValueError("slice length must be >= 1")
+    for last in language_slices(n, spec, budget):
+        pass
+    return last
 
 
 def transfer_tables(spec: ShiftSpec, max_n: int, suffixes: Sequence[Word] = ()

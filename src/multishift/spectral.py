@@ -412,9 +412,10 @@ def multiplicity_one_witness(spec: ShiftSpec | Analysis) -> Witness | None:
     n = len(labels)
     max_edges = 2 * ext.p + 1  # words of at most 3p symbols
     # edges whose spliced word carries weight one in the extended spec;
-    # labels themselves always have weight one (shorter than p)
-    plain = [[j for j, _ in row if multiplicity(W.star(labels[i], labels[j]), ext) == 1]
-             for i, row in enumerate(mat.successors)]
+    # labels themselves always have weight one (shorter than p).  Every
+    # repeated word of the extension has length p, so a splice's weight
+    # is its leading multiplicity: the matrix entry
+    plain = [[j for j, e in row if e == 1] for row in mat.successors]
 
     @cache
     def paths_from(src: int) -> tuple[dict[int, int | None], dict[int, int]]:

@@ -62,6 +62,29 @@ def test_enumerate_table_format():
     assert out.splitlines()[1].split() == ["0", "1", "0", "0"]
 
 
+def test_enumerate_table_ignores_slices():
+    base = ["enumerate", "--spec", str(FIXDIR / "counting.json"), "--max-n", "9", "--table"]
+    plain = run_cli(base)
+    assert plain[0] == 0
+    assert run_cli(base + ["--slices"]) == plain
+
+
+@pytest.mark.parametrize("max_n", ["0", "-1"])
+def test_enumerate_no_slices_below_one(max_n):
+    code, out, err = run_cli(["enumerate", "--spec", str(FIXDIR / "counting.json"),
+                              "--max-n", max_n, "--slices"])
+    assert code == 0, err
+    assert json.loads(out)["result"]["slices"] == []
+
+
+def test_enumerate_slices_budget(tmp_path):
+    doc = {"alphabet": ["0", "1"], "forbidden": [], "repeated": []}
+    code, out, err = run_cli(["enumerate", "--spec", write_spec(tmp_path, doc),
+                              "--max-n", "40", "--budget", "1000", "--slices"])
+    assert (code, out) == (3, "")
+    assert err == "budget exceeded: 2^40 strings exceed the budget 1000\n"
+
+
 @pytest.mark.parametrize("args", [
     ["perron", "--table"], ["genfun", "--json"], ["measure", "--cylinder", "000", "--table"],
     ["escape", "--word", "00*00#1", "--json"], ["enumerate", "--allow-reducible"],

@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from conftest import brute_tables, small_specs
+from conftest import brute_tables, brute_weight, small_specs
 from multishift.errors import BudgetError, SpecError
 from multishift.fixtures import load_fixture
 from multishift.genfun import solve_generating_functions
@@ -11,7 +12,8 @@ from multishift.measures import Cylinder, escape_report
 from multishift.ratfield import series_coeffs
 from multishift.langmodel import (allowed_words, enumerate_slice,
                                   extend_repeated_to_full_length,
-                                  forbidden_suffix_multiplicity, leading_multiplicity,
+                                  forbidden_suffix_multiplicity, language_slices,
+                                  leading_multiplicity,
                                   multiplicity, oracle_tables, spec_from_matrix,
                                   validate_spec, weighted_count,
                                   weighted_count_ending_with,
@@ -231,3 +233,34 @@ def test_slice_cardinality_and_order():
         assert sl.cardinality == weighted_count(n, s)
         ws = [w for w, _ in sl.entries]
         assert ws == sorted(ws, key=s.sort_key)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(small_specs(), st.integers(1, 6))
+def test_slices_match_brute_force_property(s, max_n):
+    slices = list(language_slices(max_n, s))
+    assert [sl.n for sl in slices] == list(range(1, max_n + 1))
+    for sl in slices:
+        # itertools.product runs in alphabet order: lexicographic
+        weighted = [(w, brute_weight(w, s)) for w in itertools.product(s.alphabet, repeat=sl.n)]
+        entries = tuple((w, m) for w, m in weighted if m > 0)
+        assert sl.entries == entries
+        assert sl.cardinality == sum(m for _, m in entries)
+
+
+def test_slices_walk_equals_single_slices():
+    for s in (spec_counting(), spec_nonreduced(), load_fixture("building_blocks"),
+              validate_spec("012", ["00"], [("12", 2)])):
+        assert list(language_slices(7, s)) == [enumerate_slice(n, s) for n in range(1, 8)]
+
+
+def test_slices_empty_and_budget():
+    s = validate_spec("01", [], [])
+    assert list(language_slices(0, s, budget=0)) == []
+    assert list(language_slices(-1, s, budget=0)) == []
+    with pytest.raises(BudgetError, match="2\\^30 strings exceed the budget 1048576"):
+        next(language_slices(30, s, budget=2 ** 20))
+    with pytest.raises(BudgetError, match="2\\^30 strings exceed the budget 1048576"):
+        enumerate_slice(30, s, budget=2 ** 20)
+    with pytest.raises(ValueError):
+        enumerate_slice(0, s)

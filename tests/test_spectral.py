@@ -276,6 +276,20 @@ def test_witness_search():
     assert w3 is not None and w3.cycle == ("0", "1", "0")
 
 
+def test_plain_edges_read_off_the_matrix():
+    # the witness search takes the edges with entry one as the splices of
+    # weight one in the extension; the entry must be the splice's weight
+    rng = random.Random(31)
+    specs = [load_fixture(name) for name in list_fixtures()]
+    specs += [random_spec(rng, want_nonreduced=k % 2 == 1) for k in range(40)]
+    for s in specs:
+        an = spectral.Analysis(s)
+        labels = an.matrix.labels
+        for i, row in enumerate(an.matrix.successors):
+            for j, e in row:
+                assert multiplicity(words.star(labels[i], labels[j]), an.ext) == e
+
+
 def test_power_sums_equal_counts_when_full_length():
     for s in (validate_spec("01", ["010"], [("000", 2)]),
               validate_spec("01", ["11"], [("00", 3)])):
