@@ -6,12 +6,18 @@ Each of the 14 fixtures x 8 commands = 112 runs is a fresh
 ``python -m multishift.cli`` process on this checkout's ``src``.  Each
 run writes ``OUTDIR/<fixture>.<command>.txt`` with its exit code, stdout
 and stderr, so ``diff -r`` between the OUTDIRs of two checkouts shows
-every byte of output that changed.  The sweep exits 1 when any run
-printed a traceback (an uncaught exception), else 0.
+every byte of output that changed.  ``OUTDIR/SHA256SUMS`` lists the
+digest of every run in ``sha256sum`` format.  The committed manifest
+``scripts/cli_sweep.sha256`` is that file for this checkout's output:
+``sha256sum --quiet -c`` on it, run inside OUTDIR, names each run whose
+output differs.  A change that alters output on purpose commits the new
+manifest.  The sweep exits 1 when any run printed a traceback (an
+uncaught exception), else 0.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -57,7 +63,10 @@ def main(argv: list[str]) -> int:
                 f"exit {run.returncode}\n--- stdout\n{run.stdout}--- stderr\n{run.stderr}")
             if "Traceback" in run.stderr:
                 tracebacks.append(f"{name}.{cmd}")
-    print(f"{len(list(out.glob('*.txt')))} runs written to {out}")
+    runs = sorted(out.glob("*.txt"))
+    (out / "SHA256SUMS").write_text("".join(
+        f"{hashlib.sha256(run.read_bytes()).hexdigest()}  {run.name}\n" for run in runs))
+    print(f"{len(runs)} runs written to {out}")
     if tracebacks:
         print("traceback in: " + ", ".join(tracebacks), file=sys.stderr)
         return 1

@@ -88,25 +88,34 @@ def shannon_parry_matrix(mat: AdjMatrix, theta, left_normalized: Sequence,
     Expects the normalized eigenvector pair (dot product one).  Rows and
     the stationary vector are divided by their sums, which kills residual
     round-off in floats and changes nothing in exact rationals, where the
-    sums are exactly one.
+    sums are exactly one.  Each row is filled from the block's successor
+    list over one shared zero, and its sum adds the nonzero terms in
+    increasing column order: adding a zero is exact, so this is the sum
+    of the dense row.
     """
     n = mat.size
     if not agree(sum(u * v for u, v in zip(left_normalized, right)), 1):
         raise NumericError("eigenvector pair is not normalized")
+    exact = isinstance(theta, Fraction)
+    zero = Fraction(0) if exact else 0.0
     rows = []
-    for i in range(n):
+    for i, succ in enumerate(mat.successors):
         if right[i] == 0:
             raise NumericError("zero eigenvector entry; matrix not irreducible?")
-        row = [mat.entries[i][j] * right[j] / (theta * right[i]) for j in range(n)]
-        s = sum(row)
+        scale = theta * right[i]
+        terms = [(j, e * right[j] / scale) for j, e in succ]
+        s = sum((x for _, x in terms), zero)
         if not agree(s, 1):
             raise NumericError(f"row {i} of the stochastic matrix sums to {s}")
-        rows.append(tuple(e / s for e in row))
+        row = [zero] * n
+        for j, x in terms:
+            row[j] = x / s
+        rows.append(tuple(row))
     stationary = [u * v for u, v in zip(left_normalized, right)]
     t = sum(stationary)
     stationary = [x / t for x in stationary]
-    return _validate_stochastic(StochMat(mat.labels, tuple(rows), tuple(stationary),
-                                         isinstance(theta, Fraction)), mat.successors)
+    return _validate_stochastic(StochMat(mat.labels, tuple(rows), tuple(stationary), exact),
+                                mat.successors)
 
 
 def lift_rational_stochastic(sm: StochMat) -> AdjMatrix:

@@ -28,13 +28,14 @@ import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
+from operator import mul, truediv
 from typing import Sequence
 
-from . import genfun, words as W
+from . import genfun
 from .errors import NumericError, RouteMismatchError, SpecError
 from .langmodel import (DEFAULT_BUDGET, ShiftSpec, allowed_words,
-                        extend_repeated_to_full_length, leading_multiplicity,
-                        multiplicity, spec_from_matrix, weighted_count)
+                        extend_repeated_to_full_length, multiplicity, spec_from_matrix,
+                        weighted_count)
 from .ratfield import Poly, RatFun, RootCertificate, largest_real_zero, solve_numeric
 from .words import Word
 
@@ -148,9 +149,21 @@ def _splice_matrix(spec: ShiftSpec, weight) -> AdjMatrix:
 def adjacency_matrix(spec: ShiftSpec) -> AdjMatrix:
     """The edge-count matrix: labels are allowed words of length p-1 and
     the (X, Y) entry is the leading multiplicity of the splice X*Y when
-    it is allowed, else 0."""
+    it is allowed, else 0.
+
+    Both labels are allowed, so a splice is forbidden only when it is
+    itself a forbidden word, and its leading multiplicity is m_r for the
+    one repeated word r that is a prefix of it (R is reduced), else 1:
+    one set and one dict lookup per splice, and the prefixes of each
+    label read once."""
+    forbidden, reps = frozenset(spec.forbidden), dict(spec.repeated)
+
+    @cache
+    def lead(x: Word) -> int:
+        return next((reps[x[:k]] for k in range(1, len(x) + 1) if x[:k] in reps), 1)
+
     return _splice_matrix(
-        spec, lambda xy: leading_multiplicity(xy, spec) if spec.is_allowed(xy) else 0)
+        spec, lambda xy: 0 if xy in forbidden else reps.get(xy) or lead(xy[:-1]))
 
 
 def multiplicity_matrix(spec: ShiftSpec) -> AdjMatrix:
@@ -211,21 +224,37 @@ class PowerResult:
     iterations: int
 
 
-def power_iteration(mat: AdjMatrix) -> PowerResult:
-    """Collatz-Wielandt enclosure of the Perron root of an irreducible matrix.
+def _plus_identity(v: list, rows: list) -> list:
+    """(A + I) v over rows of (columns, weights), weights None for a row of
+    unit weight; each entry sums e * v_j in increasing j, as the dense
+    product does (1 * x is x, so unit rows skip the multiply)."""
+    get = v.__getitem__
+    return [x + (sum(map(get, cols)) if ws is None else sum(map(mul, ws, map(get, cols))))
+            for x, (cols, ws) in zip(v, rows)]
+
+
+def power_iteration(graph: AdjMatrix | Sequence[Sequence[tuple[int, int]]]) -> PowerResult:
+    """Collatz-Wielandt enclosure of the Perron root of an irreducible
+    matrix, given as a matrix or as its successor lists.
 
     Iterates on A + I (primitive, so no period trouble) in floats until
     the min/max ratios ((A+I)v)_i / v_i pinch to relative POWER_TOL.
     For every positive v those ratios, less one, bound the spectral
     radius of a non-negative matrix (Collatz 1942, Wielandt 1950); they
     are taken exactly on the final vector, so rounding on the way cannot
-    break the enclosure.
+    break the enclosure.  The exact step writes every final float as
+    X_i / 2^K over one dyadic denominator, takes (A+I)X in integers and
+    picks the extreme ratios by cross-multiplication, so only the two
+    bounds become Fractions.
     """
-    succ = mat.successors
-    v = [1.0] * mat.size
+    succ = graph.successors if isinstance(graph, AdjMatrix) else graph
+    rows = [(tuple(j for j, _ in row),
+             None if all(e == 1 for _, e in row) else tuple(e for _, e in row))
+            for row in succ]
+    v = [1.0] * len(rows)
     for it in range(1, POWER_CAP + 1):
-        w = [x + sum(e * v[j] for j, e in row) for x, row in zip(v, succ)]
-        ratios = [a / b for a, b in zip(w, v)]
+        w = _plus_identity(v, rows)
+        ratios = list(map(truediv, w, v))
         lower, upper = min(ratios), max(ratios)
         total = sum(w)
         v = [a / total for a in w]
@@ -234,20 +263,33 @@ def power_iteration(mat: AdjMatrix) -> PowerResult:
     else:
         raise NumericError(f"power iteration did not converge in {POWER_CAP} steps "
                            f"(enclosure [{lower - 1}, {upper - 1}])")
-    fv = [Fraction(x) for x in v]  # exact: every float is a dyadic rational
-    exact = [(x + sum(e * fv[j] for j, e in row)) / x for x, row in zip(fv, succ)]
-    return PowerResult(min(exact) - 1, max(exact) - 1, it)
+    dyadic = [x.as_integer_ratio() for x in v]
+    scale = max(d for _, d in dyadic)  # every d is a power of two
+    xs = [n * (scale // d) for n, d in dyadic]
+    ys = _plus_identity(xs, rows)
+    lo = hi = 0
+    for i in range(1, len(xs)):  # every X_i is positive
+        if ys[i] * xs[lo] < ys[lo] * xs[i]:
+            lo = i
+        elif ys[i] * xs[hi] > ys[hi] * xs[i]:
+            hi = i
+    return PowerResult(Fraction(ys[lo], xs[lo]) - 1, Fraction(ys[hi], xs[hi]) - 1, it)
 
 
 def _cw_enclosure(mat: AdjMatrix) -> tuple[Fraction, Fraction]:
     """Enclosure of the spectral radius of any non-negative matrix: the
     largest over its strong components, each enclosed by the power
-    iteration on its irreducible block (a one-block component gives its
-    diagonal entry exactly, in one step)."""
-    blocks = [power_iteration(mat if len(comp) == mat.size else AdjMatrix(
-        tuple(mat.labels[i] for i in comp),
-        tuple(tuple(mat.entries[i][j] for j in comp) for i in comp)))
-        for comp in mat.components]
+    iteration on the successor lists restricted to it, re-indexed in
+    component order (a one-block component gives its diagonal entry
+    exactly, in one step)."""
+    blocks = []
+    for comp in mat.components:
+        if len(comp) == mat.size:
+            blocks.append(power_iteration(mat))
+            continue
+        pos = {b: k for k, b in enumerate(comp)}
+        blocks.append(power_iteration(
+            [sorted((pos[j], e) for j, e in mat.successors[i] if j in pos) for i in comp]))
     return max(b.lower for b in blocks), max(b.upper for b in blocks)
 
 
@@ -603,7 +645,16 @@ class Analysis:
 
         They are evaluated on the extended spec, the setting where the
         formulas hold, and refused when their relative residuals against
-        the matrix exceed THETA_TOL.
+        the matrix exceed THETA_TOL.  Label X has U_X = 1 - sum_t theta
+        w_t r_t (t[1:], X)(theta) and V_X = 1 - sum_t theta w_t s_t (X,
+        t)(theta) over the targets t of the extended core, with r and s
+        the row sums of the inverted core and of its conjugate.  An
+        overlap index finds each label's nonzero correlations: the
+        targets by their length-s suffixes for U, by their length-s
+        prefixes for V.  The terms are taken in target order, each
+        correlation polynomial evaluated by Horner once per distinct
+        polynomial; a target without overlap would subtract exactly
+        zero, so skipping it changes no bit.
         """
         ext, root = self.ext, self.root
         theta = root.scalar()
@@ -615,14 +666,38 @@ class Analysis:
         labels = self.matrix.labels
         targets = genfun.targets(ext)
 
-        left, right = [], []
-        for x in labels:
-            u = v = one
-            for i, (t, w) in enumerate(targets):
-                u = u - theta * w * rsums[i] * Poly(W.correlation_poly(t[1:], x))(theta)
-                v = v - theta * w * ssums[i] * Poly(W.correlation_poly(x, t))(theta)
-            left.append(u)
-            right.append(v)
+        # (t[1:], X) has overlap s < |t| when t ends with the first s symbols
+        # of X; (X, t) has overlap s <= |t| when t starts with the last s
+        # symbols of X (a longer overlap would put all of t inside X: no
+        # forbidden word is, X being allowed, and no repeated word of ext
+        # fits, having length p)
+        by_suffix: dict[Word, list[tuple[int, int]]] = {}
+        by_prefix: dict[Word, list[tuple[int, int]]] = {}
+        for i, (t, _) in enumerate(targets):
+            for s in range(1, len(t)):
+                by_suffix.setdefault(t[-s:], []).append((i, 1 << (s - 1)))
+            for s in range(1, min(len(t), ext.p - 1) + 1):
+                by_prefix.setdefault(t[:s], []).append((i, 1 << (s - 1)))
+        at_root: dict[int, object] = {}  # correlation bits -> the polynomial at theta
+
+        def formula(coef: list, index: dict, keys) -> object:
+            bits: dict[int, int] = {}
+            for key in keys:
+                for i, b in index.get(key, ()):
+                    bits[i] = bits.get(i, 0) | b
+            out = one
+            for i in sorted(bits):
+                if (val := at_root.get(bits[i])) is None:
+                    coeffs = tuple(bits[i] >> k & 1 for k in range(bits[i].bit_length()))
+                    val = at_root[bits[i]] = Poly(coeffs)(theta)
+                out = out - coef[i] * val
+            return out
+
+        lcoef = [theta * w * r for (_, w), r in zip(targets, rsums)]
+        rcoef = [theta * w * r for (_, w), r in zip(targets, ssums)]
+        span = range(1, ext.p)
+        left = [formula(lcoef, by_suffix, (x[:s] for s in span)) for x in labels]
+        right = [formula(rcoef, by_prefix, (x[-s:] for s in span)) for x in labels]
 
         dot = sum(u * v for u, v in zip(left, right))
         if dot == 0:

@@ -3,8 +3,10 @@ of the package's transfer-count oracle), a seeded random spec generator,
 a hypothesis strategy for small specs, the field-arithmetic
 references that the fraction-free code is checked against (a polynomial
 over Fraction coefficients, and on it the linear solve, the Euclidean
-gcd and the Sturm isolation), and the symbolic route to the
-normalization identity.  The field references take ``ratfield`` values
+gcd and the Sturm isolation), the symbolic route to the normalization
+identity, and the block-graph references (the Collatz-Wielandt step with
+one Fraction per block, and the eigenvector formulas over every pair of
+label and target).  The field references take ``ratfield`` values
 through their Fraction views and run no ``ratfield.Poly`` arithmetic.
 """
 
@@ -18,12 +20,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import reject, strategies as st
 
+from multishift import spectral, words
 from multishift.errors import NumericError, RootBracketError, SingularMatrixError, SpecError
-from multishift.genfun import build_system, targets
+from multishift.genfun import build_system, conjugate_rows, targets
 from multishift.langmodel import ShiftSpec, extend_repeated_to_full_length, validate_spec
 from multishift.ratfield import (ROOT_WIDTH, Poly, RatFun, RatMat, RootCertificate, _fr,
                                  solve_numeric)
-from multishift.spectral import adjacency_matrix, is_irreducible
+from multishift.spectral import AdjMatrix, PowerResult, adjacency_matrix, is_irreducible
 
 
 def occurrences(w: tuple, r: tuple) -> int:
@@ -126,6 +129,33 @@ def small_specs(draw):
         return validate_spec(alphabet, forbidden, repeated)
     except SpecError:
         reject()
+
+
+def family_spec(rng: random.Random, family: str) -> ShiftSpec:
+    """Rejection-sample a valid spec of one family: "short_forbidden" has
+    a forbidden word shorter than p, "unit_repeated" a repeated word of
+    length one, "nonreduced" a repeated word inside a forbidden one.
+    The matrix may be reducible."""
+    shape = {"short_forbidden": lambda s: any(len(a) < s.p for a in s.forbidden),
+             "unit_repeated": lambda s: any(len(r) == 1 for r in s.repeated_words),
+             "nonreduced": lambda s: not s.union_reduced}[family]
+    for _ in range(5000):
+        alphabet = "012"[:rng.choice((2, 2, 3))]
+        reps = [(random_word(rng, alphabet, 1 if family == "unit_repeated" else 2, 4),
+                 rng.choice((2, 3, 5, 10 ** rng.randint(2, 6))))
+                for _ in range(rng.randint(1, 2))]
+        fws = [random_word(rng, alphabet, 2, 5) for _ in range(rng.randint(0, 3))]
+        if family == "nonreduced":
+            fws.append(random_word(rng, alphabet, 0, 1) + reps[0][0]
+                       + random_word(rng, alphabet, 1, 1))
+        try:
+            spec = validate_spec(alphabet, fws, reps)
+            adjacency_matrix(spec)
+        except SpecError:
+            continue
+        if shape(spec):
+            return spec
+    raise RuntimeError(f"could not sample a {family} spec")
 
 
 class FractionPoly:
@@ -384,6 +414,59 @@ def reference_identity(spec: ShiftSpec, theta):
     xs = solve_numeric(block, [1 + 0 * theta] * n + zero)
     derivative = sum(w * (xs[i] + theta * xs[n + i]) for i, (_, w) in enumerate(targets(ext)))
     return theta ** (ext.p - 1) * (1 + derivative)
+
+
+def reference_power_iteration(mat: AdjMatrix) -> PowerResult:
+    """The Collatz-Wielandt enclosure with the exact step on one Fraction
+    per block: the same float iteration on A + I, then every ratio
+    ((A+I)v)_i / v_i as a Fraction, and the least and the largest."""
+    succ = mat.successors
+    v = [1.0] * mat.size
+    for it in range(1, spectral.POWER_CAP + 1):
+        w = [x + sum(e * v[j] for j, e in row) for x, row in zip(v, succ)]
+        ratios = [a / b for a, b in zip(w, v)]
+        lower, upper = min(ratios), max(ratios)
+        total = sum(w)
+        v = [a / total for a in w]
+        if upper - lower <= spectral.POWER_TOL * lower:
+            break
+    else:
+        raise NumericError(f"power iteration did not converge in {spectral.POWER_CAP} steps "
+                           f"(enclosure [{lower - 1}, {upper - 1}])")
+    fv = [Fraction(x) for x in v]
+    exact = [(x + sum(e * fv[j] for j, e in row)) / x for x, row in zip(fv, succ)]
+    return PowerResult(min(exact) - 1, max(exact) - 1, it)
+
+
+def reference_cw_enclosure(mat: AdjMatrix) -> tuple[Fraction, Fraction]:
+    """The largest enclosure over the strong components, each one's dense
+    submatrix (rows and columns in component order) through
+    :func:`reference_power_iteration`."""
+    blocks = [reference_power_iteration(mat if len(comp) == mat.size else AdjMatrix(
+        tuple(mat.labels[i] for i in comp),
+        tuple(tuple(mat.entries[i][j] for j in comp) for i in comp)))
+        for comp in mat.components]
+    return max(b.lower for b in blocks), max(b.upper for b in blocks)
+
+
+def reference_vectors(an: spectral.Analysis) -> tuple[list, list]:
+    """The raw formula eigenvectors (U, V) of an analysis, every label
+    against every target of the extended core, each correlation
+    polynomial built and evaluated at the root."""
+    theta = an.root.scalar()
+    _, rsums = an._core_at_root
+    conj = [[e(theta) for e in row] for row in conjugate_rows(an.ext_rows)]
+    ssums = solve_numeric(conj, [1] * len(conj))
+    one = Fraction(1) if an.root.exact is not None else 1.0
+    left, right = [], []
+    for x in an.matrix.labels:
+        u = v = one
+        for i, (t, w) in enumerate(targets(an.ext)):
+            u = u - theta * w * rsums[i] * Poly(words.correlation_poly(t[1:], x))(theta)
+            v = v - theta * w * ssums[i] * Poly(words.correlation_poly(x, t))(theta)
+        left.append(u)
+        right.append(v)
+    return left, right
 
 
 @pytest.fixture(scope="session")

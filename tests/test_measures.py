@@ -1,12 +1,13 @@
 import dataclasses
 import itertools
 import math
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_spec
+from conftest import family_spec, random_spec
 from multishift import measures
 from multishift.errors import NumericError, SpecError
 from multishift.fixtures import load_fixture, list_fixtures
@@ -69,6 +70,38 @@ def test_stationarity_is_checked_over_the_successor_lists():
         wrong = dataclasses.replace(sp, stationary=sp.stationary[::-1])
         with pytest.raises(NumericError, match="not stationary"):
             _validate_stochastic(wrong, mat.successors)
+
+
+def reference_shannon_parry_rows(mat, theta, right):
+    """The dense rows: A_ij V_j / (theta V_i) for every j, each row then
+    divided by its sum."""
+    rows = []
+    for i in range(mat.size):
+        row = [mat.entries[i][j] * right[j] / (theta * right[i]) for j in range(mat.size)]
+        s = sum(row)
+        rows.append(tuple(e / s for e in row))
+    return tuple(rows)
+
+
+def _typed_bits(rows):
+    return [[(type(e), e.hex() if isinstance(e, float) else e) for e in row] for row in rows]
+
+
+def test_shannon_parry_rows_equal_the_dense_rows():
+    rng = random.Random(23)
+    specs = [load_fixture(name) for name in list_fixtures()]
+    specs += [family_spec(rng, family)
+              for family in ("short_forbidden", "unit_repeated", "nonreduced") for _ in range(6)]
+    compared = 0
+    for s in specs:
+        try:
+            ctx = MeasureContext(s)
+        except (NumericError, SpecError):
+            continue
+        want = reference_shannon_parry_rows(ctx.mat, ctx.theta, ctx.vectors.right)
+        assert _typed_bits(ctx.sp.rows) == _typed_bits(want), s
+        compared += 1
+    assert compared >= 20
 
 
 def test_cylinder_forms_and_projection():

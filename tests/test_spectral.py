@@ -1,10 +1,13 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_spec, reference_identity
+from conftest import (family_spec, random_spec, reference_cw_enclosure, reference_identity,
+                      reference_power_iteration, reference_vectors)
 from multishift import genfun, ratfield, spectral, words
 from multishift.errors import NumericError, SpecError
 from multishift.fixtures import list_fixtures, load_fixture
@@ -170,12 +173,43 @@ def test_adjacency_matrix_splices_each_label_with_q_successors(monkeypatch):
     monkeypatch.undo()
     # the entries are those of the definition over every pair of labels
     rng = random.Random(5)
-    for spec in [s] + [random_spec(rng, flag) for flag in (False, True)]:
+    specs = [s] + [random_spec(rng, flag) for flag in (False, True)]
+    specs += [family_spec(rng, family) for family in FAMILIES for _ in range(15)]
+    for spec in specs:
         mat = adjacency_matrix(spec)
         want = tuple(tuple(0 if (xy := words.star(x, y)) is None or not spec.is_allowed(xy)
                            else leading_multiplicity(xy, spec) for y in mat.labels)
                      for x in mat.labels)
         assert mat.entries == want
+
+
+@st.composite
+def int_matrices(draw):
+    """Square matrices of order 1..5, small entries mixed with entries up
+    to 1e10; many are reducible."""
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.sampled_from((0, 0, 0, 1, 1, 2, 3)), st.integers(0, 10 ** 10))
+    return AdjMatrix(tuple((str(i),) for i in range(n)),
+                     tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n)))
+
+
+def _outcome(run, mat):
+    try:
+        return run(mat)
+    except (NumericError, ZeroDivisionError) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices())
+def test_integer_cw_step_equals_the_fraction_step(mat):
+    # the same float iteration under both; a lower cap keeps the
+    # non-converging examples (a Jordan block, an eigenvalue near -theta)
+    # quick, and both read it
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "POWER_CAP", 2000)
+        assert _outcome(power_iteration, mat) == _outcome(reference_power_iteration, mat)
+        assert _outcome(spectral._cw_enclosure, mat) == _outcome(reference_cw_enclosure, mat)
 
 
 def test_power_iteration_enclosure():
@@ -208,6 +242,32 @@ def test_eigenvectors_full_shift_constant():
     vec = perron_vectors(validate_spec("01", [], []))
     assert vec.left == (Fraction(1), Fraction(1))
     assert vec.right == (Fraction(1), Fraction(1))
+
+
+FAMILIES = ("short_forbidden", "unit_repeated", "nonreduced")
+
+
+def _bits(xs):
+    return [x.hex() if isinstance(x, float) else x for x in xs]
+
+
+def test_vectors_equal_the_all_pairs_formulas_bit_for_bit():
+    rng = random.Random(17)
+    specs = [("fixture " + name, load_fixture(name)) for name in list_fixtures()]
+    specs += [(family, family_spec(rng, family)) for family in FAMILIES for _ in range(14)]
+    compared = Counter()
+    for name, s in specs:
+        an = spectral.Analysis(s, allow_reducible=True)
+        try:
+            vec = an.vectors
+        except NumericError:
+            continue
+        left, right = reference_vectors(an)
+        assert _bits(vec.left) == _bits(left) and _bits(vec.right) == _bits(right), name
+        compared[name.split()[0]] += 1
+        compared["exact"] += vec.exact
+    assert compared["fixture"] >= 12 and compared["exact"] >= 5, compared
+    assert all(compared[family] >= 8 for family in FAMILIES), compared
 
 
 def test_eigen_residuals_random(rng):
