@@ -269,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cylinder", required=True,
                    help="vertex word, or edge chain like 00*00#1,00*01#1")
     p.add_argument("--route", default="all",
-                   choices=("all",) + measures.EDGE_ROUTES + measures.VERTEX_ROUTES)
+                   choices=tuple(dict.fromkeys(("all",) + measures.EDGE_ROUTES
+                                             + measures.VERTEX_ROUTES)))
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("escape", help="hole avoidance counts and escape rate")

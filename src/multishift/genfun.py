@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, partial
 
 from . import words as W
 from .errors import NumericError, SpecError
@@ -126,40 +126,45 @@ def system_rows(spec: ShiftSpec) -> tuple[tuple[Poly, ...], ...]:
     """Bordered (1+l+s) matrix of the counting system as rows of
     polynomials, corner z - q.
 
-    Tail correlations and embedded-occurrence weights account for a
-    repeated word sitting inside a forbidden one; for a reduced union
-    every tail is the whole correlation and every weight is 1.
+    Entry (t_k, w) sums one term per overlap s of (w, t_k): (1 - 1/m_j)
+    z^s for a repeated column r_j, with s < |r_j| in a forbidden row
+    (a whole r_j overlapping a forbidden word would sit inside it), and
+    -z^s times the embedded-occurrence weight for a forbidden column,
+    with s <= |t_k| (a longer overhang would put the whole appended
+    word inside a, impossible for reduced collections).  For a reduced
+    union every weight is 1.  An overlap index finds the nonzero
+    entries: the core's words (repeated, then forbidden) by their
+    suffixes, read off each target's prefixes t_k[:s].  Each entry is
+    one integer coefficient list over its denominator (m_j, or 1).
     """
-    z = Poly.x()
     reps, fws = spec.repeated, spec.forbidden
+    ell, zero, one = len(reps), Poly.zero(), Poly.one()
+    weight = [embedded_weight(spec, a) for a in fws]
+    rows = [(Poly._of([-spec.q, 1]), *(Poly._of([0, 1 - m], m) for _, m in reps),
+             *(Poly._of([0, w]) for w in weight))]
 
-    top = [z - Poly.constant(spec.q)]
-    for _, m in reps:
-        top.append(-(z * Fraction(m - 1, m)))
-    for a in fws:
-        top.append(z * embedded_weight(spec, a))
-    rows = [tuple(top)]
-
-    targets = [(r, True) for r in spec.repeated_words] + [(a, False) for a in fws]
-    for k, (t_k, repeated_row) in enumerate(targets):
-        row = [Poly.one()]
-        for j, (r_j, m_j) in enumerate(reps):
-            # a whole r_j overlapping a forbidden word would sit inside it
-            alpha = len(r_j) if repeated_row else len(r_j) - 1
-            corr = W.tail_correlation_poly(r_j, t_k, alpha)
-            e = z * Fraction(m_j - 1, m_j) * Poly(corr) if corr else Poly.zero()
-            if j == k:
-                e = e - Poly.monomial(len(r_j))
-            row.append(e)
-        for a in fws:
-            # overhangs past |t_k| would put the whole appended word
-            # inside a, impossible for reduced collections
-            e = Poly.zero()
-            for t in W.correlation_shifts(a, t_k):
-                if t <= len(t_k):
-                    weight = embedded_weight(spec, a, threshold=0 if repeated_row else t)
-                    e = e + Poly.monomial(t, weight)
-            row.append(-e)
+    core = spec.repeated_words + fws
+    by_suffix: dict[Word, list[int]] = {}
+    for c, w in enumerate(core):
+        for s in range(1, len(w) + 1):
+            by_suffix.setdefault(w[-s:], []).append(c)
+    tail_weight = cache(partial(embedded_weight, spec))
+    for k, t_k in enumerate(core):
+        repeated_row = k < ell
+        coefs: dict[int, dict[int, int]] = {}  # column -> overlap s -> coefficient of z^s
+        for s in range(1, len(t_k) + 1):
+            for c in by_suffix.get(t_k[:s], ()):
+                if c >= ell:
+                    coefs.setdefault(c, {})[s] = \
+                        -(weight[c - ell] if repeated_row else tail_weight(core[c], s))
+                elif repeated_row or s < len(core[c]):
+                    coefs.setdefault(c, {})[s] = reps[c][1] - 1
+        if repeated_row:  # the diagonal's -z^|r_k|, at r_k's own overlap s = |r_k|
+            coefs[k][len(t_k)] -= reps[k][1]
+        row = [one] + [zero] * len(core)
+        for c, coef in coefs.items():
+            row[1 + c] = Poly._of([coef.get(s, 0) for s in range(max(coef) + 1)],
+                                  reps[c][1] if c < ell else 1)
         rows.append(tuple(row))
     return tuple(rows)
 

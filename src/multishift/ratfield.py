@@ -214,17 +214,22 @@ class Poly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+_ONE = Poly.one()
+
+
 class RatFun:
     """Rational function in canonical form: coprime parts, monic denominator."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
+        """num / den in canonical form.  With no den, num is a polynomial
+        over the shared denominator 1, canonical as it stands."""
         num = num if isinstance(num, Poly) else Poly.constant(num) if isinstance(num, (int, Fraction)) else Poly(num)
         if den is None:
-            den = Poly.one()
-        else:
-            den = den if isinstance(den, Poly) else Poly.constant(den) if isinstance(den, (int, Fraction)) else Poly(den)
+            self.num, self.den = num, _ONE
+            return
+        den = den if isinstance(den, Poly) else Poly.constant(den) if isinstance(den, (int, Fraction)) else Poly(den)
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
@@ -660,11 +665,15 @@ def largest_real_zero(f: RatFun | Poly, lo, hi) -> RootCertificate:
     """Largest real root of the reduced numerator of ``f`` in [lo, hi].
 
     Sturm counting isolates the root; bisection shrinks the bracket to
-    ROOT_WIDTH.  The squarefree numerator and its Sturm chain are kept
-    as primitive integer polynomials, positive multiples of their
-    rational forms, and every sign at a rational point u/v comes from
-    the integer v^d p(u/v).  Exact rational hits (including integer
-    roots) are detected and certified in the result.
+    ROOT_WIDTH.  The counts V(a) and V(b) are kept, and once V(a) - V(b)
+    = 1 the bracket (a, b] holds one simple root: each later step reads
+    the sign of g at the midpoint alone, against its sign at b, and
+    takes the bracket that counting would take.  The squarefree
+    numerator and its Sturm chain are kept as primitive integer
+    polynomials, positive multiples of their rational forms, and every
+    sign at a rational point u/v comes from the integer v^d p(u/v).
+    Exact rational hits (including integer roots) are detected and
+    certified in the result.
     """
     g = f.num if isinstance(f, RatFun) else f
     if g.is_zero or g.degree < 1:
@@ -682,29 +691,40 @@ def largest_real_zero(f: RatFun | Poly, lo, hi) -> RootCertificate:
             return RootCertificate(float(exact), exact, exact, exact)
         raise RootBracketError("no real root in bracket")
     chain = _sturm_chain(g)
-    # the count at b is kept until b moves or the chain is replaced
-    vb = _variations(chain, b)
-    if _variations(chain, a) - vb == 0:
+    # the counts at a and b are kept until they move or the chain is replaced
+    va, vb = _variations(chain, a), _variations(chain, b)
+    if va - vb == 0:
         if exact is not None:
             return RootCertificate(float(exact), exact, exact, exact)
         raise RootBracketError(f"no real root in ({a}, {b}]")
+    gb = _zhorner(g, b.numerator, b.denominator)
     while b - a > ROOT_WIDTH:
         mid = (a + b) / 2
-        if not _zhorner(g, mid.numerator, mid.denominator):
+        gm = _zhorner(g, mid.numerator, mid.denominator)
+        if not gm:
             # exact hit: keep it unless a larger root remains to the right
             quot = _zdiv(g, [-mid.numerator, mid.denominator])
             if len(quot) > 1:
                 chain2 = _sturm_chain(quot)
                 vb2 = _variations(chain2, b)
-                if _variations(chain2, mid) - vb2 > 0:
-                    g, chain, a, vb = quot, chain2, mid, vb2
+                if (vm := _variations(chain2, mid)) - vb2 > 0:
+                    g, chain, a, va, vb = quot, chain2, mid, vm, vb2
+                    gb = _zhorner(g, b.numerator, b.denominator)
                     continue
             return RootCertificate(float(mid), mid, mid, mid)
+        if va - vb == 1:
+            # one simple root in (a, b]: it is right of mid iff g changes
+            # sign on (mid, b] or sits at b
+            if not gb or (gm > 0) != (gb > 0):
+                a = mid
+            else:
+                b, gb = mid, gm
+            continue
         vm = _variations(chain, mid)
         if vm - vb > 0:
-            a = mid
+            a, va = mid, vm
         else:
-            b, vb = mid, vm
+            b, vb, gb = mid, vm, gm
     # integer (or bracket-endpoint) exactness inside the final interval
     k = Fraction(math.floor(b))
     if a < k <= b and not _zhorner(g, k.numerator, 1):

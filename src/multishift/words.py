@@ -52,34 +52,6 @@ def correlation_shifts(u: Sequence[str], v: Sequence[str]) -> tuple[int, ...]:
     return tuple(len(u) - i for i in range(len(u)) if bits[i])
 
 
-def correlation_poly(u: Sequence[str], v: Sequence[str]) -> tuple[int, ...]:
-    """Ascending 0/1 coefficients of sum of z^(t-1) over overlap lengths t.
-
-    The degree is at most ``|u| - 1``; the empty tuple is the zero
-    polynomial (no overlap at all).
-    """
-    return tail_correlation_poly(u, v, len(u))
-
-
-def tail_correlation_poly(u: Sequence[str], v: Sequence[str],
-                          alpha: int) -> tuple[int, ...]:
-    """Correlation polynomial restricted to the last ``alpha`` bits.
-
-    Keeps only overlap lengths ``t <= alpha``; ``alpha == |u|`` keeps them
-    all, which is :func:`correlation_poly`.
-    """
-    u = tuple(u)
-    if not 0 <= alpha <= len(u):
-        raise ValueError(f"tail length {alpha} out of range for |u|={len(u)}")
-    shifts = [t for t in correlation_shifts(u, v) if t <= alpha]
-    if not shifts:
-        return ()
-    coeffs = [0] * shifts[0]
-    for t in shifts:
-        coeffs[t - 1] = 1
-    return tuple(coeffs)
-
-
 def subword_count(w: Sequence[str], r: Sequence[str]) -> int:
     """Number of starting positions where r occurs inside w (overlaps count)."""
     w, r = tuple(w), tuple(r)

@@ -3,10 +3,11 @@ of the package's transfer-count oracle), a seeded random spec generator,
 a hypothesis strategy for small specs, the field-arithmetic
 references that the fraction-free code is checked against (a polynomial
 over Fraction coefficients, and on it the linear solve, the Euclidean
-gcd and the Sturm isolation), the symbolic route to the normalization
-identity, and the block-graph references (the Collatz-Wielandt step with
-one Fraction per block, and the eigenvector formulas over every pair of
-label and target).  The field references take ``ratfield`` values
+gcd and the Sturm isolation), the counting rows built entry by entry
+from one correlation scan per pair, the symbolic route to the
+normalization identity, and the block-graph references (the
+Collatz-Wielandt step with one Fraction per block, and the eigenvector
+formulas over every pair of label and target).  The field references take ``ratfield`` values
 through their Fraction views and run no ``ratfield.Poly`` arithmetic.
 """
 
@@ -14,19 +15,26 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import reject, strategies as st
+from hypothesis import reject, settings, strategies as st
 
 from multishift import spectral, words
 from multishift.errors import NumericError, RootBracketError, SingularMatrixError, SpecError
-from multishift.genfun import build_system, conjugate_rows, targets
+from multishift.genfun import build_system, conjugate_rows, embedded_weight, targets
 from multishift.langmodel import ShiftSpec, extend_repeated_to_full_length, validate_spec
 from multishift.ratfield import (ROOT_WIDTH, Poly, RatFun, RatMat, RootCertificate, _fr,
                                  solve_numeric)
 from multishift.spectral import AdjMatrix, PowerResult, adjacency_matrix, is_irreducible
+
+
+# HYPOTHESIS_PROFILE=ci prints the reproduce blob of a failing property
+# test; example counts and deadlines stay with each test
+settings.register_profile("ci", print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def occurrences(w: tuple, r: tuple) -> int:
@@ -397,6 +405,50 @@ def reference_largest_real_zero(f, lo, hi) -> RootCertificate:
     return RootCertificate(float(mid), a, b, None)
 
 
+def correlation_coeffs(u, v, alpha: int | None = None) -> tuple[int, ...]:
+    """Ascending 0/1 coefficients of the sum of z^(t-1) over the overlap
+    lengths t <= alpha (default |u|) of (u, v); () when there is none."""
+    shifts = [t for t in words.correlation_shifts(u, v) if alpha is None or t <= alpha]
+    return tuple(int(k + 1 in shifts) for k in range(max(shifts, default=0)))
+
+
+def reference_system_rows(spec: ShiftSpec) -> tuple[tuple[Poly, ...], ...]:
+    """The bordered counting rows entry by entry: one correlation scan
+    per (target, word) pair, each entry a sum of ``Poly`` terms."""
+    z = Poly.x()
+    reps, fws = spec.repeated, spec.forbidden
+
+    top = [z - Poly.constant(spec.q)]
+    for _, m in reps:
+        top.append(-(z * Fraction(m - 1, m)))
+    for a in fws:
+        top.append(z * embedded_weight(spec, a))
+    rows = [tuple(top)]
+
+    targets = [(r, True) for r in spec.repeated_words] + [(a, False) for a in fws]
+    for k, (t_k, repeated_row) in enumerate(targets):
+        row = [Poly.one()]
+        for j, (r_j, m_j) in enumerate(reps):
+            # a whole r_j overlapping a forbidden word would sit inside it
+            alpha = len(r_j) if repeated_row else len(r_j) - 1
+            corr = correlation_coeffs(r_j, t_k, alpha)
+            e = z * Fraction(m_j - 1, m_j) * Poly(corr) if corr else Poly.zero()
+            if j == k:
+                e = e - Poly.monomial(len(r_j))
+            row.append(e)
+        for a in fws:
+            # overhangs past |t_k| would put the whole appended word
+            # inside a, impossible for reduced collections
+            e = Poly.zero()
+            for t in words.correlation_shifts(a, t_k):
+                if t <= len(t_k):
+                    weight = embedded_weight(spec, a, threshold=0 if repeated_row else t)
+                    e = e + Poly.monomial(t, weight)
+            row.append(-e)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def reference_identity(spec: ShiftSpec, theta):
     """theta^(p-1) (1 + R'(theta)) on the extended spec by the symbolic
     route: the core P of the extension's symbolic system, the quotient
@@ -462,8 +514,8 @@ def reference_vectors(an: spectral.Analysis) -> tuple[list, list]:
     for x in an.matrix.labels:
         u = v = one
         for i, (t, w) in enumerate(targets(an.ext)):
-            u = u - theta * w * rsums[i] * Poly(words.correlation_poly(t[1:], x))(theta)
-            v = v - theta * w * ssums[i] * Poly(words.correlation_poly(x, t))(theta)
+            u = u - theta * w * rsums[i] * Poly(correlation_coeffs(t[1:], x))(theta)
+            v = v - theta * w * ssums[i] * Poly(correlation_coeffs(x, t))(theta)
         left.append(u)
         right.append(v)
     return left, right

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -15,6 +16,7 @@ from hypothesis import event, given, settings, strategies as st
 from multishift import ratfield
 from multishift.cli import main
 from multishift.fixtures import fixture_document, list_fixtures
+from multishift.measures import EDGE_ROUTES, VERTEX_ROUTES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FIXDIR = SRC / "multishift" / "fixtures"
@@ -186,6 +188,22 @@ def test_measure_vertex_word():
     assert code == 0
     result = json.loads(out)["result"]
     assert result["measures"][0]["exact"] == "3/22"
+
+
+def test_measure_help_lists_each_route_once(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["measure", "--help"])
+    assert exit_.value.code == 0
+    routes = ("all",) + EDGE_ROUTES + VERTEX_ROUTES
+    listed = re.findall(r"\{([a-z_,]+)\}", capsys.readouterr().out)
+    assert listed and all(group.split(",") == list(dict.fromkeys(routes)) for group in listed)
+    for route in routes:
+        for cylinder in ("00*00#1",) * (route in ("all",) + EDGE_ROUTES) + \
+                ("000",) * (route in ("all",) + VERTEX_ROUTES):
+            assert main(["measure", "--spec", str(FIXDIR / "eigenvectors.json"),
+                         "--cylinder", cylinder, "--route", route]) == 0, route
+            measured = json.loads(capsys.readouterr().out)["result"]["measures"]
+            assert route == "all" or [m["route"] for m in measured] == [route]
 
 
 def test_escape_command():

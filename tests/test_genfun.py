@@ -1,16 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from hypothesis import HealthCheck, given, settings
 
-from conftest import random_spec, reference_solve, small_specs
+from conftest import (family_spec, random_spec, reference_solve, reference_system_rows,
+                      small_specs)
 from multishift.errors import SpecError
 from multishift.fixtures import list_fixtures, load_fixture
 from multishift.genfun import (build_system, conjugate_correlation_matrix,
                                constraint_correction, correlation_matrix,
-                               solve_generating_functions, targets)
-from multishift.langmodel import oracle_tables, validate_spec
+                               solve_generating_functions, system_rows, targets)
+from multishift.langmodel import extend_repeated_to_full_length, oracle_tables, validate_spec
 from multishift.ratfield import Poly, RatFun, series_coeffs
 
 Z = Poly.x()
@@ -254,3 +256,43 @@ def test_short_forbidden_next_to_long_repeated():
         sol = solve_generating_functions(s)
         f, _, _ = oracle_tables(s, 9)
         assert [int(c) for c in series_coeffs(sol.all_words, 9)] == f
+
+
+def assert_rows_equal_the_reference(spec):
+    """The indexed rows equal the entry-by-entry builder as ``Poly``
+    values, the same integer coefficients over the same denominator,
+    on the spec and on its extension."""
+    for s in (spec, extend_repeated_to_full_length(spec)):
+        rows, ref = system_rows(s), reference_system_rows(s)
+        assert [[(e.ints, e.den) for e in row] for row in rows] == \
+            [[(e.ints, e.den) for e in row] for row in ref], s
+
+
+def test_system_rows_equal_the_reference_on_every_fixture():
+    for name in list_fixtures():
+        assert_rows_equal_the_reference(load_fixture(name))
+
+
+def test_system_rows_equal_the_reference_on_family_draws():
+    rng = random.Random(16)
+    families = ("short_forbidden", "unit_repeated", "nonreduced")
+    specs = [family_spec(rng, families[i % 3]) for i in range(510)]
+    assert sum(not s.union_reduced for s in specs) >= 50
+    assert sum(any(len(r) == 1 for r in s.repeated_words) for s in specs) >= 50
+    for spec in specs:
+        assert_rows_equal_the_reference(spec)
+    # multiplicities up to 1e9 on the same words
+    for spec in specs[::10]:
+        big = [(r, rng.choice((2, 10 ** 9, rng.randint(2, 10 ** 9)))) for r in spec.repeated_words]
+        assert_rows_equal_the_reference(validate_spec(spec.alphabet, spec.forbidden, big))
+
+
+def test_system_rows_with_unit_repeated_words():
+    # length-1 repeated words: every target starting with the symbol
+    # overlaps them, and their own diagonal is (1 - 1/m) z - z
+    for spec in (validate_spec("01", ["11"], [("0", 3)]),
+                 validate_spec("012", ["101", "22"], [("0", 10 ** 9), ("1", 2)]),
+                 validate_spec("01", ["010"], [("1", 5)])):
+        assert_rows_equal_the_reference(spec)
+    rows = system_rows(validate_spec("01", ["11"], [("0", 3)]))
+    assert rows[1][1] == Poly([0, Fraction(-1, 3)])

@@ -356,6 +356,18 @@ def primitive(p: FractionPoly) -> list[int]:
 # roots at lo and at hi
 @example(((Z - Poly.one()) * (Z - Poly.constant(3)), Fraction(1), Fraction(3)))
 @example(((Z - Poly.one()) * (Z + Poly.one()), Fraction(1), Fraction(3)))
+@example((Z - Poly.constant(3), Fraction(1), Fraction(3)))
+@example(((Z - Poly.constant(3)) * (Z ** 2 - Poly.constant(2)), Fraction(1), Fraction(3)))
+@example(((Z - Poly.one()) * (Z ** 2 - Poly.constant(3)), Fraction(1), Fraction(3)))
+# two roots 2^-30 apart: counted apart before the signs take over
+@example(((Z - Poly.constant(Fraction(4, 3)))
+          * (Z - Poly.constant(Fraction(4, 3) + Fraction(1, 2 ** 30))), Fraction(1), Fraction(3)))
+# the dyadic midpoint 7/4 is a root, met after the root is isolated
+@example(((Z - Poly.constant(Fraction(7, 4))) * (Z ** 2 - Poly.constant(2)),
+          Fraction(1), Fraction(3)))
+# deflation at 3/2 leaves two roots to the right, still to be counted apart
+@example(((Z - Poly.constant(Fraction(3, 2))) * (Z ** 2 - Poly.constant(3))
+          * (Z - Poly.constant(Fraction(19, 10))), Fraction(1), Fraction(3)))
 def test_isolation_equals_the_fraction_reference(case):
     p, lo, hi = case
     assert outcome(largest_real_zero, p, lo, hi) == \
@@ -408,6 +420,25 @@ def test_isolation_counts_each_point_once_per_chain(monkeypatch):
         assert largest_real_zero(p, 1, 3) == reference_largest_real_zero(p, 1, 3)
         assert len({chain for chain, _ in counted}) == 2
         assert len(set(counted)) == len(counted)
+
+
+def test_isolation_counts_only_until_the_root_is_isolated(monkeypatch):
+    counted = _count_points(monkeypatch)
+    # one root in [1, 3]: counted at the two endpoints, then signs only
+    p = Z ** 2 - Poly.constant(2)
+    assert largest_real_zero(p, 1, 3) == reference_largest_real_zero(p, 1, 3)
+    assert [x for _, x in counted] == [1, 3]
+    # two roots: counts at 2 and at 3/2 leave one root in (3/2, 2]
+    del counted[:]
+    p = (Z ** 2 - Poly.constant(2)) * (Z ** 2 - Poly.constant(3))
+    assert largest_real_zero(p, 1, 3) == reference_largest_real_zero(p, 1, 3)
+    assert [x for _, x in counted] == [1, 3, 2, Fraction(3, 2)]
+    # the exact hit at 3/2 deflates the chain, which counts one root in
+    # (3/2, 2] and is not counted again
+    del counted[:]
+    p = (Z - Poly.constant(Fraction(3, 2))) * (Z ** 2 - Poly.constant(3))
+    assert largest_real_zero(p, 1, 3) == reference_largest_real_zero(p, 1, 3)
+    assert [x for _, x in counted] == [1, 3, 2, 2, Fraction(3, 2)]
 
 
 @settings(max_examples=200, deadline=None)

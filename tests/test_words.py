@@ -16,30 +16,29 @@ def test_correlate_self_overlap_bit():
 
 
 def test_correlation_poly_values():
-    # ascending coefficients
-    assert W.correlation_poly("210210", "2102") == (0, 0, 1, 0, 0, 1)  # z^2 + z^5
-    assert W.correlation_poly("2102", "210210") == (1, 0, 0, 1)        # 1 + z^3
-    assert W.correlation_poly("000", "000") == (1, 1, 1)
-    assert W.correlation_poly("010", "010") == (1, 0, 1)
-    assert W.correlation_poly("00", "11") == ()
+    # the overlap lengths t are the exponents + 1 of the published
+    # correlation polynomials sum z^(t-1)
+    assert W.correlation_shifts("210210", "2102") == (6, 3)  # z^2 + z^5
+    assert W.correlation_shifts("2102", "210210") == (4, 1)  # 1 + z^3
+    assert W.correlation_shifts("000", "000") == (3, 2, 1)
+    assert W.correlation_shifts("010", "010") == (3, 1)
+    assert W.correlation_shifts("00", "11") == ()
 
 
 def test_tail_correlation_published():
-    assert W.tail_correlation_poly("210210", "2102", 4) == (0, 0, 1)  # z^2
-    assert W.tail_correlation_poly("2102", "210210", 2) == (1,)      # 1
+    # the tail of length alpha keeps the overlaps t <= alpha
+    assert [t for t in W.correlation_shifts("210210", "2102") if t <= 4] == [3]  # z^2
+    assert [t for t in W.correlation_shifts("2102", "210210") if t <= 2] == [1]  # 1
 
 
-def test_tail_correlation_full_length_matches():
+def test_correlation_shifts_match_the_overlap_definition():
     rng = random.Random(7)
-    for _ in range(50):
+    for _ in range(200):
         u = tuple(rng.choice("01") for _ in range(rng.randint(1, 6)))
         v = tuple(rng.choice("01") for _ in range(rng.randint(1, 6)))
-        assert W.tail_correlation_poly(u, v, len(u)) == W.correlation_poly(u, v)
-
-
-def test_tail_correlation_range_check():
-    with pytest.raises(ValueError):
-        W.tail_correlation_poly("010", "0", 4)
+        want = tuple(t for t in range(len(u), 0, -1)
+                     if u[len(u) - t:][:len(v)] == v[:t])
+        assert W.correlation_shifts(u, v) == want
 
 
 def test_correlation_degree_bound_and_bits():
@@ -47,9 +46,9 @@ def test_correlation_degree_bound_and_bits():
     for _ in range(100):
         u = tuple(rng.choice("012") for _ in range(rng.randint(1, 5)))
         v = tuple(rng.choice("012") for _ in range(rng.randint(1, 5)))
-        poly = W.correlation_poly(u, v)
-        assert len(poly) <= len(u)
-        assert set(poly) <= {0, 1}
+        shifts = W.correlation_shifts(u, v)
+        assert all(1 <= t <= len(u) for t in shifts)
+        assert list(shifts) == sorted(set(shifts), reverse=True)
 
 
 def test_non_terminal_occurrences():
