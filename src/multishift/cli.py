@@ -14,6 +14,7 @@ exceeded, 4 numeric failure, 5 I/O or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -222,7 +223,9 @@ def cmd_verify(args, doc: dict, spec: ShiftSpec) -> int:
     return 0 if rep.passed else EXIT_VERIFY
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it as is)."""
     parser = argparse.ArgumentParser(
         prog="multishift",
         description="Exact analysis of shift spaces with forbidden and repeated words.")

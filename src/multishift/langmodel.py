@@ -219,6 +219,24 @@ def _ends_with(w: Word, x: Word) -> bool:
     return len(x) <= len(w) and w[len(w) - len(x):] == x
 
 
+def _moves(spec: ShiftSpec, state: Word, k: int, ends: Sequence[Word] = ()
+           ) -> list[tuple[str, Word, int, Word | None, tuple[Word, ...]]]:
+    """The q moves out of a state (the last k symbols) in alphabet order:
+    the symbol, the next state, the product of m_r over the repeated
+    words r it completes, the forbidden word it completes or None (a
+    reduced collection has at most one), and the ``ends`` it completes."""
+    out = []
+    for sym in spec.alphabet:
+        w = state + (sym,)
+        factor = 1
+        for r, m in spec.repeated:
+            if _ends_with(w, r):
+                factor *= m
+        bad = next((a for a in spec.forbidden if _ends_with(w, a)), None)
+        out.append((sym, w[-k:], factor, bad, tuple(r for r in ends if _ends_with(w, r))))
+    return out
+
+
 def language_slices(n_max: int, spec: ShiftSpec, budget: int = DEFAULT_BUDGET
                     ) -> Iterator[LanguageSlice]:
     """The weighted slices of lengths 1..n_max from one layered walk.
@@ -228,29 +246,15 @@ def language_slices(n_max: int, spec: ShiftSpec, budget: int = DEFAULT_BUDGET
     A word's weight is its prefix's weight times m_r for each repeated
     word r that the new symbol completes.  Forbidden and repeated words
     have length at most p, so both depend only on the state, the last
-    p - 1 symbols: each state's allowed symbols, factors and next
-    states are worked out once, when a word first reaches it.  Only the
-    current layer is kept.  The budget applies to q**n_max; n_max <= 0
-    yields nothing.
+    p - 1 symbols: each state's moves (:func:`_moves`) are worked out
+    once, when a word first reaches it, and its forbidden ones dropped.
+    Only the current layer is kept.  The budget applies to q**n_max;
+    n_max <= 0 yields nothing.
     """
     if n_max < 1:
         return
     check_budget(n_max, spec, budget)
     k = spec.p - 1
-
-    def moves_of(state: Word) -> list[tuple[Word, int, Word]]:
-        out = []
-        for sym in spec.alphabet:
-            w = state + (sym,)
-            if any(_ends_with(w, a) for a in spec.forbidden):
-                continue
-            factor = 1
-            for r, m in spec.repeated:
-                if _ends_with(w, r):
-                    factor *= m
-            out.append(((sym,), factor, w[-k:]))
-        return out
-
     moves: dict[Word, list[tuple[Word, int, Word]]] = {}
     layer: list[tuple[Word, int, Word]] = [((), 1, ())]  # (word, weight, state)
     for n in range(1, n_max + 1):
@@ -258,7 +262,8 @@ def language_slices(n_max: int, spec: ShiftSpec, budget: int = DEFAULT_BUDGET
         for w, weight, state in layer:
             step = moves.get(state)
             if step is None:
-                step = moves[state] = moves_of(state)
+                step = moves[state] = [((sym,), factor, to) for sym, to, factor, bad, _
+                                       in _moves(spec, state, k) if bad is None]
             for sym, factor, to in step:
                 nxt.append((w + sym, weight * factor, to))
         layer = nxt
@@ -285,10 +290,9 @@ def transfer_tables(spec: ShiftSpec, max_n: int, suffixes: Sequence[Word] = ()
     each state carries the total weight of its words.  Every forbidden,
     repeated or tracked word that one more symbol completes is a suffix
     of state + symbol, so each state's q moves are worked out once and
-    cached: the next state, the repeated-word factor, the forbidden word
-    completed (if any) and the tracked words completed.  g is kept for
-    the repeated words and ``suffixes``.  The cost is polynomial in
-    max_n; callers apply the budget.
+    cached (:func:`_moves`).  g is kept for the repeated words and
+    ``suffixes``.  The cost is polynomial in max_n; callers apply the
+    budget.
     """
     ends = tuple(dict.fromkeys(spec.repeated_words + tuple(suffixes)))
     k = max([spec.p] + [len(r) for r in ends]) - 1
@@ -301,27 +305,14 @@ def transfer_tables(spec: ShiftSpec, max_n: int, suffixes: Sequence[Word] = ()
         for r, m in spec.repeated:
             discount[a] *= m ** W.subword_count(a, r)
 
-    def moves_of(state: Word) -> list[tuple[Word, int, Word | None, tuple[Word, ...]]]:
-        out = []
-        for sym in spec.alphabet:
-            w = state + (sym,)
-            factor = 1
-            for r, m in spec.repeated:
-                if _ends_with(w, r):
-                    factor *= m
-            # a reduced collection has at most one forbidden suffix
-            bad = next((a for a in spec.forbidden if _ends_with(w, a)), None)
-            out.append((w[-k:], factor, bad, tuple(r for r in ends if _ends_with(w, r))))
-        return out
-
     moves: dict[Word, list] = {}
     layer = {(): 1}
     for n in range(1, max_n + 1):
         nxt: dict[Word, int] = {}
         for state, weight in layer.items():
             if state not in moves:
-                moves[state] = moves_of(state)
-            for to, factor, bad, done in moves[state]:
+                moves[state] = _moves(spec, state, k, ends)
+            for _, to, factor, bad, done in moves[state]:
                 wt = weight * factor
                 if bad is not None:
                     fa[bad][n] += wt // discount[bad]

@@ -40,40 +40,34 @@ from .words import Word
 
 @dataclass(frozen=True)
 class StochMat:
-    """Row-stochastic matrix with its stationary distribution."""
+    """Row-stochastic matrix with its stationary distribution; each row
+    holds the pairs (j, P_ij) along the block's successor list."""
 
     labels: tuple[Word, ...]
-    rows: tuple[tuple, ...]
+    rows: tuple[tuple[tuple[int, object], ...], ...]
     stationary: tuple
     exact: bool
 
-    def to_json(self) -> dict:
-        out = {"labels": ["".join(x) for x in self.labels],
-               "rows": [[format(float(e), ".15g") for e in row] for row in self.rows],
-               "stationary": [format(float(e), ".15g") for e in self.stationary]}
-        if self.exact:
-            out["rows_exact"] = [[str(e) for e in row] for row in self.rows]
-            out["stationary_exact"] = [str(e) for e in self.stationary]
-        return out
+    def entry(self, i: int, j: int):
+        """P_ij, by a scan of row i."""
+        return next((x for k, x in self.rows[i] if k == j), 0)
 
 
-def _validate_stochastic(sm: StochMat,
-                         successors: Sequence[Sequence[tuple[int, int]]]) -> StochMat:
+def _validate_stochastic(sm: StochMat) -> StochMat:
     """Check the rows, the stationarity pi P = pi and the total of pi.
 
-    pi P is one product over the successor lists, with i ascending, so
-    each entry sums the same nonzero terms in the same order as the
-    dense column sum did.
+    pi P is one product over the sparse rows, with i ascending, so each
+    entry sums the same nonzero terms in the same order as a dense
+    column sum; adding an exact zero never changes a sum.
     """
-    n = len(sm.labels)
-    for i in range(n):
-        s = sum(sm.rows[i])
+    for i, row in enumerate(sm.rows):
+        s = sum(x for _, x in row)
         if not agree(s, 1):
             raise NumericError(f"row {i} sums to {s}, not 1")
-    image = [0] * n
-    for i, row in enumerate(successors):
-        for j, _ in row:
-            image[j] += sm.stationary[i] * sm.rows[i][j]
+    image = [0] * len(sm.labels)
+    for pi, row in zip(sm.stationary, sm.rows):
+        for j, x in row:
+            image[j] += pi * x
     if not all(agree(x, pi) for x, pi in zip(image, sm.stationary)):
         raise NumericError("stationary vector is not stationary")
     if not agree(sum(sm.stationary), 1):
@@ -88,12 +82,11 @@ def shannon_parry_matrix(mat: AdjMatrix, theta, left_normalized: Sequence,
     Expects the normalized eigenvector pair (dot product one).  Rows and
     the stationary vector are divided by their sums, which kills residual
     round-off in floats and changes nothing in exact rationals, where the
-    sums are exactly one.  Each row is filled from the block's successor
-    list over one shared zero, and its sum adds the nonzero terms in
-    increasing column order: adding a zero is exact, so this is the sum
-    of the dense row.
+    sums are exactly one.  Each row follows the block's successor list,
+    and its sum adds the terms in increasing column order from one zero
+    of the pipeline's type: adding a zero is exact, so this is the sum of
+    the dense row.
     """
-    n = mat.size
     if not agree(sum(u * v for u, v in zip(left_normalized, right)), 1):
         raise NumericError("eigenvector pair is not normalized")
     exact = isinstance(theta, Fraction)
@@ -107,15 +100,11 @@ def shannon_parry_matrix(mat: AdjMatrix, theta, left_normalized: Sequence,
         s = sum((x for _, x in terms), zero)
         if not agree(s, 1):
             raise NumericError(f"row {i} of the stochastic matrix sums to {s}")
-        row = [zero] * n
-        for j, x in terms:
-            row[j] = x / s
-        rows.append(tuple(row))
+        rows.append(tuple((j, x / s) for j, x in terms))
     stationary = [u * v for u, v in zip(left_normalized, right)]
     t = sum(stationary)
     stationary = [x / t for x in stationary]
-    return _validate_stochastic(StochMat(mat.labels, tuple(rows), tuple(stationary), exact),
-                                mat.successors)
+    return _validate_stochastic(StochMat(mat.labels, tuple(rows), tuple(stationary), exact))
 
 
 def lift_rational_stochastic(sm: StochMat) -> AdjMatrix:
@@ -127,20 +116,18 @@ def lift_rational_stochastic(sm: StochMat) -> AdjMatrix:
     """
     if not sm.exact:
         raise NumericError("lift needs exact rational entries")
-    denoms = [Fraction(e).denominator for row in sm.rows for e in row if e > 0]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // math.gcd(lcm, d)
-    entries = []
+    lcm = math.lcm(*(Fraction(x).denominator for row in sm.rows for _, x in row if x > 0))
+    successors = []
     for row in sm.rows:
         out = []
-        for e in row:
-            v = Fraction(e) * lcm
+        for j, x in row:
+            v = Fraction(x) * lcm
             if v.denominator != 1:
                 raise NumericError("least common denominator failed; non-rational entry?")
-            out.append(int(v))
-        entries.append(tuple(out))
-    mat = AdjMatrix(sm.labels, tuple(entries))
+            if v:
+                out.append((j, int(v)))
+        successors.append(tuple(out))
+    mat = AdjMatrix(sm.labels, tuple(successors))
     if not is_irreducible(mat):
         raise SpecError("lift of a reducible stochastic matrix")
     return mat
@@ -296,19 +283,19 @@ def cylinder_measure(ctx: MeasureContext, cyl: Cylinder,
         elif route == "markov":
             val = ctx.sp.stationary[i_first]
             for a, b in zip(idx, idx[1:]):
-                val = val * ctx.sp.rows[a][b] / ctx.mat.entries[a][b]
+                val = val * ctx.sp.entry(a, b) / ctx.mat.entry(a, b)
         else:
-            raise ValueError(f"route {route!r} not valid for an edge cylinder")
+            raise SpecError(f"route {route!r} not valid for an edge cylinder")
     else:
         if route == "markov":
             val = ctx.sp.stationary[i_first]
             for a, b in zip(idx, idx[1:]):
-                val = val * ctx.sp.rows[a][b]
+                val = val * ctx.sp.entry(a, b)
         elif route == "parry":
             vec, _ = ctx._hat
             val = vec.left_normalized[i_first] * vec.right[i_last] / vec.root.scalar() ** n
         else:
-            raise ValueError(f"route {route!r} not valid for a vertex cylinder")
+            raise SpecError(f"route {route!r} not valid for a vertex cylinder")
     exact = Fraction(val) if isinstance(val, Fraction) else None
     return MeasureReport(float(val), route, exact)
 
@@ -318,7 +305,7 @@ def preimage_count(ctx: MeasureContext, cyl: Cylinder) -> int:
     idx = ctx.mat.path(cyl.vertices, cyl.branches)
     out = 1
     for a, b in zip(idx, idx[1:]):
-        out *= ctx.mat.entries[a][b]
+        out *= ctx.mat.entry(a, b)
     return out
 
 
@@ -374,7 +361,7 @@ def _pushforward_certified(ctx: MeasureContext, n_max: int) -> bool:
     if any(u * v == 0 for u, v in zip(left, right)):
         return False
     start = [pi / (u * v) for pi, u, v in zip(sp.stationary, left, right)]
-    edge = [[sp.rows[a][b] * theta * right[a] / (e * right[b]) for b, e in row]
+    edge = [[x * theta * right[a] / (e * right[b]) for (b, e), (_, x) in zip(row, sp.rows[a])]
             for a, row in enumerate(mat.successors)]
     if ctx.exact:
         return all(c == 1 for c in start) and all(c == 1 for row in edge for c in row)
@@ -433,8 +420,9 @@ def _pushforward_walk(ctx: MeasureContext, n_max: int) -> dict:
                                            "pushforward": float(pushed),
                                            "preimage_sum": float(total)}))
             if length < n_max:
-                stack.extend((j, length + 1, pushed * sp.rows[last][j], count * e)
-                             for j, e in reversed(succ[last]))
+                stack.extend((j, length + 1, pushed * x, count * e)
+                             for (j, e), (_, x) in zip(reversed(succ[last]),
+                                                       reversed(sp.rows[last])))
     found.sort(key=lambda item: item[0])
     return {"checked": checked, "violations": [v for _, v in found]}
 

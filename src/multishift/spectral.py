@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
+from itertools import repeat
 from operator import mul, truediv
 from typing import Sequence
 
@@ -56,21 +57,24 @@ def agree(a, b) -> bool:
 
 @dataclass(frozen=True)
 class AdjMatrix:
-    """Non-negative integer matrix indexed by labeled words."""
+    """Non-negative integer matrix indexed by labeled words, stored as its
+    block graph: per row i the pairs (j, e), e = A_ij > 0, in increasing
+    j.  Every walk reads these lists; the dense rows exist only as the
+    printed view :attr:`entries`."""
 
     labels: tuple[Word, ...]
-    entries: tuple[tuple[int, ...], ...]
+    successors: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self):
-        if any(len(row) != len(self.labels) for row in self.entries):
-            raise ValueError("entries do not match the label count")
+        if len(self.successors) != len(self.labels):
+            raise ValueError("successor lists do not match the label count")
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
     def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.entries)
+        return tuple(sum(e for _, e in row) for row in self.successors)
 
     @property
     def max_row_sum(self) -> int:
@@ -79,18 +83,23 @@ class AdjMatrix:
     def binary(self) -> "AdjMatrix":
         """The compatible 0/1 matrix (same zero pattern)."""
         return AdjMatrix(self.labels,
-                         tuple(tuple(1 if e else 0 for e in row) for row in self.entries))
+                         tuple(tuple((j, 1) for j, _ in row) for row in self.successors))
+
+    def entry(self, i: int, j: int) -> int:
+        """A_ij, by a scan of row i's successor list."""
+        return next((e for k, e in self.successors[i] if k == j), 0)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The dense rows, a view for printing and for the length-2 spec of
+        :func:`spec_from_matrix`; nothing computes with them."""
+        return tuple(tuple(map(dict(row).get, range(self.size), repeat(0)))
+                     for row in self.successors)
 
     @cached_property
     def index(self) -> dict[Word, int]:
         """Label to row index."""
         return {x: i for i, x in enumerate(self.labels)}
-
-    @cached_property
-    def successors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per row i, the pairs (j, e) with e = entries[i][j] > 0 in increasing
-        j: the block graph every walk reads (reports print the entries)."""
-        return tuple(tuple((j, e) for j, e in enumerate(row) if e) for row in self.entries)
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
@@ -109,7 +118,7 @@ class AdjMatrix:
                                 f"{len(self.labels[0])}")
             idx.append(self.index[v])
         for k, (a, b) in enumerate(zip(idx, idx[1:])):
-            e = self.entries[a][b]
+            e = self.entry(a, b)
             if e == 0:
                 raise SpecError("cylinder path uses a missing edge")
             if branches is not None and not 1 <= branches[k] <= e:
@@ -131,17 +140,19 @@ class AdjMatrix:
 
 def _splice_matrix(spec: ShiftSpec, weight) -> AdjMatrix:
     """Matrix on the allowed words of length p-1 whose (X, Y) entry is
-    ``weight(X*Y)`` when the splice exists (Y = X[1:] + s), else 0."""
+    ``weight(X*Y)`` when the splice exists (Y = X[1:] + s), else 0.  The
+    labels are sorted, so the splices of X in alphabet order reach its
+    successors in increasing j."""
     labels = sorted(allowed_words(spec.p - 1, spec), key=spec.sort_key)
     if not labels:
         raise SpecError("no allowed words of length p-1; spec is over-constrained")
     index = {x: i for i, x in enumerate(labels)}
     rows = []
     for x in labels:
-        row = [0] * len(labels)
+        row = []
         for s in spec.alphabet:
-            if (j := index.get(x[1:] + (s,))) is not None:
-                row[j] = weight(x + (s,))
+            if (j := index.get(x[1:] + (s,))) is not None and (e := weight(x + (s,))):
+                row.append((j, e))
         rows.append(tuple(row))
     return AdjMatrix(tuple(labels), tuple(rows))
 
@@ -214,7 +225,7 @@ def _strong_components(mat: AdjMatrix) -> list[list[int]]:
 def is_irreducible(mat: AdjMatrix) -> bool:
     """Strong connectivity of the positive-entry digraph: one strong
     component, which for a single block needs its loop."""
-    return len(mat.components) == 1 and (mat.size > 1 or mat.entries[0][0] > 0)
+    return len(mat.components) == 1 and (mat.size > 1 or bool(mat.successors[0]))
 
 
 @dataclass(frozen=True)
@@ -347,7 +358,7 @@ def perron_root(source: ShiftSpec | AdjMatrix | Analysis,
     if isinstance(source, AdjMatrix):
         mat = source
         if mat.size == 1:
-            k = mat.entries[0][0]
+            k = mat.entry(0, 0)
             cert = RootCertificate(float(k), Fraction(k), Fraction(k), Fraction(k))
             return PerronResult(float(k), cert, float(k), 0.0, k > 0)
         an = Analysis(spec_from_matrix(source.entries))

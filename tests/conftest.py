@@ -5,7 +5,8 @@ references that the fraction-free code is checked against (a polynomial
 over Fraction coefficients, and on it the linear solve, the Euclidean
 gcd and the Sturm isolation), the counting rows built entry by entry
 from one correlation scan per pair, the symbolic route to the
-normalization identity, and the block-graph references (the
+normalization identity, the dense-to-sparse row conversion, and the
+block-graph references (the
 Collatz-Wielandt step with one Fraction per block, and the eigenvector
 formulas over every pair of label and target).  The field references take ``ratfield`` values
 through their Fraction views and run no ``ratfield.Poly`` arithmetic.
@@ -35,6 +36,13 @@ from multishift.spectral import AdjMatrix, PowerResult, adjacency_matrix, is_irr
 # test; example counts and deadlines stay with each test
 settings.register_profile("ci", print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+def sparse(rows) -> tuple[tuple[tuple[int, object], ...], ...]:
+    """Dense rows as the sparse rows the package stores: per row the pairs
+    (j, x) with x nonzero, in increasing j (the successor lists of an
+    ``AdjMatrix``, the rows of a ``StochMat``)."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
 
 
 def occurrences(w: tuple, r: tuple) -> int:
@@ -496,7 +504,7 @@ def reference_cw_enclosure(mat: AdjMatrix) -> tuple[Fraction, Fraction]:
     :func:`reference_power_iteration`."""
     blocks = [reference_power_iteration(mat if len(comp) == mat.size else AdjMatrix(
         tuple(mat.labels[i] for i in comp),
-        tuple(tuple(mat.entries[i][j] for j in comp) for i in comp)))
+        sparse(tuple(mat.entries[i][j] for j in comp) for i in comp)))
         for comp in mat.components]
     return max(b.lower for b in blocks), max(b.upper for b in blocks)
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_spec
+from conftest import random_spec, sparse
 from multishift.genfun import (build_system, conjugate_correlation_matrix,
                                correlation_matrix, solve_generating_functions)
 from multishift.langmodel import (extend_repeated_to_full_length, multiplicity,
@@ -185,7 +185,7 @@ def test_5_matrix_entry_sum_quoted_value():
 
 
 def test_6_escape_rate_fixtures():
-    mat = AdjMatrix((("0",), ("1",)), ((0, 2), (1, 1)))
+    mat = AdjMatrix((("0",), ("1",)), sparse(((0, 2), (1, 1))))
     hole = Cylinder.from_edges([("0", "1", 2), ("1", "1", 1)])
     rep = escape_report(mat, hole, n_max=12)
     assert rep.counts[2] == 7
@@ -193,7 +193,7 @@ def test_6_escape_rate_fixtures():
     assert rep.word_weight == 2
     assert rep.survivor_rate > rep.tau_rate
 
-    everything = AdjMatrix((("x",),), ((1,),))
+    everything = AdjMatrix((("x",),), sparse(((1,),)))
     rep2 = escape_report(everything, Cylinder.from_edges([("x", "x", 1)]), n_max=5)
     assert all(c == 0 for c in rep2.counts[1:])
     print("ACCEPTANCE 6 PASS escape counts h(2)=7, tau(3)=6, rate ordering")
@@ -245,14 +245,14 @@ def _random_rational_stochastic(rng, n):
                 weights[rng.randrange(n)] = 1
             total = sum(weights)
             rows.append(tuple(Fraction(w, total) for w in weights))
-        probe = AdjMatrix(labels, tuple(tuple(1 if e else 0 for e in row) for row in rows))
+        probe = AdjMatrix(labels, sparse(tuple(1 if e else 0 for e in row) for row in rows))
         if not is_irreducible(probe):
             continue
         m = [[rows[j][i] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
         m[-1] = [Fraction(1)] * n
         rhs = [Fraction(0)] * (n - 1) + [Fraction(1)]
         stationary = tuple(solve_numeric(m, rhs))
-        return StochMat(labels, tuple(rows), stationary, True)
+        return StochMat(labels, sparse(rows), stationary, True)
 
 
 def test_8_round_trips():

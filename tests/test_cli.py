@@ -14,7 +14,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from multishift import ratfield
-from multishift.cli import main
+from multishift.cli import build_parser, main
 from multishift.fixtures import fixture_document, list_fixtures
 from multishift.measures import EDGE_ROUTES, VERTEX_ROUTES
 
@@ -204,6 +204,25 @@ def test_measure_help_lists_each_route_once(capsys):
                          "--cylinder", cylinder, "--route", route]) == 0, route
             measured = json.loads(capsys.readouterr().out)["result"]["measures"]
             assert route == "all" or [m["route"] for m in measured] == [route]
+
+
+@pytest.mark.parametrize("cylinder, route, form", [
+    ("00*00#1", "parry", "an edge"), ("000", "shannon_parry", "a vertex")],
+    ids=["parry-on-edge", "shannon_parry-on-vertex"])
+def test_measure_route_of_the_other_cylinder_form_is_a_spec_error(capsys, cylinder, route,
+                                                                   form):
+    code = main(["measure", "--spec", str(FIXDIR / "eigenvectors.json"),
+                 "--cylinder", cylinder, "--route", route])
+    assert (code, capsys.readouterr().err) == \
+        (2, f"spec error: route {route!r} not valid for {form} cylinder\n")
+
+
+def test_parser_is_built_once_and_parsing_leaves_it_unchanged():
+    assert build_parser() is build_parser()
+    first = build_parser().parse_args(["verify", "--spec", "-", "--max-n", "3", "--json"])
+    second = build_parser().parse_args(["verify", "--spec", "-"])
+    assert (first.max_n, first.fmt) == (3, "json")
+    assert (second.max_n, second.fmt) == (10, "table")
 
 
 def test_escape_command():

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import family_spec, random_spec
-from multishift import measures
+from conftest import family_spec, random_spec, sparse
+from multishift import measures, spectral
 from multishift.errors import NumericError, SpecError
 from multishift.fixtures import load_fixture, list_fixtures
 from multishift.langmodel import spec_from_matrix, validate_spec
@@ -20,6 +20,7 @@ from multishift.measures import (Cylinder, EDGE_ROUTES, MeasureContext, StochMat
                                  shannon_parry_matrix)
 from multishift.spectral import (THETA_TOL, AdjMatrix, adjacency_matrix, agree,
                                  is_irreducible, perron_vectors)
+from multishift.verify import run_verification
 
 
 def eigen_spec():
@@ -27,8 +28,7 @@ def eigen_spec():
 
 
 def sp_of_matrix(entries):
-    mat = AdjMatrix(tuple(("abcdefgh"[i],) for i in range(len(entries))),
-                    tuple(tuple(row) for row in entries))
+    mat = AdjMatrix(tuple(("abcdefgh"[i],) for i in range(len(entries))), sparse(entries))
     vec = perron_vectors(spec_from_matrix(entries))
     return mat, vec, shannon_parry_matrix(mat, vec.root.scalar(),
                                           vec.left_normalized, vec.right)
@@ -36,16 +36,17 @@ def sp_of_matrix(entries):
 
 def test_shannon_parry_published_irrational():
     _, _, sp = sp_of_matrix([[2, 1], [1, 0]])
-    assert abs(sp.rows[0][0] - 2 * (math.sqrt(2) - 1)) <= 1e-12
-    assert abs(sp.rows[0][1] - (3 - 2 * math.sqrt(2))) <= 1e-12
-    assert abs(sp.rows[1][0] - 1) <= 1e-12
-    assert sp.rows[1][1] == 0
+    (_, p00), (_, p01) = sp.rows[0]
+    assert abs(p00 - 2 * (math.sqrt(2) - 1)) <= 1e-12
+    assert abs(p01 - (3 - 2 * math.sqrt(2))) <= 1e-12
+    (j, p10), = sp.rows[1]  # no (1, 1) entry
+    assert j == 0 and abs(p10 - 1) <= 1e-12
 
 
 def test_shannon_parry_trivial_loop():
-    mat = AdjMatrix((("x",),), ((5,),))
+    mat = AdjMatrix((("x",),), sparse(((5,),)))
     sp = shannon_parry_matrix(mat, Fraction(5), (Fraction(1),), (Fraction(1),))
-    assert sp.rows == ((Fraction(1),),)
+    assert sp.rows == sparse(((Fraction(1),),))
     assert sp.stationary == (Fraction(1),)
 
 
@@ -53,10 +54,10 @@ def test_shannon_parry_exact_rows_and_stationarity():
     ctx = MeasureContext(eigen_spec())
     assert ctx.sp.exact
     for row in ctx.sp.rows:
-        assert sum(row) == 1
+        assert sum(x for _, x in row) == 1
     n = len(ctx.sp.labels)
     for j in range(n):
-        assert sum(ctx.sp.stationary[i] * ctx.sp.rows[i][j] for i in range(n)) \
+        assert sum(ctx.sp.stationary[i] * ctx.sp.entry(i, j) for i in range(n)) \
             == ctx.sp.stationary[j]
 
 
@@ -66,10 +67,10 @@ def test_stationarity_is_checked_over_the_successor_lists():
     float_mat, _, float_sp = sp_of_matrix([[2, 1], [1, 0]])
     exact = MeasureContext(eigen_spec())
     for mat, sp in ((float_mat, float_sp), (exact.mat, exact.sp)):
-        assert _validate_stochastic(sp, mat.successors) is sp
+        assert _validate_stochastic(sp) is sp
         wrong = dataclasses.replace(sp, stationary=sp.stationary[::-1])
         with pytest.raises(NumericError, match="not stationary"):
-            _validate_stochastic(wrong, mat.successors)
+            _validate_stochastic(wrong)
 
 
 def reference_shannon_parry_rows(mat, theta, right):
@@ -84,7 +85,8 @@ def reference_shannon_parry_rows(mat, theta, right):
 
 
 def _typed_bits(rows):
-    return [[(type(e), e.hex() if isinstance(e, float) else e) for e in row] for row in rows]
+    return [[(j, type(e), e.hex() if isinstance(e, float) else e) for j, e in row]
+            for row in rows]
 
 
 def test_shannon_parry_rows_equal_the_dense_rows():
@@ -99,9 +101,42 @@ def test_shannon_parry_rows_equal_the_dense_rows():
         except (NumericError, SpecError):
             continue
         want = reference_shannon_parry_rows(ctx.mat, ctx.theta, ctx.vectors.right)
-        assert _typed_bits(ctx.sp.rows) == _typed_bits(want), s
+        assert _typed_bits(ctx.sp.rows) == _typed_bits(sparse(want)), s
         compared += 1
     assert compared >= 20
+
+
+def test_stochastic_rows_follow_the_successor_lists():
+    for name in list_fixtures():
+        try:
+            ctx = MeasureContext(load_fixture(name))
+        except (NumericError, SpecError):
+            continue
+        assert [[j for j, _ in row] for row in ctx.sp.rows] == \
+            [[j for j, _ in row] for row in ctx.mat.successors], name
+
+
+def test_checks_on_1016_blocks_never_build_the_dense_rows(monkeypatch):
+    # the b_6 spec: verify and the measure checks walk the successor
+    # lists; only printing the matrix builds its n^2 dense view
+    analyses = []
+
+    class Recorded(spectral.Analysis):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            analyses.append(self)
+
+    monkeypatch.setattr(spectral, "Analysis", Recorded)
+    assert run_verification(validate_spec("0123", ["000000", "0123"], [("111112", 3)]),
+                            max_n=8).passed
+    an, = analyses
+    ctx = MeasureContext(an)
+    assert ctx.mat is an.matrix and an.matrix.size == 1016
+    assert kolmogorov_report(ctx, 8)["violations"] == []
+    assert pushforward_report(ctx, 8)["violations"] == []
+    assert "entries" not in an.matrix.__dict__
+    assert [[j for j, _ in row] for row in ctx.sp.rows] == \
+        [[j for j, _ in row] for row in an.matrix.successors]
 
 
 def test_cylinder_forms_and_projection():
@@ -177,15 +212,19 @@ def test_total_mass_of_one_edge_cylinders():
 
 def test_lift_round_trips():
     labels = (("a",), ("b",))
-    p1 = StochMat(labels, ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1), Fraction(0))),
+    p1 = StochMat(labels, sparse(((Fraction(1, 2), Fraction(1, 2)), (Fraction(1), Fraction(0)))),
                   (Fraction(2, 3), Fraction(1, 3)), True)
     assert lift_rational_stochastic(p1).entries == ((1, 1), (2, 0))
-    p2 = StochMat(labels, ((Fraction(2, 3), Fraction(1, 3)), (Fraction(1), Fraction(0))),
+    p2 = StochMat(labels, sparse(((Fraction(2, 3), Fraction(1, 3)), (Fraction(1), Fraction(0)))),
                   (Fraction(3, 4), Fraction(1, 4)), True)
     assert lift_rational_stochastic(p2).entries == ((2, 1), (3, 0))
-    ident = StochMat(labels, ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))),
+    ident = StochMat(labels, sparse(((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))),
                      (Fraction(1, 2), Fraction(1, 2)), True)
     assert lift_rational_stochastic(ident).entries == ((0, 1), (1, 0))
+    # an explicit zero in a row is no edge of the lift
+    zero = dataclasses.replace(ident, rows=(((0, Fraction(0)), (1, Fraction(1))),
+                                            ((0, Fraction(1)),)))
+    assert lift_rational_stochastic(zero).successors == (((1, 1),), ((0, 1),))
 
 
 def test_lift_inverts_shannon_parry(rng):
@@ -201,7 +240,7 @@ def test_lift_inverts_shannon_parry(rng):
             rows.append(tuple(Fraction(p, 6) for p in parts))
         labels = tuple((chr(97 + i),) for i in range(n))
         mat_entries = tuple(tuple(int(e * 6) for e in row) for row in rows)
-        probe = AdjMatrix(labels, mat_entries)
+        probe = AdjMatrix(labels, sparse(mat_entries))
         from multishift.spectral import is_irreducible
         if not is_irreducible(probe):
             continue
@@ -211,7 +250,7 @@ def test_lift_inverts_shannon_parry(rng):
         mt[-1] = [Fraction(1)] * n
         rhs = [Fraction(0)] * (n - 1) + [Fraction(1)]
         stat = tuple(solve_numeric(mt, rhs))
-        sm = StochMat(labels, tuple(rows), stat, True)
+        sm = StochMat(labels, sparse(rows), stat, True)
         lifted = lift_rational_stochastic(sm)
         vec = perron_vectors(spec_from_matrix(lifted.entries))
         assert vec.exact
@@ -222,7 +261,7 @@ def test_lift_inverts_shannon_parry(rng):
 
 
 def test_escape_counts_published():
-    mat = AdjMatrix((("0",), ("1",)), ((0, 2), (1, 1)))
+    mat = AdjMatrix((("0",), ("1",)), sparse(((0, 2), (1, 1))))
     hole = Cylinder.from_edges([("0", "1", 2), ("1", "1", 1)])
     rep = escape_report(mat, hole, n_max=12)
     assert rep.counts[2] == 7
@@ -233,7 +272,7 @@ def test_escape_counts_published():
 
 
 def test_escape_brute_force_cross_check():
-    mat = AdjMatrix((("0",), ("1",)), ((0, 2), (1, 1)))
+    mat = AdjMatrix((("0",), ("1",)), sparse(((0, 2), (1, 1))))
     hole = Cylinder.from_edges([("0", "1", 2), ("1", "1", 1)])
     rep = escape_report(mat, hole, n_max=8)
     edges = [(i, j, b) for i in range(2) for j in range(2)
@@ -259,7 +298,7 @@ def test_escape_weight_one_hole_matches_oracle():
 
 
 def test_escape_everything_hole():
-    mat = AdjMatrix((("x",),), ((1,),))
+    mat = AdjMatrix((("x",),), sparse(((1,),)))
     hole = Cylinder.from_edges([("x", "x", 1)])
     rep = escape_report(mat, hole, n_max=6)
     assert rep.counts == (1, 0, 0, 0, 0, 0, 0)
@@ -467,8 +506,8 @@ def test_grouped_checks_equal_per_cylinder_reference(name, monkeypatch):
 
 def _corrupt_rows(ctx, factor):
     rows = [list(row) for row in ctx.sp.rows]
-    j = next(j for j, e in enumerate(rows[0]) if e)
-    rows[0][j] *= factor
+    j, x = rows[0][0]
+    rows[0][0] = (j, x * factor)
     ctx.sp = dataclasses.replace(ctx.sp, rows=tuple(map(tuple, rows)))
     return ("pushforward",)
 
@@ -550,7 +589,7 @@ def test_small_relative_error_flagged_on_every_path_of_the_right_vector():
 
 def test_small_relative_error_flagged_on_every_path_through_a_markov_row():
     ctx = MeasureContext(load_fixture("counting"))
-    j = next(j for j, e in enumerate(ctx.sp.rows[0]) if e)
+    j = ctx.sp.rows[0][0][0]
     _corrupt_rows(ctx, 1 + 1e-6)
     push = pushforward_report(ctx, 12)
     assert [v["word"] for v in push["violations"]] == \

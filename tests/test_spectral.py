@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (family_spec, random_spec, reference_cw_enclosure, reference_identity,
-                      reference_power_iteration, reference_vectors)
+                      reference_power_iteration, reference_vectors, sparse)
 from multishift import genfun, ratfield, spectral, words
 from multishift.errors import NumericError, SpecError
 from multishift.fixtures import list_fixtures, load_fixture
@@ -62,8 +62,8 @@ def test_repeated_row_entries_equal():
 
 def test_irreducibility():
     assert is_irreducible(adjacency_matrix(eigen_spec()))
-    assert not is_irreducible(AdjMatrix((("a",), ("b",)), ((1, 0), (0, 1))))
-    assert is_irreducible(AdjMatrix((("a",), ("b",)), ((1, 1), (1, 1))))
+    assert not is_irreducible(AdjMatrix((("a",), ("b",)), sparse(((1, 0), (0, 1)))))
+    assert is_irreducible(AdjMatrix((("a",), ("b",)), sparse(((1, 1), (1, 1)))))
     # the non-reduced worked example has a reducible matrix
     assert not is_irreducible(adjacency_matrix(validate_spec("01", ["001"], [("00", 2)])))
 
@@ -95,7 +95,7 @@ def test_perron_root_matrix_input_and_reducible():
         perron_root(validate_spec("01", ["001"], [("00", 2)]))
     pr = perron_root(validate_spec("01", ["001"], [("00", 2)]), allow_reducible=True)
     assert pr.exact == 2
-    one = perron_root(AdjMatrix((("x",),), ((4,),)))
+    one = perron_root(AdjMatrix((("x",),), sparse(((4,),))))
     assert one.exact == 4
 
 
@@ -105,7 +105,7 @@ def test_perron_root_matrix_input_and_reducible():
     (((1, 1, 1), (1, 1, 0), (0, 0, 1)), 2),  # a two-block component beside a loop
 ])
 def test_reducible_root_is_the_largest_component_root(entries, theta):
-    mat = AdjMatrix(tuple((str(i),) for i in range(len(entries))), entries)
+    mat = AdjMatrix(tuple((str(i),) for i in range(len(entries))), sparse(entries))
     assert not is_irreducible(mat)
     lower, upper = spectral._cw_enclosure(mat)
     assert lower <= theta <= upper and upper - lower <= 1e-10
@@ -129,7 +129,7 @@ def _random_matrices(seed, count):
         n = rng.randint(1, 6)
         entries = tuple(tuple(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(n))
                         for _ in range(n))
-        yield AdjMatrix(tuple((str(i),) for i in range(n)), entries)
+        yield AdjMatrix(tuple((str(i),) for i in range(n)), sparse(entries))
 
 
 def test_power_sum_matches_dense_products():
@@ -190,7 +190,7 @@ def int_matrices(draw):
     n = draw(st.integers(1, 5))
     entry = st.one_of(st.sampled_from((0, 0, 0, 1, 1, 2, 3)), st.integers(0, 10 ** 10))
     return AdjMatrix(tuple((str(i),) for i in range(n)),
-                     tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n)))
+                     sparse(tuple(draw(entry) for _ in range(n)) for _ in range(n)))
 
 
 def _outcome(run, mat):
