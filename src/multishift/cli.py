@@ -302,7 +302,8 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except NumericError as exc:
+    except (NumericError, OverflowError) as exc:
+        # an OverflowError is a float conversion out of range
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except MultishiftError as exc:

@@ -9,9 +9,8 @@ output.  They read one transfer pass over the states of the last p - 1
 symbols (:func:`transfer_tables`), which shares no code with the
 correlation route.  The weighted slices themselves, every allowed word
 with its multiplicity, come from one layered walk over the same states
-(:func:`language_slices`); the unweighted depth-first walk
-:func:`allowed_words` lists the words of one length for block labels and
-the extension.
+(:func:`language_slices`), which also gives the block labels and the
+extension their words.
 """
 
 from __future__ import annotations
@@ -47,10 +46,6 @@ class ShiftSpec:
     @property
     def repeated_words(self) -> tuple[Word, ...]:
         return tuple(r for r, _ in self.repeated)
-
-    def sort_key(self, w: Sequence[str]):
-        """Lexicographic key in declared alphabet order."""
-        return tuple(self._index[s] for s in w)
 
     def is_allowed(self, w: Sequence[str]) -> bool:
         return not any(W.contains(w, a) for a in self.forbidden)
@@ -174,29 +169,6 @@ def check_budget(n: int, spec: ShiftSpec, budget: int) -> None:
     the budget; the empty word (n = 0) needs no walk and never does."""
     if n >= 1 and spec.q ** n > budget:
         raise BudgetError(f"{spec.q}^{n} strings exceed the budget {budget}")
-
-
-def allowed_words(n: int, spec: ShiftSpec, budget: int = DEFAULT_BUDGET) -> Iterator[Word]:
-    """All allowed words of length n, depth-first in lexicographic order.
-
-    A freshly completed forbidden word can only appear as a suffix of
-    the growing prefix, so one suffix scan per extension suffices.
-    """
-    if n < 0:
-        raise ValueError("negative length")
-    check_budget(n, spec, budget)
-    fwords = spec.forbidden
-
-    def extend(prefix: Word) -> Iterator[Word]:
-        if len(prefix) == n:
-            yield prefix
-            return
-        for sym in spec.alphabet:
-            w = prefix + (sym,)
-            if not any(len(a) <= len(w) and w[len(w) - len(a):] == a for a in fwords):
-                yield from extend(w)
-
-    yield from extend(())
 
 
 @dataclass(frozen=True)
@@ -385,17 +357,17 @@ def oracle_tables(spec: ShiftSpec, max_n: int, budget: int = DEFAULT_BUDGET
 def extend_repeated_to_full_length(spec: ShiftSpec) -> ShiftSpec:
     """Replace the repeated words by all their length-p completions.
 
-    Every allowed length-p word beginning with a repeated word joins the
-    new collection, weighted by its leading multiplicity.  The adjacency
+    Every allowed length-p word beginning with a repeated word r joins
+    the new collection, weighted by its leading multiplicity, which is
+    m_r (R is reduced, so r is the only repeated prefix).  The adjacency
     matrix is unchanged, the new union is always reduced, and specs
     whose repeated words already have length p come back untouched.
     """
     if all(len(r) == spec.p for r in spec.repeated_words):
         return spec
-    new = []
-    for w in allowed_words(spec.p, spec):
-        if any(w[:len(r)] == r for r in spec.repeated_words):
-            new.append((w, leading_multiplicity(w, spec)))
+    reps = dict(spec.repeated)
+    new = [(w, m) for w, _ in enumerate_slice(spec.p, spec).entries
+           if (m := next((reps[w[:k]] for k in range(1, spec.p + 1) if w[:k] in reps), 0))]
     return validate_spec(spec.alphabet, spec.forbidden, new)
 
 

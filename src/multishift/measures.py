@@ -34,7 +34,7 @@ from .errors import NumericError, SpecError
 from .langmodel import (DEFAULT_BUDGET, ShiftSpec, check_budget, multiplicity,
                         spec_from_matrix, transfer_tables, validate_spec)
 from .spectral import (THETA_TOL, AdjMatrix, Analysis, EigenData, NormalizationReport,
-                       PerronResult, agree, is_irreducible, perron_root, perron_vectors)
+                       PerronResult, agree, is_irreducible, perron_vectors)
 from .words import Word
 
 
@@ -390,41 +390,27 @@ def _pushforward_certified(ctx: MeasureContext, n_max: int) -> bool:
 def _pushforward_walk(ctx: MeasureContext, n_max: int) -> dict:
     """The push-forward check path by path, naming every failing word.
 
-    One depth-first walk over the path prefixes of each start block
-    carries the running Markov product and preimage count, each extended
-    by one factor per step in the order the per-cylinder routes use.
-    The representative measure U_first V_last / theta^n is computed once
-    per (first block, last block, length) class.  Violations are listed
-    per word, shortest first and lexicographic within one length, as a
-    walk length by length would list them.
+    The paths of each length come from :func:`_vertex_paths`.  Each
+    path's Markov product and preimage count take one factor per step in
+    the order the per-cylinder routes use, and the preimage sum is the
+    count times the representative measure U_first V_last / theta^n.
+    Violations are listed per word, shortest first and lexicographic
+    within one length.
     """
     mat, sp = ctx.mat, ctx.sp
-    succ = mat.successors
-    checked, found = 0, []
-    for first in range(mat.size):
-        rep = {}  # (last block, length) -> Shannon-Parry value
-        path: list[int] = []
-        # entries: (last block, length, Markov product, preimage count)
-        stack = [(first, 0, sp.stationary[first], 1)]
-        while stack:
-            last, length, pushed, count = stack.pop()
-            del path[length:]
-            path.append(last)
-            if length:
-                if (last, length) not in rep:
-                    rep[last, length] = _shannon_parry_value(ctx, first, last, length)
-                total = count * rep[last, length]
-                checked += 1
-                if not agree(total, pushed):
-                    found.append((length, {"word": _path_word(mat.labels, path),
-                                           "pushforward": float(pushed),
-                                           "preimage_sum": float(total)}))
-            if length < n_max:
-                stack.extend((j, length + 1, pushed * x, count * e)
-                             for (j, e), (_, x) in zip(reversed(succ[last]),
-                                                       reversed(sp.rows[last])))
-    found.sort(key=lambda item: item[0])
-    return {"checked": checked, "violations": [v for _, v in found]}
+    checked, violations = 0, []
+    for length in range(1, n_max + 1):
+        for path in _vertex_paths(mat, length):
+            pushed, count = sp.stationary[path[0]], 1
+            for a, b in zip(path, path[1:]):
+                pushed, count = pushed * sp.entry(a, b), count * mat.entry(a, b)
+            total = count * _shannon_parry_value(ctx, path[0], path[-1], length)
+            checked += 1
+            if not agree(total, pushed):
+                violations.append({"word": _path_word(mat.labels, path),
+                                   "pushforward": float(pushed),
+                                   "preimage_sum": float(total)})
+    return {"checked": checked, "violations": violations}
 
 
 def pushforward_report(ctx: MeasureContext, n_max: int) -> dict:
@@ -526,8 +512,11 @@ class EscapeReport:
         }
 
 
-def _hole_automaton(edges: list, hole_seq: list) -> list[dict]:
-    """KMP transition table over edge symbols for the hole word."""
+def _hole_automaton(hole_seq: list) -> list[dict]:
+    """KMP transition table (Knuth, Morris and Pratt 1977) of the hole
+    word over its own edges: ``table[s][edge]`` is the matched prefix
+    after reading that edge with s symbols matched.  Any other edge
+    resets the match to zero, so it needs no entry."""
     k = len(hole_seq)
     fail = [0] * k
     for i in range(1, k):
@@ -538,7 +527,7 @@ def _hole_automaton(edges: list, hole_seq: list) -> list[dict]:
     table = []
     for state in range(k):
         trans = {}
-        for e in edges:
+        for e in hole_seq:
             j = state
             while j and hole_seq[j] != e:
                 j = fail[j - 1]
@@ -547,38 +536,43 @@ def _hole_automaton(edges: list, hole_seq: list) -> list[dict]:
     return table
 
 
-def escape_report(source: ShiftSpec | AdjMatrix, hole: Cylinder, n_max: int = 12,
+def escape_report(source: ShiftSpec | Analysis, hole: Cylinder, n_max: int = 12,
                   budget: int = DEFAULT_BUDGET,
                   allow_reducible: bool = False) -> EscapeReport:
     """Count paths avoiding the hole cylinder and estimate the escape rate.
 
     ``h[n]`` counts length-n edge paths with no contiguous copy of the
     hole word, via a transfer construction on (vertex, matched-prefix)
-    states.  When the underlying symbol word has weight one, the counts
-    must reproduce the weighted counts of the spec with that word
-    forbidden, and the check is enforced.  A spec is read through one
-    :class:`Analysis`: its extension gives the weights and the spec with
-    the hole word forbidden, its matrix and root the rest.
+    states.  An edge outside the hole resets the match, so the A_vj
+    branches of a block pair that are not hole edges move together, one
+    multiply-add to (j, 0), and only the hole's own edges step through
+    the automaton: the cost is states x distinct edges x n_max, whatever
+    the multiplicities.  When the underlying symbol word has weight one,
+    the counts must reproduce the weighted counts of the spec with that
+    word forbidden, and the check is enforced.  A spec is read through
+    one :class:`Analysis` (or an analysis is given): its extension gives
+    the weights and the spec with the hole word forbidden, its matrix and
+    root the rest.  A raw matrix is first rephrased as its length-2 spec
+    by :func:`langmodel.spec_from_matrix`.
     """
-    if isinstance(source, AdjMatrix):
-        mat = source
-        spec = spec_from_matrix(mat.entries) if mat.size >= 2 else None
-    else:
-        an = Analysis(source, allow_reducible)
-        spec, mat = an.ext, an.matrix
+    an = source if isinstance(source, Analysis) else Analysis(source, allow_reducible)
+    spec, mat = an.ext, an.matrix
     if hole.branches is None:
         raise SpecError("the hole must be a specific edge cylinder (branch indices)")
     idx = mat.path(hole.vertices, hole.branches)
     hole_seq = list(zip(idx, idx[1:], hole.branches))
     if not hole_seq:
         raise SpecError("the hole needs at least one edge")
-
-    # the edges leaving each block, one per parallel branch
-    leaving = [[(i, j, b) for j, e in row for b in range(1, e + 1)]
-               for i, row in enumerate(mat.successors)]
-    edges = [edge for row in leaving for edge in row]
-    table = _hole_automaton(edges, hole_seq)
+    table = _hole_automaton(hole_seq)
     k = len(hole_seq)
+
+    # per block: the hole edges leaving it, and the pairs (j, number of
+    # branches to j outside the hole), which all reset the match
+    special = [[] for _ in range(mat.size)]
+    for edge in dict.fromkeys(hole_seq):
+        special[edge[0]].append(edge)
+    plain = [[(j, rest) for j, e in row if (rest := e - sum(h[1] == j for h in special[v]))]
+             for v, row in enumerate(mat.successors)]
 
     counts = [1]
     # (block, matched prefix of the hole) -> paths ending there
@@ -586,7 +580,9 @@ def escape_report(source: ShiftSpec | AdjMatrix, hole: Cylinder, n_max: int = 12
     for _ in range(n_max):
         nxt: dict[tuple[int, int], int] = {}
         for (v, s), c in state_counts.items():
-            for edge in leaving[v]:
+            for j, e in plain[v]:
+                nxt[j, 0] = nxt.get((j, 0), 0) + c * e
+            for edge in special[v]:
                 s2 = table[s][edge]
                 if s2 < k:
                     key = (edge[1], s2)
@@ -598,33 +594,25 @@ def escape_report(source: ShiftSpec | AdjMatrix, hole: Cylinder, n_max: int = 12
     if n_max >= 2 and counts[-2] > 0 and counts[-1] > 0:
         survivor = math.log(counts[-1] / counts[-2])
 
-    if isinstance(source, AdjMatrix):
-        theta = perron_root(mat, allow_reducible=True).theta
-    else:
-        theta = an.root.theta
+    theta = an.root.theta
     rate = None if survivor is None else math.log(theta) - survivor
 
-    tau = tau_rate = weight = match = None
-    if spec is not None:
-        if isinstance(source, AdjMatrix):
-            # derived spec renames blocks to single symbols
-            wword = tuple(spec.alphabet[i] for i in idx)
-        else:
-            wword = hole.word()
-        weight = multiplicity(wword, spec)
-        keep = [(r, m) for r, m in spec.repeated if r != wword]
-        tau_spec = validate_spec(spec.alphabet, list(spec.forbidden) + [wword], keep)
-        p = spec.p
-        # the refusal names the first length over the budget
-        for n in range(p, p + n_max):
-            check_budget(n, tau_spec, budget)
-        tau = tuple(transfer_tables(tau_spec, p + n_max - 1)[0][p:])
-        if len(tau) >= 2 and tau[-2] > 0 and tau[-1] > 0:
-            tau_rate = math.log(tau[-1] / tau[-2])
-        if weight == 1:
-            match = all(counts[i + 1] == tau[i] for i in range(len(tau)))
-            if not match:
-                raise NumericError("avoidance counts disagree with the weighted oracle "
-                                   "for a weight-one hole word")
+    wword = hole.word()
+    weight = multiplicity(wword, spec)
+    keep = [(r, m) for r, m in spec.repeated if r != wword]
+    tau_spec = validate_spec(spec.alphabet, list(spec.forbidden) + [wword], keep)
+    p = spec.p
+    # the refusal names the first length over the budget
+    for n in range(p, p + n_max):
+        check_budget(n, tau_spec, budget)
+    tau = tuple(transfer_tables(tau_spec, p + n_max - 1)[0][p:])
+    tau_rate = match = None
+    if len(tau) >= 2 and tau[-2] > 0 and tau[-1] > 0:
+        tau_rate = math.log(tau[-1] / tau[-2])
+    if weight == 1:
+        match = all(counts[i + 1] == tau[i] for i in range(len(tau)))
+        if not match:
+            raise NumericError("avoidance counts disagree with the weighted oracle "
+                               "for a weight-one hole word")
     return EscapeReport(hole, tuple(counts), survivor, rate, theta,
                         weight, tau, tau_rate, match)

@@ -34,9 +34,8 @@ from typing import Sequence
 
 from . import genfun
 from .errors import NumericError, RouteMismatchError, SpecError
-from .langmodel import (DEFAULT_BUDGET, ShiftSpec, allowed_words,
-                        extend_repeated_to_full_length, multiplicity, spec_from_matrix,
-                        weighted_count)
+from .langmodel import (DEFAULT_BUDGET, ShiftSpec, enumerate_slice,
+                        extend_repeated_to_full_length, multiplicity, weighted_count)
 from .ratfield import Poly, RatFun, RootCertificate, largest_real_zero, solve_numeric
 from .words import Word
 
@@ -92,7 +91,7 @@ class AdjMatrix:
     @cached_property
     def entries(self) -> tuple[tuple[int, ...], ...]:
         """The dense rows, a view for printing and for the length-2 spec of
-        :func:`spec_from_matrix`; nothing computes with them."""
+        :func:`langmodel.spec_from_matrix`; nothing computes with them."""
         return tuple(tuple(map(dict(row).get, range(self.size), repeat(0)))
                      for row in self.successors)
 
@@ -141,9 +140,10 @@ class AdjMatrix:
 def _splice_matrix(spec: ShiftSpec, weight) -> AdjMatrix:
     """Matrix on the allowed words of length p-1 whose (X, Y) entry is
     ``weight(X*Y)`` when the splice exists (Y = X[1:] + s), else 0.  The
-    labels are sorted, so the splices of X in alphabet order reach its
+    labels are the entries of the language slice, which come out in
+    lexicographic order, so the splices of X in alphabet order reach its
     successors in increasing j."""
-    labels = sorted(allowed_words(spec.p - 1, spec), key=spec.sort_key)
+    labels = [w for w, _ in enumerate_slice(spec.p - 1, spec).entries]
     if not labels:
         raise SpecError("no allowed words of length p-1; spec is over-constrained")
     index = {x: i for i, x in enumerate(labels)}
@@ -244,9 +244,10 @@ def _plus_identity(v: list, rows: list) -> list:
             for x, (cols, ws) in zip(v, rows)]
 
 
-def power_iteration(graph: AdjMatrix | Sequence[Sequence[tuple[int, int]]]) -> PowerResult:
+def power_iteration(successors: Sequence[Sequence[tuple[int, int]]]) -> PowerResult:
     """Collatz-Wielandt enclosure of the Perron root of an irreducible
-    matrix, given as a matrix or as its successor lists.
+    matrix, given as its successor lists (per row the pairs (j, A_ij)
+    with A_ij > 0, in increasing j).
 
     Iterates on A + I (primitive, so no period trouble) in floats until
     the min/max ratios ((A+I)v)_i / v_i pinch to relative POWER_TOL.
@@ -258,10 +259,9 @@ def power_iteration(graph: AdjMatrix | Sequence[Sequence[tuple[int, int]]]) -> P
     picks the extreme ratios by cross-multiplication, so only the two
     bounds become Fractions.
     """
-    succ = graph.successors if isinstance(graph, AdjMatrix) else graph
     rows = [(tuple(j for j, _ in row),
              None if all(e == 1 for _, e in row) else tuple(e for _, e in row))
-            for row in succ]
+            for row in successors]
     v = [1.0] * len(rows)
     for it in range(1, POWER_CAP + 1):
         w = _plus_identity(v, rows)
@@ -296,7 +296,7 @@ def _cw_enclosure(mat: AdjMatrix) -> tuple[Fraction, Fraction]:
     blocks = []
     for comp in mat.components:
         if len(comp) == mat.size:
-            blocks.append(power_iteration(mat))
+            blocks.append(power_iteration(mat.successors))
             continue
         pos = {b: k for k, b in enumerate(comp)}
         blocks.append(power_iteration(
@@ -343,28 +343,19 @@ def _combinatorial_root(an: Analysis, mat: AdjMatrix) -> RootCertificate:
     return largest_real_zero(RatFun(f.den), lo, hi)
 
 
-def perron_root(source: ShiftSpec | AdjMatrix | Analysis,
-                allow_reducible: bool = False) -> PerronResult:
+def perron_root(source: ShiftSpec | Analysis, allow_reducible: bool = False) -> PerronResult:
     """Perron root by the combinatorial route, cross-checked iteratively.
 
-    Accepts a validated spec, an :class:`Analysis` whose matrix,
-    correction and solution it reuses, or a raw integer matrix (which is
-    rephrased through its length-2 collections).  The Sturm interval must
-    meet the exact Collatz-Wielandt enclosure, whose midpoint is
-    ``theta_iterative``.  Reducible inputs are an error unless explicitly
-    allowed, in which case the enclosure is the largest over the strong
-    components.
+    Accepts a validated spec or an :class:`Analysis` whose matrix,
+    correction and solution it reuses; a raw integer matrix is first
+    rephrased as its length-2 spec by :func:`langmodel.spec_from_matrix`.
+    The Sturm interval must meet the exact Collatz-Wielandt enclosure,
+    whose midpoint is ``theta_iterative``.  Reducible inputs are an error
+    unless explicitly allowed, in which case the enclosure is the largest
+    over the strong components.
     """
-    if isinstance(source, AdjMatrix):
-        mat = source
-        if mat.size == 1:
-            k = mat.entry(0, 0)
-            cert = RootCertificate(float(k), Fraction(k), Fraction(k), Fraction(k))
-            return PerronResult(float(k), cert, float(k), 0.0, k > 0)
-        an = Analysis(spec_from_matrix(source.entries))
-    else:
-        an = source if isinstance(source, Analysis) else Analysis(source)
-        mat = an.matrix
+    an = source if isinstance(source, Analysis) else Analysis(source)
+    mat = an.matrix
     irreducible = is_irreducible(mat)
     if not irreducible and not allow_reducible:
         raise SpecError("adjacency matrix is reducible; pass allow_reducible to proceed")

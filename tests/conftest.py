@@ -7,8 +7,9 @@ gcd and the Sturm isolation), the counting rows built entry by entry
 from one correlation scan per pair, the symbolic route to the
 normalization identity, the dense-to-sparse row conversion, and the
 block-graph references (the
-Collatz-Wielandt step with one Fraction per block, and the eigenvector
-formulas over every pair of label and target).  The field references take ``ratfield`` values
+Collatz-Wielandt step with one Fraction per block, the eigenvector
+formulas over every pair of label and target, and the escape transfer
+with one automaton symbol per parallel edge).  The field references take ``ratfield`` values
 through their Fraction views and run no ``ratfield.Poly`` arithmetic.
 """
 
@@ -507,6 +508,50 @@ def reference_cw_enclosure(mat: AdjMatrix) -> tuple[Fraction, Fraction]:
         sparse(tuple(mat.entries[i][j] for j in comp) for i in comp)))
         for comp in mat.components]
     return max(b.lower for b in blocks), max(b.upper for b in blocks)
+
+
+def reference_escape_counts(mat: AdjMatrix, hole, n_max: int) -> tuple[int, ...]:
+    """Avoidance counts h[0..n_max] of a hole edge cylinder by the
+    per-branch transfer: every parallel edge is its own KMP symbol, so
+    the table has one column per edge of the multigraph and each step
+    visits every branch leaving a block."""
+    idx = mat.path(hole.vertices, hole.branches)
+    hole_seq = list(zip(idx, idx[1:], hole.branches))
+    # the edges leaving each block, one per parallel branch
+    leaving = [[(i, j, b) for j, e in row for b in range(1, e + 1)]
+               for i, row in enumerate(mat.successors)]
+    edges = [edge for row in leaving for edge in row]
+    k = len(hole_seq)
+    fail = [0] * k
+    for i in range(1, k):
+        j = fail[i - 1]
+        while j and hole_seq[i] != hole_seq[j]:
+            j = fail[j - 1]
+        fail[i] = j + 1 if hole_seq[i] == hole_seq[j] else 0
+    table = []
+    for state in range(k):
+        trans = {}
+        for e in edges:
+            j = state
+            while j and hole_seq[j] != e:
+                j = fail[j - 1]
+            trans[e] = j + 1 if hole_seq[j] == e else 0
+        table.append(trans)
+
+    counts = [1]
+    # (block, matched prefix of the hole) -> paths ending there
+    state_counts = {(v, 0): 1 for v in range(mat.size)}
+    for _ in range(n_max):
+        nxt: dict[tuple[int, int], int] = {}
+        for (v, s), c in state_counts.items():
+            for edge in leaving[v]:
+                s2 = table[s][edge]
+                if s2 < k:
+                    key = (edge[1], s2)
+                    nxt[key] = nxt.get(key, 0) + c
+        state_counts = nxt
+        counts.append(sum(state_counts.values()))
+    return tuple(counts)
 
 
 def reference_vectors(an: spectral.Analysis) -> tuple[list, list]:

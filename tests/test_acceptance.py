@@ -165,7 +165,8 @@ def test_5_growth_split_between_matrices():
     mat = adjacency_matrix(spec)
     naive = multiplicity_matrix(spec)
     assert 2.55 <= perron_root(spec).theta <= 2.65
-    assert 3.85 <= perron_root(naive, allow_reducible=True).theta <= 3.95
+    assert 3.85 <= perron_root(spec_from_matrix(naive.entries),
+                               allow_reducible=True).theta <= 3.95
     assert weighted_count(3, spec) == 12
     # the naive matrix overcounts: nine two-step paths realize a word of weight three
     i, j = mat.labels.index(("1", "0")), mat.labels.index(("0", "1"))
@@ -185,16 +186,17 @@ def test_5_matrix_entry_sum_quoted_value():
 
 
 def test_6_escape_rate_fixtures():
-    mat = AdjMatrix((("0",), ("1",)), sparse(((0, 2), (1, 1))))
+    spec = spec_from_matrix([[0, 2], [1, 1]])
     hole = Cylinder.from_edges([("0", "1", 2), ("1", "1", 1)])
-    rep = escape_report(mat, hole, n_max=12)
+    rep = escape_report(spec, hole, n_max=12)
     assert rep.counts[2] == 7
     assert rep.tau[1] == 6
     assert rep.word_weight == 2
     assert rep.survivor_rate > rep.tau_rate
 
-    everything = AdjMatrix((("x",),), sparse(((1,),)))
-    rep2 = escape_report(everything, Cylinder.from_edges([("x", "x", 1)]), n_max=5)
+    everything = validate_spec("01", ["01", "10", "11"])
+    rep2 = escape_report(everything, Cylinder.from_edges([("0", "0", 1)]), n_max=5,
+                         allow_reducible=True)
     assert all(c == 0 for c in rep2.counts[1:])
     print("ACCEPTANCE 6 PASS escape counts h(2)=7, tau(3)=6, rate ordering")
 

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -22,12 +23,12 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 FIXDIR = SRC / "multishift" / "fixtures"
 
 
-def run_cli(args, stdin_text=None):
+def run_cli(args, stdin_text=None, **run_options):
     # the child imports the package from this checkout, like the test process
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "multishift.cli", *args],
                           capture_output=True, text=True, input=stdin_text,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env={**os.environ, "PYTHONPATH": path}, **run_options)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -161,6 +162,35 @@ def test_perron_large_multiplicity(tmp_path, m):
     low, high = Fraction(cert["low"]), Fraction(cert["high"])
     # the root (m + sqrt(m^2 + 4)) / 2 is the positive zero of x^2 - m x - 1
     assert 0 < low and low * low - m * low - 1 <= 0 <= high * high - m * high - 1
+
+
+@pytest.mark.parametrize("args", [["perron"], ["verify", "--max-n", "4"],
+                                  ["measure", "--cylinder", "000"],
+                                  ["escape", "--word", "0*0#1"]])
+def test_multiplicity_beyond_float_range_exits_numeric(tmp_path, args):
+    # the root and the counts are exact, but their float views overflow
+    doc = {"alphabet": ["0", "1"], "forbidden": ["11"],
+           "repeated": [{"word": "00", "multiplicity": 10 ** 320}]}
+    code, _, err = run_cli([args[0], "--spec", write_spec(tmp_path, doc), *args[1:]])
+    assert code == 4, err
+    assert err.startswith("numeric failure: ") and "Traceback" not in err
+
+
+def test_escape_cost_does_not_grow_with_the_multiplicities(tmp_path):
+    # 10^8 parallel loops at block 0: the transfer moves them as one
+    # weighted step, within 1 GiB of address space and 60 s
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    m = 10 ** 8
+    doc = {"alphabet": ["0", "1"], "forbidden": ["11"],
+           "repeated": [{"word": "00", "multiplicity": m}]}
+    code, out, err = run_cli(["escape", "--spec", write_spec(tmp_path, doc),
+                              "--word", "0*0#1", "--max-n", "6"],
+                             timeout=60, preexec_fn=limit)
+    assert code == 0, err
+    # length one: every edge but the hole, m - 1 loops, 0 -> 1 and 1 -> 0
+    assert json.loads(out)["result"]["h"][1] == m + 1
 
 
 def test_cli_import_needs_no_numpy():

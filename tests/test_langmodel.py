@@ -10,11 +10,10 @@ from multishift.fixtures import load_fixture
 from multishift.genfun import solve_generating_functions
 from multishift.measures import Cylinder, escape_report
 from multishift.ratfield import series_coeffs
-from multishift.langmodel import (allowed_words, enumerate_slice,
-                                  extend_repeated_to_full_length,
+from multishift.langmodel import (enumerate_slice, extend_repeated_to_full_length,
                                   forbidden_suffix_multiplicity, language_slices,
-                                  leading_multiplicity,
-                                  multiplicity, oracle_tables, spec_from_matrix,
+                                  leading_multiplicity, multiplicity, oracle_tables,
+                                  spec_from_matrix,
                                   validate_spec, weighted_count,
                                   weighted_count_ending_with,
                                   weighted_count_forbidden_suffix)
@@ -176,6 +175,19 @@ def test_extension_published_and_matrix_invariance():
         extend_repeated_to_full_length(spec_counting()).repeated == spec_counting().repeated
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_specs())
+def test_extension_weighs_each_completion_by_its_leading_multiplicity(spec):
+    # the definition: every allowed length-p word with a repeated prefix,
+    # in lexicographic order, weighted by m(w) / m(w[1:])
+    if all(len(r) == spec.p for r in spec.repeated_words):
+        return
+    want = [(w, leading_multiplicity(w, spec))
+            for w in itertools.product(spec.alphabet, repeat=spec.p)
+            if spec.is_allowed(w) and any(w[:len(r)] == r for r in spec.repeated_words)]
+    assert list(extend_repeated_to_full_length(spec).repeated) == want
+
+
 def test_extension_matrix_invariance_mixed_lengths():
     s = validate_spec("01", ["00"], [("01", 3), ("110", 2)])
     ext = extend_repeated_to_full_length(s)
@@ -188,8 +200,9 @@ def test_splice_weight_factorization():
     # weight of an allowed splice is the leading multiplicity times the
     # tail weight whenever the splice is not itself a repeated word
     s = validate_spec("01", ["00"], [("110", 2), ("01", 3)])
-    for x in allowed_words(3, s):
-        for y in allowed_words(3, s):
+    blocks = [w for w, _ in enumerate_slice(3, s).entries]
+    for x in blocks:
+        for y in blocks:
             if x[1:] != y[:-1]:
                 continue
             xy = x + y[-1:]
@@ -232,7 +245,7 @@ def test_slice_cardinality_and_order():
         sl = enumerate_slice(n, s)
         assert sl.cardinality == weighted_count(n, s)
         ws = [w for w, _ in sl.entries]
-        assert ws == sorted(ws, key=s.sort_key)
+        assert ws == sorted(ws)  # the alphabet 012 is in character order
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])

@@ -6,10 +6,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
-from conftest import family_spec, random_spec, sparse
+from conftest import family_spec, random_spec, reference_escape_counts, small_specs, sparse
 from multishift import measures, spectral
-from multishift.errors import NumericError, SpecError
+from multishift.errors import NumericError, RootBracketError, SpecError
 from multishift.fixtures import load_fixture, list_fixtures
 from multishift.langmodel import spec_from_matrix, validate_spec
 from multishift.ratfield import RatMat
@@ -261,9 +262,9 @@ def test_lift_inverts_shannon_parry(rng):
 
 
 def test_escape_counts_published():
-    mat = AdjMatrix((("0",), ("1",)), sparse(((0, 2), (1, 1))))
+    spec = spec_from_matrix([[0, 2], [1, 1]])
     hole = Cylinder.from_edges([("0", "1", 2), ("1", "1", 1)])
-    rep = escape_report(mat, hole, n_max=12)
+    rep = escape_report(spec, hole, n_max=12)
     assert rep.counts[2] == 7
     assert rep.tau[1] == 6          # counts with the word forbidden, length 3
     assert rep.word_weight == 2
@@ -272,9 +273,10 @@ def test_escape_counts_published():
 
 
 def test_escape_brute_force_cross_check():
-    mat = AdjMatrix((("0",), ("1",)), sparse(((0, 2), (1, 1))))
+    spec = spec_from_matrix([[0, 2], [1, 1]])
+    mat = adjacency_matrix(spec)
     hole = Cylinder.from_edges([("0", "1", 2), ("1", "1", 1)])
-    rep = escape_report(mat, hole, n_max=8)
+    rep = escape_report(spec, hole, n_max=8)
     edges = [(i, j, b) for i in range(2) for j in range(2)
              for b in range(1, mat.entries[i][j] + 1)]
     target = [(0, 1, 2), (1, 1, 1)]
@@ -298,9 +300,11 @@ def test_escape_weight_one_hole_matches_oracle():
 
 
 def test_escape_everything_hole():
-    mat = AdjMatrix((("x",),), sparse(((1,),)))
-    hole = Cylinder.from_edges([("x", "x", 1)])
-    rep = escape_report(mat, hole, n_max=6)
+    # the one edge is the hole: block 0 with its loop, and block 1 with
+    # no edge at all
+    spec = validate_spec("01", ["01", "10", "11"])
+    hole = Cylinder.from_edges([("0", "0", 1)])
+    rep = escape_report(spec, hole, n_max=6, allow_reducible=True)
     assert rep.counts == (1, 0, 0, 0, 0, 0, 0)
 
 
@@ -405,6 +409,60 @@ def test_escape_solves_the_core_of_the_spec_not_of_its_extension(monkeypatch):
     rep = escape_report(spec, Cylinder.from_edges([("111", "111", 1)]), n_max=8)
     assert rep.counts_match_tau
     assert orders and set(orders) == {2}
+
+
+@st.composite
+def escape_cases(draw):
+    """A spec, from ``small_specs`` or a ``family_spec`` draw, whose
+    multigraph has at most 2000 edges, and a hole of 1-3 edges along a
+    walk in it, each branch drawn from 1..A_vj."""
+    if draw(st.booleans()):
+        spec = draw(small_specs())
+    else:
+        family = draw(st.sampled_from(("short_forbidden", "unit_repeated", "nonreduced")))
+        spec = family_spec(random.Random(draw(st.integers(0, 10 ** 6))), family)
+    try:
+        mat = adjacency_matrix(spec)
+    except SpecError:
+        reject()
+    if sum(mat.row_sums()) > 2000:
+        reject()
+    walk, branches = [draw(st.sampled_from(range(mat.size)))], []
+    for _ in range(draw(st.integers(1, 3))):
+        if not mat.successors[walk[-1]]:
+            reject()
+        j, e = draw(st.sampled_from(mat.successors[walk[-1]]))
+        walk.append(j)
+        branches.append(draw(st.integers(1, e)))
+    return spec, Cylinder(tuple(mat.labels[i] for i in walk), tuple(branches))
+
+
+@settings(max_examples=150, deadline=None)
+@given(escape_cases(), st.integers(1, 6))
+def test_weighted_escape_transfer_equals_the_per_branch_reference(case, n_max):
+    spec, hole = case
+    an = spectral.Analysis(spec, allow_reducible=True)
+    try:
+        an.root
+    except RootBracketError:
+        reject()  # a nilpotent block graph has root 0, and the report refuses it
+    rep = escape_report(an, hole, n_max)
+    assert rep.counts == reference_escape_counts(adjacency_matrix(spec), hole, n_max)
+
+
+@pytest.mark.parametrize("edges", [
+    [("0", "0", 2)],                                  # a loop
+    [("0", "0", 3), ("0", "0", 3)],                   # one edge twice
+    [("0", "0", 1), ("0", "0", 3)],                   # two branches of one block pair
+    [("0", "0", 2), ("0", "1", 1), ("1", "0", 1)],    # a loop entering a cycle
+    [("0", "1", 1), ("1", "0", 1), ("0", "0", 2)],
+])
+def test_weighted_escape_transfer_on_a_looped_block(edges):
+    # block 0 has a loop of three branches
+    spec = validate_spec("01", ["11"], [("00", 3)])
+    hole = Cylinder.from_edges(edges)
+    rep = escape_report(spec, hole, n_max=7)
+    assert rep.counts == reference_escape_counts(adjacency_matrix(spec), hole, 7)
 
 
 # Reference: the checks evaluated cylinder by cylinder through the public

@@ -12,7 +12,8 @@ from multishift import genfun, ratfield, spectral, words
 from multishift.errors import NumericError, SpecError
 from multishift.fixtures import list_fixtures, load_fixture
 from multishift.langmodel import (extend_repeated_to_full_length, leading_multiplicity,
-                                  multiplicity, oracle_tables, validate_spec)
+                                  multiplicity, oracle_tables, spec_from_matrix,
+                                  validate_spec)
 from multishift.measures import Cylinder, escape_report
 from multishift.spectral import (AdjMatrix, adjacency_matrix, agree, eigen_residuals,
                                  eigenvector_normalization, entropy, is_irreducible,
@@ -86,7 +87,7 @@ def test_perron_root_sparse_family():
 def test_perron_root_entropy_split():
     s = split_spec()
     assert 2.55 <= perron_root(s).theta <= 2.65
-    t = multiplicity_matrix(s)
+    t = spec_from_matrix(multiplicity_matrix(s).entries)
     assert 3.85 <= perron_root(t, allow_reducible=True).theta <= 3.95
 
 
@@ -95,7 +96,8 @@ def test_perron_root_matrix_input_and_reducible():
         perron_root(validate_spec("01", ["001"], [("00", 2)]))
     pr = perron_root(validate_spec("01", ["001"], [("00", 2)]), allow_reducible=True)
     assert pr.exact == 2
-    one = perron_root(AdjMatrix((("x",),), sparse(((4,),))))
+    # the one-block matrix (4) as a spec: every pair but 00 forbidden
+    one = perron_root(validate_spec("01", ["01", "10", "11"], [("000", 4)]))
     assert one.exact == 4
 
 
@@ -109,7 +111,7 @@ def test_reducible_root_is_the_largest_component_root(entries, theta):
     assert not is_irreducible(mat)
     lower, upper = spectral._cw_enclosure(mat)
     assert lower <= theta <= upper and upper - lower <= 1e-10
-    pr = perron_root(mat, allow_reducible=True)
+    pr = perron_root(spec_from_matrix(entries), allow_reducible=True)
     assert pr.exact == theta and not pr.irreducible
     assert pr.theta_iterative == float((lower + upper) / 2)
 
@@ -208,13 +210,14 @@ def test_integer_cw_step_equals_the_fraction_step(mat):
     # quick, and both read it
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "POWER_CAP", 2000)
-        assert _outcome(power_iteration, mat) == _outcome(reference_power_iteration, mat)
+        assert _outcome(power_iteration, mat.successors) == \
+            _outcome(reference_power_iteration, mat)
         assert _outcome(spectral._cw_enclosure, mat) == _outcome(reference_cw_enclosure, mat)
 
 
 def test_power_iteration_enclosure():
     mat = adjacency_matrix(eigen_spec())
-    res = power_iteration(mat)
+    res = power_iteration(mat.successors)
     assert res.lower <= 2 <= res.upper
     assert res.upper - res.lower <= 1e-10
 
