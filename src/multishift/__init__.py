@@ -6,9 +6,9 @@ and maximal-entropy measures.
 
 __version__ = "1.0.0"
 
-from .errors import (BudgetError, MultishiftError, NumericError, PoleError,
-                     RootBracketError, RouteMismatchError, SingularMatrixError,
-                     SpecError)
+from .errors import (BudgetError, EmptyShiftError, MultishiftError, NumericError,
+                     PoleError, RootBracketError, RouteMismatchError,
+                     SingularMatrixError, SpecError)
 from .langmodel import (LanguageSlice, ShiftSpec, enumerate_slice,
                         extend_repeated_to_full_length, language_slices,
                         leading_multiplicity, multiplicity, spec_from_matrix, validate_spec,

@@ -13,6 +13,10 @@ class SpecError(MultishiftError):
     """A shift specification violates its invariants."""
 
 
+class EmptyShiftError(SpecError):
+    """The block graph has no cycle: the shift is empty and has no Perron root."""
+
+
 class BudgetError(MultishiftError):
     """An enumeration would exceed the configured budget."""
 

@@ -20,9 +20,9 @@ it.  ``spectral.Analysis`` keeps each of these as a stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
+from typing import NamedTuple
 
 from . import words as W
 from .errors import NumericError, SpecError
@@ -70,16 +70,18 @@ def conjugate_correlation_matrix(system: GenFunSystem) -> RatMat:
     return RatMat.from_rows(conjugate_rows(system.rows), labels, labels)
 
 
-@dataclass(frozen=True)
 class GenFunSystem:
-    """Coefficient matrix, right-hand side (z, 0, ..., 0), unknown labels
-    and the polynomial rows of the matrix."""
+    """Coefficient matrix, right-hand side (z, 0, ..., 0), unknown labels,
+    mode ("reduced" or "non_reduced") and the polynomial rows of the
+    matrix.  Immutable; the core and its conjugate are cached on first
+    use."""
 
-    matrix: RatMat
-    rhs: tuple[RatFun, ...]
-    labels: tuple[str, ...]
-    mode: str  # "reduced" | "non_reduced"
-    rows: tuple[tuple[Poly, ...], ...]
+    def __init__(self, matrix: RatMat, rhs: tuple[RatFun, ...], labels: tuple[str, ...],
+                 mode: str, rows: tuple[tuple[Poly, ...], ...]):
+        vars(self).update(matrix=matrix, rhs=rhs, labels=labels, mode=mode, rows=rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def to_json(self) -> dict:
         return {
@@ -184,8 +186,7 @@ def build_system(spec: ShiftSpec) -> GenFunSystem:
                         "reduced" if spec.union_reduced else "non_reduced", rows)
 
 
-@dataclass(frozen=True)
-class GenFunSolution:
+class GenFunSolution(NamedTuple):
     """All counting series of a spec, as canonical rational functions."""
 
     all_words: RatFun                       # F

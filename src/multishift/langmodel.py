@@ -15,8 +15,7 @@ extension their words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import words as W
 from .errors import BudgetError, SpecError
@@ -25,19 +24,21 @@ from .words import Word
 DEFAULT_BUDGET = 1 << 24
 
 
-@dataclass(frozen=True)
 class ShiftSpec:
-    """Validated shift data; build instances through :func:`validate_spec`."""
+    """Validated shift data; build instances through :func:`validate_spec`.
+    Immutable, and compared by identity."""
 
-    alphabet: tuple[str, ...]
-    forbidden: tuple[Word, ...]
-    repeated: tuple[tuple[Word, int], ...]
-    p: int
-    union_reduced: bool
-    _index: dict = field(default_factory=dict, repr=False, compare=False, hash=False)
+    def __init__(self, alphabet: tuple[str, ...], forbidden: tuple[Word, ...],
+                 repeated: tuple[tuple[Word, int], ...], p: int, union_reduced: bool):
+        vars(self).update(alphabet=alphabet, forbidden=forbidden, repeated=repeated, p=p,
+                          union_reduced=union_reduced,
+                          _index={s: i for i, s in enumerate(alphabet)})
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.alphabet)})
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"validate_spec{(self.alphabet, self.forbidden, self.repeated)!r}"
 
     @property
     def q(self) -> int:
@@ -171,8 +172,7 @@ def check_budget(n: int, spec: ShiftSpec, budget: int) -> None:
         raise BudgetError(f"{spec.q}^{n} strings exceed the budget {budget}")
 
 
-@dataclass(frozen=True)
-class LanguageSlice:
+class LanguageSlice(NamedTuple):
     """All allowed words of one length, with multiplicities."""
 
     n: int

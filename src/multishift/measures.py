@@ -24,10 +24,9 @@ cylinders get small.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import words as W
 from .errors import NumericError, SpecError
@@ -38,8 +37,7 @@ from .spectral import (THETA_TOL, AdjMatrix, Analysis, EigenData, NormalizationR
 from .words import Word
 
 
-@dataclass(frozen=True)
-class StochMat:
+class StochMat(NamedTuple):
     """Row-stochastic matrix with its stationary distribution; each row
     holds the pairs (j, P_ij) along the block's successor list."""
 
@@ -133,23 +131,26 @@ def lift_rational_stochastic(sm: StochMat) -> AdjMatrix:
     return mat
 
 
-@dataclass(frozen=True)
 class Cylinder:
     """A cylinder set: a vertex path, with branch indices in edge form.
 
     ``vertices`` lists the p-1 blocks along the path; ``branches`` (one
     index per step, or None) distinguishes parallel edges.  A cylinder
-    without branches lives in the projected block shift.
+    without branches lives in the projected block shift.  Immutable.
     """
 
-    vertices: tuple[Word, ...]
-    branches: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if not self.vertices:
+    def __init__(self, vertices: tuple[Word, ...], branches: tuple[int, ...] | None = None):
+        if not vertices:
             raise ValueError("empty cylinder")
-        if self.branches is not None and len(self.branches) != self.n_edges:
+        if branches is not None and len(branches) != len(vertices) - 1:
             raise ValueError("one branch index per edge required")
+        vars(self).update(vertices=vertices, branches=branches)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"Cylinder{(self.vertices, self.branches)!r}"
 
     @property
     def n_edges(self) -> int:
@@ -235,8 +236,7 @@ class MeasureContext:
         return vec, sp
 
 
-@dataclass(frozen=True)
-class MeasureReport:
+class MeasureReport(NamedTuple):
     value: float
     route: str
     exact: Fraction | None = None
@@ -484,8 +484,7 @@ def kolmogorov_report(ctx: MeasureContext, n_max: int) -> dict:
     return {"checked": _path_count(mat, n_max), "max_defect": worst, "violations": violations}
 
 
-@dataclass(frozen=True)
-class EscapeReport:
+class EscapeReport(NamedTuple):
     """Avoidance counts for a hole cylinder and the derived rate estimates."""
 
     hole: Cylinder

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import NumericError, PoleError, RootBracketError, SingularMatrixError
 
@@ -328,13 +327,16 @@ class RatFun:
         return f"({self.num!r}) / ({self.den!r})"
 
 
-@dataclass(frozen=True)
 class RatMat:
-    """Rectangular matrix of rational functions with optional index labels."""
+    """Rectangular matrix of rational functions with optional index labels.
+    Immutable; build it through :meth:`from_rows`."""
 
-    entries: tuple[tuple[RatFun, ...], ...]
-    row_labels: tuple[str, ...] = ()
-    col_labels: tuple[str, ...] = ()
+    def __init__(self, entries: tuple[tuple[RatFun, ...], ...],
+                 row_labels: tuple[str, ...] = (), col_labels: tuple[str, ...] = ()):
+        vars(self).update(entries=entries, row_labels=row_labels, col_labels=col_labels)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], row_labels=(), col_labels=()) -> "RatMat":
@@ -609,8 +611,7 @@ def series_coeffs(f: RatFun, n_max: int) -> list[Fraction]:
     return out
 
 
-@dataclass(frozen=True)
-class RootCertificate:
+class RootCertificate(NamedTuple):
     """Isolating interval for a real root, with the exact value when known."""
 
     value: float

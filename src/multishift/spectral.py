@@ -25,15 +25,14 @@ certified exact the whole pipeline stays in big rationals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
 from itertools import repeat
 from operator import mul, truediv
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import genfun
-from .errors import NumericError, RouteMismatchError, SpecError
+from .errors import EmptyShiftError, NumericError, RouteMismatchError, SpecError
 from .langmodel import (DEFAULT_BUDGET, ShiftSpec, enumerate_slice,
                         extend_repeated_to_full_length, multiplicity, weighted_count)
 from .ratfield import Poly, RatFun, RootCertificate, largest_real_zero, solve_numeric
@@ -54,19 +53,21 @@ def agree(a, b) -> bool:
     return abs(a - b) <= THETA_TOL * max(abs(a), abs(b))
 
 
-@dataclass(frozen=True)
 class AdjMatrix:
     """Non-negative integer matrix indexed by labeled words, stored as its
     block graph: per row i the pairs (j, e), e = A_ij > 0, in increasing
     j.  Every walk reads these lists; the dense rows exist only as the
-    printed view :attr:`entries`."""
+    printed view :attr:`entries`.  Immutable; the derived views are
+    cached on first use."""
 
-    labels: tuple[Word, ...]
-    successors: tuple[tuple[tuple[int, int], ...], ...]
-
-    def __post_init__(self):
-        if len(self.successors) != len(self.labels):
+    def __init__(self, labels: tuple[Word, ...],
+                 successors: tuple[tuple[tuple[int, int], ...], ...]):
+        if len(successors) != len(labels):
             raise ValueError("successor lists do not match the label count")
+        vars(self).update(labels=labels, successors=successors)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def size(self) -> int:
@@ -228,8 +229,7 @@ def is_irreducible(mat: AdjMatrix) -> bool:
     return len(mat.components) == 1 and (mat.size > 1 or bool(mat.successors[0]))
 
 
-@dataclass(frozen=True)
-class PowerResult:
+class PowerResult(NamedTuple):
     lower: Fraction
     upper: Fraction
     iterations: int
@@ -304,8 +304,7 @@ def _cw_enclosure(mat: AdjMatrix) -> tuple[Fraction, Fraction]:
     return max(b.lower for b in blocks), max(b.upper for b in blocks)
 
 
-@dataclass(frozen=True)
-class PerronResult:
+class PerronResult(NamedTuple):
     """Perron root with its exact certificate and the iterative cross-check."""
 
     theta: float
@@ -352,10 +351,13 @@ def perron_root(source: ShiftSpec | Analysis, allow_reducible: bool = False) -> 
     The Sturm interval must meet the exact Collatz-Wielandt enclosure,
     whose midpoint is ``theta_iterative``.  Reducible inputs are an error
     unless explicitly allowed, in which case the enclosure is the largest
-    over the strong components.
+    over the strong components.  A block graph without a cycle is
+    refused: it is nilpotent, with root 0, and the shift is empty.
     """
     an = source if isinstance(source, Analysis) else Analysis(source)
     mat = an.matrix
+    if all(len(c) == 1 and not mat.entry(c[0], c[0]) for c in mat.components):
+        raise EmptyShiftError("the shift is empty: its block graph has no cycle")
     irreducible = is_irreducible(mat)
     if not irreducible and not allow_reducible:
         raise SpecError("adjacency matrix is reducible; pass allow_reducible to proceed")
@@ -369,8 +371,7 @@ def perron_root(source: ShiftSpec | Analysis, allow_reducible: bool = False) -> 
     return PerronResult(cert.value, cert, theta_iter, abs(cert.value - theta_iter), irreducible)
 
 
-@dataclass(frozen=True)
-class EigenData:
+class EigenData(NamedTuple):
     """Perron eigen data from the correlation formulas.
 
     U and V are the raw formula values (the printable ones); the
@@ -428,8 +429,7 @@ def eigen_residuals(mat: AdjMatrix, theta: float, left: Sequence, right: Sequenc
                  for image, vec in ((ua, u), (av, v)))
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Multiplicity-one connector and cycle words behind the normalization."""
 
     start: Word
@@ -507,8 +507,7 @@ def multiplicity_one_witness(spec: ShiftSpec | Analysis) -> Witness | None:
     return None
 
 
-@dataclass(frozen=True)
-class NormalizationReport:
+class NormalizationReport(NamedTuple):
     """Dot product of the formula eigenvectors against the derivative identity."""
 
     dot: object
@@ -550,8 +549,7 @@ def eigenvector_normalization(spec: ShiftSpec,
     return Analysis(spec, allow_reducible).normalization
 
 
-@dataclass(frozen=True)
-class EntropyReport:
+class EntropyReport(NamedTuple):
     ln_theta: float
     estimate: float
     estimate_n: int

@@ -202,6 +202,21 @@ def test_cli_import_needs_no_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_generates_no_code():
+    # dataclasses and the introspection modules it pulls in cost about 12 ms
+    # of every start-up, and its generated methods more, cached in no .pyc
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; before = set(sys.modules); import multishift.cli; "
+         "print(' '.join(sorted(set(sys.modules) - before)))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "multishift.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
 def test_measure_routes_agree():
     code, out, _ = run_cli(["measure", "--spec", str(FIXDIR / "eigenvectors.json"),
                             "--cylinder", "00*00#1", "--route", "all"])
@@ -444,6 +459,40 @@ def test_exit_code_empty_cylinder(args):
     assert code == 2
     assert "empty cylinder" in err
     assert "Traceback" not in err
+
+
+# blocks 110 and 111 with the one edge 111 -> 110: no cycle, so no point
+EMPTY_SHIFT = {"alphabet": ["0", "1"], "forbidden": ["00", "01", "1111"],
+               "repeated": [{"word": "1110", "multiplicity": 2}]}
+
+
+@pytest.mark.parametrize("args", [["perron"], ["escape", "--word", "111*110#1"],
+                                  ["measure", "--cylinder", "111"]],
+                         ids=["perron", "escape", "measure"])
+def test_an_empty_shift_is_a_spec_error(tmp_path, capsys, args):
+    path = write_spec(tmp_path, EMPTY_SHIFT)
+    assert main([args[0], "--spec", path, "--allow-reducible", *args[1:]]) == 2
+    assert capsys.readouterr().err == \
+        "spec error: the shift is empty: its block graph has no cycle\n"
+
+
+def test_verify_skips_the_root_of_an_empty_shift(tmp_path, capsys):
+    path = write_spec(tmp_path, EMPTY_SHIFT)
+    assert main(["verify", "--spec", path, "--allow-reducible"]) == 0
+    assert "PASS perron_route_agreement: skipped: the shift is empty: its block graph " \
+        "has no cycle\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("theta, mark", [(16180339887.7753, "PASS"),
+                                         (16180339887.7753 * (1 + 2e-6), "FAIL")])
+def test_expected_theta_is_compared_relative_to_its_size(tmp_path, capsys, theta, mark):
+    # theta is about 1e10 times the golden ratio; the first value is it to
+    # 15 significant digits, the second is off by 2e-6 of it
+    doc = {"alphabet": ["0", "1"],
+           "repeated": [{"word": w, "multiplicity": 10 ** 10} for w in ("00", "01", "10")],
+           "expected": {"theta": theta}}
+    main(["verify", "--spec", write_spec(tmp_path, doc), "--max-n", "4"])
+    assert f"{mark} expected_theta: got 16180339887.775" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("doc, field", [
