@@ -551,8 +551,8 @@ def escape_report(source: ShiftSpec | Analysis, hole: Cylinder, n_max: int = 12,
     word forbidden, and the check is enforced.  A spec is read through
     one :class:`Analysis` (or an analysis is given): its extension gives
     the weights and the spec with the hole word forbidden, its matrix and
-    root the rest.  A raw matrix is first rephrased as its length-2 spec
-    by :func:`langmodel.spec_from_matrix`.
+    root the rest.  A caller holding an integer matrix converts it with
+    :func:`langmodel.spec_from_matrix` first.
     """
     an = source if isinstance(source, Analysis) else Analysis(source, allow_reducible)
     spec, mat = an.ext, an.matrix

@@ -346,8 +346,8 @@ def perron_root(source: ShiftSpec | Analysis, allow_reducible: bool = False) -> 
     """Perron root by the combinatorial route, cross-checked iteratively.
 
     Accepts a validated spec or an :class:`Analysis` whose matrix,
-    correction and solution it reuses; a raw integer matrix is first
-    rephrased as its length-2 spec by :func:`langmodel.spec_from_matrix`.
+    correction and solution it reuses; a caller holding an integer
+    matrix converts it with :func:`langmodel.spec_from_matrix` first.
     The Sturm interval must meet the exact Collatz-Wielandt enclosure,
     whose midpoint is ``theta_iterative``.  Reducible inputs are an error
     unless explicitly allowed, in which case the enclosure is the largest
@@ -383,7 +383,6 @@ class EigenData(NamedTuple):
     left: tuple
     right: tuple
     left_normalized: tuple
-    right_normalized: tuple
     dot: object
     root: PerronResult
     exact: bool
@@ -397,7 +396,7 @@ class EigenData(NamedTuple):
             "U": fmt(self.left),
             "V": fmt(self.right),
             "U_normalized": fmt(self.left_normalized),
-            "V_normalized": fmt(self.right_normalized),
+            "V_normalized": fmt(self.right),
             "UtV": format(float(self.dot), ".15g"),
             "exact": self.exact,
         }
@@ -529,17 +528,15 @@ class NormalizationReport(NamedTuple):
         return out
 
 
-def correction_derivative_at(spec: ShiftSpec, rows, theta, m: list, r: list):
-    """Derivative of the constraint correction at theta from the core P
-    of bordered polynomial rows, its value m = P(theta) and the row sums
-    r of m^-1, through one linear solve: r' = -P^{-1} P' r and the
-    product rule on the diagonal weights."""
-    n = len(m)
-    md = [[e.derivative()(theta) for e in row[1:]] for row in rows[1:]]
-    rhs = [sum(md[i][j] * r[j] for j in range(n)) for i in range(n)]
-    rprime = [-x for x in solve_numeric(m, rhs)]
-    return sum(w * (r[i] + theta * rprime[i])
-               for i, (_, w) in enumerate(genfun.targets(spec)))
+def correction_derivative_at(spec: ShiftSpec, rows, theta, r: list, y: list):
+    """Derivative of the constraint correction R = z w^T P^-1 1 at theta
+    from the core P of bordered polynomial rows, r = P(theta)^-1 1 and
+    y = P(theta)^-T w, without a solve: the product rule and
+    (P^-1)' = -P^-1 P' P^-1 give the bilinear form
+    R'(theta) = w^T r - theta y^T P'(theta) r."""
+    slope = sum(yi * sum(e.derivative()(theta) * rj for e, rj in zip(row[1:], r))
+                for yi, row in zip(y, rows[1:]))
+    return sum(w * ri for (_, w), ri in zip(genfun.targets(spec), r)) - theta * slope
 
 
 def eigenvector_normalization(spec: ShiftSpec,
@@ -584,12 +581,12 @@ class Analysis:
     of ``system`` when the extension is the spec); ``correction`` reads
     the core of ``system``; ``solution`` reads ``system`` and
     ``correction``; ``root`` reads ``matrix`` and ``correction`` (or
-    ``solution`` for a non-reduced union); ``vectors`` read ``root``,
-    ``matrix`` and the core of ``ext_rows`` and its conjugate at the
-    root; ``normalization`` reads ``vectors`` and that core and its
-    derivative at the root; ``entropy`` reads ``root``.  A failed stage
-    is not cached: reading it again repeats the computation and raises
-    again.
+    ``solution`` for a non-reduced union); ``_core_at_root`` solves the
+    core of ``ext_rows`` twice at ``root``; ``vectors`` read ``matrix``
+    and those solves; ``normalization`` reads ``vectors``, the solves and
+    the core's derivative at the root; ``entropy`` reads ``root``.  A
+    failed stage is not cached: reading it again repeats the computation
+    and raises again.
     """
 
     def __init__(self, spec: ShiftSpec, allow_reducible: bool = False):
@@ -634,10 +631,14 @@ class Analysis:
 
     @cached_property
     def _core_at_root(self) -> tuple[list, list]:
-        """The extended core at the root, with its inverse's row sums."""
+        """The extended core P solved twice at the root: r = P^-1 1 and
+        y = P^-T w for the target weights w.  The extension is reduced, so
+        w holds the constants of its conjugate core D^-1 P^T D, with
+        D = diag(w z), whose row sums are therefore y / w."""
         theta = self.root.scalar()
         m = [[e(theta) for e in row[1:]] for row in self.ext_rows[1:]]
-        return m, solve_numeric(m, [1] * len(m))
+        return (solve_numeric(m, [1] * len(m)),
+                solve_numeric(list(zip(*m)), [w for _, w in genfun.targets(self.ext)]))
 
     @cached_property
     def vectors(self) -> EigenData:
@@ -646,22 +647,20 @@ class Analysis:
         They are evaluated on the extended spec, the setting where the
         formulas hold, and refused when their relative residuals against
         the matrix exceed THETA_TOL.  Label X has U_X = 1 - sum_t theta
-        w_t r_t (t[1:], X)(theta) and V_X = 1 - sum_t theta w_t s_t (X,
-        t)(theta) over the targets t of the extended core, with r and s
-        the row sums of the inverted core and of its conjugate.  An
-        overlap index finds each label's nonzero correlations: the
-        targets by their length-s suffixes for U, by their length-s
-        prefixes for V.  The terms are taken in target order, each
-        correlation polynomial evaluated by Horner once per distinct
-        polynomial; a target without overlap would subtract exactly
-        zero, so skipping it changes no bit.
+        w_t r_t (t[1:], X)(theta) and V_X = 1 - sum_t theta y_t (X,
+        t)(theta) over the targets t of the extended core, with r and y
+        the two solves of ``_core_at_root`` (y = w s, s the conjugate
+        core's row sums).  An overlap index finds each label's nonzero
+        correlations: the targets by their length-s suffixes for U, by
+        their length-s prefixes for V.  The terms are taken in target
+        order, each correlation polynomial evaluated by Horner once per
+        distinct polynomial; a target without overlap would subtract
+        exactly zero, so skipping it changes no bit.
         """
         ext, root = self.ext, self.root
         theta = root.scalar()
         exact = root.exact is not None
-        _, rsums = self._core_at_root
-        conj = [[e(theta) for e in row] for row in genfun.conjugate_rows(self.ext_rows)]
-        ssums = solve_numeric(conj, [1] * len(conj))
+        rsums, ysums = self._core_at_root
         one = Fraction(1) if exact else 1.0
         labels = self.matrix.labels
         targets = genfun.targets(ext)
@@ -694,7 +693,7 @@ class Analysis:
             return out
 
         lcoef = [theta * w * r for (_, w), r in zip(targets, rsums)]
-        rcoef = [theta * w * r for (_, w), r in zip(targets, ssums)]
+        rcoef = [theta * y for y in ysums]
         span = range(1, ext.p)
         left = [formula(lcoef, by_suffix, (x[:s] for s in span)) for x in labels]
         right = [formula(rcoef, by_prefix, (x[-s:] for s in span)) for x in labels]
@@ -706,7 +705,7 @@ class Analysis:
         if max(res_l, res_r) > THETA_TOL:
             raise NumericError(f"eigenvector residuals too large: left {res_l:.3g}, right {res_r:.3g}")
         return EigenData(labels, tuple(left), tuple(right), tuple(u / dot for u in left),
-                         tuple(right), dot, root, exact, (res_l, res_r))
+                         dot, root, exact, (res_l, res_r))
 
     @cached_property
     def normalization(self) -> NormalizationReport:
@@ -719,8 +718,7 @@ class Analysis:
         """
         vec = self.vectors
         theta = vec.root.scalar()
-        m, r = self._core_at_root
-        derivative = correction_derivative_at(self.ext, self.ext_rows, theta, m, r)
+        derivative = correction_derivative_at(self.ext, self.ext_rows, theta, *self._core_at_root)
         identity = theta ** (self.ext.p - 1) * (1 + derivative)
         ok = agree(vec.dot, identity)
         witness = multiplicity_one_witness(self)

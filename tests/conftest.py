@@ -5,12 +5,15 @@ references that the fraction-free code is checked against (a polynomial
 over Fraction coefficients, and on it the linear solve, the Euclidean
 gcd and the Sturm isolation), the counting rows built entry by entry
 from one correlation scan per pair, the symbolic route to the
-normalization identity, the dense-to-sparse row conversion, and the
+normalization identity, the dense-to-sparse row conversion, the
 block-graph references (the
 Collatz-Wielandt step with one Fraction per block, the eigenvector
 formulas over every pair of label and target, and the escape transfer
-with one automaton symbol per parallel edge).  The field references take ``ratfield`` values
-through their Fraction views and run no ``ratfield.Poly`` arithmetic.
+with one automaton symbol per parallel edge), and the solves of the
+evaluated extended core that its transposed solve replaced (the
+conjugate core's row sums and the derivative of the correction).  The
+field references take ``ratfield`` values through their Fraction views
+and run no ``ratfield.Poly`` arithmetic.
 """
 
 from __future__ import annotations
@@ -559,19 +562,39 @@ def reference_vectors(an: spectral.Analysis) -> tuple[list, list]:
     against every target of the extended core, each correlation
     polynomial built and evaluated at the root."""
     theta = an.root.scalar()
-    _, rsums = an._core_at_root
-    conj = [[e(theta) for e in row] for row in conjugate_rows(an.ext_rows)]
-    ssums = solve_numeric(conj, [1] * len(conj))
+    rsums, ysums = an._core_at_root
     one = Fraction(1) if an.root.exact is not None else 1.0
     left, right = [], []
     for x in an.matrix.labels:
         u = v = one
         for i, (t, w) in enumerate(targets(an.ext)):
             u = u - theta * w * rsums[i] * Poly(correlation_coeffs(t[1:], x))(theta)
-            v = v - theta * w * ssums[i] * Poly(correlation_coeffs(x, t))(theta)
+            v = v - theta * ysums[i] * Poly(correlation_coeffs(x, t))(theta)
         left.append(u)
         right.append(v)
     return left, right
+
+
+def reference_conjugate_sums(rows, theta) -> list:
+    """The row sums of the conjugate D^-1 P^T D of the core P of bordered
+    polynomial rows at theta: :func:`genfun.conjugate_rows` evaluated
+    there and solved against the ones vector."""
+    conj = [[e(theta) for e in row] for row in conjugate_rows(rows)]
+    ssums = solve_numeric(conj, [1] * len(conj))
+    return ssums
+
+
+def reference_correction_derivative_at(spec: ShiftSpec, rows, theta, m: list, r: list):
+    """Derivative of the constraint correction at theta from the core P
+    of bordered polynomial rows, its value m = P(theta) and the row sums
+    r of m^-1, through one linear solve: r' = -P^{-1} P' r and the
+    product rule on the diagonal weights."""
+    n = len(m)
+    md = [[e.derivative()(theta) for e in row[1:]] for row in rows[1:]]
+    rhs = [sum(md[i][j] * r[j] for j in range(n)) for i in range(n)]
+    rprime = [-x for x in solve_numeric(m, rhs)]
+    return sum(w * (r[i] + theta * rprime[i])
+               for i, (_, w) in enumerate(targets(spec)))
 
 
 @pytest.fixture(scope="session")
