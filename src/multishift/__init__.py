@@ -1,7 +1,8 @@
 """Exact-arithmetic toolkit for shift spaces with forbidden words and
 repeated words (multigraph edge shifts): weighted word counting,
 generating functions via overlap correlations, certified Perron data,
-and maximal-entropy measures.
+and maximal-entropy measures.  The namespace holds the documented
+surface; everything else is reached through its own module.
 """
 
 __version__ = "1.0.0"
@@ -9,18 +10,21 @@ __version__ = "1.0.0"
 from .errors import (BudgetError, EmptyShiftError, MultishiftError, NumericError,
                      PoleError, RootBracketError, RouteMismatchError,
                      SingularMatrixError, SpecError)
-from .langmodel import (LanguageSlice, ShiftSpec, enumerate_slice,
-                        extend_repeated_to_full_length, language_slices,
-                        leading_multiplicity, multiplicity, spec_from_matrix, validate_spec,
-                        weighted_count, weighted_count_ending_with,
-                        weighted_count_forbidden_suffix)
-from .ratfield import (Poly, RatFun, RatMat, RootCertificate, largest_real_zero,
-                       series_coeffs)
-from .spectral import (AdjMatrix, Analysis, adjacency_matrix, entropy, is_irreducible,
-                       multiplicity_matrix, multiplicity_one_witness, perron_root,
-                       perron_vectors, power_iteration)
-from .measures import (Cylinder, MeasureContext, StochMat, cylinder_measure,
-                       escape_report, lift_rational_stochastic, project_edges,
-                       shannon_parry_matrix)
+from .langmodel import enumerate_slice, language_slices, spec_from_matrix, validate_spec
+from .genfun import solve_generating_functions
+from .spectral import (Analysis, adjacency_matrix, eigenvector_normalization, entropy,
+                       is_irreducible, perron_root, perron_vectors)
+from .measures import MeasureContext, escape_report
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # the library example
+    "Analysis", "MeasureContext", "enumerate_slice", "validate_spec",
+    # one stage for a bare spec
+    "eigenvector_normalization", "entropy", "escape_report", "language_slices",
+    "perron_root", "perron_vectors", "solve_generating_functions", "spec_from_matrix",
+    # the block graph of a spec
+    "adjacency_matrix", "is_irreducible",
+    # errors
+    "BudgetError", "EmptyShiftError", "MultishiftError", "NumericError", "PoleError",
+    "RootBracketError", "RouteMismatchError", "SingularMatrixError", "SpecError",
+]

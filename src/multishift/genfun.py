@@ -199,17 +199,6 @@ class GenFunSolution(NamedTuple):
     def mode(self) -> str:
         return self.system.mode
 
-    def series_for(self, name: str) -> RatFun:
-        if name == "F":
-            return self.all_words
-        for w, f in self.ending_with:
-            if f"G[{''.join(w)}]" == name:
-                return f
-        for w, f in self.forbidden_tail:
-            if f"Fa[{''.join(w)}]" == name:
-                return f
-        raise KeyError(name)
-
     def to_json(self) -> dict:
         return {
             "mode": self.mode,

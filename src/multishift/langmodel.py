@@ -127,44 +127,6 @@ def multiplicity(w: Sequence[str], spec: ShiftSpec) -> int:
     return out
 
 
-def forbidden_suffix_multiplicity(w: Sequence[str], a: Sequence[str], spec: ShiftSpec) -> int:
-    """Weight of a word whose single forbidden occurrence is the suffix a.
-
-    Counts repeated words in all of w, discounting the ones lying inside
-    the terminal copy of a; always a positive integer.
-    """
-    w, a = W.word(w), W.word(a)
-    if a not in spec.forbidden:
-        raise SpecError(f"{''.join(a)} is not a forbidden word")
-    if w[len(w) - len(a):] != a:
-        raise SpecError("word does not end with the given forbidden word")
-    if not spec.is_allowed(w[:-1]):
-        raise SpecError("word has a forbidden occurrence before the terminal one")
-    out = 1
-    for r, m in spec.repeated:
-        out *= m ** (W.subword_count(w, r) - W.subword_count(a, r))
-    return out
-
-
-def leading_multiplicity(v: Sequence[str], spec: ShiftSpec) -> int:
-    """m(v)/m(v minus first symbol); the parallel-edge count generator.
-
-    Exceeds 1 exactly when v begins with a repeated word, in which case
-    it equals that word's multiplicity.
-    """
-    v = W.word(v)
-    if len(v) < 2:
-        return 1
-    m_full = multiplicity(v, spec)
-    if m_full == 0:
-        raise SpecError(f"{''.join(v)} is forbidden; leading multiplicity undefined")
-    m_tail = multiplicity(v[1:], spec)
-    quot, rem = divmod(m_full, m_tail)
-    if rem:
-        raise SpecError("leading multiplicity is not integral; repeated collection not reduced?")
-    return quot
-
-
 def check_budget(n: int, spec: ShiftSpec, budget: int) -> None:
     """Refuse a length-n count when the q**n strings of length n exceed
     the budget; the empty word (n = 0) needs no walk and never does."""

@@ -33,7 +33,7 @@ from .errors import NumericError, SpecError
 from .langmodel import (DEFAULT_BUDGET, ShiftSpec, check_budget, multiplicity,
                         spec_from_matrix, transfer_tables, validate_spec)
 from .spectral import (THETA_TOL, AdjMatrix, Analysis, EigenData, NormalizationReport,
-                       PerronResult, agree, is_irreducible, perron_vectors)
+                       PerronResult, agree, perron_vectors)
 from .words import Word
 
 
@@ -105,32 +105,6 @@ def shannon_parry_matrix(mat: AdjMatrix, theta, left_normalized: Sequence,
     return _validate_stochastic(StochMat(mat.labels, tuple(rows), tuple(stationary), exact))
 
 
-def lift_rational_stochastic(sm: StochMat) -> AdjMatrix:
-    """Integer matrix L * P for the least common denominator L.
-
-    The Shannon-Parry matrix of the result is P again (root L, constant
-    right eigenvector), so this inverts the construction on rational
-    stochastic matrices.
-    """
-    if not sm.exact:
-        raise NumericError("lift needs exact rational entries")
-    lcm = math.lcm(*(Fraction(x).denominator for row in sm.rows for _, x in row if x > 0))
-    successors = []
-    for row in sm.rows:
-        out = []
-        for j, x in row:
-            v = Fraction(x) * lcm
-            if v.denominator != 1:
-                raise NumericError("least common denominator failed; non-rational entry?")
-            if v:
-                out.append((j, int(v)))
-        successors.append(tuple(out))
-    mat = AdjMatrix(sm.labels, tuple(successors))
-    if not is_irreducible(mat):
-        raise SpecError("lift of a reducible stochastic matrix")
-    return mat
-
-
 class Cylinder:
     """A cylinder set: a vertex path, with branch indices in edge form.
 
@@ -190,11 +164,6 @@ class Cylinder:
     def to_json(self) -> dict:
         return {"vertices": ["".join(v) for v in self.vertices],
                 "branches": list(self.branches) if self.branches else None}
-
-
-def project_edges(cyl: Cylinder) -> Cylinder:
-    """Erase branch indices: the factor map onto the block shift."""
-    return Cylinder(cyl.vertices, None)
 
 
 class MeasureContext:
@@ -298,15 +267,6 @@ def cylinder_measure(ctx: MeasureContext, cyl: Cylinder,
             raise SpecError(f"route {route!r} not valid for a vertex cylinder")
     exact = Fraction(val) if isinstance(val, Fraction) else None
     return MeasureReport(float(val), route, exact)
-
-
-def preimage_count(ctx: MeasureContext, cyl: Cylinder) -> int:
-    """Number of edge cylinders projecting onto the given vertex cylinder."""
-    idx = ctx.mat.path(cyl.vertices, cyl.branches)
-    out = 1
-    for a, b in zip(idx, idx[1:]):
-        out *= ctx.mat.entry(a, b)
-    return out
 
 
 def _vertex_paths(mat: AdjMatrix, n_edges: int):

@@ -77,10 +77,6 @@ class Poly:
     def constant(cls, c: Rational) -> "Poly":
         return cls((c,))
 
-    @classmethod
-    def monomial(cls, k: int, c: Rational = 1) -> "Poly":
-        return cls([0] * k + [c])
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.den) for c in self.ints)
@@ -355,36 +351,6 @@ class RatMat:
     def nrows(self) -> int:
         return len(self.entries)
 
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def __getitem__(self, ij: tuple[int, int]) -> RatFun:
-        return self.entries[ij[0]][ij[1]]
-
-    def __matmul__(self, other: "RatMat") -> "RatMat":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        rows = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = RatFun.zero()
-                for k in range(self.ncols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            rows.append(row)
-        return RatMat.from_rows(rows, self.row_labels, other.col_labels)
-
-    def row_sums(self) -> list[RatFun]:
-        out = []
-        for row in self.entries:
-            acc = RatFun.zero()
-            for e in row:
-                acc = acc + e
-            out.append(acc)
-        return out
-
     def _integer_rows(self, extra: Sequence[Sequence[RatFun]]) -> list[list[list[int]]]:
         """The augmented rows [self | extra] over Z[z]: each row is scaled
         by the lcm of its denominators, then by the lcm of its polynomials'
@@ -404,7 +370,7 @@ class RatMat:
 
     def inverse(self) -> "RatMat":
         """Exact inverse: one fraction-free solve against the identity."""
-        if self.nrows != self.ncols:
+        if any(len(row) != self.nrows for row in self.entries):
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
         if n == 0:
@@ -418,7 +384,7 @@ class RatMat:
         """Cramer's rule for self * x = rhs: numerators y in Z[z] and one
         common denominator D, the determinant of the row-scaled matrix up
         to sign, with x_i = y_i / D."""
-        if self.nrows != self.ncols or len(rhs) != self.nrows:
+        if len(rhs) != self.nrows or any(len(row) != self.nrows for row in self.entries):
             raise ValueError("shape mismatch in solve")
         ys, det = _bareiss_solve(self._integer_rows([[RatFun._coerce(b)] for b in rhs]))
         return [Poly._of(y[0]) for y in ys], Poly._of(det)

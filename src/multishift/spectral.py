@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 from . import genfun
 from .errors import EmptyShiftError, NumericError, RouteMismatchError, SpecError
 from .langmodel import (DEFAULT_BUDGET, ShiftSpec, enumerate_slice,
-                        extend_repeated_to_full_length, multiplicity, weighted_count)
+                        extend_repeated_to_full_length, weighted_count)
 from .ratfield import Poly, RatFun, RootCertificate, largest_real_zero, solve_numeric
 from .words import Word
 
@@ -176,15 +176,6 @@ def adjacency_matrix(spec: ShiftSpec) -> AdjMatrix:
 
     return _splice_matrix(
         spec, lambda xy: 0 if xy in forbidden else reps.get(xy) or lead(xy[:-1]))
-
-
-def multiplicity_matrix(spec: ShiftSpec) -> AdjMatrix:
-    """The naive variant weighting each splice by its full multiplicity.
-
-    Coincides with :func:`adjacency_matrix` exactly when all repeated
-    words have length p; otherwise it overcounts paths.
-    """
-    return _splice_matrix(spec, lambda xy: multiplicity(xy, spec))
 
 
 def _strong_components(mat: AdjMatrix) -> list[list[int]]:
@@ -698,6 +689,12 @@ class Analysis:
         left = [formula(lcoef, by_suffix, (x[:s] for s in span)) for x in labels]
         right = [formula(rcoef, by_prefix, (x[-s:] for s in span)) for x in labels]
 
+        # Perron-Frobenius: both vectors of an irreducible matrix are
+        # strictly positive, so a wrong sign the residuals cannot see is refused
+        bad_l, bad_r = (sum(x <= 0 for x in vec) for vec in (left, right))
+        if root.irreducible and bad_l + bad_r:
+            raise NumericError("Perron eigenvectors have non-positive entries: "
+                               f"left {bad_l}, right {bad_r} of {len(labels)}")
         dot = sum(u * v for u, v in zip(left, right))
         if dot == 0:
             raise NumericError("degenerate eigenvector normalization")

@@ -1,5 +1,5 @@
-"""Word-level combinatorics: overlap correlations, the star product,
-subword counting, and reducedness checks.
+"""Word-level combinatorics: overlap correlations, subword counting,
+and reducedness checks.
 
 A word is a tuple of opaque symbol tokens.  Every function coerces its
 word arguments with ``tuple()``, so plain strings work too (each
@@ -79,33 +79,17 @@ def non_terminal_occurrences(a: Sequence[str], r: Sequence[str],
     return sum(1 for t in correlation_shifts(a, r) if t > cut)
 
 
-def star(x: Sequence[str], y: Sequence[str]) -> Word | None:
-    """Splice of two equal-length words, or None when undefined.
-
-    For length m >= 2 the splice exists when the tail of x equals the
-    head of y and extends x by the last symbol of y; length-1 words
-    always splice to their two-symbol concatenation.
-    """
-    x, y = tuple(x), tuple(y)
-    if len(x) != len(y):
-        raise ValueError("star requires words of equal length")
-    if not x:
-        raise ValueError("star is undefined for empty words")
-    if len(x) == 1:
-        return x + y
-    if x[1:] != y[:-1]:
-        return None
-    return x + y[-1:]
-
-
 def is_reduced(words: Iterable[Sequence[str]]) -> bool:
     """True when no word of the collection sits inside another one.
 
     Duplicate entries count as mutual containment, hence not reduced.
+    One set of the words, then a lookup of each word's proper subwords
+    of the lengths the collection has; the empty word sits in no word.
     """
-    ws = [tuple(w) for w in words]
-    for i, inner in enumerate(ws):
-        for j, outer in enumerate(ws):
-            if i != j and contains(outer, inner):
-                return False
-    return True
+    ws = [w for w in map(tuple, words) if w]
+    seen = set(ws)
+    if len(seen) < len(ws):
+        return False
+    lengths = {len(w) for w in seen}
+    return not any(w[i:i + k] in seen for w in seen for k in lengths if k < len(w)
+                   for i in range(len(w) - k + 1))

@@ -13,7 +13,12 @@ with one automaton symbol per parallel edge), and the solves of the
 evaluated extended core that its transposed solve replaced (the
 conjugate core's row sums and the derivative of the correction).  The
 field references take ``ratfield`` values through their Fraction views
-and run no ``ratfield.Poly`` arithmetic.
+and run no ``ratfield.Poly`` arithmetic.  Definitions that no command
+runs also live here, as references and input builders: the splice of
+two words, the pairwise reducedness check, the leading multiplicity,
+the naive multiplicity matrix, the preimage count of a vertex cylinder,
+the lift of a rational stochastic matrix, and the product and row sums
+of rational-function matrices.
 """
 
 from __future__ import annotations
@@ -30,7 +35,9 @@ from hypothesis import reject, settings, strategies as st
 from multishift import spectral, words
 from multishift.errors import NumericError, RootBracketError, SingularMatrixError, SpecError
 from multishift.genfun import build_system, conjugate_rows, embedded_weight, targets
-from multishift.langmodel import ShiftSpec, extend_repeated_to_full_length, validate_spec
+from multishift.langmodel import (ShiftSpec, extend_repeated_to_full_length, multiplicity,
+                                  validate_spec)
+from multishift.measures import Cylinder, MeasureContext, StochMat
 from multishift.ratfield import (ROOT_WIDTH, Poly, RatFun, RatMat, RootCertificate, _fr,
                                  solve_numeric)
 from multishift.spectral import AdjMatrix, PowerResult, adjacency_matrix, is_irreducible
@@ -92,6 +99,107 @@ def brute_tables(spec: ShiftSpec, max_n: int):
                     weight *= mm ** (occurrences(tup, r) - occurrences(a, r))
                 fa[a][n] += weight
     return f, g, fa
+
+
+def star(x, y) -> tuple | None:
+    """Splice of two equal-length words, or None when undefined.
+
+    For length m >= 2 the splice exists when the tail of x equals the
+    head of y and extends x by the last symbol of y; length-1 words
+    always splice to their two-symbol concatenation.
+    """
+    x, y = tuple(x), tuple(y)
+    if len(x) != len(y):
+        raise ValueError("star requires words of equal length")
+    if not x:
+        raise ValueError("star is undefined for empty words")
+    if len(x) == 1:
+        return x + y
+    if x[1:] != y[:-1]:
+        return None
+    return x + y[-1:]
+
+
+def reference_is_reduced(ws) -> bool:
+    """Reducedness by comparing every ordered pair of entries."""
+    ws = [tuple(w) for w in ws]
+    return not any(i != j and words.contains(outer, inner)
+                   for i, inner in enumerate(ws) for j, outer in enumerate(ws))
+
+
+def leading_multiplicity(v, spec: ShiftSpec) -> int:
+    """m(v)/m(v minus first symbol); the parallel-edge count generator.
+
+    Exceeds 1 exactly when v begins with a repeated word, in which case
+    it equals that word's multiplicity.
+    """
+    v = tuple(v)
+    if len(v) < 2:
+        return 1
+    m_full = multiplicity(v, spec)
+    if m_full == 0:
+        raise SpecError(f"{''.join(v)} is forbidden; leading multiplicity undefined")
+    m_tail = multiplicity(v[1:], spec)
+    quot, rem = divmod(m_full, m_tail)
+    if rem:
+        raise SpecError("leading multiplicity is not integral; repeated collection not reduced?")
+    return quot
+
+
+def multiplicity_matrix(spec: ShiftSpec) -> AdjMatrix:
+    """The naive variant of the adjacency matrix, weighting each splice by
+    its full multiplicity.  Coincides with it exactly when all repeated
+    words have length p; otherwise it overcounts paths."""
+    return spectral._splice_matrix(spec, lambda xy: multiplicity(xy, spec))
+
+
+def preimage_count(ctx: MeasureContext, cyl: Cylinder) -> int:
+    """Number of edge cylinders projecting onto the given vertex cylinder."""
+    idx = ctx.mat.path(cyl.vertices, cyl.branches)
+    out = 1
+    for a, b in zip(idx, idx[1:]):
+        out *= ctx.mat.entry(a, b)
+    return out
+
+
+def lift_rational_stochastic(sm: StochMat) -> AdjMatrix:
+    """Integer matrix L * P for the least common denominator L.
+
+    The Shannon-Parry matrix of the result is P again (root L, constant
+    right eigenvector), so this inverts the construction on rational
+    stochastic matrices.
+    """
+    if not sm.exact:
+        raise NumericError("lift needs exact rational entries")
+    lcm = math.lcm(*(Fraction(x).denominator for row in sm.rows for _, x in row if x > 0))
+    successors = []
+    for row in sm.rows:
+        out = []
+        for j, x in row:
+            v = Fraction(x) * lcm
+            if v.denominator != 1:
+                raise NumericError("least common denominator failed; non-rational entry?")
+            if v:
+                out.append((j, int(v)))
+        successors.append(tuple(out))
+    mat = AdjMatrix(sm.labels, tuple(successors))
+    if not is_irreducible(mat):
+        raise SpecError("lift of a reducible stochastic matrix")
+    return mat
+
+
+def matmul(a: RatMat, b: RatMat) -> RatMat:
+    """The product of two rational-function matrices, entry by entry."""
+    if any(len(row) != b.nrows for row in a.entries):
+        raise ValueError("shape mismatch")
+    rows = [[sum((x * y for x, y in zip(row, col)), RatFun.zero()) for col in zip(*b.entries)]
+            for row in a.entries]
+    return RatMat.from_rows(rows, a.row_labels, b.col_labels)
+
+
+def row_sums(m: RatMat) -> list[RatFun]:
+    """The row sums of a rational-function matrix."""
+    return [sum(row, RatFun.zero()) for row in m.entries]
 
 
 def random_word(rng: random.Random, alphabet, lo=2, hi=4) -> tuple:
@@ -446,7 +554,7 @@ def reference_system_rows(spec: ShiftSpec) -> tuple[tuple[Poly, ...], ...]:
             corr = correlation_coeffs(r_j, t_k, alpha)
             e = z * Fraction(m_j - 1, m_j) * Poly(corr) if corr else Poly.zero()
             if j == k:
-                e = e - Poly.monomial(len(r_j))
+                e = e - Poly([0] * len(r_j) + [1])
             row.append(e)
         for a in fws:
             # overhangs past |t_k| would put the whole appended word
@@ -455,7 +563,7 @@ def reference_system_rows(spec: ShiftSpec) -> tuple[tuple[Poly, ...], ...]:
             for t in words.correlation_shifts(a, t_k):
                 if t <= len(t_k):
                     weight = embedded_weight(spec, a, threshold=0 if repeated_row else t)
-                    e = e + Poly.monomial(t, weight)
+                    e = e + Poly([0] * t + [weight])
             row.append(-e)
         rows.append(tuple(row))
     return tuple(rows)

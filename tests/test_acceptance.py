@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_spec, sparse
+from conftest import (lift_rational_stochastic, multiplicity_matrix, random_spec, row_sums,
+                      sparse)
 from multishift.genfun import (build_system, conjugate_correlation_matrix,
                                correlation_matrix, solve_generating_functions)
 from multishift.langmodel import (extend_repeated_to_full_length, multiplicity,
@@ -22,12 +23,12 @@ from multishift.langmodel import (extend_repeated_to_full_length, multiplicity,
                                   weighted_count)
 from multishift.measures import (Cylinder, MeasureContext, StochMat,
                                  cylinder_measure, escape_report,
-                                 kolmogorov_report, lift_rational_stochastic,
-                                 pushforward_report, shannon_parry_matrix)
+                                 kolmogorov_report, pushforward_report,
+                                 shannon_parry_matrix)
 from multishift.ratfield import Poly, RatFun, series_coeffs, solve_numeric
 from multishift.spectral import (AdjMatrix, adjacency_matrix, eigen_residuals,
-                                 eigenvector_normalization, is_irreducible,
-                                 multiplicity_matrix, perron_root, perron_vectors)
+                                 eigenvector_normalization, is_irreducible, perron_root,
+                                 perron_vectors)
 
 Z = Poly.x()
 
@@ -45,8 +46,9 @@ def test_1_counting_tables_oracle_and_series():
     assert fa[("0", "1", "0")][1:] == FA_TABLE
     sol = solve_generating_functions(spec)
     assert [int(c) for c in series_coeffs(sol.all_words, 10)][1:] == F_TABLE
-    assert [int(c) for c in series_coeffs(sol.series_for("G[000]"), 10)][1:] == G_TABLE
-    assert [int(c) for c in series_coeffs(sol.series_for("Fa[010]"), 10)][1:] == FA_TABLE
+    g_series, fa_series = dict(sol.ending_with), dict(sol.forbidden_tail)
+    assert [int(c) for c in series_coeffs(g_series[("0", "0", "0")], 10)][1:] == G_TABLE
+    assert [int(c) for c in series_coeffs(fa_series[("0", "1", "0")], 10)][1:] == FA_TABLE
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
     print(f"ACCEPTANCE 1 PASS counting tables, oracle == series ({elapsed:.2f}s)")
@@ -58,18 +60,18 @@ def test_2_exact_eigen_reproduction():
     assert mat.entries == ((1, 1, 0, 0), (0, 0, 0, 1), (3, 1, 0, 0), (0, 0, 1, 1))
 
     p = correlation_matrix(spec)
-    assert p[(0, 0)] == RatFun(Poly([0, 0, 0, Fraction(-1, 3)]))
-    assert p[(0, 1)] == RatFun(Poly([0, 0, -1]))
-    assert p[(1, 0)] == RatFun(Poly([0, Fraction(2, 3)]))
-    assert p[(1, 1)] == RatFun(Poly([0, -1, 0, -1]))
+    assert p.entries[0][0] == RatFun(Poly([0, 0, 0, Fraction(-1, 3)]))
+    assert p.entries[0][1] == RatFun(Poly([0, 0, -1]))
+    assert p.entries[1][0] == RatFun(Poly([0, Fraction(2, 3)]))
+    assert p.entries[1][1] == RatFun(Poly([0, -1, 0, -1]))
     q = conjugate_correlation_matrix(build_system(spec))
-    assert q[(0, 1)] == RatFun(Poly([0, -1]))
-    assert q[(1, 0)] == RatFun(Poly([0, 0, Fraction(2, 3)]))
+    assert q.entries[0][1] == RatFun(Poly([0, -1]))
+    assert q.entries[1][0] == RatFun(Poly([0, 0, Fraction(2, 3)]))
 
-    r1, r2 = p.inverse().row_sums()
+    r1, r2 = row_sums(p.inverse())
     assert r1 == RatFun(Poly([-3, 3, -3]), Poly([0, 0, 2, 1, 0, 1]))
     assert r2 == RatFun(Poly([-2, 0, -1]), Poly([0, 0, 2, 1, 0, 1]))
-    s1, s2 = q.inverse().row_sums()
+    s1, s2 = row_sums(q.inverse())
     assert s1 == RatFun(Poly([-3]), Poly([2, 1, 0, 1]))
     assert s2 == RatFun(Poly([-2, -1]), Poly([0, 2, 1, 0, 1]))
 
@@ -133,15 +135,15 @@ def test_4_nonreduced_system_and_root():
     assert not spec.union_reduced
     system = build_system(spec)
     m = system.matrix
-    assert m[(0, 0)] == RatFun(Z - Poly.constant(2))
-    assert m[(0, 1)] == RatFun(Poly([0, Fraction(-1, 2)]))
-    assert m[(0, 2)] == RatFun(Poly([0, 2]))
-    assert m[(1, 0)] == RatFun(1)
-    assert m[(1, 1)] == RatFun(Poly([0, Fraction(1, 2), Fraction(-1, 2)]))
-    assert m[(1, 2)].is_zero
-    assert m[(2, 0)] == RatFun(1)
-    assert m[(2, 1)] == RatFun(Poly([0, Fraction(1, 2)]))
-    assert m[(2, 2)] == RatFun(Poly([0, 0, 0, -1]))
+    assert m.entries[0][0] == RatFun(Z - Poly.constant(2))
+    assert m.entries[0][1] == RatFun(Poly([0, Fraction(-1, 2)]))
+    assert m.entries[0][2] == RatFun(Poly([0, 2]))
+    assert m.entries[1][0] == RatFun(1)
+    assert m.entries[1][1] == RatFun(Poly([0, Fraction(1, 2), Fraction(-1, 2)]))
+    assert m.entries[1][2].is_zero
+    assert m.entries[2][0] == RatFun(1)
+    assert m.entries[2][1] == RatFun(Poly([0, Fraction(1, 2)]))
+    assert m.entries[2][2] == RatFun(Poly([0, 0, 0, -1]))
 
     sol = solve_generating_functions(spec)
     root = perron_root(spec, allow_reducible=True)

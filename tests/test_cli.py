@@ -176,6 +176,19 @@ def test_multiplicity_beyond_float_range_exits_numeric(tmp_path, args):
     assert err.startswith("numeric failure: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("args", [["perron"], ["measure", "--cylinder", "0000"]])
+def test_non_positive_perron_vector_exits_numeric(tmp_path, args):
+    # the float formulas cancel on this spec: 14 of the 60 entries of V and
+    # all of U come out <= 0, yet both residuals are tiny; a Perron vector
+    # of an irreducible matrix is strictly positive
+    doc = {"alphabet": ["0", "1", "2"], "forbidden": ["22", "00212", "00112"],
+           "repeated": [{"word": "00", "multiplicity": 10 ** 6},
+                        {"word": "20", "multiplicity": 3}]}
+    code, out, err = run_cli([args[0], "--spec", write_spec(tmp_path, doc), *args[1:]])
+    assert code == 4 and out == "", err
+    assert err.startswith("numeric failure: Perron eigenvectors have non-positive entries")
+
+
 def test_escape_cost_does_not_grow_with_the_multiplicities(tmp_path):
     # 10^8 parallel loops at block 0: the transfer moves them as one
     # weighted step, within 1 GiB of address space and 60 s

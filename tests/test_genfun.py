@@ -24,18 +24,18 @@ def eigen_spec():
 
 def test_core_matrix_published():
     p = correlation_matrix(eigen_spec())
-    assert p[(0, 0)] == RatFun(Poly([0, 0, 0, Fraction(-1, 3)]))
-    assert p[(0, 1)] == RatFun(Poly([0, 0, -1]))
-    assert p[(1, 0)] == RatFun(Poly([0, Fraction(2, 3)]))
-    assert p[(1, 1)] == RatFun(Poly([0, -1, 0, -1]))
+    assert p.entries[0][0] == RatFun(Poly([0, 0, 0, Fraction(-1, 3)]))
+    assert p.entries[0][1] == RatFun(Poly([0, 0, -1]))
+    assert p.entries[1][0] == RatFun(Poly([0, Fraction(2, 3)]))
+    assert p.entries[1][1] == RatFun(Poly([0, -1, 0, -1]))
 
 
 def test_conjugate_matrix_published():
     q = conjugate_correlation_matrix(build_system(eigen_spec()))
-    assert q[(0, 0)] == RatFun(Poly([0, 0, 0, Fraction(-1, 3)]))
-    assert q[(0, 1)] == RatFun(Poly([0, -1]))
-    assert q[(1, 0)] == RatFun(Poly([0, 0, Fraction(2, 3)]))
-    assert q[(1, 1)] == RatFun(Poly([0, -1, 0, -1]))
+    assert q.entries[0][0] == RatFun(Poly([0, 0, 0, Fraction(-1, 3)]))
+    assert q.entries[0][1] == RatFun(Poly([0, -1]))
+    assert q.entries[1][0] == RatFun(Poly([0, 0, Fraction(2, 3)]))
+    assert q.entries[1][1] == RatFun(Poly([0, -1, 0, -1]))
 
 
 def test_scaling_diagonal():
@@ -55,16 +55,16 @@ def test_bordered_matrix_shape_and_empty_collections():
     s = validate_spec("01", ["010"], [("000", 2)])
     left = build_system(s).matrix
     assert left.nrows == 3
-    assert left[(0, 0)] == RatFun(Z - Poly.constant(2))
-    assert left[(0, 1)] == RatFun(Poly([0, Fraction(-1, 2)]))
-    assert left[(0, 2)] == RatFun(Z)
-    assert left[(1, 0)] == RatFun(1) and left[(2, 0)] == RatFun(1)
+    assert left.entries[0][0] == RatFun(Z - Poly.constant(2))
+    assert left.entries[0][1] == RatFun(Poly([0, Fraction(-1, 2)]))
+    assert left.entries[0][2] == RatFun(Z)
+    assert left.entries[1][0] == RatFun(1) and left.entries[2][0] == RatFun(1)
     # no repeated words: the border reduces to the classical layout
     s2 = validate_spec("01", ["010"], [])
     left2 = build_system(s2).matrix
     assert left2.nrows == 2
-    assert left2[(0, 1)] == RatFun(Z)
-    assert left2[(1, 1)] == RatFun(-(Z * Poly((1, 0, 1))))  # -z (a,a)_z
+    assert left2.entries[0][1] == RatFun(Z)
+    assert left2.entries[1][1] == RatFun(-(Z * Poly((1, 0, 1))))  # -z (a,a)_z
 
 
 def test_published_nonreduced_system():
@@ -72,15 +72,15 @@ def test_published_nonreduced_system():
     system = build_system(s)
     assert system.mode == "non_reduced"
     m = system.matrix
-    assert m[(0, 0)] == RatFun(Z - Poly.constant(2))
-    assert m[(0, 1)] == RatFun(Poly([0, Fraction(-1, 2)]))
-    assert m[(0, 2)] == RatFun(Poly([0, 2]))
-    assert m[(1, 0)] == RatFun(1)
-    assert m[(1, 1)] == RatFun(Poly([0, Fraction(1, 2), Fraction(-1, 2)]))
-    assert m[(1, 2)].is_zero
-    assert m[(2, 0)] == RatFun(1)
-    assert m[(2, 1)] == RatFun(Poly([0, Fraction(1, 2)]))
-    assert m[(2, 2)] == RatFun(Poly([0, 0, 0, -1]))
+    assert m.entries[0][0] == RatFun(Z - Poly.constant(2))
+    assert m.entries[0][1] == RatFun(Poly([0, Fraction(-1, 2)]))
+    assert m.entries[0][2] == RatFun(Poly([0, 2]))
+    assert m.entries[1][0] == RatFun(1)
+    assert m.entries[1][1] == RatFun(Poly([0, Fraction(1, 2), Fraction(-1, 2)]))
+    assert m.entries[1][2].is_zero
+    assert m.entries[2][0] == RatFun(1)
+    assert m.entries[2][1] == RatFun(Poly([0, Fraction(1, 2)]))
+    assert m.entries[2][2] == RatFun(Poly([0, 0, 0, -1]))
 
 
 def test_nonreduced_solution_and_pole():
@@ -97,9 +97,9 @@ def test_reduced_closed_forms_agree_and_match_table():
     sol = solve_generating_functions(s)
     assert [int(c) for c in series_coeffs(sol.all_words, 10)] == \
         [1, 2, 4, 8, 17, 37, 81, 178, 392, 864, 1905]
-    assert [int(c) for c in series_coeffs(sol.series_for("G[000]"), 10)] == \
+    assert [int(c) for c in series_coeffs(dict(sol.ending_with)[("0", "0", "0")], 10)] == \
         [0, 0, 0, 2, 6, 14, 32, 72, 160, 354, 782]
-    assert [int(c) for c in series_coeffs(sol.series_for("Fa[010]"), 10)] == \
+    assert [int(c) for c in series_coeffs(dict(sol.forbidden_tail)[("0", "1", "0")], 10)] == \
         [0, 0, 0, 1, 2, 4, 9, 20, 44, 97, 214]
 
 

@@ -4,17 +4,15 @@ import random
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from conftest import brute_tables, brute_weight, small_specs
+from conftest import brute_tables, brute_weight, leading_multiplicity, small_specs
 from multishift.errors import BudgetError, SpecError
 from multishift.fixtures import load_fixture
 from multishift.genfun import solve_generating_functions
 from multishift.measures import Cylinder, escape_report
 from multishift.ratfield import series_coeffs
 from multishift.langmodel import (enumerate_slice, extend_repeated_to_full_length,
-                                  forbidden_suffix_multiplicity, language_slices,
-                                  leading_multiplicity, multiplicity, oracle_tables,
-                                  spec_from_matrix,
-                                  validate_spec, weighted_count,
+                                  language_slices, multiplicity, oracle_tables,
+                                  spec_from_matrix, validate_spec, weighted_count,
                                   weighted_count_ending_with,
                                   weighted_count_forbidden_suffix)
 from multishift.spectral import adjacency_matrix
@@ -60,14 +58,6 @@ def test_multiplicity_examples():
     s2 = validate_spec("01", ["00"], [("110", 2), ("01", 3)])
     assert multiplicity("1010", s2) == 3
     assert multiplicity("010", spec_counting()) == 0
-
-
-def test_forbidden_suffix_multiplicity():
-    s = spec_nonreduced()
-    assert forbidden_suffix_multiplicity("001", "001", s) == 1
-    assert forbidden_suffix_multiplicity("0001", "001", s) == 2
-    with pytest.raises(SpecError):
-        forbidden_suffix_multiplicity("011", "001", s)
 
 
 def test_leading_multiplicity():

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from conftest import family_spec, random_spec, reference_escape_counts, small_specs, sparse
+from conftest import (family_spec, lift_rational_stochastic, preimage_count, random_spec,
+                      reference_escape_counts, small_specs, sparse)
 from multishift import measures, spectral
 from multishift.errors import EmptyShiftError, NumericError, SpecError
 from multishift.fixtures import load_fixture, list_fixtures
@@ -15,9 +16,7 @@ from multishift.langmodel import spec_from_matrix, validate_spec
 from multishift.ratfield import RatMat
 from multishift.measures import (Cylinder, EDGE_ROUTES, MeasureContext, StochMat,
                                  _validate_stochastic, cylinder_measure, escape_report,
-                                 kolmogorov_report, lift_rational_stochastic,
-                                 preimage_count, project_edges, pushforward_report,
-                                 shannon_parry_matrix)
+                                 kolmogorov_report, pushforward_report, shannon_parry_matrix)
 from multishift.spectral import (THETA_TOL, AdjMatrix, adjacency_matrix, agree,
                                  is_irreducible, perron_vectors)
 from multishift.verify import run_verification
@@ -142,7 +141,6 @@ def test_checks_on_1016_blocks_never_build_the_dense_rows(monkeypatch):
 def test_cylinder_forms_and_projection():
     cyl = Cylinder.from_edges([("00", "00", 1), ("00", "01", 1)])
     assert cyl.word() == ("0", "0", "0", "1")
-    assert project_edges(cyl).branches is None
     v = Cylinder.from_vertex_word("0011", 3)
     assert [''.join(x) for x in v.vertices] == ["00", "01", "11"]
     with pytest.raises(SpecError):

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import reference_is_reduced, star
 from multishift import words as W
 
 
@@ -74,11 +76,11 @@ def test_non_terminal_vs_subword_count():
 
 
 def test_star():
-    assert W.star("01", "11") == ("0", "1", "1")
-    assert W.star("01", "00") is None
-    assert W.star("0", "1") == ("0", "1")
+    assert star("01", "11") == ("0", "1", "1")
+    assert star("01", "00") is None
+    assert star("0", "1") == ("0", "1")
     with pytest.raises(ValueError):
-        W.star("01", "0")
+        star("01", "0")
 
 
 def test_star_prefix_suffix_property():
@@ -87,7 +89,7 @@ def test_star_prefix_suffix_property():
         m = rng.randint(1, 5)
         x = tuple(rng.choice("01") for _ in range(m))
         y = tuple(rng.choice("01") for _ in range(m))
-        xy = W.star(x, y)
+        xy = star(x, y)
         if xy is not None:
             assert xy[:m] == x
             assert xy[-m:] == y
@@ -99,6 +101,23 @@ def test_is_reduced():
     assert not W.is_reduced(["001", "00"])
     assert not W.is_reduced(["01", "01"])
     assert W.is_reduced(["01"])
+
+
+@st.composite
+def word_lists(draw):
+    """Short words over three symbols, often one inside another, plus
+    copies of some of them and subwords cut from others."""
+    ws = draw(st.lists(st.text("012", max_size=5), max_size=8))
+    for w in list(ws):
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(w)))
+            ws.append(w if draw(st.booleans()) else w[i:i + draw(st.integers(0, len(w)))])
+    return draw(st.permutations(ws))
+
+
+@given(word_lists())
+def test_is_reduced_matches_the_pairwise_reference(ws):
+    assert W.is_reduced(ws) == reference_is_reduced(ws)
 
 
 def test_subword_count():
