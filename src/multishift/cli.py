@@ -17,6 +17,8 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from . import __version__, measures, spectral, verify
 from .errors import BudgetError, MultishiftError, NumericError, SpecError
@@ -134,8 +136,56 @@ def report_skeleton(command: str, doc: dict) -> dict:
     return {"tool": f"multishift {__version__}", "command": command, "spec": doc}
 
 
+# The scalar types a report holds, each printed as json.dumps prints it
+_SCALAR = {str: encode_basestring_ascii, int: int.__repr__, float: json.dumps,
+           bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
+def _scalars(items) -> bool:
+    return _SCALAR.keys() >= set(map(type, items))
+
+
+@functools.cache
+def _leaf_encoder(pad: str):
+    """The C encoder, printing one line with ``","`` + ``pad`` between items."""
+    return json.JSONEncoder(separators=("," + pad, ": ")).encode
+
+
+def _dumps(obj, pad: str) -> str:
+    """``json.dumps(obj, indent=2)`` for a value on a line opened by
+    ``pad`` (a newline and that line's indent).  A list of scalars, and a
+    list of non-empty lists of scalars, go to the C encoder in one call
+    with ``","`` + the deeper pad as item separator; in the second case one
+    ``replace`` puts back the rows' own brackets and separators.  No string
+    can match that pattern: the encoder escapes every newline inside a
+    string, so a literal newline comes only from a separator."""
+    kind = type(obj)
+    if kind in _SCALAR:
+        return _SCALAR[kind](obj)
+    if kind is not dict and kind is not list and kind is not tuple:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not obj:
+        return "{}" if kind is dict else "[]"
+    deeper = pad + "  "
+    if kind is dict:
+        body = ("," + deeper).join(encode_basestring_ascii(k) + ": " + _dumps(v, deeper)
+                                   for k, v in obj.items())
+        return "{" + deeper + body + pad + "}"
+    if _scalars(obj):
+        body = _leaf_encoder(deeper)(obj)[1:-1]
+    elif {list, tuple} >= set(map(type, obj)) and all(obj) and _scalars(chain.from_iterable(obj)):
+        rows = deeper + "  "
+        body = _leaf_encoder(rows)(obj)[2:-2]
+        body = "[" + rows + body.replace("]," + rows + "[", deeper + "]," + deeper + "[" + rows) \
+            + deeper + "]"
+    else:
+        body = ("," + deeper).join(_dumps(v, deeper) for v in obj)
+    return "[" + deeper + body + pad + "]"
+
+
 def emit(report: dict) -> None:
-    print(json.dumps(report, indent=2))
+    """Print the report byte for byte as ``json.dumps(report, indent=2)``."""
+    print(_dumps(report, "\n"))
 
 
 def cmd_enumerate(args, doc: dict, spec: ShiftSpec) -> int:

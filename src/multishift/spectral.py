@@ -135,7 +135,7 @@ class AdjMatrix:
 
     def to_json(self) -> dict:
         return {"labels": ["".join(x) for x in self.labels],
-                "entries": [list(row) for row in self.entries]}
+                "entries": self.entries}
 
 
 def _splice_matrix(spec: ShiftSpec, weight) -> AdjMatrix:

@@ -12,10 +12,10 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from multishift import ratfield
-from multishift.cli import build_parser, main
+from multishift.cli import build_parser, emit, main
 from multishift.fixtures import fixture_document, list_fixtures
 from multishift.measures import EDGE_ROUTES, VERTEX_ROUTES
 
@@ -377,6 +377,46 @@ def test_reports_are_deterministic():
     assert len(outs) == 1
     args2 = ["genfun", "--spec", str(FIXDIR / "entropy_split.json")]
     assert run_cli(args2)[1] == run_cli(args2)[1]
+
+
+# a string that spells the separator the report writer replaces
+ROW_BREAK = "],\n      ["
+report_text = st.text(st.sampled_from('"\\[]{},:\n\t') | st.characters(min_codepoint=0x80),
+                      max_size=6) | st.just(ROW_BREAK)
+report_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(2 ** 64, 2 ** 200), st.floats(),
+    report_text,
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]))
+report_values = st.recursive(
+    report_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(report_text, inner, max_size=4)
+    | st.lists(st.lists(report_scalars, max_size=3) | st.tuples(report_scalars), max_size=4),
+    max_leaves=30)
+
+
+def emitted(obj) -> str:
+    with redirect_stdout(io.StringIO()) as out:
+        emit(obj)
+    return out.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(report_values)
+@example([[1, 2], [], [3]])
+@example([[ROW_BREAK, "x"], (1, -0.0), [[]], {}, [], 7, {"k": [ROW_BREAK]}])
+@example({"a": {"b": [[[1]], [[]]], "c": {}}, "d": [(), [[]]]})
+def test_report_writer_prints_what_json_dumps_indent_2_prints(obj):
+    assert emitted(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [{"x": Fraction(1, 2)}, [[1, Fraction(1, 2)]], [1, {2}],
+                                 {"rows": [(1,), [b"1"]]}])
+def test_report_writer_refuses_what_json_cannot_encode(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, indent=2)
+    with pytest.raises(TypeError):
+        emitted(obj)
 
 
 def test_main_entry_direct(capsys, tmp_path):
