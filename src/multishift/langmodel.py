@@ -5,16 +5,18 @@ forbidden words, and a reduced collection of repeated words with
 integer multiplicities >= 2.  Every other module consumes validated
 specs.  This module also hosts the weighted counters f(n), g_r(n) and
 f_a(n) that serve as the independent oracle for all generating-function
-output.  They read one transfer pass over the states of the last p - 1
-symbols (:func:`transfer_tables`), which shares no code with the
-correlation route.  The weighted slices themselves, every allowed word
-with its multiplicity, come from one layered walk over the same states
-(:func:`language_slices`), which also gives the block labels and the
-extension their words.
+output.  They read one transfer pass over the states of the pattern
+automaton of F and R (:func:`words.automaton`, :func:`transfer_tables`),
+which shares no code with the correlation route.  The weighted slices
+themselves, every allowed word with its multiplicity, come from one
+layered walk over the same states (:func:`language_slices`), which also
+gives the block labels their words; the extension reads its completions
+off the same automaton.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, NamedTuple, Sequence
 
 from . import words as W
@@ -149,26 +151,18 @@ class LanguageSlice(NamedTuple):
         }
 
 
-def _ends_with(w: Word, x: Word) -> bool:
-    return len(x) <= len(w) and w[len(w) - len(x):] == x
-
-
-def _moves(spec: ShiftSpec, state: Word, k: int, ends: Sequence[Word] = ()
-           ) -> list[tuple[str, Word, int, Word | None, tuple[Word, ...]]]:
-    """The q moves out of a state (the last k symbols) in alphabet order:
-    the symbol, the next state, the product of m_r over the repeated
-    words r it completes, the forbidden word it completes or None (a
-    reduced collection has at most one), and the ``ends`` it completes."""
-    out = []
-    for sym in spec.alphabet:
-        w = state + (sym,)
-        factor = 1
-        for r, m in spec.repeated:
-            if _ends_with(w, r):
-                factor *= m
-        bad = next((a for a in spec.forbidden if _ends_with(w, a)), None)
-        out.append((sym, w[-k:], factor, bad, tuple(r for r in ends if _ends_with(w, r))))
-    return out
+def _pattern_states(spec: ShiftSpec, ends: Sequence[Word] = ()
+                    ) -> tuple[list[list[int]], list[int], list[Word | None], list[tuple[Word, ...]]]:
+    """The automaton of F, R and ``ends`` (:func:`words.automaton`) and,
+    per state, what a move into it completes: the product of m_r over
+    the repeated words r, the forbidden word or None (a reduced
+    collection has at most one), and the words of ``ends``."""
+    nf, nr = len(spec.forbidden), len(spec.repeated)
+    delta, hits = W.automaton(spec.forbidden + spec.repeated_words + tuple(ends), spec.alphabet)
+    factor = [math.prod(spec.repeated[k - nf][1] for k in h if nf <= k < nf + nr) for h in hits]
+    bad = [spec.forbidden[h[0]] if h and h[0] < nf else None for h in hits]
+    done = [tuple(ends[k - nf - nr] for k in h if k >= nf + nr) for h in hits]
+    return delta, factor, bad, done
 
 
 def language_slices(n_max: int, spec: ShiftSpec, budget: int = DEFAULT_BUDGET
@@ -178,29 +172,21 @@ def language_slices(n_max: int, spec: ShiftSpec, budget: int = DEFAULT_BUDGET
     Layer n is layer n - 1 with each word extended by each allowed
     symbol in alphabet order, so every slice comes out lexicographic.
     A word's weight is its prefix's weight times m_r for each repeated
-    word r that the new symbol completes.  Forbidden and repeated words
-    have length at most p, so both depend only on the state, the last
-    p - 1 symbols: each state's moves (:func:`_moves`) are worked out
-    once, when a word first reaches it, and its forbidden ones dropped.
-    Only the current layer is kept.  The budget applies to q**n_max;
-    n_max <= 0 yields nothing.
+    word r that the new symbol completes.  Both depend only on the
+    word's state in the automaton of F and R (:func:`_pattern_states`),
+    whose allowed moves are listed once per state.  Only the current
+    layer is kept.  The budget applies to q**n_max; n_max <= 0 yields
+    nothing.
     """
     if n_max < 1:
         return
     check_budget(n_max, spec, budget)
-    k = spec.p - 1
-    moves: dict[Word, list[tuple[Word, int, Word]]] = {}
-    layer: list[tuple[Word, int, Word]] = [((), 1, ())]  # (word, weight, state)
+    delta, factor, bad, _ = _pattern_states(spec)
+    steps = [[((sym,), factor[t], t) for sym, t in zip(spec.alphabet, row) if bad[t] is None]
+             for row in delta]
+    layer: list[tuple[Word, int, int]] = [((), 1, 0)]  # (word, weight, state)
     for n in range(1, n_max + 1):
-        nxt = []
-        for w, weight, state in layer:
-            step = moves.get(state)
-            if step is None:
-                step = moves[state] = [((sym,), factor, to) for sym, to, factor, bad, _
-                                       in _moves(spec, state, k) if bad is None]
-            for sym, factor, to in step:
-                nxt.append((w + sym, weight * factor, to))
-        layer = nxt
+        layer = [(w + sym, weight * m, t) for w, weight, s in layer for sym, m, t in steps[s]]
         entries = tuple((w, m) for w, m, _ in layer)
         yield LanguageSlice(n, entries, sum(m for _, m in entries))
 
@@ -219,17 +205,15 @@ def transfer_tables(spec: ShiftSpec, max_n: int, suffixes: Sequence[Word] = ()
                     ) -> tuple[list[int], dict[Word, list[int]], dict[Word, list[int]]]:
     """The f, g and fa count tables for n = 0..max_n in one transfer pass.
 
-    Allowed words are grouped by their state, the last k symbols
-    (k = p - 1, more when a word in ``suffixes`` is longer than p), and
-    each state carries the total weight of its words.  Every forbidden,
-    repeated or tracked word that one more symbol completes is a suffix
-    of state + symbol, so each state's q moves are worked out once and
-    cached (:func:`_moves`).  g is kept for the repeated words and
-    ``suffixes``.  The cost is polynomial in max_n; callers apply the
-    budget.
+    Allowed words are grouped by their state in the automaton of F, R
+    and ``suffixes`` (:func:`_pattern_states`), and each state carries
+    the total weight of its words.  A move completes the forbidden,
+    repeated and tracked words that its target state ends.  g is kept
+    for the repeated words and ``suffixes``.  The cost is states x q x
+    max_n; callers apply the budget.
     """
     ends = tuple(dict.fromkeys(spec.repeated_words + tuple(suffixes)))
-    k = max([spec.p] + [len(r) for r in ends]) - 1
+    delta, factor, bad, done = _pattern_states(spec, ends)
     f = [1] + [0] * max_n
     g = {r: [0] * (max_n + 1) for r in ends}
     fa = {a: [0] * (max_n + 1) for a in spec.forbidden}
@@ -239,21 +223,18 @@ def transfer_tables(spec: ShiftSpec, max_n: int, suffixes: Sequence[Word] = ()
         for r, m in spec.repeated:
             discount[a] *= m ** W.subword_count(a, r)
 
-    moves: dict[Word, list] = {}
-    layer = {(): 1}
+    layer = {0: 1}
     for n in range(1, max_n + 1):
-        nxt: dict[Word, int] = {}
-        for state, weight in layer.items():
-            if state not in moves:
-                moves[state] = _moves(spec, state, k, ends)
-            for _, to, factor, bad, done in moves[state]:
-                wt = weight * factor
-                if bad is not None:
-                    fa[bad][n] += wt // discount[bad]
-                    continue
-                nxt[to] = nxt.get(to, 0) + wt
-                for r in done:
-                    g[r][n] += wt
+        nxt: dict[int, int] = {}
+        for s, weight in layer.items():
+            for t in delta[s]:
+                if bad[t] is not None:
+                    fa[bad[t]][n] += weight * factor[t] // discount[bad[t]]
+                else:
+                    nxt[t] = nxt.get(t, 0) + weight * factor[t]
+        for t, weight in nxt.items():
+            for r in done[t]:
+                g[r][n] += weight
         layer = nxt
         f[n] = sum(layer.values())
     return f, g, fa
@@ -320,16 +301,27 @@ def extend_repeated_to_full_length(spec: ShiftSpec) -> ShiftSpec:
     """Replace the repeated words by all their length-p completions.
 
     Every allowed length-p word beginning with a repeated word r joins
-    the new collection, weighted by its leading multiplicity, which is
-    m_r (R is reduced, so r is the only repeated prefix).  The adjacency
-    matrix is unchanged, the new union is always reduced, and specs
-    whose repeated words already have length p come back untouched.
+    the new collection, weighted by m_r (R is reduced, so r is its only
+    repeated prefix): they are the allowed walks of the automaton of F
+    and R from the state of r, in lexicographic order, at most q per
+    block, so the walk takes the block walk's budget on q**(p - 1).  The
+    adjacency matrix is unchanged, the new union is always reduced, and
+    specs whose repeated words already have length p come back untouched.
     """
     if all(len(r) == spec.p for r in spec.repeated_words):
         return spec
-    reps = dict(spec.repeated)
-    new = [(w, m) for w, _ in enumerate_slice(spec.p, spec).entries
-           if (m := next((reps[w[:k]] for k in range(1, spec.p + 1) if w[:k] in reps), 0))]
+    check_budget(spec.p - 1, spec, DEFAULT_BUDGET)
+    delta, _, bad, _ = _pattern_states(spec)
+    new = []
+    for r, m in sorted(spec.repeated, key=lambda rm: [spec._index[sym] for sym in rm[0]]):
+        s = 0
+        for sym in r:  # r holds no forbidden word, so every move is allowed
+            s = delta[s][spec._index[sym]]
+        tails = [(r, s)]  # (word, state)
+        for _ in range(spec.p - len(r)):
+            tails = [(w + (sym,), t) for w, s in tails for sym, t in zip(spec.alphabet, delta[s])
+                     if bad[t] is None]
+        new += [(w, m) for w, _ in tails]
     return validate_spec(spec.alphabet, spec.forbidden, new)
 
 

@@ -471,38 +471,16 @@ class EscapeReport(NamedTuple):
         }
 
 
-def _hole_automaton(hole_seq: list) -> list[dict]:
-    """KMP transition table (Knuth, Morris and Pratt 1977) of the hole
-    word over its own edges: ``table[s][edge]`` is the matched prefix
-    after reading that edge with s symbols matched.  Any other edge
-    resets the match to zero, so it needs no entry."""
-    k = len(hole_seq)
-    fail = [0] * k
-    for i in range(1, k):
-        j = fail[i - 1]
-        while j and hole_seq[i] != hole_seq[j]:
-            j = fail[j - 1]
-        fail[i] = j + 1 if hole_seq[i] == hole_seq[j] else 0
-    table = []
-    for state in range(k):
-        trans = {}
-        for e in hole_seq:
-            j = state
-            while j and hole_seq[j] != e:
-                j = fail[j - 1]
-            trans[e] = j + 1 if hole_seq[j] == e else 0
-        table.append(trans)
-    return table
-
-
 def escape_report(source: ShiftSpec | Analysis, hole: Cylinder, n_max: int = 12,
                   budget: int = DEFAULT_BUDGET,
                   allow_reducible: bool = False) -> EscapeReport:
     """Count paths avoiding the hole cylinder and estimate the escape rate.
 
     ``h[n]`` counts length-n edge paths with no contiguous copy of the
-    hole word, via a transfer construction on (vertex, matched-prefix)
-    states.  An edge outside the hole resets the match, so the A_vj
+    hole word, via a transfer construction on (vertex, state) pairs of
+    the automaton of the hole word over its distinct edges
+    (:func:`words.automaton`); a move into the state that ends the word
+    is dropped.  An edge outside the hole resets the match, so the A_vj
     branches of a block pair that are not hole edges move together, one
     multiply-add to (j, 0), and only the hole's own edges step through
     the automaton: the cost is states x distinct edges x n_max, whatever
@@ -522,30 +500,29 @@ def escape_report(source: ShiftSpec | Analysis, hole: Cylinder, n_max: int = 12,
     hole_seq = list(zip(idx, idx[1:], hole.branches))
     if not hole_seq:
         raise SpecError("the hole needs at least one edge")
-    table = _hole_automaton(hole_seq)
-    k = len(hole_seq)
+    edges = list(dict.fromkeys(hole_seq))
+    delta, ends = W.automaton([hole_seq], edges)
 
-    # per block: the hole edges leaving it, and the pairs (j, number of
-    # branches to j outside the hole), which all reset the match
+    # per block: the hole edges leaving it as (column, target), and the pairs
+    # (j, number of branches to j outside the hole), which all reset the match
     special = [[] for _ in range(mat.size)]
-    for edge in dict.fromkeys(hole_seq):
-        special[edge[0]].append(edge)
+    for i, edge in enumerate(edges):
+        special[edge[0]].append((i, edge[1]))
     plain = [[(j, rest) for j, e in row if (rest := e - sum(h[1] == j for h in special[v]))]
              for v, row in enumerate(mat.successors)]
 
     counts = [1]
-    # (block, matched prefix of the hole) -> paths ending there
+    # (block, automaton state) -> paths ending there
     state_counts = {(v, 0): 1 for v in range(mat.size)}
     for _ in range(n_max):
         nxt: dict[tuple[int, int], int] = {}
         for (v, s), c in state_counts.items():
             for j, e in plain[v]:
                 nxt[j, 0] = nxt.get((j, 0), 0) + c * e
-            for edge in special[v]:
-                s2 = table[s][edge]
-                if s2 < k:
-                    key = (edge[1], s2)
-                    nxt[key] = nxt.get(key, 0) + c
+            for i, j in special[v]:
+                s2 = delta[s][i]
+                if not ends[s2]:
+                    nxt[j, s2] = nxt.get((j, s2), 0) + c
         state_counts = nxt
         counts.append(sum(state_counts.values()))
 

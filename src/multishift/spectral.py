@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 
 from . import genfun
 from .errors import EmptyShiftError, NumericError, RouteMismatchError, SpecError
-from .langmodel import (DEFAULT_BUDGET, ShiftSpec, enumerate_slice,
+from .langmodel import (ShiftSpec, enumerate_slice,
                         extend_repeated_to_full_length, weighted_count)
 from .ratfield import Poly, RatFun, RootCertificate, largest_real_zero, solve_numeric
 from .words import Word
@@ -559,7 +559,8 @@ def entropy(source: ShiftSpec | Analysis, allow_reducible: bool = False) -> Entr
     spec = an.spec
     cap = max(2, int(math.log(1 << 20) / math.log(spec.q)))
     estimate_n = max(spec.p, min(12, cap))
-    count = weighted_count(estimate_n, spec, DEFAULT_BUDGET)
+    # the oracle costs states x q x n, not q**n: no budget for this count
+    count = weighted_count(estimate_n, spec, math.inf)
     est = math.log(count) / estimate_n if count else float("-inf")
     return EntropyReport(math.log(theta), est, estimate_n)
 

@@ -1,5 +1,6 @@
 """Word-level combinatorics: overlap correlations, subword counting,
-and reducedness checks.
+reducedness checks, and the pattern automaton that every walk over
+words reads.
 
 A word is a tuple of opaque symbol tokens.  Every function coerces its
 word arguments with ``tuple()``, so plain strings work too (each
@@ -93,3 +94,37 @@ def is_reduced(words: Iterable[Sequence[str]]) -> bool:
     lengths = {len(w) for w in seen}
     return not any(w[i:i + k] in seen for w in seen for k in lengths if k < len(w)
                    for i in range(len(w) - k + 1))
+
+
+def automaton(patterns: Sequence[Sequence], alphabet: Sequence
+              ) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+    """The Aho-Corasick automaton of the patterns (CACM 18(6), 1975),
+    built breadth first.  State s stands for the longest suffix of the
+    input read so far that is a prefix of a pattern, 0 for the empty one;
+    ``delta[s][i]`` is the state after reading ``alphabet[i]``, and
+    ``ends[s]`` the sorted indices of the patterns that are suffixes of
+    state s.  With one pattern it is the KMP table.  A pattern symbol
+    outside the alphabet cuts the pattern there, since no input reads it."""
+    index = {a: i for i, a in enumerate(alphabet)}
+    trie, ends = [{}], [[]]
+    for k, w in enumerate(patterns):
+        s = 0
+        for a in w:
+            if a not in index:
+                break
+            s = trie[s].setdefault(index[a], len(trie))
+            if s == len(ends):
+                trie.append({})
+                ends.append([])
+        else:
+            ends[s].append(k)
+    delta, fail, queue = [[]] * len(trie), [0] * len(trie), [0]
+    for s in queue:
+        row = list(delta[fail[s]]) if s else [0] * len(alphabet)
+        for i, t in trie[s].items():
+            fail[t] = delta[fail[s]][i] if s else 0
+            ends[t] += ends[fail[t]]
+            row[i] = t
+            queue.append(t)
+        delta[s] = row
+    return delta, [tuple(sorted(e)) for e in ends]

@@ -1,5 +1,7 @@
 """Shared test helpers: a from-scratch brute-force counter (independent
-of the package's transfer-count oracle), a seeded random spec generator,
+of the package's transfer-count oracle), the pattern automaton by its
+definition, the transfer pass over the states of the last p - 1 symbols
+that the automaton's pass replaced, a seeded random spec generator,
 a hypothesis strategy for small specs, the field-arithmetic
 references that the fraction-free code is checked against (a polynomial
 over Fraction coefficients, and on it the linear solve, the Euclidean
@@ -98,6 +100,75 @@ def brute_tables(spec: ShiftSpec, max_n: int):
                 for r, mm in spec.repeated:
                     weight *= mm ** (occurrences(tup, r) - occurrences(a, r))
                 fa[a][n] += weight
+    return f, g, fa
+
+
+def reference_automaton(patterns, alphabet) -> dict:
+    """The pattern automaton by its definition: the state after an input
+    is the longest suffix of that input which is a prefix of a pattern.
+    Maps each state word to its successor state words, one per symbol
+    in alphabet order, and the sorted indices of the patterns that are
+    its suffixes."""
+    patterns = [tuple(w) for w in patterns]
+    # a prefix with a symbol outside the alphabet ends no input
+    prefixes = {w[:i] for w in patterns for i in range(len(w) + 1)
+                if all(a in alphabet for a in w[:i])}
+
+    def state(read):
+        return next(read[i:] for i in range(len(read) + 1) if read[i:] in prefixes)
+
+    return {u: ([state(u + (a,)) for a in alphabet],
+                tuple(k for k, w in enumerate(patterns) if u[len(u) - len(w):] == w))
+            for u in prefixes}
+
+
+def reference_transfer_tables(spec: ShiftSpec, max_n: int, suffixes=()):
+    """The f, g and fa count tables by the transfer pass over the states
+    of the last k symbols (k = p - 1, more when a tracked suffix is
+    longer than p): each state's moves are read by suffix tests of
+    state + symbol against every forbidden, repeated and tracked word."""
+    ends = tuple(dict.fromkeys(spec.repeated_words + tuple(map(tuple, suffixes))))
+    k = max([spec.p] + [len(r) for r in ends]) - 1
+
+    def ends_with(w, x):
+        return len(x) <= len(w) and w[len(w) - len(x):] == x
+
+    def moves(state):
+        out = []
+        for sym in spec.alphabet:
+            w = state + (sym,)
+            factor = 1
+            for r, m in spec.repeated:
+                if ends_with(w, r):
+                    factor *= m
+            bad = next((a for a in spec.forbidden if ends_with(w, a)), None)
+            out.append((w[-k:], factor, bad, tuple(r for r in ends if ends_with(w, r))))
+        return out
+
+    f = [1] + [0] * max_n
+    g = {r: [0] * (max_n + 1) for r in ends}
+    fa = {a: [0] * (max_n + 1) for a in spec.forbidden}
+    discount = {a: 1 for a in spec.forbidden}
+    for a in spec.forbidden:
+        for r, m in spec.repeated:
+            discount[a] *= m ** occurrences(a, r)
+    cache = {}
+    layer = {(): 1}
+    for n in range(1, max_n + 1):
+        nxt = {}
+        for state, weight in layer.items():
+            if state not in cache:
+                cache[state] = moves(state)
+            for to, factor, bad, done in cache[state]:
+                wt = weight * factor
+                if bad is not None:
+                    fa[bad][n] += wt // discount[bad]
+                    continue
+                nxt[to] = nxt.get(to, 0) + wt
+                for r in done:
+                    g[r][n] += wt
+        layer = nxt
+        f[n] = sum(layer.values())
     return f, g, fa
 
 

@@ -4,15 +4,18 @@ import random
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from conftest import brute_tables, brute_weight, leading_multiplicity, small_specs
+from conftest import (brute_tables, brute_weight, family_spec, leading_multiplicity,
+                      random_word, reference_transfer_tables, small_specs)
+from multishift import langmodel
 from multishift.errors import BudgetError, SpecError
-from multishift.fixtures import load_fixture
+from multishift.fixtures import list_fixtures, load_fixture
 from multishift.genfun import solve_generating_functions
-from multishift.measures import Cylinder, escape_report
+from multishift.measures import Cylinder, MeasureContext, escape_report
 from multishift.ratfield import series_coeffs
 from multishift.langmodel import (enumerate_slice, extend_repeated_to_full_length,
                                   language_slices, multiplicity, oracle_tables,
-                                  spec_from_matrix, validate_spec, weighted_count,
+                                  spec_from_matrix, transfer_tables, validate_spec,
+                                  weighted_count,
                                   weighted_count_ending_with,
                                   weighted_count_forbidden_suffix)
 from multishift.spectral import adjacency_matrix
@@ -122,6 +125,23 @@ def test_oracle_tables_match_brute_force():
         assert fa == bfa
 
 
+@pytest.mark.parametrize("name", list_fixtures())
+def test_transfer_tables_equal_the_suffix_keyed_reference_on_fixtures(name):
+    s = load_fixture(name)
+    assert transfer_tables(s, 24) == reference_transfer_tables(s, 24)
+
+
+def test_transfer_tables_equal_the_suffix_keyed_reference_on_family_draws():
+    rng = random.Random(8)
+    for i in range(210):
+        s = family_spec(rng, ("short_forbidden", "unit_repeated", "nonreduced")[i % 3])
+        # tracked words: one longer than p, one that need not be a word of
+        # the spec, and a repeated word tracked twice
+        tracked = (random_word(rng, s.alphabet, s.p + 1, s.p + 2),
+                   random_word(rng, s.alphabet, 1, 3), s.repeated_words[0])
+        assert transfer_tables(s, 24, tracked) == reference_transfer_tables(s, 24, tracked)
+
+
 def test_g_includes_the_word_itself():
     s = spec_counting()
     assert weighted_count_ending_with("000", 3, s) == 2
@@ -152,6 +172,19 @@ def test_counts_cost_polynomial_in_length():
     with pytest.raises(BudgetError, match="4\\^13 strings exceed the budget 16777216"):
         escape_report(load_fixture("sparse_alpha8"),
                       Cylinder.from_edges([(("1",), ("0",), 1)]))
+
+
+def test_extension_refuses_before_walking_when_the_blocks_exceed_the_budget(monkeypatch):
+    # 2^25 blocks: the extension and the block walk share one bound on q**(p - 1)
+    s = validate_spec("01", ["0" * 26], [("1", 2)])
+
+    def no_walk(*args):
+        raise AssertionError("the automaton was built")
+    monkeypatch.setattr(langmodel, "_pattern_states", no_walk)
+    hole = Cylinder.from_edges([(("1",) * 25, ("1",) * 25, 0)])
+    for run in (extend_repeated_to_full_length, MeasureContext, lambda s: escape_report(s, hole)):
+        with pytest.raises(BudgetError, match="2\\^25 strings exceed the budget 16777216"):
+            run(s)
 
 
 def test_extension_published_and_matrix_invariance():

@@ -453,6 +453,8 @@ def test_weighted_escape_transfer_equals_the_per_branch_reference(case, n_max):
     [("0", "0", 1), ("0", "0", 3)],                   # two branches of one block pair
     [("0", "0", 2), ("0", "1", 1), ("1", "0", 1)],    # a loop entering a cycle
     [("0", "1", 1), ("1", "0", 1), ("0", "0", 2)],
+    [("0", "0", 1), ("0", "0", 3), ("0", "0", 1)],    # an edge word that overlaps itself
+    [("0", "0", 2), ("0", "0", 2), ("0", "0", 3), ("0", "0", 2), ("0", "0", 2)],
 ])
 def test_weighted_escape_transfer_on_a_looped_block(edges):
     # block 0 has a loop of three branches

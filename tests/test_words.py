@@ -1,9 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import reference_is_reduced, star
+from conftest import reference_automaton, reference_is_reduced, star
 from multishift import words as W
 
 
@@ -139,3 +139,47 @@ def test_non_terminal_occurrences_vanish_for_reduced_unions():
         for a in fws:
             for r in reps:
                 assert W.non_terminal_occurrences(a, r) == 0
+
+
+def check_automaton(patterns, alphabet):
+    delta, ends = W.automaton(patterns, alphabet)
+    want = reference_automaton(patterns, alphabet)
+    # the shortest input reaching a state is the state's own word
+    label, order = {0: ()}, [0]
+    for s in order:
+        for a, t in zip(alphabet, delta[s]):
+            if t not in label:
+                label[t] = label[s] + (a,)
+                order.append(t)
+    assert len(label) == len(delta) == len(ends)
+    assert set(label.values()) == set(want)
+    for s, u in label.items():
+        assert [label[t] for t in delta[s]] == want[u][0]
+        assert ends[s] == want[u][1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_automaton_matches_its_definition(data):
+    alphabet = data.draw(st.sampled_from(("ab", "abc", "abcd")))
+    # duplicates, nested patterns and a symbol outside the alphabet included
+    patterns = data.draw(st.lists(st.text(alphabet + "z", min_size=1, max_size=5),
+                                  min_size=1, max_size=5))
+    check_automaton(patterns, alphabet)
+
+
+@pytest.mark.parametrize("patterns", [["aa"], ["aba"], ["aaa", "aa"], ["abab", "bab"],
+                                      ["ab", "b", "aab"], ["abcab", "bca", "c"]])
+def test_automaton_on_self_overlapping_patterns(patterns):
+    check_automaton(patterns, "abc")
+
+
+def test_automaton_of_one_pattern_over_tuple_tokens():
+    # the escape hole's form: one word of (tail, head, branch) edges,
+    # read over its own distinct edges
+    x, y = (0, 0, 1), (0, 0, 2)
+    for hole in ([x], [x, x], [x, y, x], [x, y, x, y], [x, x, y, x, x]):
+        edges = list(dict.fromkeys(hole))
+        check_automaton([hole], edges)
+        delta, ends = W.automaton([hole], edges)
+        assert len(delta) == len(hole) + 1 and sum(map(len, ends)) == 1
