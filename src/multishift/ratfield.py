@@ -13,8 +13,9 @@ exact divisions with a remainder check, and every unknown comes out as
 y_i / D over one common denominator D, the determinant of the scaled
 matrix up to sign (Cramer's rule).  So ``M @ M.inverse()`` is the
 identity exactly.  Polynomial gcds and Sturm chains are primitive
-remainder sequences over Z[z], and Sturm bisection takes its signs from
-integer evaluations.
+remainder sequences over Z[z].  Sturm bisection keeps its bracket as
+integer numerators over one denominator l 2^k, and the series in 1/z
+runs over integer coefficients, so both build Fractions only for results.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import NumericError, PoleError, RootBracketError, SingularMatrixError
@@ -557,23 +559,24 @@ def solve_numeric(matrix: Sequence[Sequence], rhs: Sequence) -> list:
 def series_coeffs(f: RatFun, n_max: int) -> list[Fraction]:
     """Coefficients of z**-n, n = 0..n_max, of the expansion at infinity.
 
-    Requires deg(num) <= deg(den); this is exact long division in the
-    variable w = 1/z.
+    Requires deg(num) <= deg(den) = d.  Long division in w = 1/z over the
+    integers: with num = N / c and the monic den = D / e (D's leading
+    coefficient is e), the n-th is X_n / (c e^n), where X_n = N_(d-n) e^n
+    - sum_(j=1..d) D_(d-j) X_(n-j) e^(j-1).
     """
-    if f.is_zero:
-        return [Fraction(0)] * (n_max + 1)
-    dn, dd = f.num.degree, f.den.degree
-    if dn > dd:
+    num, c, den, e = f.num.ints, f.num.den, f.den.ints, f.den.den
+    d = len(den) - 1
+    if len(num) - 1 > d:
         raise NumericError("series in 1/z needs numerator degree <= denominator degree")
-    num_r = [f.num.coeff(dd - k) for k in range(dd + 1)]
-    den_r = [f.den.coeff(dd - k) for k in range(dd + 1)]
-    lead = den_r[0]
+    head = [num[d - n] * e ** n if d - n < len(num) else 0 for n in range(d + 1)]
+    tail = [den[d - j] * e ** (j - 1) for j in range(1, d + 1)]
+    xs: list[int] = []
     out: list[Fraction] = []
-    for k in range(n_max + 1):
-        acc = num_r[k] if k < len(num_r) else Fraction(0)
-        for j in range(1, min(k, dd) + 1):
-            acc -= den_r[j] * out[k - j]
-        out.append(acc / lead)
+    for n in range(n_max + 1):
+        # xs[:-d - 1:-1] is the last d of the X values, newest first
+        x = (head[n] if n <= d else 0) - sum(map(mul, tail, xs[:-d - 1:-1]))
+        xs.append(x)
+        out.append(Fraction(x, c * e ** n))
     return out
 
 
@@ -598,18 +601,14 @@ class RootCertificate(NamedTuple):
         }
 
 
-def _squarefree(p: Poly) -> Poly:
-    g = Poly.gcd(p, p.derivative())
-    return p.exact_div(g) if g.degree > 0 else p
-
-
 def _sturm_chain(g: list[int]) -> list[list[int]]:
     """Sturm chain of a primitive g in Z[z] (degree >= 1) as a primitive
     remainder sequence: g and the primitive part of g', then each next
     element is minus the primitive part of the pseudo-remainder of the
     previous two.  Every element is a positive multiple of the chain
     over Q whose next element is minus the remainder, so every sign
-    sequence is the same."""
+    sequence is the same.  The last element is gcd(g, g') up to a
+    nonzero factor, a constant exactly when g is squarefree."""
     chain = [g, _zprimpart([i * c for i, c in enumerate(g)][1:])]
     while len(chain[-1]) > 1:
         rem = _zprem(chain[-2], chain[-1])
@@ -619,9 +618,10 @@ def _sturm_chain(g: list[int]) -> list[list[int]]:
     return chain
 
 
-def _variations(chain: list[list[int]], x: Fraction) -> int:
-    # v^d p(x) has the sign of p(x), since the denominator v is positive
-    signs = [s > 0 for s in (_zhorner(p, x.numerator, x.denominator) for p in chain) if s]
+def _variations(chain: list[list[int]], u: int, v: int) -> int:
+    """Sign changes of the chain at u/v, v > 0: v^d p(u/v) has the sign of
+    p(u/v), and u/v need not be in lowest terms."""
+    signs = [s > 0 for s in (_zhorner(p, u, v) for p in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -632,69 +632,78 @@ def largest_real_zero(f: RatFun | Poly, lo, hi) -> RootCertificate:
     """Largest real root of the reduced numerator of ``f`` in [lo, hi].
 
     Sturm counting isolates the root; bisection shrinks the bracket to
-    ROOT_WIDTH.  The counts V(a) and V(b) are kept, and once V(a) - V(b)
-    = 1 the bracket (a, b] holds one simple root: each later step reads
-    the sign of g at the midpoint alone, against its sign at b, and
-    takes the bracket that counting would take.  The squarefree
-    numerator and its Sturm chain are kept as primitive integer
-    polynomials, positive multiples of their rational forms, and every
-    sign at a rational point u/v comes from the integer v^d p(u/v).
-    Exact rational hits (including integer roots) are detected and
-    certified in the result.
+    ROOT_WIDTH.  The numerator g is a primitive integer polynomial whose
+    Sturm chain ends in gcd(g, g'); a repeated factor is divided out.  The
+    bracket [a, b] is ua/v, ub/v, v = l 2^k with l the lcm of lo's and hi's
+    denominators; each step doubles all three and splits at (ua + ub) / 2,
+    and the sign at u/v is that of the integer v^deg(g) g(u/v).  The counts
+    V(a) and V(b) are kept, and once V(a) - V(b) = 1 the bracket (a, b]
+    holds one simple root: each later step reads the sign of g at the
+    midpoint alone, against its sign at b, and takes the bracket that
+    counting would take.  Exact rational hits (including integer roots)
+    are certified; only they and the result are built as Fractions.
     """
     g = f.num if isinstance(f, RatFun) else f
     if g.is_zero or g.degree < 1:
         raise RootBracketError("numerator has no roots")
-    g = _zprimpart(list(_squarefree(g).ints))
     a, b = _fr(lo), _fr(hi)
     if a >= b:
         raise ValueError("empty bracket")
+    g = _zprimpart(list(g.ints))
+    chain = _sturm_chain(g)
+    if len(chain[-1]) > 1:
+        common = chain[-1] if chain[-1][-1] > 0 else [-c for c in chain[-1]]
+        g = _zdiv(g, common)
+        chain = _sturm_chain(g)
     exact: Fraction | None = None
     if not _zhorner(g, a.numerator, a.denominator):
         exact = a
         g = _zdiv(g, [-a.numerator, a.denominator])
-    if len(g) < 2:
-        if exact is not None:
+        if len(g) < 2:
             return RootCertificate(float(exact), exact, exact, exact)
-        raise RootBracketError("no real root in bracket")
-    chain = _sturm_chain(g)
+        chain = _sturm_chain(g)
+    v = math.lcm(a.denominator, b.denominator)
+    ua, ub = a.numerator * (v // a.denominator), b.numerator * (v // b.denominator)
     # the counts at a and b are kept until they move or the chain is replaced
-    va, vb = _variations(chain, a), _variations(chain, b)
+    va, vb = _variations(chain, ua, v), _variations(chain, ub, v)
     if va - vb == 0:
         if exact is not None:
             return RootCertificate(float(exact), exact, exact, exact)
         raise RootBracketError(f"no real root in ({a}, {b}]")
-    gb = _zhorner(g, b.numerator, b.denominator)
-    while b - a > ROOT_WIDTH:
-        mid = (a + b) / 2
-        gm = _zhorner(g, mid.numerator, mid.denominator)
+    gb = _zhorner(g, ub, v)
+    while (ub - ua) * ROOT_WIDTH.denominator > ROOT_WIDTH.numerator * v:
+        ua, ub, v = ua << 1, ub << 1, v << 1
+        m = (ua + ub) >> 1
+        gm = _zhorner(g, m, v)
         if not gm:
             # exact hit: keep it unless a larger root remains to the right
+            mid = Fraction(m, v)
             quot = _zdiv(g, [-mid.numerator, mid.denominator])
             if len(quot) > 1:
                 chain2 = _sturm_chain(quot)
-                vb2 = _variations(chain2, b)
-                if (vm := _variations(chain2, mid)) - vb2 > 0:
-                    g, chain, a, va, vb = quot, chain2, mid, vm, vb2
-                    gb = _zhorner(g, b.numerator, b.denominator)
+                vb2 = _variations(chain2, ub, v)
+                if (vm := _variations(chain2, m, v)) - vb2 > 0:
+                    g, chain, ua, va, vb = quot, chain2, m, vm, vb2
+                    gb = _zhorner(g, ub, v)
                     continue
             return RootCertificate(float(mid), mid, mid, mid)
         if va - vb == 1:
             # one simple root in (a, b]: it is right of mid iff g changes
             # sign on (mid, b] or sits at b
             if not gb or (gm > 0) != (gb > 0):
-                a = mid
+                ua = m
             else:
-                b, gb = mid, gm
+                ub, gb = m, gm
             continue
-        vm = _variations(chain, mid)
+        vm = _variations(chain, m, v)
         if vm - vb > 0:
-            a, va = mid, vm
+            ua, va = m, vm
         else:
-            b, vb, gb = mid, vm, gm
+            ub, vb, gb = m, vm, gm
     # integer (or bracket-endpoint) exactness inside the final interval
-    k = Fraction(math.floor(b))
-    if a < k <= b and not _zhorner(g, k.numerator, 1):
+    k = ub // v
+    if ua < k * v and not _zhorner(g, k, 1):
+        k = Fraction(k)
         return RootCertificate(float(k), k, k, k)
-    mid = (a + b) / 2
-    return RootCertificate(float(mid), a, b, None)
+    mid = Fraction(ua + ub, 2 * v)
+    return RootCertificate(float(mid), Fraction(ua, v), Fraction(ub, v), None)

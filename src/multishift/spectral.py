@@ -324,13 +324,15 @@ class PerronResult(NamedTuple):
 
 def _combinatorial_root(an: Analysis, mat: AdjMatrix) -> RootCertificate:
     # the root never exceeds the maximal row sum of a non-negative matrix
-    lo, hi = Fraction(1), Fraction(mat.max_row_sum + 1)
-    if an.correction is not None:
-        return largest_real_zero(RatFun.x() - RatFun(an.spec.q) + an.correction, lo, hi)
+    hi = mat.max_row_sum + 1
+    if (r := an.correction) is not None:
+        # R is canonical, so (z - q) den + num is already the reduced
+        # numerator of z - q + R: it shares no factor with den
+        return largest_real_zero(Poly._of([-an.spec.q, 1]) * r.den + r.num, 1, hi)
     f = an.solution.all_words
     if f.den.degree < 1:
         raise NumericError("counting series has no pole; nothing to certify")
-    return largest_real_zero(RatFun(f.den), lo, hi)
+    return largest_real_zero(f.den, 1, hi)
 
 
 def perron_root(source: ShiftSpec | Analysis, allow_reducible: bool = False) -> PerronResult:

@@ -107,17 +107,16 @@ def run_verification(spec: ShiftSpec, max_n: int = 10, budget: int = DEFAULT_BUD
     an = spectral.Analysis(spec, allow_reducible)
     sol = an.solution
     fs = series_coeffs(sol.all_words, max_n)
+    # Fraction == int compares exactly, so the integer tables are read as they are
     checks.append(CheckResult(
-        "series_vs_oracle_all_words", fs == [Fraction(x) for x in f],
+        "series_vs_oracle_all_words", fs == f,
         "" if fs == f else f"series {fs[:6]}... oracle {f[:6]}..."))
     for r, fun in sol.ending_with:
         got = series_coeffs(fun, max_n)
-        want = [Fraction(x) for x in g[r]]
-        checks.append(CheckResult(f"series_vs_oracle_suffix[{''.join(r)}]", got == want))
+        checks.append(CheckResult(f"series_vs_oracle_suffix[{''.join(r)}]", got == g[r]))
     for a, fun in sol.forbidden_tail:
         got = series_coeffs(fun, max_n)
-        want = [Fraction(x) for x in fa[a]]
-        checks.append(CheckResult(f"series_vs_oracle_forbidden_tail[{''.join(a)}]", got == want))
+        checks.append(CheckResult(f"series_vs_oracle_forbidden_tail[{''.join(a)}]", got == fa[a]))
 
     checks.extend(_recurrence_checks(spec, f, g, fa, max_n))
 

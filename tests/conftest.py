@@ -596,6 +596,27 @@ def reference_largest_real_zero(f, lo, hi) -> RootCertificate:
     return RootCertificate(float(mid), a, b, None)
 
 
+def reference_series_coeffs(f: RatFun, n_max: int) -> list[Fraction]:
+    """Coefficients of z**-n, n = 0..n_max, of a proper f by Fraction
+    long division in w = 1/z: each coefficient is the numerator's, less
+    the denominator's tail against the coefficients already found."""
+    if f.is_zero:
+        return [Fraction(0)] * (n_max + 1)
+    dn, dd = f.num.degree, f.den.degree
+    if dn > dd:
+        raise NumericError("series in 1/z needs numerator degree <= denominator degree")
+    num_r = [f.num.coeff(dd - k) for k in range(dd + 1)]
+    den_r = [f.den.coeff(dd - k) for k in range(dd + 1)]
+    lead = den_r[0]
+    out: list[Fraction] = []
+    for k in range(n_max + 1):
+        acc = num_r[k] if k < len(num_r) else Fraction(0)
+        for j in range(1, min(k, dd) + 1):
+            acc -= den_r[j] * out[k - j]
+        out.append(acc / lead)
+    return out
+
+
 def correlation_coeffs(u, v, alpha: int | None = None) -> tuple[int, ...]:
     """Ascending 0/1 coefficients of the sum of z^(t-1) over the overlap
     lengths t <= alpha (default |u|) of (u, v); () when there is none."""

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (FractionPoly, _reference_squarefree, matmul, reference_gcd, reference_lcm,
-                      reference_largest_real_zero, reference_solve, reference_sturm_chain,
-                      row_sums)
+                      reference_largest_real_zero, reference_series_coeffs, reference_solve,
+                      reference_sturm_chain, row_sums)
 from multishift import ratfield, spectral
 from multishift.errors import NumericError, PoleError, RootBracketError, SingularMatrixError
 from multishift.fixtures import list_fixtures, load_fixture
+from multishift.genfun import solve_generating_functions
 from multishift.ratfield import (Poly, RatFun, RatMat, _sturm_chain, _zdiv, _zprimpart,
                                  largest_real_zero, series_coeffs, solve_numeric)
 
@@ -242,6 +243,43 @@ def test_series_rejects_improper():
         series_coeffs(RatFun(Z ** 2, Z - Poly.one()), 3)
 
 
+small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def proper_ratfuns(draw):
+    """Proper rational functions with rational coefficients: the monic
+    denominator is often over an integer den > 1, the numerator may be
+    zero or of the denominator's degree, which may be 0."""
+    den = draw(st.lists(small_rationals, min_size=1, max_size=5).filter(lambda cs: cs[-1]))
+    num = draw(st.lists(small_rationals, max_size=len(den)))
+    return RatFun(Poly(num), Poly(den))
+
+
+@settings(max_examples=300, deadline=None)
+@given(proper_ratfuns(), st.integers(0, 30))
+# a monic denominator over 2 and over 6, with deg num = deg den
+@example(RatFun(Poly((1,)), Poly((1, 2))), 30)
+@example(RatFun(Poly((Fraction(1, 2), 0, 3)), Poly((3, -1, 2))), 30)
+@example(RatFun(Poly((-5, Fraction(7, 3), 1)), Poly((Fraction(1, 2), Fraction(1, 3), 3))), 0)
+# a zero numerator, and constant denominators
+@example(RatFun.zero(), 30)
+@example(RatFun(Poly((Fraction(5, 3),)), Poly((Fraction(7, 2),))), 30)
+@example(RatFun(Poly((Fraction(5, 3),)), Poly((Fraction(7, 2),))), 0)
+def test_series_equals_the_fraction_long_division(f, n_max):
+    got = series_coeffs(f, n_max)
+    assert got == reference_series_coeffs(f, n_max)
+    assert len(got) == n_max + 1 and all(type(c) is Fraction for c in got)
+
+
+def test_series_equals_the_fraction_long_division_on_every_fixture():
+    for name in list_fixtures():
+        sol = solve_generating_functions(load_fixture(name))
+        funs = [sol.all_words] + [f for _, f in sol.ending_with + sol.forbidden_tail]
+        for f in funs:
+            assert series_coeffs(f, 40) == reference_series_coeffs(f, 40), name
+
+
 def test_largest_real_zero_exact_integer():
     cert = largest_real_zero(RatFun(Z - Poly.constant(2)), 1, 3)
     assert cert.exact == 2 and cert.value == 2.0
@@ -382,9 +420,11 @@ def test_isolation_equals_the_reference_on_every_fixture(monkeypatch):
     isolated = []
 
     def checked(f, lo, hi):
+        # the spectral stage hands over the numerator itself, not a RatFun
+        assert isinstance(f, Poly)
         cert = largest_real_zero(f, lo, hi)
         assert cert == reference_largest_real_zero(f, lo, hi)
-        g = _reference_squarefree(f.num)
+        g = _reference_squarefree(f)
         assert_positive_multiples(_sturm_chain(primitive(g)), reference_sturm_chain(g))
         isolated.append(cert)
         return cert
@@ -396,12 +436,13 @@ def test_isolation_equals_the_reference_on_every_fixture(monkeypatch):
 
 
 def _count_points(monkeypatch):
-    """Wrap ratfield._variations; the list records (chain, point) per count."""
+    """Wrap ratfield._variations; the list records (chain, point) per
+    count, the point u/v as a Fraction."""
     counted = []
 
-    def recorded(chain, x):
-        counted.append((tuple(map(tuple, chain)), x))
-        return variations(chain, x)
+    def recorded(chain, u, v):
+        counted.append((tuple(map(tuple, chain)), Fraction(u, v)))
+        return variations(chain, u, v)
 
     variations = ratfield._variations
     monkeypatch.setattr(ratfield, "_variations", recorded)
@@ -440,6 +481,16 @@ def test_isolation_counts_only_until_the_root_is_isolated(monkeypatch):
     p = (Z - Poly.constant(Fraction(3, 2))) * (Z ** 2 - Poly.constant(3))
     assert largest_real_zero(p, 1, 3) == reference_largest_real_zero(p, 1, 3)
     assert [x for _, x in counted] == [1, 3, 2, 2, Fraction(3, 2)]
+
+
+def test_a_repeated_factor_is_divided_out_with_its_sign_made_positive(monkeypatch):
+    # the remainder sequence of g ends in 2 - z, a negative multiple of
+    # the repeated factor z - 2; the squarefree quotient keeps g's sign
+    counted = _count_points(monkeypatch)
+    p = (Z - Poly.constant(2)) ** 2 * Poly((-3, -3, -3, 1))
+    assert _sturm_chain(primitive(p))[-1] == [2, -1]
+    assert largest_real_zero(p, 1, 5) == reference_largest_real_zero(p, 1, 5)
+    assert_positive_multiples([list(counted[0][0][0])], [_reference_squarefree(p)])
 
 
 @settings(max_examples=200, deadline=None)

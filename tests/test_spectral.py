@@ -16,7 +16,7 @@ from multishift.fixtures import list_fixtures, load_fixture
 from multishift.langmodel import (extend_repeated_to_full_length, multiplicity, oracle_tables,
                                   spec_from_matrix, validate_spec)
 from multishift.measures import Cylinder, escape_report
-from multishift.ratfield import solve_numeric
+from multishift.ratfield import RatFun, solve_numeric
 from multishift.spectral import (AdjMatrix, adjacency_matrix, agree, eigen_residuals,
                                  eigenvector_normalization, entropy, is_irreducible,
                                  multiplicity_one_witness,
@@ -101,6 +101,27 @@ def test_perron_root_matrix_input_and_reducible():
     # the one-block matrix (4) as a spec: every pair but 00 forbidden
     one = perron_root(validate_spec("01", ["01", "10", "11"], [("000", 4)]))
     assert one.exact == 4
+
+
+def test_gcd_free_numerator_keeps_the_root():
+    # the root stage isolates (z - q) den + num with no RatFun sum; the
+    # canonical sum z - q + R, and the RatFun of the counting series' den,
+    # give the same certificate
+    rng = random.Random(41)
+    draws = []
+    while len(draws) < 200:
+        s = family_spec(rng, FAMILIES[len(draws) % 2])
+        if s.union_reduced:
+            draws.append(s)
+    for s in [load_fixture(name) for name in list_fixtures()] + draws:
+        an = spectral.Analysis(s, allow_reducible=True)
+        hi = an.matrix.max_row_sum + 1
+        if an.correction is not None:
+            ref = RatFun.x() - RatFun(s.q) + an.correction
+        else:
+            ref = RatFun(an.solution.all_words.den)
+        assert spectral._combinatorial_root(an, an.matrix) == \
+            ratfield.largest_real_zero(ref, 1, hi), s
 
 
 @pytest.mark.parametrize("entries, theta", [
