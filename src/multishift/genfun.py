@@ -8,14 +8,17 @@ correlations and embedded-occurrence weights, which for a reduced union
 are the plain correlations and weight 1, so there the lower-right block
 of the bordered matrix is the core correlation matrix.
 
-:func:`system_rows` builds the bordered matrix once as polynomial rows,
-which :func:`build_system` wraps and keeps; :attr:`GenFunSystem.core`
-reads its core, :func:`constraint_correction` solves that core once for
-the correction R, :func:`conjugate_rows` rescales it once per system
-(:attr:`GenFunSystem.conjugate`), and
-:func:`solve_generating_functions` solves the system and asserts that
-the closed forms for F from the core and from its conjugate reproduce
-it.  ``spectral.Analysis`` keeps each of these as a stage.
+Every entry is a polynomial in z (a correlation polynomial times a
+constant), so the system is held once, as one labelled polynomial
+matrix: :func:`system_rows` builds its rows and :func:`build_system`
+labels them, for a spec and for its extension alike.
+:attr:`GenFunSystem.core` reads the core of that matrix,
+:func:`constraint_correction` solves the core once for the correction
+R, :func:`conjugate_rows` rescales it once per system
+(:attr:`GenFunSystem.conjugate`), and :func:`solve_generating_functions`
+solves the system and asserts that the closed forms for F from the core
+and from its conjugate reproduce it.  ``spectral.Analysis`` keeps each
+of these as a stage.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import NamedTuple
 from . import words as W
 from .errors import NumericError, SpecError
 from .langmodel import ShiftSpec
-from .ratfield import Poly, RatFun, RatMat
+from .ratfield import Poly, RatFun, RatMat, quotient_json
 from .words import Word
 
 
@@ -55,7 +58,7 @@ def correlation_matrix(spec: ShiftSpec) -> RatMat:
 
 
 def conjugate_rows(rows) -> list[list[Poly]]:
-    """D^-1 P^T D of the core P of the bordered rows of a reduced
+    """D^-1 P^T D of the core P of the bordered matrix rows of a reduced
     system, entrywise.  D is diagonal with c_i z: c_i = 1 - 1/m_i over
     repeated rows and -1 over forbidden rows, minus the top row after
     the corner.  So entry (i, j) is P_ji scaled by the constant c_j / c_i."""
@@ -66,19 +69,18 @@ def conjugate_rows(rows) -> list[list[Poly]]:
 
 def conjugate_correlation_matrix(system: GenFunSystem) -> RatMat:
     """The conjugate core of a reduced system (:func:`conjugate_rows`)."""
-    labels = system.labels[1:]
-    return RatMat.from_rows(conjugate_rows(system.rows), labels, labels)
+    labels = system.matrix.row_labels[1:]
+    return RatMat.from_rows(conjugate_rows(system.matrix.entries), labels, labels)
 
 
 class GenFunSystem:
-    """Coefficient matrix, right-hand side (z, 0, ..., 0), unknown labels,
-    mode ("reduced" or "non_reduced") and the polynomial rows of the
-    matrix.  Immutable; the core and its conjugate are cached on first
-    use."""
+    """Bordered polynomial coefficient matrix, labelled by the unknowns,
+    right-hand side (z, 0, ..., 0) and mode ("reduced" or
+    "non_reduced").  Immutable; the core and its conjugate are cached on
+    first use."""
 
-    def __init__(self, matrix: RatMat, rhs: tuple[RatFun, ...], labels: tuple[str, ...],
-                 mode: str, rows: tuple[tuple[Poly, ...], ...]):
-        vars(self).update(matrix=matrix, rhs=rhs, labels=labels, mode=mode, rows=rows)
+    def __init__(self, matrix: RatMat, rhs: tuple[Poly, ...], mode: str):
+        vars(self).update(matrix=matrix, rhs=rhs, mode=mode)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -86,9 +88,9 @@ class GenFunSystem:
     def to_json(self) -> dict:
         return {
             "mode": self.mode,
-            "labels": list(self.labels),
+            "labels": list(self.matrix.row_labels),
             "matrix": self.matrix.to_json(),
-            "rhs": [e.to_json() for e in self.rhs],
+            "rhs": [quotient_json(e) for e in self.rhs],
         }
 
     @cached_property
@@ -98,7 +100,7 @@ class GenFunSystem:
         if self.mode != "reduced":
             raise SpecError("the reduced counting system requires a reduced union "
                             "of forbidden and repeated words")
-        labels = self.labels[1:]
+        labels = self.matrix.row_labels[1:]
         return RatMat.from_rows([row[1:] for row in self.matrix.entries[1:]],
                                 labels, labels)
 
@@ -171,19 +173,13 @@ def system_rows(spec: ShiftSpec) -> tuple[tuple[Poly, ...], ...]:
     return tuple(rows)
 
 
-def system_matrix(spec: ShiftSpec, rows: tuple[tuple[Poly, ...], ...]) -> RatMat:
-    """The bordered rows of :func:`system_rows` as a labelled matrix."""
-    labels = ("F",) + _labels(spec)
-    return RatMat.from_rows(rows, labels, labels)
-
-
 def build_system(spec: ShiftSpec) -> GenFunSystem:
-    """Assemble the counting system in the mode the spec calls for."""
-    rows = system_rows(spec)
-    matrix = system_matrix(spec, rows)
-    rhs = (RatFun.x(),) + tuple(RatFun.zero() for _ in range(matrix.nrows - 1))
-    return GenFunSystem(matrix, rhs, matrix.row_labels,
-                        "reduced" if spec.union_reduced else "non_reduced", rows)
+    """The counting system in the mode the spec calls for: the rows of
+    :func:`system_rows` as a labelled matrix."""
+    labels = ("F",) + _labels(spec)
+    matrix = RatMat.from_rows(system_rows(spec), labels, labels)
+    rhs = (Poly.x(),) + (Poly.zero(),) * (matrix.nrows - 1)
+    return GenFunSystem(matrix, rhs, "reduced" if spec.union_reduced else "non_reduced")
 
 
 class GenFunSolution(NamedTuple):
@@ -214,7 +210,7 @@ def constraint_correction(spec: ShiftSpec, core: RatMat) -> RatFun:
     weighted row sums x = C^-1 1 of the inverted core.  One solve by
     Cramer gives x_i = y_i / D over one common denominator, so R is the
     single quotient z * sum_i w_i y_i / D; zero for empty collections."""
-    ys, det = core.cramer([RatFun.one()] * core.nrows)
+    ys, det = core.cramer([Poly.one()] * core.nrows)
     num = Poly.zero()
     for (_, w), y in zip(targets(spec), ys):
         num = num + y * w

@@ -131,8 +131,12 @@ def multiplicity(w: Sequence[str], spec: ShiftSpec) -> int:
 
 def check_budget(n: int, spec: ShiftSpec, budget: int) -> None:
     """Refuse a length-n count when the q**n strings of length n exceed
-    the budget; the empty word (n = 0) needs no walk and never does."""
-    if n >= 1 and spec.q ** n > budget:
+    the budget; the empty word (n = 0) needs no walk and never does, and
+    an infinite budget refuses nothing.  Since q >= 2, q**k already
+    exceeds a finite budget at k = its bit length plus one, so no power
+    beyond that is built."""
+    if n >= 1 and budget < math.inf and \
+            spec.q ** min(n, max(budget, 1).bit_length() + 1) > budget:
         raise BudgetError(f"{spec.q}^{n} strings exceed the budget {budget}")
 
 

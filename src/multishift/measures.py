@@ -502,6 +502,15 @@ def escape_report(source: ShiftSpec | Analysis, hole: Cylinder, n_max: int = 12,
         raise SpecError("the hole needs at least one edge")
     edges = list(dict.fromkeys(hole_seq))
     delta, ends = W.automaton([hole_seq], edges)
+    theta = an.root.theta
+    wword = hole.word()
+    weight = multiplicity(wword, spec)
+    keep = [(r, m) for r, m in spec.repeated if r != wword]
+    tau_spec = validate_spec(spec.alphabet, list(spec.forbidden) + [wword], keep)
+    p = spec.p
+    # checked before counting; the refusal names the first length over the budget
+    for n in range(p, p + n_max):
+        check_budget(n, tau_spec, budget)
 
     # per block: the hole edges leaving it as (column, target), and the pairs
     # (j, number of branches to j outside the hole), which all reset the match
@@ -530,17 +539,7 @@ def escape_report(source: ShiftSpec | Analysis, hole: Cylinder, n_max: int = 12,
     if n_max >= 2 and counts[-2] > 0 and counts[-1] > 0:
         survivor = math.log(counts[-1] / counts[-2])
 
-    theta = an.root.theta
     rate = None if survivor is None else math.log(theta) - survivor
-
-    wword = hole.word()
-    weight = multiplicity(wword, spec)
-    keep = [(r, m) for r, m in spec.repeated if r != wword]
-    tau_spec = validate_spec(spec.alphabet, list(spec.forbidden) + [wword], keep)
-    p = spec.p
-    # the refusal names the first length over the budget
-    for n in range(p, p + n_max):
-        check_budget(n, tau_spec, budget)
     tau = tuple(transfer_tables(tau_spec, p + n_max - 1)[0][p:])
     tau_rate = match = None
     if len(tau) >= 2 and tau[-2] > 0 and tau[-1] > 0:

@@ -1,26 +1,27 @@
 """Exact algebra substrate: polynomials over the rationals, canonical
-rational functions, matrices over the rational-function field, power
-series in 1/z, and certified real-root isolation.
+rational functions, polynomial matrices solved over the rational-function
+field, power series in 1/z, and certified real-root isolation.
 
 All symbolic computation is exact; floats only appear when a caller
 evaluates at a float point.  A polynomial is integer coefficients over
 one positive denominator in lowest terms, so its arithmetic, gcds and
 Sturm chains all run over Z[z] on integer coefficient lists, and an
 exact evaluation at u/v is one homogeneous Horner sum over the
-integers, divided once.  Linear solves scale each row to integer
-polynomial entries; Bareiss elimination and the back substitution use
-exact divisions with a remainder check, and every unknown comes out as
-y_i / D over one common denominator D, the determinant of the scaled
-matrix up to sign (Cramer's rule).  So ``M @ M.inverse()`` is the
-identity exactly.  Polynomial gcds and Sturm chains are primitive
-remainder sequences over Z[z].  Sturm bisection keeps its bracket as
-integer numerators over one denominator l 2^k, and the series in 1/z
-runs over integer coefficients, so both build Fractions only for results.
+integers, divided once.  A matrix holds polynomial entries, as the
+counting systems do; a linear solve scales each row by the lcm of its
+entries' denominators into Z[z], Bareiss elimination and the back
+substitution use exact divisions with a remainder check, and every
+unknown comes out as the rational function y_i / D over one common
+denominator D, the determinant of the scaled matrix up to sign
+(Cramer's rule).  So ``M`` times ``M.inverse()`` is the identity
+exactly.  Polynomial gcds and Sturm chains are primitive remainder
+sequences over Z[z].  Sturm bisection keeps its bracket as integer
+numerators over one denominator l 2^k, and the series in 1/z runs over
+integer coefficients, so both build Fractions only for results.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from operator import mul
@@ -169,9 +170,6 @@ class Poly:
         q = _zdiv([c // ga for c in self.ints], [c // gb for c in other.ints])
         return Poly._of([c * ga * other.den for c in q], self.den * gb)
 
-    def monic(self) -> "Poly":
-        return Poly._of(list(self.ints), self.ints[-1]) if self.ints else self
-
     @staticmethod
     def gcd(a: "Poly", b: "Poly") -> "Poly":
         """Monic gcd (zero only for two zeros), by the primitive remainder
@@ -184,12 +182,6 @@ class Poly:
                 return Poly.one()
             x, y = y, _zprimpart(_zprem(x, y))
         return Poly._of(x, x[-1]) if x else Poly.zero()
-
-    @staticmethod
-    def lcm(a: "Poly", b: "Poly") -> "Poly":
-        if a.is_zero or b.is_zero:
-            return Poly.zero()
-        return (a * b).exact_div(Poly.gcd(a, b)).monic()
 
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]
@@ -244,10 +236,6 @@ class RatFun:
     @classmethod
     def zero(cls) -> "RatFun":
         return cls(Poly.zero())
-
-    @classmethod
-    def one(cls) -> "RatFun":
-        return cls(Poly.one())
 
     @classmethod
     def x(cls) -> "RatFun":
@@ -326,10 +314,10 @@ class RatFun:
 
 
 class RatMat:
-    """Rectangular matrix of rational functions with optional index labels.
+    """Rectangular matrix of polynomials with optional index labels.
     Immutable; build it through :meth:`from_rows`."""
 
-    def __init__(self, entries: tuple[tuple[RatFun, ...], ...],
+    def __init__(self, entries: tuple[tuple[Poly, ...], ...],
                  row_labels: tuple[str, ...] = (), col_labels: tuple[str, ...] = ()):
         vars(self).update(entries=entries, row_labels=row_labels, col_labels=col_labels)
 
@@ -337,61 +325,50 @@ class RatMat:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], row_labels=(), col_labels=()) -> "RatMat":
-        ent = tuple(tuple(RatFun._coerce(e) for e in row) for row in rows)
+    def from_rows(cls, rows: Sequence[Sequence[Poly]], row_labels=(), col_labels=()) -> "RatMat":
+        ent = tuple(map(tuple, rows))
         widths = {len(r) for r in ent}
         if len(widths) > 1:
             raise ValueError("ragged matrix")
         return cls(ent, tuple(row_labels), tuple(col_labels))
 
-    @classmethod
-    def identity(cls, n: int) -> "RatMat":
-        return cls.from_rows([[RatFun.one() if i == j else RatFun.zero() for j in range(n)]
-                              for i in range(n)])
-
     @property
     def nrows(self) -> int:
         return len(self.entries)
 
-    def _integer_rows(self, extra: Sequence[Sequence[RatFun]]) -> list[list[list[int]]]:
+    def _integer_rows(self, extra: Sequence[Sequence[Poly]]) -> list[list[list[int]]]:
         """The augmented rows [self | extra] over Z[z]: each row is scaled
-        by the lcm of its denominators, then by the lcm of its polynomials'
-        ``den``.  Entries are ascending integer coefficient lists."""
+        by the lcm of its entries' ``den``.  Entries are ascending integer
+        coefficient lists."""
         rows = []
         for row, ext in zip(self.entries, extra):
             row = list(row) + list(ext)
-            dens = [e.den for e in row if e.den.degree > 0]
-            if dens:
-                d = functools.reduce(Poly.lcm, dens)
-                polys = [e.num * d.exact_div(e.den) for e in row]
-            else:
-                polys = [e.num for e in row]
-            scale = math.lcm(*(p.den for p in polys))
-            rows.append([[c * (scale // p.den) for c in p.ints] for p in polys])
+            scale = math.lcm(*(p.den for p in row))
+            rows.append([[c * (scale // p.den) for c in p.ints] for p in row])
         return rows
 
-    def inverse(self) -> "RatMat":
-        """Exact inverse: one fraction-free solve against the identity."""
-        if any(len(row) != self.nrows for row in self.entries):
-            raise ValueError("inverse of a non-square matrix")
+    def inverse(self) -> list[list[RatFun]]:
+        """Exact inverse, as rows of rational functions: one
+        fraction-free solve against the identity."""
         n = self.nrows
-        if n == 0:
-            return self
-        ys, det = _bareiss_solve(self._integer_rows(RatMat.identity(n).entries))
+        if any(len(row) != n for row in self.entries):
+            raise ValueError("inverse of a non-square matrix")
+        one, zero = Poly.one(), Poly.zero()
+        ident = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        ys, det = _bareiss_solve(self._integer_rows(ident))
         d = Poly._of(det)
-        return RatMat.from_rows([[RatFun(Poly._of(y), d) for y in row] for row in ys],
-                                self.col_labels, self.row_labels)
+        return [[RatFun(Poly._of(y), d) for y in row] for row in ys]
 
-    def cramer(self, rhs: Sequence[RatFun]) -> tuple[list[Poly], Poly]:
+    def cramer(self, rhs: Sequence[Poly]) -> tuple[list[Poly], Poly]:
         """Cramer's rule for self * x = rhs: numerators y in Z[z] and one
         common denominator D, the determinant of the row-scaled matrix up
         to sign, with x_i = y_i / D."""
         if len(rhs) != self.nrows or any(len(row) != self.nrows for row in self.entries):
             raise ValueError("shape mismatch in solve")
-        ys, det = _bareiss_solve(self._integer_rows([[RatFun._coerce(b)] for b in rhs]))
+        ys, det = _bareiss_solve(self._integer_rows([[b] for b in rhs]))
         return [Poly._of(y[0]) for y in ys], Poly._of(det)
 
-    def solve(self, rhs: Sequence[RatFun]) -> list[RatFun]:
+    def solve(self, rhs: Sequence[Poly]) -> list[RatFun]:
         """Solve self * x = rhs exactly: x_i = y_i / D from :meth:`cramer`."""
         ys, det = self.cramer(rhs)
         return [RatFun(y, det) for y in ys]
@@ -400,8 +377,13 @@ class RatMat:
         return {
             "rows": list(self.row_labels),
             "cols": list(self.col_labels),
-            "entries": [[e.to_json() for e in row] for row in self.entries],
+            "entries": [[quotient_json(e) for e in row] for row in self.entries],
         }
+
+
+def quotient_json(p: Poly) -> dict:
+    """A polynomial printed as the rational function p / 1."""
+    return {"num": p.to_json(), "den": ["1"]}
 
 
 def _zmul(a: list[int], b: list[int]) -> list[int]:

@@ -5,12 +5,13 @@ An :class:`Analysis` derives each stage of one spec once, on first use:
 the extended spec, the adjacency matrix, the counting system, the
 constraint correction, the counting series, the Perron root, the
 formula eigenvectors, the normalization report and the entropy.  The
-eigen stages read the extension's core only at the root: its
-polynomial rows, built once per distinct spec, are evaluated there, so
-no symbolic system is built for the extension.  :func:`spectral_report`,
-the measure context, the escape report and the verification suite read
-every stage from one analysis; the public functions below are the same
-stages for callers that need just one.
+eigen stages read the extension's counting system, from the same
+builder as the spec's and built once per distinct spec, only at the
+root: its polynomial core is evaluated there and never solved
+symbolically.  :func:`spectral_report`, the measure context, the
+escape report and the verification suite read every stage from one
+analysis; the public functions below are the same stages for callers
+that need just one.
 
 The Perron root always travels two independent routes: the largest real
 zero of the exact correction function (or the largest real pole of the
@@ -35,7 +36,7 @@ from . import genfun
 from .errors import EmptyShiftError, NumericError, RouteMismatchError, SpecError
 from .langmodel import (ShiftSpec, enumerate_slice,
                         extend_repeated_to_full_length, weighted_count)
-from .ratfield import Poly, RatFun, RootCertificate, largest_real_zero, solve_numeric
+from .ratfield import Poly, RatFun, RatMat, RootCertificate, largest_real_zero, solve_numeric
 from .words import Word
 
 THETA_TOL = 1e-9
@@ -521,14 +522,13 @@ class NormalizationReport(NamedTuple):
         return out
 
 
-def correction_derivative_at(spec: ShiftSpec, rows, theta, r: list, y: list):
+def correction_derivative_at(spec: ShiftSpec, core: RatMat, theta, r: list, y: list):
     """Derivative of the constraint correction R = z w^T P^-1 1 at theta
-    from the core P of bordered polynomial rows, r = P(theta)^-1 1 and
-    y = P(theta)^-T w, without a solve: the product rule and
-    (P^-1)' = -P^-1 P' P^-1 give the bilinear form
-    R'(theta) = w^T r - theta y^T P'(theta) r."""
-    slope = sum(yi * sum(e.derivative()(theta) * rj for e, rj in zip(row[1:], r))
-                for yi, row in zip(y, rows[1:]))
+    from the core P, r = P(theta)^-1 1 and y = P(theta)^-T w, without a
+    solve: the product rule and (P^-1)' = -P^-1 P' P^-1 give the
+    bilinear form R'(theta) = w^T r - theta y^T P'(theta) r."""
+    slope = sum(yi * sum(e.derivative()(theta) * rj for e, rj in zip(row, r))
+                for yi, row in zip(y, core.entries))
     return sum(w * ri for (_, w), ri in zip(genfun.targets(spec), r)) - theta * slope
 
 
@@ -571,14 +571,15 @@ class Analysis:
     """Every derived stage of one spec, each computed once on first use.
 
     A stage first reads the stages it needs.  ``ext``, ``matrix`` and
-    ``system`` read the spec; ``ext_rows`` reads ``ext`` (it is the rows
-    of ``system`` when the extension is the spec); ``correction`` reads
-    the core of ``system``; ``solution`` reads ``system`` and
-    ``correction``; ``root`` reads ``matrix`` and ``correction`` (or
-    ``solution`` for a non-reduced union); ``_core_at_root`` solves the
-    core of ``ext_rows`` twice at ``root``; ``vectors`` read ``matrix``
-    and those solves; ``normalization`` reads ``vectors``, the solves and
-    the core's derivative at the root; ``entropy`` reads ``root``.  A
+    ``system`` read the spec; ``ext_system`` is the counting system of
+    ``ext`` from the same builder (it is ``system`` when the extension is
+    the spec), and is never solved symbolically; ``correction`` reads the
+    core of ``system``; ``solution`` reads ``system`` and ``correction``;
+    ``root`` reads ``matrix`` and ``correction`` (or ``solution`` for a
+    non-reduced union); ``_core_at_root`` solves the core of
+    ``ext_system`` twice at ``root``; ``vectors`` read ``matrix`` and
+    those solves; ``normalization`` reads ``vectors``, the solves and the
+    derivative of that core at the root; ``entropy`` reads ``root``.  A
     failed stage is not cached: reading it again repeats the computation
     and raises again.
     """
@@ -603,10 +604,10 @@ class Analysis:
         return genfun.build_system(self.spec)
 
     @cached_property
-    def ext_rows(self) -> tuple[tuple[Poly, ...], ...]:
-        """The bordered counting matrix of ``ext`` as polynomial rows, built
-        once per distinct spec; the eigen stages evaluate it at the root."""
-        return self.system.rows if self.ext is self.spec else genfun.system_rows(self.ext)
+    def ext_system(self) -> genfun.GenFunSystem:
+        """The counting system of ``ext``, built once per distinct spec;
+        the eigen stages evaluate its core at the root."""
+        return self.system if self.ext is self.spec else genfun.build_system(self.ext)
 
     @cached_property
     def correction(self) -> RatFun | None:
@@ -630,7 +631,7 @@ class Analysis:
         w holds the constants of its conjugate core D^-1 P^T D, with
         D = diag(w z), whose row sums are therefore y / w."""
         theta = self.root.scalar()
-        m = [[e(theta) for e in row[1:]] for row in self.ext_rows[1:]]
+        m = [[e(theta) for e in row] for row in self.ext_system.core.entries]
         return (solve_numeric(m, [1] * len(m)),
                 solve_numeric(list(zip(*m)), [w for _, w in genfun.targets(self.ext)]))
 
@@ -718,7 +719,8 @@ class Analysis:
         """
         vec = self.vectors
         theta = vec.root.scalar()
-        derivative = correction_derivative_at(self.ext, self.ext_rows, theta, *self._core_at_root)
+        derivative = correction_derivative_at(self.ext, self.ext_system.core, theta,
+                                              *self._core_at_root)
         identity = theta ** (self.ext.p - 1) * (1 + derivative)
         ok = agree(vec.dot, identity)
         witness = multiplicity_one_witness(self)

@@ -6,8 +6,8 @@ a hypothesis strategy for small specs, the field-arithmetic
 references that the fraction-free code is checked against (a polynomial
 over Fraction coefficients, and on it the linear solve, the Euclidean
 gcd and the Sturm isolation), the counting rows built entry by entry
-from one correlation scan per pair, the symbolic route to the
-normalization identity, the dense-to-sparse row conversion, the
+from one correlation scan per pair and their printed form, the symbolic
+route to the normalization identity, the dense-to-sparse row conversion, the
 block-graph references (the
 Collatz-Wielandt step with one Fraction per block, the eigenvector
 formulas over every pair of label and target, and the escape transfer
@@ -20,7 +20,7 @@ runs also live here, as references and input builders: the splice of
 two words, the pairwise reducedness check, the leading multiplicity,
 the naive multiplicity matrix, the preimage count of a vertex cylinder,
 the lift of a rational stochastic matrix, and the product and row sums
-of rational-function matrices.
+of matrices over the rational-function field.
 """
 
 from __future__ import annotations
@@ -259,18 +259,18 @@ def lift_rational_stochastic(sm: StochMat) -> AdjMatrix:
     return mat
 
 
-def matmul(a: RatMat, b: RatMat) -> RatMat:
-    """The product of two rational-function matrices, entry by entry."""
-    if any(len(row) != b.nrows for row in a.entries):
+def matmul(a, b) -> list[list[RatFun]]:
+    """The product of two matrices given as rows of polynomials or
+    rational functions, entry by entry, as rows of rational functions."""
+    if any(len(row) != len(b) for row in a):
         raise ValueError("shape mismatch")
-    rows = [[sum((x * y for x, y in zip(row, col)), RatFun.zero()) for col in zip(*b.entries)]
-            for row in a.entries]
-    return RatMat.from_rows(rows, a.row_labels, b.col_labels)
+    return [[sum((RatFun._coerce(x) * y for x, y in zip(row, col)), RatFun.zero())
+             for col in zip(*b)] for row in a]
 
 
-def row_sums(m: RatMat) -> list[RatFun]:
-    """The row sums of a rational-function matrix."""
-    return [sum(row, RatFun.zero()) for row in m.entries]
+def row_sums(rows) -> list[RatFun]:
+    """The row sums of a matrix given as rows of rational functions."""
+    return [sum(row, RatFun.zero()) for row in rows]
 
 
 def random_word(rng: random.Random, alphabet, lo=2, hi=4) -> tuple:
@@ -458,13 +458,6 @@ def reference_gcd(a, b) -> FractionPoly:
     return a.monic()
 
 
-def reference_lcm(a, b) -> FractionPoly:
-    a, b = FractionPoly(a), FractionPoly(b)
-    if a.is_zero or b.is_zero:
-        return FractionPoly()
-    return (a * b).exact_div(reference_gcd(a, b)).monic()
-
-
 def _reference_quotient(num: FractionPoly, den: FractionPoly):
     """num / den in canonical form: coprime, monic denominator, 0 / 1."""
     if num.is_zero:
@@ -483,18 +476,13 @@ def _as_ratfun(num: FractionPoly, den: FractionPoly) -> RatFun:
 
 
 def reference_solve(m: RatMat, columns) -> list[list[RatFun]]:
-    """m^-1 times the right-hand columns (one list of entries per row) by
-    the field route: each row cleared to Q[z] by its denominator lcm, a
+    """m^-1 times the polynomial right-hand columns (one list of entries
+    per row) by the field route: each row taken in Q[z] as it stands, a
     Bareiss forward pass, then back substitution with a canonical
     quotient at every step."""
     n = m.nrows
-    aug = []
-    for row, ext in zip(m.entries, columns):
-        row = list(row) + list(ext)
-        d = ONE
-        for e in row:
-            d = reference_lcm(d, e.den)
-        aug.append([FractionPoly(e.num) * d.exact_div(FractionPoly(e.den)) for e in row])
+    aug = [[FractionPoly(e) for e in list(row) + list(ext)]
+           for row, ext in zip(m.entries, columns)]
     width = len(aug[0]) if aug else 0
     prev = ONE
     for k in range(n):
@@ -661,18 +649,34 @@ def reference_system_rows(spec: ShiftSpec) -> tuple[tuple[Poly, ...], ...]:
     return tuple(rows)
 
 
+def reference_system_json(spec: ShiftSpec, rows) -> dict:
+    """The printed counting system of the rows of
+    :func:`reference_system_rows`: the labels F, then G[r] per repeated
+    word and Fa[a] per forbidden word, and every matrix and right-hand
+    side (z, 0, ..., 0) entry printed as the rational function
+    ``RatFun(e)``."""
+    labels = ["F"] + [f"G[{''.join(r)}]" for r in spec.repeated_words] + \
+        [f"Fa[{''.join(a)}]" for a in spec.forbidden]
+    rhs = [Poly.x()] + [Poly.zero()] * (len(labels) - 1)
+    return {"mode": "reduced" if spec.union_reduced else "non_reduced",
+            "labels": labels,
+            "matrix": {"rows": labels, "cols": labels,
+                       "entries": [[RatFun(e).to_json() for e in row]
+                                   for row in rows]},
+            "rhs": [RatFun(e).to_json() for e in rhs]}
+
+
 def reference_identity(spec: ShiftSpec, theta):
     """theta^(p-1) (1 + R'(theta)) on the extended spec by the symbolic
-    route: the core P of the extension's symbolic system, the quotient
-    rule on every entry, both evaluated at theta, and one solve of the
+    route: the core P of the extension's symbolic system and its
+    entrywise derivative, both evaluated at theta, and one solve of the
     block system [[P, 0], [P', P]] (x, x') = (1, 0), the derivative of
     P x = 1.  Then R = z sum w_i x_i gives R' = sum w_i (x_i + z x_i')."""
     ext = extend_repeated_to_full_length(spec)
     core = build_system(ext).core
     n = core.nrows
     value = [[e(theta) for e in row] for row in core.entries]
-    slope = [[RatFun(e.num.derivative() * e.den - e.num * e.den.derivative(),
-                     e.den * e.den)(theta) for e in row] for row in core.entries]
+    slope = [[e.derivative()(theta) for e in row] for row in core.entries]
     zero = [0 * theta] * n
     block = [row + zero for row in value] + [d + v for d, v in zip(slope, value)]
     xs = solve_numeric(block, [1 + 0 * theta] * n + zero)
@@ -776,21 +780,21 @@ def reference_vectors(an: spectral.Analysis) -> tuple[list, list]:
 
 
 def reference_conjugate_sums(rows, theta) -> list:
-    """The row sums of the conjugate D^-1 P^T D of the core P of bordered
-    polynomial rows at theta: :func:`genfun.conjugate_rows` evaluated
+    """The row sums of the conjugate D^-1 P^T D of the core P of the
+    bordered matrix rows at theta: :func:`genfun.conjugate_rows` evaluated
     there and solved against the ones vector."""
     conj = [[e(theta) for e in row] for row in conjugate_rows(rows)]
     ssums = solve_numeric(conj, [1] * len(conj))
     return ssums
 
 
-def reference_correction_derivative_at(spec: ShiftSpec, rows, theta, m: list, r: list):
-    """Derivative of the constraint correction at theta from the core P
-    of bordered polynomial rows, its value m = P(theta) and the row sums
-    r of m^-1, through one linear solve: r' = -P^{-1} P' r and the
-    product rule on the diagonal weights."""
+def reference_correction_derivative_at(spec: ShiftSpec, core: RatMat, theta, m: list, r: list):
+    """Derivative of the constraint correction at theta from the core P,
+    its value m = P(theta) and the row sums r of m^-1, through one
+    linear solve: r' = -P^{-1} P' r and the product rule on the diagonal
+    weights."""
     n = len(m)
-    md = [[e.derivative()(theta) for e in row[1:]] for row in rows[1:]]
+    md = [[e.derivative()(theta) for e in row] for row in core.entries]
     rhs = [sum(md[i][j] * r[j] for j in range(n)) for i in range(n)]
     rprime = [-x for x in solve_numeric(m, rhs)]
     return sum(w * (r[i] + theta * rprime[i])

@@ -60,13 +60,13 @@ def test_2_exact_eigen_reproduction():
     assert mat.entries == ((1, 1, 0, 0), (0, 0, 0, 1), (3, 1, 0, 0), (0, 0, 1, 1))
 
     p = correlation_matrix(spec)
-    assert p.entries[0][0] == RatFun(Poly([0, 0, 0, Fraction(-1, 3)]))
-    assert p.entries[0][1] == RatFun(Poly([0, 0, -1]))
-    assert p.entries[1][0] == RatFun(Poly([0, Fraction(2, 3)]))
-    assert p.entries[1][1] == RatFun(Poly([0, -1, 0, -1]))
+    assert p.entries[0][0] == Poly([0, 0, 0, Fraction(-1, 3)])
+    assert p.entries[0][1] == Poly([0, 0, -1])
+    assert p.entries[1][0] == Poly([0, Fraction(2, 3)])
+    assert p.entries[1][1] == Poly([0, -1, 0, -1])
     q = conjugate_correlation_matrix(build_system(spec))
-    assert q.entries[0][1] == RatFun(Poly([0, -1]))
-    assert q.entries[1][0] == RatFun(Poly([0, 0, Fraction(2, 3)]))
+    assert q.entries[0][1] == Poly([0, -1])
+    assert q.entries[1][0] == Poly([0, 0, Fraction(2, 3)])
 
     r1, r2 = row_sums(p.inverse())
     assert r1 == RatFun(Poly([-3, 3, -3]), Poly([0, 0, 2, 1, 0, 1]))
@@ -135,15 +135,15 @@ def test_4_nonreduced_system_and_root():
     assert not spec.union_reduced
     system = build_system(spec)
     m = system.matrix
-    assert m.entries[0][0] == RatFun(Z - Poly.constant(2))
-    assert m.entries[0][1] == RatFun(Poly([0, Fraction(-1, 2)]))
-    assert m.entries[0][2] == RatFun(Poly([0, 2]))
-    assert m.entries[1][0] == RatFun(1)
-    assert m.entries[1][1] == RatFun(Poly([0, Fraction(1, 2), Fraction(-1, 2)]))
+    assert m.entries[0][0] == Z - Poly.constant(2)
+    assert m.entries[0][1] == Poly([0, Fraction(-1, 2)])
+    assert m.entries[0][2] == Poly([0, 2])
+    assert m.entries[1][0] == Poly.one()
+    assert m.entries[1][1] == Poly([0, Fraction(1, 2), Fraction(-1, 2)])
     assert m.entries[1][2].is_zero
-    assert m.entries[2][0] == RatFun(1)
-    assert m.entries[2][1] == RatFun(Poly([0, Fraction(1, 2)]))
-    assert m.entries[2][2] == RatFun(Poly([0, 0, 0, -1]))
+    assert m.entries[2][0] == Poly.one()
+    assert m.entries[2][1] == Poly([0, Fraction(1, 2)])
+    assert m.entries[2][2] == Poly([0, 0, 0, -1])
 
     sol = solve_generating_functions(spec)
     root = perron_root(spec, allow_reducible=True)

@@ -6,6 +6,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -322,6 +323,19 @@ def test_exit_code_budget(tmp_path):
     code, _, err = run_cli(["enumerate", "--spec", write_spec(tmp_path, doc),
                             "--max-n", "40", "--budget", "1000"])
     assert code == 3
+
+
+@pytest.mark.parametrize("command, fixture, options", [
+    ("enumerate", "sparse_alpha15", ["--max-n", "1000000000000"]),
+    ("verify", "sparse_alpha15", ["--max-n", "1000000000000"]),
+    ("escape", "counting", ["--word", "00*00#1", "--max-n", "200000"])],
+    ids=["enumerate", "verify", "escape"])
+def test_budget_refuses_before_it_counts(capsys, command, fixture, options):
+    # the refusal builds no power q**n of a huge n and runs no escape count
+    start = time.monotonic()
+    code = main([command, "--spec", str(FIXDIR / f"{fixture}.json"), *options])
+    assert (code, capsys.readouterr().err[:17]) == (3, "budget exceeded: ")
+    assert time.monotonic() - start < 1.0
 
 
 def test_exit_code_io():

@@ -5,8 +5,8 @@ import pytest
 
 from hypothesis import HealthCheck, given, settings
 
-from conftest import (family_spec, random_spec, reference_solve, reference_system_rows,
-                      small_specs)
+from conftest import (family_spec, random_spec, reference_solve, reference_system_json,
+                      reference_system_rows, small_specs)
 from multishift.errors import SpecError
 from multishift.fixtures import list_fixtures, load_fixture
 from multishift.genfun import (build_system, conjugate_correlation_matrix,
@@ -24,18 +24,18 @@ def eigen_spec():
 
 def test_core_matrix_published():
     p = correlation_matrix(eigen_spec())
-    assert p.entries[0][0] == RatFun(Poly([0, 0, 0, Fraction(-1, 3)]))
-    assert p.entries[0][1] == RatFun(Poly([0, 0, -1]))
-    assert p.entries[1][0] == RatFun(Poly([0, Fraction(2, 3)]))
-    assert p.entries[1][1] == RatFun(Poly([0, -1, 0, -1]))
+    assert p.entries[0][0] == Poly([0, 0, 0, Fraction(-1, 3)])
+    assert p.entries[0][1] == Poly([0, 0, -1])
+    assert p.entries[1][0] == Poly([0, Fraction(2, 3)])
+    assert p.entries[1][1] == Poly([0, -1, 0, -1])
 
 
 def test_conjugate_matrix_published():
     q = conjugate_correlation_matrix(build_system(eigen_spec()))
-    assert q.entries[0][0] == RatFun(Poly([0, 0, 0, Fraction(-1, 3)]))
-    assert q.entries[0][1] == RatFun(Poly([0, -1]))
-    assert q.entries[1][0] == RatFun(Poly([0, 0, Fraction(2, 3)]))
-    assert q.entries[1][1] == RatFun(Poly([0, -1, 0, -1]))
+    assert q.entries[0][0] == Poly([0, 0, 0, Fraction(-1, 3)])
+    assert q.entries[0][1] == Poly([0, -1])
+    assert q.entries[1][0] == Poly([0, 0, Fraction(2, 3)])
+    assert q.entries[1][1] == Poly([0, -1, 0, -1])
 
 
 def test_scaling_diagonal():
@@ -45,26 +45,26 @@ def test_scaling_diagonal():
         return [-e for e in build_system(spec).matrix.entries[0][1:]]
 
     d = diagonal(eigen_spec())
-    assert d[0] == RatFun(Poly([0, Fraction(2, 3)]))
-    assert d[1] == RatFun(Poly([0, -1]))
+    assert d[0] == Poly([0, Fraction(2, 3)])
+    assert d[1] == Poly([0, -1])
     d = diagonal(validate_spec("01", ["010"], [("000", 2)]))
-    assert d == [RatFun(Poly([0, Fraction(1, 2)])), RatFun(Poly([0, -1]))]
+    assert d == [Poly([0, Fraction(1, 2)]), Poly([0, -1])]
 
 
 def test_bordered_matrix_shape_and_empty_collections():
     s = validate_spec("01", ["010"], [("000", 2)])
     left = build_system(s).matrix
     assert left.nrows == 3
-    assert left.entries[0][0] == RatFun(Z - Poly.constant(2))
-    assert left.entries[0][1] == RatFun(Poly([0, Fraction(-1, 2)]))
-    assert left.entries[0][2] == RatFun(Z)
-    assert left.entries[1][0] == RatFun(1) and left.entries[2][0] == RatFun(1)
+    assert left.entries[0][0] == Z - Poly.constant(2)
+    assert left.entries[0][1] == Poly([0, Fraction(-1, 2)])
+    assert left.entries[0][2] == Z
+    assert left.entries[1][0] == Poly.one() and left.entries[2][0] == Poly.one()
     # no repeated words: the border reduces to the classical layout
     s2 = validate_spec("01", ["010"], [])
     left2 = build_system(s2).matrix
     assert left2.nrows == 2
-    assert left2.entries[0][1] == RatFun(Z)
-    assert left2.entries[1][1] == RatFun(-(Z * Poly((1, 0, 1))))  # -z (a,a)_z
+    assert left2.entries[0][1] == Z
+    assert left2.entries[1][1] == -(Z * Poly((1, 0, 1)))  # -z (a,a)_z
 
 
 def test_published_nonreduced_system():
@@ -72,15 +72,15 @@ def test_published_nonreduced_system():
     system = build_system(s)
     assert system.mode == "non_reduced"
     m = system.matrix
-    assert m.entries[0][0] == RatFun(Z - Poly.constant(2))
-    assert m.entries[0][1] == RatFun(Poly([0, Fraction(-1, 2)]))
-    assert m.entries[0][2] == RatFun(Poly([0, 2]))
-    assert m.entries[1][0] == RatFun(1)
-    assert m.entries[1][1] == RatFun(Poly([0, Fraction(1, 2), Fraction(-1, 2)]))
+    assert m.entries[0][0] == Z - Poly.constant(2)
+    assert m.entries[0][1] == Poly([0, Fraction(-1, 2)])
+    assert m.entries[0][2] == Poly([0, 2])
+    assert m.entries[1][0] == Poly.one()
+    assert m.entries[1][1] == Poly([0, Fraction(1, 2), Fraction(-1, 2)])
     assert m.entries[1][2].is_zero
-    assert m.entries[2][0] == RatFun(1)
-    assert m.entries[2][1] == RatFun(Poly([0, Fraction(1, 2)]))
-    assert m.entries[2][2] == RatFun(Poly([0, 0, 0, -1]))
+    assert m.entries[2][0] == Poly.one()
+    assert m.entries[2][1] == Poly([0, Fraction(1, 2)])
+    assert m.entries[2][2] == Poly([0, 0, 0, -1])
 
 
 def test_nonreduced_solution_and_pole():
@@ -139,7 +139,7 @@ def test_correction_identity():
 def reference_correction(spec, core):
     """z * sum_i w_i x_i with x = core^-1 1 from the field-route solve."""
     z = RatFun.x()
-    xs = reference_solve(core, [[RatFun.one()]] * core.nrows)
+    xs = reference_solve(core, [[Poly.one()]] * core.nrows)
     out = RatFun.zero()
     for (_, w), (x,) in zip(targets(spec), xs):
         out = out + z * RatFun(w) * x
@@ -178,7 +178,7 @@ def test_common_denominator_is_the_scaled_core_determinant():
 
     for name, system in reduced_cores():
         core = system.core
-        ones = [RatFun.one()] * core.nrows
+        ones = [Poly.one()] * core.nrows
         # the rows Cramer eliminates: each core row scaled into Z[z]
         scaled = [[expr(e) for e in row[:-1]]
                   for row in core._integer_rows([[b] for b in ones])]
@@ -261,11 +261,13 @@ def test_short_forbidden_next_to_long_repeated():
 def assert_rows_equal_the_reference(spec):
     """The indexed rows equal the entry-by-entry builder as ``Poly``
     values, the same integer coefficients over the same denominator,
-    on the spec and on its extension."""
+    on the spec and on its extension; the system prints each entry as
+    the rational function e / 1, the form the genfun report prints."""
     for s in (spec, extend_repeated_to_full_length(spec)):
         rows, ref = system_rows(s), reference_system_rows(s)
         assert [[(e.ints, e.den) for e in row] for row in rows] == \
             [[(e.ints, e.den) for e in row] for row in ref], s
+        assert build_system(s).to_json() == reference_system_json(s, ref), s
 
 
 def test_system_rows_equal_the_reference_on_every_fixture():
@@ -296,3 +298,4 @@ def test_system_rows_with_unit_repeated_words():
         assert_rows_equal_the_reference(spec)
     rows = system_rows(validate_spec("01", ["11"], [("0", 3)]))
     assert rows[1][1] == Poly([0, Fraction(-1, 3)])
+

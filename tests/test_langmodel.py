@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -161,6 +162,23 @@ def test_budget_guard():
     # zero-length counts need no walk, so no budget refuses them
     assert oracle_tables(s, 0, budget=0) == ([1], {}, {})
     assert weighted_count(0, s, budget=0) == 1
+
+
+def test_budget_decision_equals_the_full_power():
+    # the capped power decides as q**n > budget would, with the same message
+    rng = random.Random(24)
+    budgets = [-1, 0, 1, 2, 2 ** 24, math.inf] + \
+        [rng.getrandbits(rng.randint(1, 130)) for _ in range(30)]
+    for q in range(2, 6):
+        s = validate_spec("01234"[:q], [], [])
+        for n in range(81):
+            for budget in budgets:
+                if n >= 1 and q ** n > budget:
+                    with pytest.raises(BudgetError) as err:
+                        langmodel.check_budget(n, s, budget)
+                    assert str(err.value) == f"{q}^{n} strings exceed the budget {budget}"
+                else:
+                    langmodel.check_budget(n, s, budget)
 
 
 def test_counts_cost_polynomial_in_length():

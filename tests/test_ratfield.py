@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import (FractionPoly, _reference_squarefree, matmul, reference_gcd, reference_lcm,
+from conftest import (FractionPoly, _reference_squarefree, matmul, reference_gcd,
                       reference_largest_real_zero, reference_series_coeffs, reference_solve,
                       reference_sturm_chain, row_sums)
 from multishift import ratfield, spectral
@@ -57,8 +57,7 @@ def test_poly_ops_equal_the_fraction_reference(a, b, c, s, k, x):
     assert pa.coeffs == ra.coeffs and pa.to_json() == [str(e) for e in ra.coeffs]
     pairs = [(pa + pb, ra + rb), (pa - pb, ra - rb), (pa * pb, ra * rb),
              (pa * s, ra * s), (s * pa, ra * s), (pa * k, ra * k),
-             (pa.derivative(), ra.derivative()), (pa.monic(), ra.monic()),
-             (Poly.gcd(pa, pb), reference_gcd(ra, rb)), (Poly.lcm(pa, pb), reference_lcm(ra, rb))]
+             (pa.derivative(), ra.derivative()), (Poly.gcd(pa, pb), reference_gcd(ra, rb))]
     if not rc.is_zero:
         pairs.append(((pa * pc).exact_div(pc), (ra * rc).exact_div(rc)))
     for got, want in pairs:
@@ -111,55 +110,54 @@ def test_ratfun_eval_and_pole():
         f(Fraction(2))
 
 
+def identity_rows(n: int, one, zero) -> list[list]:
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
 def test_mat_inverse_exact_random():
     rng = random.Random(42)
+    ident = [identity_rows(n, RatFun(1), RatFun.zero()) for n in range(4)]
     for n in (1, 2, 3):
         for _ in range(5):
-            rows = [[RatFun(Poly([rng.randint(-2, 2) for _ in range(3)]))
+            rows = [[Poly([rng.randint(-2, 2) for _ in range(3)])
                      for _ in range(n)] for _ in range(n)]
             m = RatMat.from_rows(rows)
             try:
                 inv = m.inverse()
             except SingularMatrixError:
                 continue
-            assert matmul(m, inv).entries == RatMat.identity(n).entries
-            assert matmul(inv, m).entries == RatMat.identity(n).entries
+            assert matmul(m.entries, inv) == ident[n]
+            assert matmul(inv, m.entries) == ident[n]
 
 
 def test_mat_inverse_diagonal_and_identity():
-    ident = RatMat.identity(3)
-    assert ident.inverse().entries == ident.entries
-    d = RatMat.from_rows([[RatFun(Z), RatFun(0)], [RatFun(0), RatFun(Z ** 2 + Poly.one())]])
+    ident = RatMat.from_rows(identity_rows(3, Poly.one(), Poly.zero()))
+    assert ident.inverse() == identity_rows(3, RatFun(1), RatFun.zero())
+    d = RatMat.from_rows([[Z, Poly.zero()], [Poly.zero(), Z ** 2 + Poly.one()]])
     inv = d.inverse()
-    assert inv.entries[0][0] == RatFun(Poly.one(), Z)
-    assert inv.entries[1][1] == RatFun(Poly.one(), Z ** 2 + Poly.one())
+    assert inv[0][0] == RatFun(Poly.one(), Z)
+    assert inv[1][1] == RatFun(Poly.one(), Z ** 2 + Poly.one())
 
 
 def test_mat_singular_raises():
-    m = RatMat.from_rows([[RatFun(Z), RatFun(Z)], [RatFun(Z), RatFun(Z)]])
+    m = RatMat.from_rows([[Z, Z], [Z, Z]])
     with pytest.raises(SingularMatrixError):
         m.inverse()
 
 
-def random_entry(rng: random.Random, rational: bool) -> RatFun:
-    """A polynomial of degree < 3 with small Fraction coefficients, over
-    z + c with c in {-1, 0, 1/2, 2} when ``rational``."""
-    num = Poly([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                for _ in range(rng.randint(0, 3))])
-    if not rational:
-        return RatFun(num)
-    return RatFun(num, Poly([rng.choice((-1, 0, Fraction(1, 2), 2)), 1]))
+def random_entry(rng: random.Random) -> Poly:
+    """A polynomial of degree < 3 with small Fraction coefficients."""
+    return Poly([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                 for _ in range(rng.randint(0, 3))])
 
 
-@pytest.mark.parametrize("rational", [False, True], ids=["polynomial", "rational"])
-def test_solve_and_inverse_equal_the_field_reference(rational):
-    rng = random.Random(7 + rational)
+def test_solve_and_inverse_equal_the_field_reference():
+    rng = random.Random(7)
     solved = 0
     for n in range(6):
         for _ in range(3):
-            m = RatMat.from_rows([[random_entry(rng, rational) for _ in range(n)]
-                                  for _ in range(n)])
-            rhs = [random_entry(rng, rational) for _ in range(n)]
+            m = RatMat.from_rows([[random_entry(rng) for _ in range(n)] for _ in range(n)])
+            rhs = [random_entry(rng) for _ in range(n)]
             try:
                 want = reference_solve(m, [[b] for b in rhs])
             except SingularMatrixError:
@@ -170,20 +168,20 @@ def test_solve_and_inverse_equal_the_field_reference(rational):
                 continue
             solved += 1
             assert m.solve(rhs) == [row[0] for row in want]
-            ident = RatMat.identity(n).entries
-            assert m.inverse().entries == tuple(map(tuple, reference_solve(m, ident)))
+            ident = identity_rows(n, Poly.one(), Poly.zero())
+            assert m.inverse() == reference_solve(m, ident)
     assert solved >= 12
 
 
 def test_singular_combinations_raise():
     rng = random.Random(3)
     for n in (2, 3, 5):
-        rows = [[random_entry(rng, True) for _ in range(n)] for _ in range(n - 1)]
-        a, b = random_entry(rng, True), random_entry(rng, False)
+        rows = [[random_entry(rng) for _ in range(n)] for _ in range(n - 1)]
+        a, b = random_entry(rng), random_entry(rng)
         rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
         m = RatMat.from_rows(rows)
-        for attempt in (m.inverse, lambda: m.solve([RatFun.one()] * n),
-                        lambda: m.cramer([RatFun.one()] * n)):
+        for attempt in (m.inverse, lambda: m.solve([Poly.one()] * n),
+                        lambda: m.cramer([Poly.one()] * n)):
             with pytest.raises(SingularMatrixError):
                 attempt()
 
@@ -204,15 +202,15 @@ def test_exact_division_in_z_z():
 def test_row_sums_published_values():
     # core matrix of the worked eigenvector example
     p = RatMat.from_rows([
-        [RatFun(Poly([0, 0, 0, Fraction(-1, 3)])), RatFun(Poly([0, 0, -1]))],
-        [RatFun(Poly([0, Fraction(2, 3)])), RatFun(Poly([0, -1, 0, -1]))],
+        [Poly([0, 0, 0, Fraction(-1, 3)]), Poly([0, 0, -1])],
+        [Poly([0, Fraction(2, 3)]), Poly([0, -1, 0, -1])],
     ])
     r1, r2 = row_sums(p.inverse())
     assert r1 == RatFun(Poly([-3, 3, -3]), Poly([0, 0, 2, 1, 0, 1]))
     assert r2 == RatFun(Poly([-2, 0, -1]), Poly([0, 0, 2, 1, 0, 1]))
     q = RatMat.from_rows([
-        [RatFun(Poly([0, 0, 0, Fraction(-1, 3)])), RatFun(Poly([0, -1]))],
-        [RatFun(Poly([0, 0, Fraction(2, 3)])), RatFun(Poly([0, -1, 0, -1]))],
+        [Poly([0, 0, 0, Fraction(-1, 3)]), Poly([0, -1])],
+        [Poly([0, 0, Fraction(2, 3)]), Poly([0, -1, 0, -1])],
     ])
     s1, s2 = row_sums(q.inverse())
     assert s1 == RatFun(Poly([-3]), Poly([2, 1, 0, 1]))

@@ -333,15 +333,15 @@ def test_transposed_solve_gives_the_conjugate_sums_and_the_derivative():
         if not is_irreducible(an.matrix):
             continue
         weights = [w for _, w in genfun.targets(an.ext)]
-        assert weights == [-e.coeff(1) for e in an.ext_rows[0][1:]], s
+        rows, core = an.ext_system.matrix.entries, an.ext_system.core
+        assert weights == [-e.coeff(1) for e in rows[0][1:]], s
         theta = an.root.scalar()
         r, y = an._core_at_root
-        m = [[e(theta) for e in row[1:]] for row in an.ext_rows[1:]]
-        sums = reference_conjugate_sums(an.ext_rows, theta)
-        slope = reference_correction_derivative_at(an.ext, an.ext_rows, theta, m, r)
+        m = [[e(theta) for e in row] for row in core.entries]
+        sums = reference_conjugate_sums(rows, theta)
+        slope = reference_correction_derivative_at(an.ext, core, theta, m, r)
         if not (all(agree(yi / w, si) for yi, w, si in zip(y, weights, sums))
-                and agree(spectral.correction_derivative_at(an.ext, an.ext_rows, theta, r, y),
-                          slope)):
+                and agree(spectral.correction_derivative_at(an.ext, core, theta, r, y), slope)):
             rounding_bound = _condition_estimate(m) * 2 ** -53
             assert an.root.exact is None and rounding_bound > spectral.THETA_TOL, s
             compared["ill-conditioned"] += 1
@@ -482,34 +482,39 @@ def test_one_analysis_derives_each_stage_once(monkeypatch):
 
 
 def test_one_counting_system_per_distinct_spec(monkeypatch):
-    systems = _count_calls(monkeypatch, genfun, "system_matrix")
-    rows = _count_calls(monkeypatch, genfun, "system_rows")
+    systems = _count_calls(monkeypatch, genfun, "build_system")
     numeric = _count_calls(monkeypatch, spectral, "solve_numeric")
     matrices = _count_calls(monkeypatch, spectral, "adjacency_matrix")
     symbolic = _count_calls(monkeypatch, ratfield.RatMat, "cramer")
 
-    def counts(run):
-        for calls in (systems, rows, symbolic, numeric, matrices):
+    def counts(spec, run):
+        labels = set(genfun.build_system(spec).matrix.row_labels)
+        for calls in (systems, symbolic, numeric, matrices):
             del calls[:]
         run()
-        return len(systems), len(rows), len(symbolic), len(numeric), len(matrices)
+        # every symbolic solve is of the spec's own system, its core or
+        # its conjugate core, never of the extension's
+        assert all(set(m.row_labels) <= labels for m, *_ in symbolic), spec
+        return len(systems), len(symbolic), len(numeric), len(matrices)
 
-    # counting: the extension is the spec, so its rows are the system's;
-    # extension and nonreduced: one symbolic system, and the extended spec
-    # builds only its polynomial rows; nonreduced: no core, one solve of
-    # the system
+    # counting: the extension is the spec, so one system serves both;
+    # extension and nonreduced: the extended spec builds its own system
+    # through the same builder, and only the spec's is solved; nonreduced:
+    # no core, one solve of the system
     counting, extension = load_fixture("counting"), load_fixture("extension")
     assert extend_repeated_to_full_length(counting) is counting
-    assert counts(lambda: spectral.spectral_report(counting)) == (1, 1, 1, 2, 1)
-    assert counts(lambda: spectral.spectral_report(extension)) == (1, 2, 1, 2, 1)
+    assert counts(counting, lambda: spectral.spectral_report(counting)) == (1, 1, 2, 1)
+    assert counts(extension, lambda: spectral.spectral_report(extension)) == (2, 1, 2, 1)
+    ext_labels = genfun.build_system(extend_repeated_to_full_length(extension)).matrix.row_labels
+    assert not set(ext_labels) <= set(genfun.build_system(extension).matrix.row_labels)
     nonreduced = load_fixture("nonreduced")
-    assert counts(lambda: spectral.spectral_report(nonreduced, True)) == (1, 2, 1, 2, 1)
-    assert counts(lambda: run_verification(counting, max_n=6)) == (1, 1, 3, 2, 1)
-    assert counts(lambda: run_verification(extension, max_n=6)) == (1, 2, 3, 2, 1)
-    assert counts(lambda: run_verification(nonreduced, max_n=6,
-                                           allow_reducible=True)) == (1, 1, 1, 0, 1)
+    assert counts(nonreduced, lambda: spectral.spectral_report(nonreduced, True)) == (2, 1, 2, 1)
+    assert counts(counting, lambda: run_verification(counting, max_n=6)) == (1, 3, 2, 1)
+    assert counts(extension, lambda: run_verification(extension, max_n=6)) == (2, 3, 2, 1)
+    assert counts(nonreduced, lambda: run_verification(nonreduced, max_n=6,
+                                                       allow_reducible=True)) == (1, 1, 0, 1)
     hole = Cylinder((("0", "0"), ("0", "0")), (1,))
-    assert counts(lambda: escape_report(counting, hole, 6)) == (1, 1, 1, 0, 1)
+    assert counts(counting, lambda: escape_report(counting, hole, 6)) == (1, 1, 0, 1)
 
 
 def test_analysis_solution_equals_the_standalone_solve():
