@@ -8,8 +8,7 @@ surface; everything else is reached through its own module.
 __version__ = "1.0.0"
 
 from .errors import (BudgetError, EmptyShiftError, MultishiftError, NumericError,
-                     PoleError, RootBracketError, RouteMismatchError,
-                     SingularMatrixError, SpecError)
+                     RootBracketError, RouteMismatchError, SingularMatrixError, SpecError)
 from .langmodel import enumerate_slice, language_slices, spec_from_matrix, validate_spec
 from .genfun import solve_generating_functions
 from .spectral import (Analysis, adjacency_matrix, eigenvector_normalization, entropy,
@@ -25,6 +24,6 @@ __all__ = [
     # the block graph of a spec
     "adjacency_matrix", "is_irreducible",
     # errors
-    "BudgetError", "EmptyShiftError", "MultishiftError", "NumericError", "PoleError",
+    "BudgetError", "EmptyShiftError", "MultishiftError", "NumericError",
     "RootBracketError", "RouteMismatchError", "SingularMatrixError", "SpecError",
 ]

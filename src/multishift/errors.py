@@ -29,10 +29,6 @@ class SingularMatrixError(NumericError):
     """Matrix inversion or linear solve hit a singular matrix."""
 
 
-class PoleError(NumericError):
-    """Exact evaluation of a rational function at one of its poles."""
-
-
 class RootBracketError(NumericError):
     """No real root inside the requested bracket."""
 

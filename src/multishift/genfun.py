@@ -16,9 +16,10 @@ labels them, for a spec and for its extension alike.
 :func:`constraint_correction` solves the core once for the correction
 R, :func:`conjugate_rows` rescales it once per system
 (:attr:`GenFunSystem.conjugate`), and :func:`solve_generating_functions`
-solves the system and asserts that the closed forms for F from the core
-and from its conjugate reproduce it.  ``spectral.Analysis`` keeps each
-of these as a stage.
+solves the system.  :func:`closed_form` writes F = z / (z - q + R) as one
+polynomial pair, and the solve asserts, by cross-multiplication, that
+the pairs from the core and from its conjugate reproduce the solved F.
+``spectral.Analysis`` keeps each of these as a stage.
 """
 
 from __future__ import annotations
@@ -217,19 +218,27 @@ def constraint_correction(spec: ShiftSpec, core: RatMat) -> RatFun:
     return RatFun(num.shift(1), det)
 
 
+def closed_form(q: int, r: RatFun) -> tuple[Poly, Poly]:
+    """F = z / (z - q + R) as the polynomial pair (z den, (z - q) den +
+    num) of R = num / den.  R is canonical, so the second is already the
+    reduced numerator of z - q + R: it shares no factor with den."""
+    return r.den.shift(1), Poly._of([-q, 1]) * r.den + r.num
+
+
 def _solution(spec: ShiftSpec, system: GenFunSystem, correction: RatFun | None) -> GenFunSolution:
     """Solve the system; in the reduced mode the closed forms from the
-    correction and from the conjugate core must reproduce the solved F."""
+    correction and from the conjugate core must reproduce the solved F,
+    F.num * den == num * F.den for each pair (num, den)."""
     sol = system.matrix.solve(list(system.rhs))
     f = sol[0]
     ell = len(spec.repeated)
     gs = tuple((r, sol[1 + i]) for i, (r, _) in enumerate(spec.repeated))
     fas = tuple((a, sol[1 + ell + j]) for j, a in enumerate(spec.forbidden))
     if correction is not None:
-        z, q = RatFun.x(), RatFun(spec.q)
-        via_conj = z / (z - q + constraint_correction(spec, system.conjugate))
-        if not (f == z / (z - q + correction) == via_conj):
-            raise NumericError("closed forms disagree with the solved system")
+        for r in (correction, constraint_correction(spec, system.conjugate)):
+            num, den = closed_form(spec.q, r)
+            if f.num * den != num * f.den:
+                raise NumericError("closed forms disagree with the solved system")
     return GenFunSolution(f, gs, fas, system, correction)
 
 

@@ -1,23 +1,26 @@
 """Exact algebra substrate: polynomials over the rationals, canonical
-rational functions, polynomial matrices solved over the rational-function
-field, power series in 1/z, and certified real-root isolation.
+quotients of polynomials, polynomial matrices solved by Cramer's rule,
+power series in 1/z, and certified real-root isolation.
 
 All symbolic computation is exact; floats only appear when a caller
 evaluates at a float point.  A polynomial is integer coefficients over
 one positive denominator in lowest terms, so its arithmetic, gcds and
 Sturm chains all run over Z[z] on integer coefficient lists, and an
 exact evaluation at u/v is one homogeneous Horner sum over the
-integers, divided once.  A matrix holds polynomial entries, as the
-counting systems do; a linear solve scales each row by the lcm of its
-entries' denominators into Z[z], Bareiss elimination and the back
-substitution use exact divisions with a remainder check, and every
-unknown comes out as the rational function y_i / D over one common
-denominator D, the determinant of the scaled matrix up to sign
-(Cramer's rule).  So ``M`` times ``M.inverse()`` is the identity
-exactly.  Polynomial gcds and Sturm chains are primitive remainder
-sequences over Z[z].  Sturm bisection keeps its bracket as integer
-numerators over one denominator l 2^k, and the series in 1/z runs over
-integer coefficients, so both build Fractions only for results.
+integers, divided once.  A rational function is a canonical quotient
+num / den: coprime parts and a monic den, so two quotients are equal
+exactly when their parts are; it carries no arithmetic, and a caller
+that needs a sum or a comparison of two forms cross-multiplies their
+parts.  A matrix holds polynomial entries, as the counting systems do;
+a linear solve scales each row by the lcm of its entries' denominators
+into Z[z], Bareiss elimination and the back substitution use exact
+divisions with a remainder check, and every unknown comes out as the
+quotient y_i / D over one common denominator D, the determinant of the
+scaled matrix up to sign (Cramer's rule).  Polynomial gcds and Sturm
+chains are primitive remainder sequences over Z[z].  Sturm bisection
+keeps its bracket as integer numerators over one denominator l 2^k, and
+the series in 1/z runs over integer coefficients, so both build
+Fractions only for results.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import NumericError, PoleError, RootBracketError, SingularMatrixError
+from .errors import NumericError, RootBracketError, SingularMatrixError
 
 Rational = Fraction | int
 
@@ -76,10 +79,6 @@ class Poly:
     def x(cls) -> "Poly":
         return cls._of([0, 1])
 
-    @classmethod
-    def constant(cls, c: Rational) -> "Poly":
-        return cls((c,))
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.den) for c in self.ints)
@@ -107,9 +106,6 @@ class Poly:
     def __hash__(self) -> int:
         return hash((self.ints, self.den))
 
-    def __neg__(self) -> "Poly":
-        return Poly._of([-c for c in self.ints], self.den)
-
     def __add__(self, other: "Poly") -> "Poly":
         a, b, da, db = self.ints, other.ints, self.den, other.den
         if da != db:
@@ -122,9 +118,6 @@ class Poly:
             out[i] += c
         return Poly._of(out, da)
 
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             n, d = other.numerator, other.denominator
@@ -132,15 +125,6 @@ class Poly:
         return Poly._of(_zmul(self.ints, other.ints), self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Poly":
-        out, base = Poly.one(), self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def shift(self, k: int) -> "Poly":
         """Multiply by z**k."""
@@ -203,26 +187,17 @@ class Poly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-_ONE = Poly.one()
-
-
 class RatFun:
-    """Rational function in canonical form: coprime parts, monic denominator."""
+    """A quotient of polynomials in canonical form: coprime parts, monic
+    denominator, zero as 0 / 1.  Equal functions are equal objects."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        """num / den in canonical form.  With no den, num is a polynomial
-        over the shared denominator 1, canonical as it stands."""
-        num = num if isinstance(num, Poly) else Poly.constant(num) if isinstance(num, (int, Fraction)) else Poly(num)
-        if den is None:
-            self.num, self.den = num, _ONE
-            return
-        den = den if isinstance(den, Poly) else Poly.constant(den) if isinstance(den, (int, Fraction)) else Poly(den)
+    def __init__(self, num: Poly, den: Poly):
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
-            self.num, self.den = Poly.zero(), Poly.one()
+            self.num, self.den = num, Poly.one()
             return
         # a polynomial over a constant is canonical once made monic
         if den.degree > 0:
@@ -233,76 +208,11 @@ class RatFun:
         self.num = num * (1 / lead)
         self.den = den * (1 / lead)
 
-    @classmethod
-    def zero(cls) -> "RatFun":
-        return cls(Poly.zero())
-
-    @classmethod
-    def x(cls) -> "RatFun":
-        return cls(Poly.x())
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = RatFun(other)
         return isinstance(other, RatFun) and self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))
-
-    def __neg__(self) -> "RatFun":
-        return RatFun(-self.num, self.den)
-
-    @staticmethod
-    def _coerce(x) -> "RatFun":
-        return x if isinstance(x, RatFun) else RatFun(x)
-
-    def __add__(self, other) -> "RatFun":
-        other = self._coerce(other)
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "RatFun":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "RatFun":
-        return self._coerce(other) - self
-
-    def __mul__(self, other) -> "RatFun":
-        if isinstance(other, (int, Fraction)):
-            # a nonzero constant keeps the parts coprime and the denominator
-            # monic, so the product is canonical without a gcd
-            if not other:
-                return RatFun.zero()
-            out = object.__new__(RatFun)
-            out.num, out.den = self.num * other, self.den
-            return out
-        other = self._coerce(other)
-        return RatFun(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RatFun":
-        other = self._coerce(other)
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFun(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other) -> "RatFun":
-        return self._coerce(other) / self
-
-    def __call__(self, x):
-        """Evaluate; exact with an exact pole check for Fraction input."""
-        if isinstance(x, float):
-            return self.num(x) / self.den(x)
-        d = self.den(x)
-        if d == 0:
-            raise PoleError(f"evaluation at pole z={x}")
-        return self.num(x) / d
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
@@ -610,11 +520,11 @@ def _variations(chain: list[list[int]], u: int, v: int) -> int:
 ROOT_WIDTH = Fraction(1, 10 ** 12)
 
 
-def largest_real_zero(f: RatFun | Poly, lo, hi) -> RootCertificate:
-    """Largest real root of the reduced numerator of ``f`` in [lo, hi].
+def largest_real_zero(g: Poly, lo, hi) -> RootCertificate:
+    """Largest real root of the polynomial ``g`` in [lo, hi].
 
     Sturm counting isolates the root; bisection shrinks the bracket to
-    ROOT_WIDTH.  The numerator g is a primitive integer polynomial whose
+    ROOT_WIDTH.  g is taken as a primitive integer polynomial, whose
     Sturm chain ends in gcd(g, g'); a repeated factor is divided out.  The
     bracket [a, b] is ua/v, ub/v, v = l 2^k with l the lcm of lo's and hi's
     denominators; each step doubles all three and splits at (ua + ub) / 2,
@@ -625,7 +535,6 @@ def largest_real_zero(f: RatFun | Poly, lo, hi) -> RootCertificate:
     counting would take.  Exact rational hits (including integer roots)
     are certified; only they and the result are built as Fractions.
     """
-    g = f.num if isinstance(f, RatFun) else f
     if g.is_zero or g.degree < 1:
         raise RootBracketError("numerator has no roots")
     a, b = _fr(lo), _fr(hi)

@@ -14,10 +14,11 @@ analysis; the public functions below are the same stages for callers
 that need just one.
 
 The Perron root always travels two independent routes: the largest real
-zero of the exact correction function (or the largest real pole of the
-solved counting series in the non-reduced mode) isolated by Sturm
-sequences, and an exact Collatz-Wielandt enclosure on the integer
-matrix; the two must meet or the computation refuses to answer.
+zero of the denominator of the closed form F = z / (z - q + R)
+(:func:`genfun.closed_form`; in the non-reduced mode, of the solved
+counting series) isolated by Sturm sequences, and an exact
+Collatz-Wielandt enclosure on the integer matrix; the two must meet or
+the computation refuses to answer.
 
 Eigenvectors come from the correlation formulas; when the root is
 certified exact the whole pipeline stays in big rationals.
@@ -327,9 +328,7 @@ def _combinatorial_root(an: Analysis, mat: AdjMatrix) -> RootCertificate:
     # the root never exceeds the maximal row sum of a non-negative matrix
     hi = mat.max_row_sum + 1
     if (r := an.correction) is not None:
-        # R is canonical, so (z - q) den + num is already the reduced
-        # numerator of z - q + R: it shares no factor with den
-        return largest_real_zero(Poly._of([-an.spec.q, 1]) * r.den + r.num, 1, hi)
+        return largest_real_zero(genfun.closed_form(an.spec.q, r)[1], 1, hi)
     f = an.solution.all_words
     if f.den.degree < 1:
         raise NumericError("counting series has no pole; nothing to certify")

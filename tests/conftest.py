@@ -20,7 +20,8 @@ runs also live here, as references and input builders: the splice of
 two words, the pairwise reducedness check, the leading multiplicity,
 the naive multiplicity matrix, the preimage count of a vertex cylinder,
 the lift of a rational stochastic matrix, and the product and row sums
-of matrices over the rational-function field.
+of matrices of polynomials and canonical quotients, each sum and product
+taken over Fraction coefficients and brought to lowest terms.
 """
 
 from __future__ import annotations
@@ -259,18 +260,34 @@ def lift_rational_stochastic(sm: StochMat) -> AdjMatrix:
     return mat
 
 
+def _pair(f) -> tuple[FractionPoly, FractionPoly]:
+    """A polynomial or canonical quotient as a reference pair (num, den)."""
+    if isinstance(f, RatFun):
+        return FractionPoly(f.num), FractionPoly(f.den)
+    return FractionPoly(f), ONE
+
+
+def reference_sum(pairs) -> RatFun:
+    """The sum of reference pairs (num, den), in lowest terms."""
+    num, den = FractionPoly(), ONE
+    for n, d in pairs:
+        num, den = _reference_quotient(num * d + n * den, den * d)
+    return _as_ratfun(num, den)
+
+
 def matmul(a, b) -> list[list[RatFun]]:
     """The product of two matrices given as rows of polynomials or
-    rational functions, entry by entry, as rows of rational functions."""
+    canonical quotients, entry by entry, as rows of canonical quotients."""
     if any(len(row) != len(b) for row in a):
         raise ValueError("shape mismatch")
-    return [[sum((RatFun._coerce(x) * y for x, y in zip(row, col)), RatFun.zero())
+    return [[reference_sum((xn * yn, xd * yd) for (xn, xd), (yn, yd)
+                           in zip(map(_pair, row), map(_pair, col)))
              for col in zip(*b)] for row in a]
 
 
 def row_sums(rows) -> list[RatFun]:
-    """The row sums of a matrix given as rows of rational functions."""
-    return [sum(row, RatFun.zero()) for row in rows]
+    """The row sums of a matrix given as rows of canonical quotients."""
+    return [reference_sum(map(_pair, row)) for row in rows]
 
 
 def random_word(rng: random.Random, alphabet, lo=2, hi=4) -> tuple:
@@ -359,8 +376,10 @@ def family_spec(rng: random.Random, family: str) -> ShiftSpec:
 
 class FractionPoly:
     """Reference polynomial: a trimmed tuple of Fraction coefficients,
-    ascending, with schoolbook field arithmetic.  Built from anything
-    with a ``coeffs`` view (a ``ratfield.Poly``) or from coefficients."""
+    ascending, with schoolbook field arithmetic; a rational operand of
+    + and - is a constant polynomial.  Built from anything with a
+    ``coeffs`` view (a ``ratfield.Poly``) or from coefficients, and
+    iterable over its coefficients, so ``Poly(p)`` converts it."""
 
     __slots__ = ("coeffs",)
 
@@ -385,11 +404,15 @@ class FractionPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, FractionPoly) and self.coeffs == other.coeffs
 
+    def __iter__(self):
+        return iter(self.coeffs)
+
     def __neg__(self):
         return FractionPoly([-c for c in self.coeffs])
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
+        a = self.coeffs
+        b = other.coeffs if isinstance(other, FractionPoly) else (Fraction(other),)
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -408,6 +431,14 @@ class FractionPoly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return FractionPoly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        out = ONE
+        for _ in range(n):
+            out = out * self
+        return out
 
     def derivative(self):
         return FractionPoly([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -541,7 +572,7 @@ def _reference_variations(chain: list[FractionPoly], x: Fraction) -> int:
 def reference_largest_real_zero(f, lo, hi) -> RootCertificate:
     """Sturm bisection with Fraction-coefficient chains and Fraction
     Horner evaluation at every step."""
-    g = FractionPoly(f.num if isinstance(f, RatFun) else f)
+    g = FractionPoly(f)
     if g.is_zero or g.degree < 1:
         raise RootBracketError("numerator has no roots")
     g = _reference_squarefree(g)
@@ -588,7 +619,7 @@ def reference_series_coeffs(f: RatFun, n_max: int) -> list[Fraction]:
     """Coefficients of z**-n, n = 0..n_max, of a proper f by Fraction
     long division in w = 1/z: each coefficient is the numerator's, less
     the denominator's tail against the coefficients already found."""
-    if f.is_zero:
+    if f.num.is_zero:
         return [Fraction(0)] * (n_max + 1)
     dn, dd = f.num.degree, f.den.degree
     if dn > dd:
@@ -614,38 +645,39 @@ def correlation_coeffs(u, v, alpha: int | None = None) -> tuple[int, ...]:
 
 def reference_system_rows(spec: ShiftSpec) -> tuple[tuple[Poly, ...], ...]:
     """The bordered counting rows entry by entry: one correlation scan
-    per (target, word) pair, each entry a sum of ``Poly`` terms."""
-    z = Poly.x()
+    per (target, word) pair, each entry a sum of ``FractionPoly`` terms
+    converted to a ``Poly``."""
+    z = FractionPoly((0, 1))
     reps, fws = spec.repeated, spec.forbidden
 
-    top = [z - Poly.constant(spec.q)]
+    top = [z - spec.q]
     for _, m in reps:
         top.append(-(z * Fraction(m - 1, m)))
     for a in fws:
         top.append(z * embedded_weight(spec, a))
-    rows = [tuple(top)]
+    rows = [tuple(map(Poly, top))]
 
     targets = [(r, True) for r in spec.repeated_words] + [(a, False) for a in fws]
     for k, (t_k, repeated_row) in enumerate(targets):
-        row = [Poly.one()]
+        row = [ONE]
         for j, (r_j, m_j) in enumerate(reps):
             # a whole r_j overlapping a forbidden word would sit inside it
             alpha = len(r_j) if repeated_row else len(r_j) - 1
             corr = correlation_coeffs(r_j, t_k, alpha)
-            e = z * Fraction(m_j - 1, m_j) * Poly(corr) if corr else Poly.zero()
+            e = z * Fraction(m_j - 1, m_j) * FractionPoly(corr)
             if j == k:
-                e = e - Poly([0] * len(r_j) + [1])
+                e = e - z ** len(r_j)
             row.append(e)
         for a in fws:
             # overhangs past |t_k| would put the whole appended word
             # inside a, impossible for reduced collections
-            e = Poly.zero()
+            e = FractionPoly()
             for t in words.correlation_shifts(a, t_k):
                 if t <= len(t_k):
                     weight = embedded_weight(spec, a, threshold=0 if repeated_row else t)
-                    e = e + Poly([0] * t + [weight])
+                    e = e + z ** t * weight
             row.append(-e)
-        rows.append(tuple(row))
+        rows.append(tuple(map(Poly, row)))
     return tuple(rows)
 
 
@@ -653,17 +685,19 @@ def reference_system_json(spec: ShiftSpec, rows) -> dict:
     """The printed counting system of the rows of
     :func:`reference_system_rows`: the labels F, then G[r] per repeated
     word and Fa[a] per forbidden word, and every matrix and right-hand
-    side (z, 0, ..., 0) entry printed as the rational function
-    ``RatFun(e)``."""
+    side (z, 0, ..., 0) entry printed as the canonical quotient e / 1."""
     labels = ["F"] + [f"G[{''.join(r)}]" for r in spec.repeated_words] + \
         [f"Fa[{''.join(a)}]" for a in spec.forbidden]
-    rhs = [Poly.x()] + [Poly.zero()] * (len(labels) - 1)
+    rhs = [FractionPoly((0, 1))] + [FractionPoly()] * (len(labels) - 1)
+
+    def printed(e):
+        return _as_ratfun(FractionPoly(e), ONE).to_json()
+
     return {"mode": "reduced" if spec.union_reduced else "non_reduced",
             "labels": labels,
             "matrix": {"rows": labels, "cols": labels,
-                       "entries": [[RatFun(e).to_json() for e in row]
-                                   for row in rows]},
-            "rhs": [RatFun(e).to_json() for e in rhs]}
+                       "entries": [[printed(e) for e in row] for row in rows]},
+            "rhs": [printed(e) for e in rhs]}
 
 
 def reference_identity(spec: ShiftSpec, theta):

@@ -1,21 +1,26 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from hypothesis import HealthCheck, given, settings
 
-from conftest import (family_spec, random_spec, reference_solve, reference_system_json,
-                      reference_system_rows, small_specs)
-from multishift.errors import SpecError
+from conftest import (FractionPoly, family_spec, random_spec, reference_solve, reference_sum,
+                      reference_system_json, reference_system_rows, small_specs)
+from multishift import genfun
+from multishift.cli import main
+from multishift.errors import NumericError, SpecError
 from multishift.fixtures import list_fixtures, load_fixture
-from multishift.genfun import (build_system, conjugate_correlation_matrix,
+from multishift.genfun import (build_system, closed_form, conjugate_correlation_matrix,
                                constraint_correction, correlation_matrix,
                                solve_generating_functions, system_rows, targets)
 from multishift.langmodel import extend_repeated_to_full_length, oracle_tables, validate_spec
 from multishift.ratfield import Poly, RatFun, series_coeffs
 
 Z = Poly.x()
+ONE = Poly.one()
+FIXDIR = Path(genfun.__file__).resolve().parent / "fixtures"
 
 
 def eigen_spec():
@@ -42,7 +47,7 @@ def test_scaling_diagonal():
     # the conjugate core reads D off the reduced system: minus its top row
     # after the corner
     def diagonal(spec):
-        return [-e for e in build_system(spec).matrix.entries[0][1:]]
+        return [e * -1 for e in build_system(spec).matrix.entries[0][1:]]
 
     d = diagonal(eigen_spec())
     assert d[0] == Poly([0, Fraction(2, 3)])
@@ -55,7 +60,7 @@ def test_bordered_matrix_shape_and_empty_collections():
     s = validate_spec("01", ["010"], [("000", 2)])
     left = build_system(s).matrix
     assert left.nrows == 3
-    assert left.entries[0][0] == Z - Poly.constant(2)
+    assert left.entries[0][0] == Poly((-2, 1))
     assert left.entries[0][1] == Poly([0, Fraction(-1, 2)])
     assert left.entries[0][2] == Z
     assert left.entries[1][0] == Poly.one() and left.entries[2][0] == Poly.one()
@@ -64,7 +69,7 @@ def test_bordered_matrix_shape_and_empty_collections():
     left2 = build_system(s2).matrix
     assert left2.nrows == 2
     assert left2.entries[0][1] == Z
-    assert left2.entries[1][1] == -(Z * Poly((1, 0, 1)))  # -z (a,a)_z
+    assert left2.entries[1][1] == Z * Poly((-1, 0, -1))  # -z (a,a)_z
 
 
 def test_published_nonreduced_system():
@@ -72,7 +77,7 @@ def test_published_nonreduced_system():
     system = build_system(s)
     assert system.mode == "non_reduced"
     m = system.matrix
-    assert m.entries[0][0] == Z - Poly.constant(2)
+    assert m.entries[0][0] == Poly((-2, 1))
     assert m.entries[0][1] == Poly([0, Fraction(-1, 2)])
     assert m.entries[0][2] == Poly([0, 2])
     assert m.entries[1][0] == Poly.one()
@@ -105,7 +110,7 @@ def test_reduced_closed_forms_agree_and_match_table():
 
 def test_full_shift_series():
     sol = solve_generating_functions(validate_spec("01", [], []))
-    assert sol.all_words == RatFun(Z, Z - Poly.constant(2))
+    assert sol.all_words == RatFun(Z, Poly((-2, 1)))
 
 
 def test_repeated_only_system():
@@ -123,7 +128,13 @@ def test_correction_published_values():
     assert correction(s) == RatFun(Poly([2, -1]), Poly([2, 1, 0, 1]))
     s2 = validate_spec("01", ["00"], [("01", 2), ("10", 3), ("11", 2)])
     assert correction(s2) == RatFun(Poly([-6, -3]), Poly([-3, 0, 1]))
-    assert correction(validate_spec("01", [], [])).is_zero
+    assert correction(validate_spec("01", [], [])).num.is_zero
+
+
+def reference_closed_form(q, r) -> RatFun:
+    """z / (z - q + R) over Fraction coefficients, in lowest terms."""
+    z, num, den = FractionPoly((0, 1)), FractionPoly(r.num), FractionPoly(r.den)
+    return reference_sum([(z * den, (z - q) * den + num)])
 
 
 def test_correction_identity():
@@ -131,19 +142,39 @@ def test_correction_identity():
               validate_spec("01", ["00"], [("110", 2), ("01", 3)]),
               validate_spec("0123", [], [("10", 2), ("20", 3), ("30", 3)])):
         sol = solve_generating_functions(s)
-        z = RatFun.x()
         correction = constraint_correction(s, correlation_matrix(s))
-        assert z / (z - RatFun(s.q) + correction) == sol.all_words
+        assert reference_closed_form(s.q, correction) == sol.all_words
+        num, den = closed_form(s.q, correction)
+        assert RatFun(num, den) == sol.all_words
+
+
+@pytest.mark.parametrize("perturbed", ["core", "conjugate"])
+def test_a_closed_form_off_by_one_coefficient_is_refused(monkeypatch, perturbed):
+    # one more in the constant term of the correction from the core, or
+    # of the one from the conjugate core: the solve refuses the
+    # mismatch, and so does verify, with the numeric exit code
+    spec = load_fixture("eigenvectors")
+    system = build_system(spec)
+    target = (system.core if perturbed == "core" else system.conjugate).entries
+    assert system.core.entries != system.conjugate.entries
+    exact = genfun.constraint_correction
+
+    def skewed(spec, core):
+        r = exact(spec, core)
+        return RatFun(r.num + ONE, r.den) if core.entries == target else r
+
+    monkeypatch.setattr(genfun, "constraint_correction", skewed)
+    with pytest.raises(NumericError, match="closed forms disagree"):
+        solve_generating_functions(spec)
+    assert main(["verify", "--spec", str(FIXDIR / "eigenvectors.json")]) == 4
 
 
 def reference_correction(spec, core):
     """z * sum_i w_i x_i with x = core^-1 1 from the field-route solve."""
-    z = RatFun.x()
-    xs = reference_solve(core, [[Poly.one()]] * core.nrows)
-    out = RatFun.zero()
-    for (_, w), (x,) in zip(targets(spec), xs):
-        out = out + z * RatFun(w) * x
-    return out
+    z = FractionPoly((0, 1))
+    xs = reference_solve(core, [[ONE]] * core.nrows)
+    return reference_sum((z * FractionPoly(x.num) * w, FractionPoly(x.den))
+                         for (_, w), (x,) in zip(targets(spec), xs))
 
 
 def reduced_cores():

@@ -6,17 +6,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (family_spec, leading_multiplicity, multiplicity_matrix, random_spec,
-                      reference_conjugate_sums, reference_correction_derivative_at,
+from conftest import (FractionPoly, family_spec, leading_multiplicity, multiplicity_matrix,
+                      random_spec, reference_conjugate_sums, reference_correction_derivative_at,
                       reference_cw_enclosure, reference_identity, reference_power_iteration,
-                      reference_vectors, sparse, star)
+                      reference_sum, reference_vectors, sparse, star)
 from multishift import genfun, ratfield, spectral
 from multishift.errors import NumericError, SpecError
 from multishift.fixtures import list_fixtures, load_fixture
 from multishift.langmodel import (extend_repeated_to_full_length, multiplicity, oracle_tables,
                                   spec_from_matrix, validate_spec)
 from multishift.measures import Cylinder, escape_report
-from multishift.ratfield import RatFun, solve_numeric
+from multishift.ratfield import solve_numeric
 from multishift.spectral import (AdjMatrix, adjacency_matrix, agree, eigen_residuals,
                                  eigenvector_normalization, entropy, is_irreducible,
                                  multiplicity_one_witness,
@@ -103,10 +103,18 @@ def test_perron_root_matrix_input_and_reducible():
     assert one.exact == 4
 
 
-def test_gcd_free_numerator_keeps_the_root():
-    # the root stage isolates (z - q) den + num with no RatFun sum; the
-    # canonical sum z - q + R, and the RatFun of the counting series' den,
-    # give the same certificate
+def test_gcd_free_numerator_keeps_the_root(monkeypatch):
+    # the root stage isolates the closed form's den = (z - q) den_R + num_R
+    # with no sum of quotients; it is the reduced numerator of z - q + R
+    # over Fraction coefficients, and in the non-reduced mode the stage
+    # isolates the counting series' den
+    isolated = []
+
+    def recorded(g, lo, hi):
+        isolated.append(g)
+        return ratfield.largest_real_zero(g, lo, hi)
+
+    monkeypatch.setattr(spectral, "largest_real_zero", recorded)
     rng = random.Random(41)
     draws = []
     while len(draws) < 200:
@@ -116,12 +124,16 @@ def test_gcd_free_numerator_keeps_the_root():
     for s in [load_fixture(name) for name in list_fixtures()] + draws:
         an = spectral.Analysis(s, allow_reducible=True)
         hi = an.matrix.max_row_sum + 1
-        if an.correction is not None:
-            ref = RatFun.x() - RatFun(s.q) + an.correction
+        if (r := an.correction) is not None:
+            z, num, den = FractionPoly((0, 1)), FractionPoly(r.num), FractionPoly(r.den)
+            ref = reference_sum([((z - s.q) * den + num, den)]).num
+            assert genfun.closed_form(s.q, r)[1] == ref, s
         else:
-            ref = RatFun(an.solution.all_words.den)
+            ref = an.solution.all_words.den
+        del isolated[:]
         assert spectral._combinatorial_root(an, an.matrix) == \
             ratfield.largest_real_zero(ref, 1, hi), s
+        assert isolated == [ref], s
 
 
 @pytest.mark.parametrize("entries, theta", [

@@ -24,8 +24,7 @@ TRACED = {"langmodel.weighted_count_ending_with", "langmodel.weighted_count_forb
 # uses by bare name, so a call of any one of them counts for all.  Each
 # definition of these has a caller in the package, checked by hand, except
 # ShiftSpec.to_json, which perfbench/gen.py calls to write its item sets.
-SHARED = {"to_json", "word", "entry", "exact", "zero", "x", "is_zero", "scalar",
-          "entropy"}
+SHARED = {"to_json", "word", "entry", "exact", "scalar", "entropy"}
 
 
 def _trees() -> dict[str, ast.Module]:
