@@ -1,24 +1,18 @@
-"""Command-line front end.
+"""Command-line front end.  One table, :data:`COMMANDS`, gives each subcommand
+its handler, help line and options; :func:`parse_args` reads ``argv`` with it.
 
-Subcommands: ``enumerate`` (weighted count tables), ``genfun`` (exact
-counting series), ``perron`` (root, eigenvectors, entropy,
-normalization), ``measure`` (cylinder measures by route), ``escape``
-(hole avoidance counts and rates), and ``verify`` (the cross-validation
-suite).  Reports are deterministic JSON; ``enumerate`` and ``verify``
-also print plain tables (``--table``, the default for ``verify``).
-
-Exit codes: 0 ok, 1 verification failure, 2 bad spec, 3 budget
-exceeded, 4 numeric failure, 5 I/O or parse error.
+Exit codes: 0 ok, 1 verification failure, 2 bad spec or usage error,
+3 budget exceeded, 4 numeric failure, 5 I/O or parse error.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from . import __version__, measures, spectral, verify
 from .errors import BudgetError, MultishiftError, NumericError, SpecError
@@ -273,79 +267,125 @@ def cmd_verify(args, doc: dict, spec: ShiftSpec) -> int:
     return 0 if rep.passed else EXIT_VERIFY
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process (parsing leaves it as is)."""
-    parser = argparse.ArgumentParser(
-        prog="multishift",
-        description="Exact analysis of shift spaces with forbidden and repeated words.")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each subcommand: its handler, help line and options in usage order.  An option is (flag,
+# kind, default, help); kind is int or str (the option takes a value), the values allowed,
+# bool (a switch) or FORMAT (the --json/--table pair, which sets fmt).  None: required.
+FORMAT = ("json", "table")
+SPEC = ("--spec", str, None, "spec JSON path, or - for stdin")
+REDUCIBLE = ("--allow-reducible", bool, False, "analyse a reducible block graph, not refuse it")
+BUDGET = ("--budget", int, DEFAULT_BUDGET,
+          "refuse (exit 3) any count of a length n >= 1 with q**n > BUDGET, before counting")
+COMMANDS = {
+    "enumerate": (cmd_enumerate, "weighted count tables from the oracle", (
+        SPEC, ("--json | --table", FORMAT, "json", "print the report as JSON or as plain tables"),
+        BUDGET, ("--max-n", int, 10, "count the lengths n = 0..MAX_N"),
+        ("--slices", bool, False, "JSON output only: include the weighted slices, every "
+                                  "allowed word of each length 1..MAX_N with its multiplicity"))),
+    "genfun": (cmd_genfun, "exact counting series and their system", (
+        SPEC, ("--series-n", int, 12, "print the series coefficients of z**-n, n = 0..SERIES_N"))),
+    "perron": (cmd_perron, "root, eigenvectors, entropy, normalization", (SPEC, REDUCIBLE)),
+    "measure": (cmd_measure, "cylinder measure by route", (SPEC, REDUCIBLE,
+        ("--cylinder", str, None, "vertex word, or edge chain like 00*00#1,00*01#1"),
+        ("--route", tuple(dict.fromkeys(("all",) + measures.EDGE_ROUTES + measures.VERTEX_ROUTES)),
+         "all", "one route, or every route of the cylinder's form"))),
+    "escape": (cmd_escape, "hole avoidance counts and escape rate", (
+        SPEC, REDUCIBLE, BUDGET, ("--word", str, None, "hole cylinder (same syntax as measure)"),
+        ("--max-n", int, 12, "count the paths that avoid the hole up to length MAX_N"))),
+    "verify": (cmd_verify, "run the cross-validation suite", (
+        SPEC, ("--json | --table", FORMAT, "table", "print the report as JSON or as plain tables"),
+        REDUCIBLE, BUDGET, ("--max-n", int, 10, "cross-check lengths up to MAX_N (at least p)"))),
+}
 
-    def common(p, budget=True, fmt=None, reducible=True):
-        """The options a subcommand reads: the spec, the output format when
-        it prints tables (``fmt`` is the default), the reducible override
-        when it takes the Perron root, and the budget when it counts."""
-        p.add_argument("--spec", required=True, help="spec JSON path, or - for stdin")
-        if fmt:
-            grp = p.add_mutually_exclusive_group()
-            grp.add_argument("--json", dest="fmt", action="store_const", const="json",
-                             default=fmt)
-            grp.add_argument("--table", dest="fmt", action="store_const", const="table")
-        if reducible:
-            p.add_argument("--allow-reducible", action="store_true", default=False)
-        if budget:
-            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                           help="refuse (exit 3) any count of a length n >= 1 with "
-                                "q**n > BUDGET, checked before counting "
-                                "(default %(default)s)")
 
-    p = sub.add_parser("enumerate", help="weighted count tables from the oracle")
-    common(p, fmt="json", reducible=False)
-    p.add_argument("--max-n", type=int, default=10)
-    p.add_argument("--slices", action="store_true",
-                   help="JSON output only: include the weighted slices, every allowed "
-                        "word of each length 1..MAX_N with its multiplicity")
-    p.set_defaults(func=cmd_enumerate)
+def _exit(command: str, error: str = ""):
+    """Exit 2 after the usage and the error on stderr, or with no error exit
+    0 after the help on stdout.  ``command`` "" is the program itself."""
+    def label(f, kind):  # an option as usage and help show it
+        return f if kind in (bool, FORMAT) else f"{f} {{{','.join(kind)}}}" \
+            if isinstance(kind, tuple) else f"{f} {f[2:].replace('-', '_').upper()}"
+    usage = f"usage: multishift [-h] [--version] {{{','.join(COMMANDS)}}} ..."
+    rows = [("--version", "show the version and exit")] + [(n, c[1]) for n, c in COMMANDS.items()]
+    if command:
+        options = COMMANDS[command][2]
+        usage = " ".join([f"usage: multishift {command} [-h]"] + [
+            label(f, kind) if default is None else f"[{label(f, kind)}]"
+            for f, kind, default, _ in options])
+        rows = [(label(f, kind), f"{text} (" + ("required" if default is None else
+                 f"default: {default}") + ")") for f, kind, default, text in options]
+    if error:
+        print(f"{usage}\n{('multishift ' + command).strip()}: error: {error}", file=sys.stderr)
+        raise SystemExit(2)
+    print(usage + "\n")
+    for head, text in [("-h, --help", "show this help message and exit")] + rows:
+        print(f"  {head:<20}  {text}" if len(head) <= 20 else f"  {head}\n{'':24}{text}")
+    raise SystemExit(0)
 
-    p = sub.add_parser("genfun", help="exact counting series and their system")
-    common(p, budget=False, reducible=False)
-    p.add_argument("--series-n", type=int, default=12)
-    p.set_defaults(func=cmd_genfun)
 
-    p = sub.add_parser("perron", help="root, eigenvectors, entropy, normalization")
-    common(p, budget=False)
-    p.set_defaults(func=cmd_perron)
+def _match(command: str, name: str, flags) -> str | None:
+    """The flag ``name`` is, or the one flag it is a prefix of; else None."""
+    hits = [name] if name in flags else ["--help"] if name == "-h" else \
+        [f for f in flags if f.startswith(name)] if name[:2] == "--" and name != "--" else []
+    if len(hits) > 1:
+        _exit(command, f"ambiguous option: {name} could match {', '.join(hits)}")
+    return hits[0] if hits else None
 
-    p = sub.add_parser("measure", help="cylinder measure by route")
-    common(p, budget=False)
-    p.add_argument("--cylinder", required=True,
-                   help="vertex word, or edge chain like 00*00#1,00*01#1")
-    p.add_argument("--route", default="all",
-                   choices=tuple(dict.fromkeys(("all",) + measures.EDGE_ROUTES
-                                             + measures.VERTEX_ROUTES)))
-    p.set_defaults(func=cmd_measure)
 
-    p = sub.add_parser("escape", help="hole avoidance counts and escape rate")
-    common(p)
-    p.add_argument("--word", required=True, help="hole cylinder (same syntax as measure)")
-    p.add_argument("--max-n", type=int, default=12)
-    p.set_defaults(func=cmd_escape)
-
-    p = sub.add_parser("verify", help="run the cross-validation suite")
-    common(p, fmt="table")
-    p.add_argument("--max-n", type=int, default=10)
-    p.set_defaults(func=cmd_verify)
-    return parser
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The subcommand and its option values, read from ``argv`` with
+    :data:`COMMANDS`.  ``--flag=value`` and a unique prefix of a flag are
+    accepted, and the last occurrence of an option wins."""
+    command = argv[0] if argv else ""
+    if command not in COMMANDS:
+        flag = _match("", command, ["--help", "--version"])
+        if flag == "--version":
+            print(__version__)
+            raise SystemExit(0)
+        _exit("", "" if flag else "the following arguments are required: command" if not argv
+              else f"argument command: invalid choice: {command!r} "
+                   f"(choose from {', '.join(map(repr, COMMANDS))})")
+    options = {flag: ("fmt" if o[1] is FORMAT else o[0][2:].replace("-", "_"), *o[1:3])
+               for o in COMMANDS[command][2] for flag in o[0].split(" | ")}
+    given, unknown, tokens = {}, [], list(argv[1:])
+    while tokens:
+        token = tokens.pop(0)
+        name, eq, value = token.partition("=") if token[:2] == "--" else (token, "", "")
+        flag = _match(command, name, ["--help", *options])
+        if flag == "--help":
+            _exit(command)
+        if flag is None:
+            unknown.append(token)
+            continue
+        dest, kind, _ = options[flag]
+        if eq and kind in (bool, FORMAT):
+            _exit(command, f"argument {flag}: ignored explicit argument {value!r}")
+        if kind in (bool, FORMAT):
+            value = flag[2:] if kind is FORMAT else True
+        elif not eq:  # the next token, unless an option: not '-' (stdin) nor a negative int
+            value = tokens.pop(0) if tokens else "--"
+            if value[:1] == "-" and value != "-" and not value[1:].isdigit():
+                _exit(command, f"argument {flag}: expected one argument")
+        if kind is FORMAT and given.get(dest, value) != value:
+            _exit(command, f"argument {flag}: not allowed with argument --{given[dest]}")
+        if isinstance(kind, tuple) and value not in kind:
+            _exit(command, f"argument {flag}: invalid choice: {value!r} "
+                           f"(choose from {', '.join(map(repr, kind))})")
+        try:
+            given[dest] = int(value) if kind is int else value
+        except ValueError:
+            _exit(command, f"argument {flag}: invalid int value: {value!r}")
+    missing = [f for f, (d, _, v) in options.items() if v is None and d not in given]
+    if missing or unknown:
+        _exit(command, "the following arguments are required: " + ", ".join(missing)
+              if missing else "unrecognized arguments: " + " ".join(unknown))
+    return SimpleNamespace(command=command, **{d: v for d, _, v in options.values()} | given)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         doc = load_spec_document(args.spec)
         spec = spec_from_document(doc)
-        return args.func(args, doc, spec)
+        return COMMANDS[args.command][0](args, doc, spec)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC

@@ -16,8 +16,9 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 from multishift import ratfield
-from multishift.cli import build_parser, emit, main
+from multishift.cli import COMMANDS, emit, main, parse_args
 from multishift.fixtures import fixture_document, list_fixtures
+from multishift.langmodel import DEFAULT_BUDGET
 from multishift.measures import EDGE_ROUTES, VERTEX_ROUTES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -231,6 +232,25 @@ def test_cli_import_generates_no_code():
     assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
+def test_cli_calls_load_no_argparse_gettext_or_locale():
+    # argparse imports gettext, which imports locale: about 6 ms of every start-up
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    spec = str(FIXDIR / "eigenvectors.json")
+    calls = [["enumerate", "--max-n", "3", "--slices"], ["genfun"], ["perron"],
+             ["measure", "--cylinder", "000"], ["escape", "--word", "00*00#1", "--max-n", "3"],
+             ["verify", "--max-n", "4"]]
+    script = ("import sys; before = set(sys.modules)\n"
+              "import contextlib, io; import multishift.cli as cli\n"
+              f"for argv in {calls!r}:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"        assert cli.main([argv[0], '--spec', {spec!r}, *argv[1:]]) == 0, argv\n"
+              "added = set(sys.modules) - before\n"
+              "print(' '.join(sorted(added & {'argparse', 'gettext', 'locale'})))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stdout.strip()) == (0, ""), proc.stderr
+
+
 def test_measure_routes_agree():
     code, out, _ = run_cli(["measure", "--spec", str(FIXDIR / "eigenvectors.json"),
                             "--cylinder", "00*00#1", "--route", "all"])
@@ -276,12 +296,94 @@ def test_measure_route_of_the_other_cylinder_form_is_a_spec_error(capsys, cylind
         (2, f"spec error: route {route!r} not valid for {form} cylinder\n")
 
 
-def test_parser_is_built_once_and_parsing_leaves_it_unchanged():
-    assert build_parser() is build_parser()
-    first = build_parser().parse_args(["verify", "--spec", "-", "--max-n", "3", "--json"])
-    second = build_parser().parse_args(["verify", "--spec", "-"])
-    assert (first.max_n, first.fmt) == (3, "json")
-    assert (second.max_n, second.fmt) == (10, "table")
+COUNTING = str(FIXDIR / "counting.json")
+
+
+@pytest.mark.parametrize("argv, reason", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    (["perron", "--spec", COUNTING, "extra", "-1"], "unrecognized arguments: extra -1"),
+    (["perron", "--spec", COUNTING, "--bogus"], "unrecognized arguments: --bogus"),
+    (["measure", "--spec", COUNTING], "the following arguments are required: --cylinder"),
+    (["perron", "--spec"], "argument --spec: expected one argument"),
+    (["perron", "--spec", "--allow-reducible"], "argument --spec: expected one argument"),
+    (["enumerate", "--spec", COUNTING, "--max-n", "ten"], "argument --max-n: invalid int value"),
+    (["enumerate", "--spec", COUNTING, "--max-n=1.5"], "argument --max-n: invalid int value"),
+    (["measure", "--spec", COUNTING, "--cylinder", "000", "--route", "bogus"],
+     "argument --route: invalid choice: 'bogus'"),
+    (["verify", "--json", "--table", "--spec", COUNTING],
+     "argument --table: not allowed with argument --json"),
+    (["enumerate", "--spec", COUNTING, "--slices=yes"],
+     "argument --slices: ignored explicit argument 'yes'"),
+    (["enumerate", "--s", COUNTING], "ambiguous option: --s could match --spec, --slices")],
+    ids=["no-command", "unknown-command", "unknown-token", "unknown-option", "missing-required",
+         "missing-value", "option-for-value", "non-integer", "non-integer-after-equals",
+         "route-outside-choices", "json-with-table", "value-to-switch", "ambiguous-prefix"])
+def test_usage_errors_exit_2_with_usage_and_reason_on_stderr(capsys, argv, reason):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, error = err.splitlines()
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    assert usage.startswith(f"usage: multishift {command or ''}".rstrip() + " [-h]")
+    assert error.startswith(" ".join(filter(None, ["multishift", command])) + ": error: " + reason)
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--version"], ["--vers"],
+                                  *([command, "-h"] for command in COMMANDS),
+                                  ["verify", "--spec", COUNTING, "--help"]])
+def test_help_and_version_exit_0_on_stdout(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.strip()
+
+
+def test_help_is_printed_from_the_option_table(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    lines = capsys.readouterr().out.splitlines()
+    for command, (_, text, _) in COMMANDS.items():
+        assert any(line.split() == [command, *text.split()] for line in lines), command
+    for command, (_, _, options) in COMMANDS.items():
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        for flag, _, default, text in options:
+            assert text and flag in out
+            assert " ".join(text.split()) + (" (required)" if default is None
+                                             else f" (default: {default})") in out, flag
+
+
+def test_option_grammar():
+    head = ["enumerate", "--spec", "-"]
+    assert parse_args(head + ["--max-n=3"]) == parse_args(head + ["--max-n", "3"]) \
+        == parse_args(head + ["--max", "3"]) == parse_args(head + ["--max-n", "7", "--max-n", "3"])
+    assert parse_args(head + ["--max-n", "3"]).max_n == 3
+    assert parse_args(head + ["--max-n", "-1"]).max_n == -1
+    assert parse_args(["enumerate", "--spec=-", "--tab"]).fmt == "table"
+
+
+def test_option_defaults_and_no_state_between_parses():
+    def parsed(*argv):
+        return vars(parse_args([*argv, "--spec", "-"]))
+
+    assert parsed("enumerate") == {"command": "enumerate", "spec": "-", "fmt": "json",
+                                   "budget": DEFAULT_BUDGET, "max_n": 10, "slices": False}
+    assert parsed("genfun") == {"command": "genfun", "spec": "-", "series_n": 12}
+    assert parsed("perron") == {"command": "perron", "spec": "-", "allow_reducible": False}
+    assert parsed("measure", "--cylinder", "000") == {
+        "command": "measure", "spec": "-", "allow_reducible": False, "cylinder": "000",
+        "route": "all"}
+    assert parsed("escape", "--word", "0") == {
+        "command": "escape", "spec": "-", "allow_reducible": False, "budget": DEFAULT_BUDGET,
+        "word": "0", "max_n": 12}
+    assert parsed("verify", "--json", "--max-n", "3")["fmt"] == "json"
+    assert parsed("verify") == {"command": "verify", "spec": "-", "fmt": "table",
+                                "allow_reducible": False, "budget": DEFAULT_BUDGET, "max_n": 10}
 
 
 def test_escape_command():
