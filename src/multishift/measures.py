@@ -8,10 +8,12 @@ matrix of the Shannon-Parry measure.  Cylinder measures can then be
 evaluated along independent routes (eigenvector formula, derivative
 normalization, Markov-chain products) which must agree.  The additivity
 check is decided once per block, by the row identity of the right
-eigenvector, and the push-forward check by a product certificate over
-one factor per block and per edge; both count the vertex paths they
-cover by a DP over (block, length) and walk the paths only to name the
-failing words.
+eigenvector, and names the failing blocks.  The push-forward check is
+decided once per (length, last block) class, by the extremes of a
+product of one factor per start block and per edge, and names the
+failing classes.  Both count the vertex paths they cover by a DP over
+(block, length); no vertex path is walked, so each check costs
+O(edges * n_max) whether it passes or fails.
 
 Every check here (stochastic rows, stationarity, normalization,
 additivity, push-forward) compares by :func:`spectral.agree`: exact
@@ -221,12 +223,6 @@ EDGE_ROUTES = ("shannon_parry", "combinatorial", "markov")
 VERTEX_ROUTES = ("markov", "parry")
 
 
-def _shannon_parry_value(ctx: MeasureContext, i_first: int, i_last: int, n_edges: int):
-    """U_first V_last / theta^n, the measure of every edge cylinder of n
-    edges from block i_first to block i_last."""
-    return ctx.vectors.left_normalized[i_first] * ctx.vectors.right[i_last] / ctx.theta ** n_edges
-
-
 def cylinder_measure(ctx: MeasureContext, cyl: Cylinder,
                      route: str = "shannon_parry") -> MeasureReport:
     """Measure of a cylinder along the requested route.
@@ -245,7 +241,7 @@ def cylinder_measure(ctx: MeasureContext, cyl: Cylinder,
 
     if cyl.is_edge_form:
         if route == "shannon_parry":
-            val = _shannon_parry_value(ctx, i_first, i_last, n)
+            val = ctx.vectors.left_normalized[i_first] * ctx.vectors.right[i_last] / theta ** n
         elif route == "combinatorial":
             val = (ctx.vectors.left[i_first] * ctx.vectors.right[i_last]
                    / (theta ** n * ctx.norm.identity_value))
@@ -269,24 +265,6 @@ def cylinder_measure(ctx: MeasureContext, cyl: Cylinder,
     return MeasureReport(float(val), route, exact)
 
 
-def _vertex_paths(mat: AdjMatrix, n_edges: int):
-    """All vertex paths with exactly n_edges steps, in lexicographic order."""
-    def extend(path):
-        if len(path) == n_edges + 1:
-            yield tuple(path)
-            return
-        for j, _ in mat.successors[path[-1]]:
-            yield from extend(path + [j])
-
-    for start in range(mat.size):
-        yield from extend([start])
-
-
-def _path_word(labels: Sequence[Word], path: Sequence[int]) -> str:
-    """The symbol word read along a vertex path of block indices."""
-    return "".join(Cylinder(tuple(labels[i] for i in path)).word())
-
-
 def _path_count(mat: AdjMatrix, n_max: int) -> int:
     """Number of vertex paths of 1..n_max edges: one count DP over
     (block, length) from every start block at once."""
@@ -302,97 +280,59 @@ def _path_count(mat: AdjMatrix, n_max: int) -> int:
     return total
 
 
-def _pushforward_certified(ctx: MeasureContext, n_max: int) -> bool:
-    """Whether every vertex path of 1..n_max edges passes the push-forward
-    check, decided without walking the paths.
-
-    Along a path f -> ... -> l the Markov product over the preimage sum
-    is c_f times the product of c_ab over its edges, with
-    c_f = pi_f / (U_f V_f) and c_ab = P_ab theta V_a / (A_ab V_b): the
-    V factors telescope, whatever the values.  In exact arithmetic every
-    path passes when every factor is one.  In floats a min/max product
-    DP over (block, length) bounds the ratio on all paths of each
-    length, and every bound must lie within 3/4 THETA_TOL of one; the
-    other quarter covers the rounding of an n_max-factor product.  A
-    zero or negative factor is never certified.
-    """
-    mat, sp, vec, theta = ctx.mat, ctx.sp, ctx.vectors, ctx.theta
-    left, right = vec.left_normalized, vec.right
-    if any(u * v == 0 for u, v in zip(left, right)):
-        return False
-    start = [pi / (u * v) for pi, u, v in zip(sp.stationary, left, right)]
-    edge = [[x * theta * right[a] / (e * right[b]) for (b, e), (_, x) in zip(row, sp.rows[a])]
-            for a, row in enumerate(mat.successors)]
-    if ctx.exact:
-        return all(c == 1 for c in start) and all(c == 1 for row in edge for c in row)
-    if not all(c > 0 for c in start) or not all(c > 0 for row in edge for c in row):
-        return False
-    lo, hi = 1 - 0.75 * THETA_TOL, 1 + 0.75 * THETA_TOL
-    low, high = start, start
-    for _ in range(n_max):
-        next_low, next_high = [None] * mat.size, [None] * mat.size
-        for a, row in enumerate(mat.successors):
-            if low[a] is None:
-                continue
-            for (b, _), c in zip(row, edge[a]):
-                x, y = low[a] * c, high[a] * c
-                if next_low[b] is None or x < next_low[b]:
-                    next_low[b] = x
-                if next_high[b] is None or y > next_high[b]:
-                    next_high[b] = y
-        low, high = next_low, next_high
-        if any(x is not None and not lo <= x for x in low) or \
-                any(y is not None and not y <= hi for y in high):
-            return False
-    return True
-
-
-def _pushforward_walk(ctx: MeasureContext, n_max: int) -> dict:
-    """The push-forward check path by path, naming every failing word.
-
-    The paths of each length come from :func:`_vertex_paths`.  Each
-    path's Markov product and preimage count take one factor per step in
-    the order the per-cylinder routes use, and the preimage sum is the
-    count times the representative measure U_first V_last / theta^n.
-    Violations are listed per word, shortest first and lexicographic
-    within one length.
-    """
-    mat, sp = ctx.mat, ctx.sp
-    checked, violations = 0, []
-    for length in range(1, n_max + 1):
-        for path in _vertex_paths(mat, length):
-            pushed, count = sp.stationary[path[0]], 1
-            for a, b in zip(path, path[1:]):
-                pushed, count = pushed * sp.entry(a, b), count * mat.entry(a, b)
-            total = count * _shannon_parry_value(ctx, path[0], path[-1], length)
-            checked += 1
-            if not agree(total, pushed):
-                violations.append({"word": _path_word(mat.labels, path),
-                                   "pushforward": float(pushed),
-                                   "preimage_sum": float(total)})
-    return {"checked": checked, "violations": violations}
-
-
 def pushforward_report(ctx: MeasureContext, n_max: int) -> dict:
     """Check the push-forward identity on every vertex word up to n_max edges.
 
     The Markov product for the projected cylinder must equal the total
     eigenvector-formula measure of its branch preimage; since branch
     indices never change the measure (checked independently) the total
-    is the preimage count times one representative.  The two sides must
-    :func:`spectral.agree`: exactly in the exact pipeline, to a relative
-    THETA_TOL in floats.
+    is the preimage count times one representative.  Along a path
+    f -> ... -> l their ratio is c_f times the product of c_ab over its
+    edges, with c_f = pi_f / (U_f V_f) and c_ab = P_ab theta V_a /
+    (A_ab V_b): the V factors telescope, whatever the values.  A block
+    with U_f V_f = 0 has pi_f = 0, so both sides vanish on every path
+    from it and it starts none.
 
-    Their ratio is a product of one factor per start block and one per
-    edge, so a certificate over the factors (see
-    :func:`_pushforward_certified`) decides every path at once in
-    O(edges * n_max), and ``checked`` comes from the path-count DP.  Only
-    when the certificate fails are the paths walked, one by one, to name
-    the violations.
+    A min/max product DP over (block, length) carries the extremes of the
+    ratio over the paths of each (length, last block) class; a factor
+    below zero swaps them.  The ratio must :func:`spectral.agree` with
+    one, which holds on an interval, so every path of a class passes
+    exactly when both extremes do.  ``violations`` lists each failing
+    class as ``{"length", "block", "low", "high"}``, shortest first and
+    in block order, and ``checked`` comes from the path-count DP.  The
+    work is O(edges * n_max) whether the check passes or fails.
     """
-    if not _pushforward_certified(ctx, n_max):
-        return _pushforward_walk(ctx, n_max)
-    return {"checked": _path_count(ctx.mat, n_max), "violations": []}
+    mat, sp, vec, theta = ctx.mat, ctx.sp, ctx.vectors, ctx.theta
+    left, right = vec.left_normalized, vec.right
+    start = [None if u * v == 0 else pi / (u * v)
+             for pi, u, v in zip(sp.stationary, left, right)]
+    edge = [[x * theta * right[a] / (e * right[b]) for (b, e), (_, x) in zip(row, sp.rows[a])]
+            for a, row in enumerate(mat.successors)]
+    report = {"checked": _path_count(mat, n_max), "violations": []}
+    if ctx.exact and all(c in (None, 1) for c in start) and all(c == 1 for r in edge for c in r):
+        return report
+    # exactly one passes an exact ratio; inside the float interval agree(x, 1)
+    # holds whatever the rounding, so only the classes outside it call agree
+    lo, hi = (1, 1) if ctx.exact else (1 - THETA_TOL / 2, 1 + THETA_TOL / 2)
+    low, high = start, start
+    for length in range(1, n_max + 1):
+        next_low, next_high = [None] * mat.size, [None] * mat.size
+        for a, row in enumerate(mat.successors):
+            if low[a] is None:
+                continue
+            for (b, _), c in zip(row, edge[a]):
+                x, y = (low[a] * c, high[a] * c) if c >= 0 else (high[a] * c, low[a] * c)
+                if next_low[b] is None or x < next_low[b]:
+                    next_low[b] = x
+                if next_high[b] is None or y > next_high[b]:
+                    next_high[b] = y
+        low, high = next_low, next_high
+        for b, (x, y) in enumerate(zip(low, high)):
+            if x is None or lo <= x and y <= hi or agree(x, 1) and agree(y, 1):
+                continue
+            report["violations"].append({"length": length, "block": "".join(mat.labels[b]),
+                                         "low": float(x), "high": float(y)})
+    return report
 
 
 def kolmogorov_report(ctx: MeasureContext, n_max: int) -> dict:
@@ -405,28 +345,26 @@ def kolmogorov_report(ctx: MeasureContext, n_max: int) -> dict:
     block l measures U_f V_l / theta^n whatever the blocks in between,
     and its extensions into block j measure U_f V_j / theta^(n+1).  The
     factor U_f / theta^n is common to both sides and the agreement rule
-    is relative, so every path ending at block l passes when the row
-    identity sum_j A_lj V_j / theta = V_l agrees: each block is decided
-    once.  ``checked`` counts the vertex paths by one all-starts
-    path-count DP.  ``max_defect`` is the row defect times the largest
-    U_f / theta^n over the classes (f, l, n) that reach the row, which
-    one max-DP over (block, length) gives.  The work is
-    O(edges * n_max) where a check per path grew exponentially with
-    n_max.  ``violations`` lists every path that ends at a failing row,
-    in path order; the paths are walked only for the lengths at which a
-    failing row is reached.
+    is relative, so every path ending at block l passes exactly when the
+    row identity sum_j A_lj V_j / theta = V_l agrees: each block is
+    decided once.  ``violations`` lists the labels of the failing blocks
+    that end some path, in block order.  ``checked`` counts the vertex
+    paths by one all-starts path-count DP.  ``max_defect`` is the row
+    defect times the largest U_f / theta^n over the classes (f, l, n)
+    that reach the row, which one max-DP over (block, length) gives.
+    The work is O(edges * n_max) whether the check passes or fails.
     """
     mat, vec, theta = ctx.mat, ctx.vectors, ctx.theta
     left, right = vec.left_normalized, vec.right
-    defects, failing = [], set()
+    defects, failing = [], []
     for last, row in enumerate(mat.successors):
         total = sum(e * right[j] for j, e in row) / theta
         defects.append(abs(total - right[last]))
-        if not agree(total, right[last]):
-            failing.add(last)
+        failing.append(not agree(total, right[last]))
     # largest U_f over the first blocks of the paths of each length ending
-    # at each block (None where none ends), and its largest U_f / theta^n
-    top, scale, lengths = list(left), [0] * mat.size, []
+    # at each block (None where none ends), and its largest U_f / theta^n;
+    # a path from U_f = 0 measures zero on both sides, so it never fails
+    top, scale, ends = [u or None for u in left], [0] * mat.size, [False] * mat.size
     for length in range(1, n_max + 1):
         reach = [None] * mat.size
         for k, u in enumerate(top):
@@ -436,10 +374,9 @@ def kolmogorov_report(ctx: MeasureContext, n_max: int) -> dict:
                         reach[j] = u
         top, power = reach, theta ** length
         scale = [s if u is None else max(s, u / power) for s, u in zip(scale, top)]
-        if any(top[last] is not None for last in failing):
-            lengths.append(length)
-    violations = [_path_word(mat.labels, path) for length in lengths
-                  for path in _vertex_paths(mat, length) if path[-1] in failing]
+        ends = [e or u is not None for e, u in zip(ends, top)]
+    violations = ["".join(label) for label, bad, end in zip(mat.labels, failing, ends)
+                  if bad and end]
     worst = max([0.0] + [float(s * d) for s, d in zip(scale, defects)])
     return {"checked": _path_count(mat, n_max), "max_defect": worst, "violations": violations}
 

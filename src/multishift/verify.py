@@ -91,6 +91,14 @@ def _recurrence_checks(spec: ShiftSpec, f, g, fa, max_n: int) -> list[CheckResul
     return out
 
 
+def _measure_check(name: str, kind: str, failing: list[str], detail: str) -> CheckResult:
+    """A measure check that fails on the classes ``failing``, the first
+    five of them named after its detail."""
+    if failing:
+        detail += f"; failing {kind} " + ", ".join(failing[:5] + ["…"] * (len(failing) > 5))
+    return CheckResult(name, not failing, detail)
+
+
 def run_verification(spec: ShiftSpec, max_n: int = 10, budget: int = DEFAULT_BUDGET,
                      expected: dict | None = None,
                      allow_reducible: bool = False) -> VerificationReport:
@@ -161,12 +169,13 @@ def run_verification(spec: ShiftSpec, max_n: int = 10, budget: int = DEFAULT_BUD
                     checks.append(CheckResult(name, norm.agree))
                 ctx = measures.MeasureContext(an)
                 kol = measures.kolmogorov_report(ctx, min(4, max_n))
-                checks.append(CheckResult(
-                    "measure_additivity", not kol["violations"],
+                checks.append(_measure_check(
+                    "measure_additivity", "blocks", kol["violations"],
                     f"max defect {kol['max_defect']:.3g} over {kol['checked']} cylinders"))
                 push = measures.pushforward_report(ctx, min(4, max_n))
-                checks.append(CheckResult(
-                    "pushforward_equality", not push["violations"],
+                checks.append(_measure_check(
+                    "pushforward_equality", "classes",
+                    [f"{v['length']}:{v['block']}" for v in push["violations"]],
                     f"{push['checked']} vertex words"))
             except MultishiftError as exc:
                 checks.append(CheckResult("spectral_pipeline", False, str(exc)))

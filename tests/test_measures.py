@@ -525,10 +525,43 @@ REFERENCE_SPECS = {name: load_fixture(name) for name in list_fixtures()
 REFERENCE_SPECS["three_successors"] = validate_spec("012", ["00"], [("12", 2), ("201", 3)])
 
 
+def _block_order(mat):
+    return ["".join(label) for label in mat.labels]
+
+
+def _word_class(mat, word):
+    """(length, last block) of a vertex word: its last p symbols are the
+    label of the block it ends at."""
+    p = len(mat.labels[0])
+    return len(word) - p, word[-p:]
+
+
+def kolmogorov_classes(ctx, n_max):
+    """The per-path reference with its failing words mapped to their last
+    blocks, in block order: the classes the grouped check decides."""
+    ref = reference_kolmogorov(ctx, n_max)
+    failing = {_word_class(ctx.mat, word)[1] for word in ref["violations"]}
+    return {**ref, "violations": [b for b in _block_order(ctx.mat) if b in failing]}
+
+
+def pushforward_classes(ctx, n_max):
+    """The per-path reference with its failing words mapped to their
+    (length, last block) classes, shortest first and in block order."""
+    ref = reference_pushforward(ctx, n_max)
+    failing = {_word_class(ctx.mat, v["word"]) for v in ref["violations"]}
+    return {**ref, "violations": [(n, b) for n in range(1, n_max + 1)
+                                  for b in _block_order(ctx.mat) if (n, b) in failing]}
+
+
+def classes_of(report):
+    """A push-forward report with each failing class as (length, block)."""
+    return {**report, "violations": [(v["length"], v["block"]) for v in report["violations"]]}
+
+
 def assert_matches_reference(ctx, got, want, n_max):
-    """Compare an additivity report with its reference: exact roots the
-    whole report, float roots ``checked`` and ``violations`` equal and
-    ``max_defect`` within its rounding.
+    """Compare an additivity report with its class-mapped reference: exact
+    roots the whole report, float roots ``checked`` and ``violations``
+    equal and ``max_defect`` within its rounding.
 
     Each side of one check is a cylinder measure, about one at most,
     computed in at most degree + n_max + 2 rounded operations.  The
@@ -545,20 +578,12 @@ def assert_matches_reference(ctx, got, want, n_max):
 
 
 @pytest.mark.parametrize("name", REFERENCE_SPECS)
-def test_grouped_checks_equal_per_cylinder_reference(name, monkeypatch):
-    # nothing fails here, so the row identities and the product
-    # certificate decide every path: the walks, which only name
-    # failures, must not run
-    def refuse(*args):
-        raise AssertionError("a path walk ran although no check fails")
-
-    monkeypatch.setattr(measures, "_vertex_paths", refuse)
-    monkeypatch.setattr(measures, "_pushforward_walk", refuse)
+def test_grouped_checks_equal_per_cylinder_reference(name):
     ctx = MeasureContext(REFERENCE_SPECS[name])
     for n_max in (3, 4):
         assert_matches_reference(ctx, kolmogorov_report(ctx, n_max),
-                                 reference_kolmogorov(ctx, n_max), n_max)
-        assert pushforward_report(ctx, n_max) == reference_pushforward(ctx, n_max)
+                                 kolmogorov_classes(ctx, n_max), n_max)
+        assert classes_of(pushforward_report(ctx, n_max)) == pushforward_classes(ctx, n_max)
 
 
 def _corrupt_rows(ctx, factor):
@@ -567,6 +592,11 @@ def _corrupt_rows(ctx, factor):
     rows[0][0] = (j, x * factor)
     ctx.sp = ctx.sp._replace(rows=tuple(map(tuple, rows)))
     return ("pushforward",)
+
+
+def _corrupt_sign(ctx, factor):
+    # a negative edge factor, which swaps the extremes of a class it maps
+    return _corrupt_rows(ctx, -factor)
 
 
 def _corrupt_right(ctx, factor):
@@ -588,47 +618,51 @@ CORRUPTED_SPECS = {name: REFERENCE_SPECS[name]
                    for name in ("counting", "eigenvectors", "three_successors")}
 # a float root on 27 blocks, with parallel edges
 CORRUPTED_SPECS["q3_p4"] = validate_spec("012", [], [("0121", 2), ("22", 3)])
+# an exact root with U = (0, 1): block 0, where every corruption sits,
+# starts only paths that measure zero on both sides of either check
+CORRUPTED_SPECS["reducible"] = validate_spec("01", ["10"], [("11", 2)])
 
 
 @pytest.mark.parametrize("name", CORRUPTED_SPECS)
-@pytest.mark.parametrize("corrupt", [_corrupt_rows, _corrupt_right, _corrupt_stationary],
-                         ids=["rows", "right", "stationary"])
+@pytest.mark.parametrize("corrupt", [_corrupt_rows, _corrupt_sign, _corrupt_right,
+                                     _corrupt_stationary],
+                         ids=["rows", "sign", "right", "stationary"])
 def test_grouped_checks_list_the_same_violations(name, corrupt):
-    ctx = MeasureContext(CORRUPTED_SPECS[name])
+    ctx = MeasureContext(CORRUPTED_SPECS[name], allow_reducible=True)
     failing = corrupt(ctx, Fraction(1001, 1000) if ctx.exact else 1.001)
-    got = {"kolmogorov": kolmogorov_report(ctx, 4), "pushforward": pushforward_report(ctx, 4)}
-    want = {"kolmogorov": reference_kolmogorov(ctx, 4),
-            "pushforward": reference_pushforward(ctx, 4)}
-    assert_matches_reference(ctx, got["kolmogorov"], want["kolmogorov"], 4)
-    assert got["pushforward"] == want["pushforward"]
+    if not ctx.vectors.left_normalized[0]:
+        failing = ()
+    got = {"kolmogorov": kolmogorov_report(ctx, 4),
+           "pushforward": classes_of(pushforward_report(ctx, 4))}
+    assert_matches_reference(ctx, got["kolmogorov"], kolmogorov_classes(ctx, 4), 4)
+    assert got["pushforward"] == pushforward_classes(ctx, 4)
     for check in ("kolmogorov", "pushforward"):
         assert bool(got[check]["violations"]) == (check in failing)
+
+
+def _path_classes(mat, n_max, keep):
+    """(length, last block) classes of the vertex paths of 1..n_max edges
+    that keep selects, in report order: by length, then block order."""
+    return [(n, "".join(mat.labels[b])) for n in range(1, n_max + 1)
+            for b in sorted({path[-1] for path in _all_vertex_paths(mat, n) if keep(path)})]
 
 
 @pytest.mark.parametrize("factor", [1 + THETA_TOL / 2, 1 + 2 * THETA_TOL],
                          ids=["inside", "beyond"])
 def test_pushforward_certificate_at_the_tolerance(factor):
     # a start factor just inside the relative tolerance passes on every
-    # path; just beyond it, every path from that block fails
+    # path; just beyond it, every class reached from that block fails
     ctx = MeasureContext(load_fixture("counting"))
     _corrupt_stationary(ctx, factor)
-    got = pushforward_report(ctx, 4)
-    assert got == reference_pushforward(ctx, 4)
-    want = _path_words(ctx.mat, 4, lambda path: path[0] == 0) if factor > 1 + THETA_TOL else []
-    assert [v["word"] for v in got["violations"]] == want
-
-
-def _path_words(mat, n_max, keep):
-    """Words of the vertex paths of 1..n_max edges that keep selects, in
-    check order: by length, then lexicographic."""
-    return ["".join(Cylinder(tuple(mat.labels[i] for i in path)).word())
-            for length in range(1, n_max + 1)
-            for path in _all_vertex_paths(mat, length) if keep(path)]
+    got = classes_of(pushforward_report(ctx, 4))
+    assert got == pushforward_classes(ctx, 4)
+    want = _path_classes(ctx.mat, 4, lambda path: path[0] == 0) if factor > 1 + THETA_TOL else []
+    assert got["violations"] == want
 
 
 def test_small_relative_error_flagged_on_every_path_of_the_right_vector():
     # an absolute bound passes an error of 1e-6 once the cylinders are
-    # small: at length 12 it flagged 72 of these 3325 additivity failures
+    # small: at length 12 it flagged 72 of the 3325 failing additivity paths
     ctx = MeasureContext(load_fixture("counting"))
     assert not ctx.exact
     _corrupt_right(ctx, 1 + 1e-6)
@@ -636,12 +670,12 @@ def test_small_relative_error_flagged_on_every_path_of_the_right_vector():
     # both sides of the additivity check read V at the last block and at
     # its successors; the push-forward reads it at the last block only
     reaches = {i for i, row in enumerate(succ) if i == 0 or any(j == 0 for j, _ in row)}
-    kol = kolmogorov_report(ctx, 12)
-    assert kol["violations"] == _path_words(ctx.mat, 12, lambda path: path[-1] in reaches)
-    assert len(kol["violations"]) == 3325
+    ended = {b for _, b in _path_classes(ctx.mat, 12, lambda path: path[-1] in reaches)}
+    assert kolmogorov_report(ctx, 12)["violations"] == \
+        [b for b in _block_order(ctx.mat) if b in ended]
     push = pushforward_report(ctx, 12)
-    assert [v["word"] for v in push["violations"]] == \
-        _path_words(ctx.mat, 12, lambda path: path[-1] == 0)
+    assert classes_of(push)["violations"] == \
+        _path_classes(ctx.mat, 12, lambda path: path[-1] == 0)
 
 
 def test_small_relative_error_flagged_on_every_path_through_a_markov_row():
@@ -649,8 +683,8 @@ def test_small_relative_error_flagged_on_every_path_through_a_markov_row():
     j = ctx.sp.rows[0][0][0]
     _corrupt_rows(ctx, 1 + 1e-6)
     push = pushforward_report(ctx, 12)
-    assert [v["word"] for v in push["violations"]] == \
-        _path_words(ctx.mat, 12, lambda path: (0, j) in zip(path, path[1:]))
+    assert classes_of(push)["violations"] == \
+        _path_classes(ctx.mat, 12, lambda path: (0, j) in zip(path, path[1:]))
     assert kolmogorov_report(ctx, 12)["violations"] == []
 
 
@@ -681,3 +715,38 @@ def test_pushforward_check_cost_polynomial_in_length():
     report = pushforward_report(ctx, 40)
     assert report["checked"] == _paths_up_to(ctx.mat, 40)
     assert report["violations"] == []
+
+
+def test_failing_checks_cost_polynomial_in_length():
+    # of about 5e10 vertex paths of up to 40 edges, every one ending at
+    # block 00 or 10 fails additivity and every one ending at 00 the
+    # push-forward: only a decision per class can answer
+    ctx = MeasureContext(load_fixture("counting"))
+    _corrupt_right(ctx, 1 + 1e-6)
+    kol = kolmogorov_report(ctx, 40)
+    assert kol["violations"] == ["00", "10"]
+    assert kol["checked"] == 53406819682 == _paths_up_to(ctx.mat, 40)
+    push = pushforward_report(ctx, 40)
+    assert classes_of(push)["violations"] == [(n, "00") for n in range(1, 41)]
+    # on block 00 the ratio is 1 / (1 + 1e-6) along every path, up to the
+    # rounding of 41 factors each one to within its eigenvector's residual
+    for v in push["violations"]:
+        assert v["low"] <= v["high"]
+        assert all(abs(x * (1 + 1e-6) - 1) <= 1e-10 for x in (v["low"], v["high"]))
+
+
+def test_verify_names_the_failing_measure_classes(monkeypatch):
+    made = MeasureContext
+
+    def corrupted(*args, **kwargs):
+        ctx = made(*args, **kwargs)
+        _corrupt_right(ctx, 1 + 1e-6)
+        _corrupt_rows(ctx, 1 + 1e-6)
+        return ctx
+
+    monkeypatch.setattr(measures, "MeasureContext", corrupted)
+    checks = {c.name: c for c in run_verification(load_fixture("counting")).checks}
+    kol, push = checks["measure_additivity"], checks["pushforward_equality"]
+    assert not kol.passed and not push.passed
+    assert kol.detail == "max defect 6.52e-08 over 77 cylinders; failing blocks 00, 10"
+    assert push.detail == "77 vertex words; failing classes 1:00, 2:00, 2:01, 3:00, 3:01, …"
