@@ -211,7 +211,7 @@ def cmd_genfun(args, doc: dict, spec: ShiftSpec) -> int:
     sol = solve_generating_functions(spec)
     result = {"system": sol.system.to_json(), "solution": sol.to_json(),
               "series": [str(c) for c in series_coeffs(sol.all_words, args.series_n)]}
-    if sol.correction is not None:
+    if sol.mode == "reduced":
         result["correction"] = sol.correction.to_json()
     report = report_skeleton("genfun", doc)
     report["result"] = result

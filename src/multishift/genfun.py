@@ -5,21 +5,21 @@ together F (all allowed words), one G per repeated word (words ending
 with it) and one Fa per forbidden word (words whose only forbidden
 occurrence is terminal).  One builder serves both modes: it uses tail
 correlations and embedded-occurrence weights, which for a reduced union
-are the plain correlations and weight 1, so there the lower-right block
-of the bordered matrix is the core correlation matrix.
+are the plain correlations and weight 1.
 
 Every entry is a polynomial in z (a correlation polynomial times a
 constant), so the system is held once, as one labelled polynomial
 matrix: :func:`system_rows` builds its rows and :func:`build_system`
-labels them, for a spec and for its extension alike.
-:attr:`GenFunSystem.core` reads the core of that matrix,
-:func:`constraint_correction` solves the core once for the correction
-R, :func:`conjugate_rows` rescales it once per system
-(:attr:`GenFunSystem.conjugate`), and :func:`solve_generating_functions`
-solves the system.  :func:`closed_form` writes F = z / (z - q + R) as one
-polynomial pair, and the solve asserts, by cross-multiplication, that
-the pairs from the core and from its conjugate reproduce the solved F.
-``spectral.Analysis`` keeps each of these as a stage.
+labels them, for a spec and for its extension alike.  It reads
+[[z - q, -z w^T], [1, C]] with the weights w of :func:`targets` and the
+core C (:attr:`GenFunSystem.core`), so x = C^-1 1 gives F = z / (z - q
++ R) with R = z w^T x and every other series as -F x_i.  One Cramer
+solve of the core, in either mode, serves :func:`constraint_correction`
+and :func:`solve_generating_functions`; the bordered matrix is never
+solved.  The solve asserts, by cross-multiplication, that the closed
+forms (:func:`closed_form`) from R and from the conjugate core
+(:attr:`GenFunSystem.conjugate`) reproduce F.  ``spectral.Analysis``
+keeps each of these as a stage.
 """
 
 from __future__ import annotations
@@ -29,17 +29,19 @@ from functools import cache, cached_property, partial
 from typing import NamedTuple
 
 from . import words as W
-from .errors import NumericError, SpecError
+from .errors import NumericError
 from .langmodel import ShiftSpec
 from .ratfield import Poly, RatFun, RatMat, quotient_json
 from .words import Word
 
 
 def targets(spec: ShiftSpec) -> tuple[tuple[Word, Fraction], ...]:
-    """The rows of the core in order, each word with its weight in the
-    correction: (m - 1)/m for a repeated word, -1 for a forbidden one."""
+    """The rows of the core in order, each word with its weight w in the
+    correction: (m - 1)/m for a repeated word, minus the embedded weight
+    for a forbidden one (-1 on a reduced union).  The top row of the
+    counting system is built from them: its entry in column t is -w z."""
     return tuple((r, Fraction(m - 1, m)) for r, m in spec.repeated) + \
-        tuple((a, Fraction(-1)) for a in spec.forbidden)
+        tuple((a, Fraction(-embedded_weight(spec, a))) for a in spec.forbidden)
 
 
 def _labels(spec: ShiftSpec) -> tuple[str, ...]:
@@ -48,7 +50,7 @@ def _labels(spec: ShiftSpec) -> tuple[str, ...]:
 
 
 def correlation_matrix(spec: ShiftSpec) -> RatMat:
-    """The core (l+s)-square matrix of the reduced counting system.
+    """The core (l+s)-square matrix of the counting system.
 
     Entry regimes: repeated-vs-repeated rows carry z(1 - 1/m_j)(r_j,
     r_i)_z minus z^|r_j| on the diagonal, forbidden columns carry
@@ -59,17 +61,17 @@ def correlation_matrix(spec: ShiftSpec) -> RatMat:
 
 
 def conjugate_rows(rows) -> list[list[Poly]]:
-    """D^-1 P^T D of the core P of the bordered matrix rows of a reduced
-    system, entrywise.  D is diagonal with c_i z: c_i = 1 - 1/m_i over
-    repeated rows and -1 over forbidden rows, minus the top row after
-    the corner.  So entry (i, j) is P_ji scaled by the constant c_j / c_i."""
+    """D^-1 P^T D of the core P of the bordered matrix rows, entrywise, in
+    either mode.  D is diagonal with c_i z, c the weights of :func:`targets`
+    (minus the top row after the corner), so entry (i, j) is P_ji scaled
+    by c_j / c_i, and z c^T (D^-1 P^T D)^-1 1 = z c^T P^-1 1 = R."""
     c = [-e.coeff(1) for e in rows[0][1:]]
     n = len(c)
     return [[rows[1 + j][1 + i] * (c[j] / c[i]) for j in range(n)] for i in range(n)]
 
 
 def conjugate_correlation_matrix(system: GenFunSystem) -> RatMat:
-    """The conjugate core of a reduced system (:func:`conjugate_rows`)."""
+    """The conjugate core of a system (:func:`conjugate_rows`)."""
     labels = system.matrix.row_labels[1:]
     return RatMat.from_rows(conjugate_rows(system.matrix.entries), labels, labels)
 
@@ -97,10 +99,7 @@ class GenFunSystem:
     @cached_property
     def core(self) -> RatMat:
         """The core correlation matrix: the lower-right block of the
-        bordered matrix, defined for a reduced union only."""
-        if self.mode != "reduced":
-            raise SpecError("the reduced counting system requires a reduced union "
-                            "of forbidden and repeated words")
+        bordered matrix."""
         labels = self.matrix.row_labels[1:]
         return RatMat.from_rows([row[1:] for row in self.matrix.entries[1:]],
                                 labels, labels)
@@ -144,9 +143,7 @@ def system_rows(spec: ShiftSpec) -> tuple[tuple[Poly, ...], ...]:
     """
     reps, fws = spec.repeated, spec.forbidden
     ell, zero, one = len(reps), Poly.zero(), Poly.one()
-    weight = [embedded_weight(spec, a) for a in fws]
-    rows = [(Poly._of([-spec.q, 1]), *(Poly._of([0, 1 - m], m) for _, m in reps),
-             *(Poly._of([0, w]) for w in weight))]
+    rows = [(Poly._of([-spec.q, 1]), *(Poly([0, -w]) for _, w in targets(spec)))]
 
     core = spec.repeated_words + fws
     by_suffix: dict[Word, list[int]] = {}
@@ -160,8 +157,7 @@ def system_rows(spec: ShiftSpec) -> tuple[tuple[Poly, ...], ...]:
         for s in range(1, len(t_k) + 1):
             for c in by_suffix.get(t_k[:s], ()):
                 if c >= ell:
-                    coefs.setdefault(c, {})[s] = \
-                        -(weight[c - ell] if repeated_row else tail_weight(core[c], s))
+                    coefs.setdefault(c, {})[s] = -tail_weight(core[c], 0 if repeated_row else s)
                 elif repeated_row or s < len(core[c]):
                     coefs.setdefault(c, {})[s] = reps[c][1] - 1
         if repeated_row:  # the diagonal's -z^|r_k|, at r_k's own overlap s = |r_k|
@@ -184,13 +180,14 @@ def build_system(spec: ShiftSpec) -> GenFunSystem:
 
 
 class GenFunSolution(NamedTuple):
-    """All counting series of a spec, as canonical rational functions."""
+    """All counting series of a spec, as canonical rational functions
+    from one solve of the core of ``system``."""
 
     all_words: RatFun                       # F
     ending_with: tuple[tuple[Word, RatFun], ...]   # G per repeated word
     forbidden_tail: tuple[tuple[Word, RatFun], ...]  # Fa per forbidden word
     system: GenFunSystem
-    correction: RatFun | None               # R of F = z / (z - q + R), reduced mode only
+    correction: RatFun                      # R of F = z / (z - q + R)
 
     @property
     def mode(self) -> str:
@@ -205,17 +202,20 @@ class GenFunSolution(NamedTuple):
         }
 
 
+def _weighted_solve(spec: ShiftSpec, core: RatMat) -> tuple[tuple[Poly, ...], Poly, Poly]:
+    """x = C^-1 1 = ys / D (:attr:`RatMat.inverse_row_sums`) and z sum_i w_i ys_i."""
+    ys, det = core.inverse_row_sums
+    return ys, det, sum((y * w for (_, w), y in zip(targets(spec), ys)), Poly.zero()).shift(1)
+
+
 def constraint_correction(spec: ShiftSpec, core: RatMat) -> RatFun:
-    """The correction R with F = z / (z - q + R) from the core of a
-    reduced spec (or from its conjugate): R = z * sum_i w_i x_i, the
-    weighted row sums x = C^-1 1 of the inverted core.  One solve by
-    Cramer gives x_i = y_i / D over one common denominator, so R is the
-    single quotient z * sum_i w_i y_i / D; zero for empty collections."""
-    ys, det = core.cramer([Poly.one()] * core.nrows)
-    num = Poly.zero()
-    for (_, w), y in zip(targets(spec), ys):
-        num = num + y * w
-    return RatFun(num.shift(1), det)
+    """The correction R with F = z / (z - q + R) from the core of a spec
+    (or from its conjugate): R = z * sum_i w_i x_i, the weighted row sums
+    x = C^-1 1 of the inverted core.  One solve by Cramer gives x_i =
+    y_i / D over one common denominator, so R is the single quotient
+    z * sum_i w_i y_i / D; zero for empty collections."""
+    _, det, num = _weighted_solve(spec, core)
+    return RatFun(num, det)
 
 
 def closed_form(q: int, r: RatFun) -> tuple[Poly, Poly]:
@@ -225,30 +225,27 @@ def closed_form(q: int, r: RatFun) -> tuple[Poly, Poly]:
     return r.den.shift(1), Poly._of([-q, 1]) * r.den + r.num
 
 
-def _solution(spec: ShiftSpec, system: GenFunSystem, correction: RatFun | None) -> GenFunSolution:
-    """Solve the system; in the reduced mode the closed forms from the
-    correction and from the conjugate core must reproduce the solved F,
+def _solution(spec: ShiftSpec, system: GenFunSystem, correction: RatFun) -> GenFunSolution:
+    """Every series from the one solve of the core, x = ys / D: with
+    Q = (z - q) D + z sum_i w_i ys_i, F = z D / Q and the series of the
+    i-th core row (G, then Fa) is -F x_i = -z ys_i / Q.  The closed forms
+    from the correction and from the conjugate core must reproduce F,
     F.num * den == num * F.den for each pair (num, den)."""
-    sol = system.matrix.solve(list(system.rhs))
-    f = sol[0]
+    ys, det, weighted = _weighted_solve(spec, system.core)
+    common = Poly._of([-spec.q, 1]) * det + weighted  # Q
+    f = RatFun(det.shift(1), common)
+    series = [RatFun(y.shift(1) * -1, common) for y in ys]
     ell = len(spec.repeated)
-    gs = tuple((r, sol[1 + i]) for i, (r, _) in enumerate(spec.repeated))
-    fas = tuple((a, sol[1 + ell + j]) for j, a in enumerate(spec.forbidden))
-    if correction is not None:
-        for r in (correction, constraint_correction(spec, system.conjugate)):
-            num, den = closed_form(spec.q, r)
-            if f.num * den != num * f.den:
-                raise NumericError("closed forms disagree with the solved system")
-    return GenFunSolution(f, gs, fas, system, correction)
+    for r in (correction, constraint_correction(spec, system.conjugate)):
+        num, den = closed_form(spec.q, r)
+        if f.num * den != num * f.den:
+            raise NumericError("closed forms disagree with the solved system")
+    return GenFunSolution(f, tuple(zip(spec.repeated_words, series[:ell])),
+                          tuple(zip(spec.forbidden, series[ell:])), system, correction)
 
 
 def solve_generating_functions(spec: ShiftSpec) -> GenFunSolution:
-    """Solve the counting system exactly.
-
-    In the reduced mode the two closed forms (row sums of the inverted
-    core matrix and of its conjugate) must reproduce the solved F; a
-    mismatch is an internal error, not a tolerance matter.
-    """
+    """Solve the counting system exactly (:func:`_solution`); a closed
+    form that misses F is an internal error, not a tolerance matter."""
     system = build_system(spec)
-    correction = constraint_correction(spec, system.core) if system.mode == "reduced" else None
-    return _solution(spec, system, correction)
+    return _solution(spec, system, constraint_correction(spec, system.core))

@@ -184,6 +184,7 @@ class MeasureContext:
         self.norm: NormalizationReport = an.normalization
         self.sp: StochMat = shannon_parry_matrix(
             self.mat, self.root.scalar(), self.vectors.left_normalized, self.vectors.right)
+        self._path_counts: dict[int, int] = {}
 
     @property
     def exact(self) -> bool:
@@ -192,6 +193,23 @@ class MeasureContext:
     @property
     def theta(self):
         return self.root.scalar()
+
+    def path_count(self, n_max: int) -> int:
+        """Number of vertex paths of 1..n_max edges, counted once per
+        length: one count DP over (block, length) from every start block
+        at once."""
+        if n_max not in self._path_counts:
+            counts, total = [1] * self.mat.size, 0
+            for _ in range(n_max):
+                reach = [0] * self.mat.size
+                for k, c in enumerate(counts):
+                    if c:
+                        for j, _ in self.mat.successors[k]:
+                            reach[j] += c
+                counts = reach
+                total += sum(counts)
+            self._path_counts[n_max] = total
+        return self._path_counts[n_max]
 
     @cached_property
     def _hat(self) -> tuple[EigenData, StochMat]:
@@ -265,21 +283,6 @@ def cylinder_measure(ctx: MeasureContext, cyl: Cylinder,
     return MeasureReport(float(val), route, exact)
 
 
-def _path_count(mat: AdjMatrix, n_max: int) -> int:
-    """Number of vertex paths of 1..n_max edges: one count DP over
-    (block, length) from every start block at once."""
-    counts, total = [1] * mat.size, 0
-    for _ in range(n_max):
-        reach = [0] * mat.size
-        for k, c in enumerate(counts):
-            if c:
-                for j, _ in mat.successors[k]:
-                    reach[j] += c
-        counts = reach
-        total += sum(counts)
-    return total
-
-
 def pushforward_report(ctx: MeasureContext, n_max: int) -> dict:
     """Check the push-forward identity on every vertex word up to n_max edges.
 
@@ -299,8 +302,8 @@ def pushforward_report(ctx: MeasureContext, n_max: int) -> dict:
     one, which holds on an interval, so every path of a class passes
     exactly when both extremes do.  ``violations`` lists each failing
     class as ``{"length", "block", "low", "high"}``, shortest first and
-    in block order, and ``checked`` comes from the path-count DP.  The
-    work is O(edges * n_max) whether the check passes or fails.
+    in block order, and ``checked`` is :meth:`MeasureContext.path_count`.
+    The work is O(edges * n_max) whether the check passes or fails.
     """
     mat, sp, vec, theta = ctx.mat, ctx.sp, ctx.vectors, ctx.theta
     left, right = vec.left_normalized, vec.right
@@ -308,7 +311,7 @@ def pushforward_report(ctx: MeasureContext, n_max: int) -> dict:
              for pi, u, v in zip(sp.stationary, left, right)]
     edge = [[x * theta * right[a] / (e * right[b]) for (b, e), (_, x) in zip(row, sp.rows[a])]
             for a, row in enumerate(mat.successors)]
-    report = {"checked": _path_count(mat, n_max), "violations": []}
+    report = {"checked": ctx.path_count(n_max), "violations": []}
     if ctx.exact and all(c in (None, 1) for c in start) and all(c == 1 for r in edge for c in r):
         return report
     # exactly one passes an exact ratio; inside the float interval agree(x, 1)
@@ -349,7 +352,7 @@ def kolmogorov_report(ctx: MeasureContext, n_max: int) -> dict:
     row identity sum_j A_lj V_j / theta = V_l agrees: each block is
     decided once.  ``violations`` lists the labels of the failing blocks
     that end some path, in block order.  ``checked`` counts the vertex
-    paths by one all-starts path-count DP.  ``max_defect`` is the row
+    paths (:meth:`MeasureContext.path_count`).  ``max_defect`` is the row
     defect times the largest U_f / theta^n over the classes (f, l, n)
     that reach the row, which one max-DP over (block, length) gives.
     The work is O(edges * n_max) whether the check passes or fails.
@@ -378,7 +381,7 @@ def kolmogorov_report(ctx: MeasureContext, n_max: int) -> dict:
     violations = ["".join(label) for label, bad, end in zip(mat.labels, failing, ends)
                   if bad and end]
     worst = max([0.0] + [float(s * d) for s, d in zip(scale, defects)])
-    return {"checked": _path_count(mat, n_max), "max_defect": worst, "violations": violations}
+    return {"checked": ctx.path_count(n_max), "max_defect": worst, "violations": violations}
 
 
 class EscapeReport(NamedTuple):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -277,6 +278,13 @@ class RatMat:
             raise ValueError("shape mismatch in solve")
         ys, det = _bareiss_solve(self._integer_rows([[b] for b in rhs]))
         return [Poly._of(y[0]) for y in ys], Poly._of(det)
+
+    @cached_property
+    def inverse_row_sums(self) -> tuple[tuple[Poly, ...], Poly]:
+        """:meth:`cramer` against the ones vector, the row sums of the
+        inverse over one denominator, solved once per matrix."""
+        ys, det = self.cramer([Poly.one()] * self.nrows)
+        return tuple(ys), det
 
     def solve(self, rhs: Sequence[Poly]) -> list[RatFun]:
         """Solve self * x = rhs exactly: x_i = y_i / D from :meth:`cramer`."""

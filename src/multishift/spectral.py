@@ -15,10 +15,10 @@ that need just one.
 
 The Perron root always travels two independent routes: the largest real
 zero of the denominator of the closed form F = z / (z - q + R)
-(:func:`genfun.closed_form`; in the non-reduced mode, of the solved
-counting series) isolated by Sturm sequences, and an exact
-Collatz-Wielandt enclosure on the integer matrix; the two must meet or
-the computation refuses to answer.
+(:func:`genfun.closed_form`), R from one solve of the core in either
+mode, isolated by Sturm sequences, and an exact Collatz-Wielandt
+enclosure on the integer matrix; the two must meet or the computation
+refuses to answer.
 
 Eigenvectors come from the correlation formulas; when the root is
 certified exact the whole pipeline stays in big rationals.
@@ -324,23 +324,12 @@ class PerronResult(NamedTuple):
         }
 
 
-def _combinatorial_root(an: Analysis, mat: AdjMatrix) -> RootCertificate:
-    # the root never exceeds the maximal row sum of a non-negative matrix
-    hi = mat.max_row_sum + 1
-    if (r := an.correction) is not None:
-        return largest_real_zero(genfun.closed_form(an.spec.q, r)[1], 1, hi)
-    f = an.solution.all_words
-    if f.den.degree < 1:
-        raise NumericError("counting series has no pole; nothing to certify")
-    return largest_real_zero(f.den, 1, hi)
-
-
 def perron_root(source: ShiftSpec | Analysis, allow_reducible: bool = False) -> PerronResult:
     """Perron root by the combinatorial route, cross-checked iteratively.
 
-    Accepts a validated spec or an :class:`Analysis` whose matrix,
-    correction and solution it reuses; a caller holding an integer
-    matrix converts it with :func:`langmodel.spec_from_matrix` first.
+    Accepts a validated spec or an :class:`Analysis` whose matrix and
+    correction it reuses; a caller holding an integer matrix converts it
+    with :func:`langmodel.spec_from_matrix` first.
     The Sturm interval must meet the exact Collatz-Wielandt enclosure,
     whose midpoint is ``theta_iterative``.  Reducible inputs are an error
     unless explicitly allowed, in which case the enclosure is the largest
@@ -354,7 +343,9 @@ def perron_root(source: ShiftSpec | Analysis, allow_reducible: bool = False) -> 
     irreducible = is_irreducible(mat)
     if not irreducible and not allow_reducible:
         raise SpecError("adjacency matrix is reducible; pass allow_reducible to proceed")
-    cert = _combinatorial_root(an, mat)
+    # the root never exceeds the maximal row sum of a non-negative matrix
+    cert = largest_real_zero(genfun.closed_form(an.spec.q, an.correction)[1],
+                             1, mat.max_row_sum + 1)
     lower, upper = _cw_enclosure(mat)
     if cert.low > upper or cert.high < lower:
         raise RouteMismatchError(
@@ -573,14 +564,14 @@ class Analysis:
     ``system`` read the spec; ``ext_system`` is the counting system of
     ``ext`` from the same builder (it is ``system`` when the extension is
     the spec), and is never solved symbolically; ``correction`` reads the
-    core of ``system``; ``solution`` reads ``system`` and ``correction``;
-    ``root`` reads ``matrix`` and ``correction`` (or ``solution`` for a
-    non-reduced union); ``_core_at_root`` solves the core of
-    ``ext_system`` twice at ``root``; ``vectors`` read ``matrix`` and
-    those solves; ``normalization`` reads ``vectors``, the solves and the
-    derivative of that core at the root; ``entropy`` reads ``root``.  A
-    failed stage is not cached: reading it again repeats the computation
-    and raises again.
+    one solve of the core of ``system``, in either mode; ``solution``
+    reads that solve, ``correction`` and the conjugate core; ``root``
+    reads ``matrix`` and ``correction``; ``_core_at_root`` solves the
+    core of ``ext_system`` twice at ``root``; ``vectors`` read ``matrix``
+    and those solves; ``normalization`` reads ``vectors``, the solves and
+    the derivative of that core at the root; ``entropy`` reads ``root``.
+    A failed stage is not cached: reading it again repeats the
+    computation and raises again.
     """
 
     def __init__(self, spec: ShiftSpec, allow_reducible: bool = False):
@@ -609,10 +600,8 @@ class Analysis:
         return self.system if self.ext is self.spec else genfun.build_system(self.ext)
 
     @cached_property
-    def correction(self) -> RatFun | None:
-        """R of F = z / (z - q + R); None for a non-reduced union (no core)."""
-        if self.system.mode != "reduced":
-            return None
+    def correction(self) -> RatFun:
+        """R of F = z / (z - q + R), from the core's cached solve."""
         return genfun.constraint_correction(self.spec, self.system.core)
 
     @cached_property

@@ -128,9 +128,9 @@ def run_verification(spec: ShiftSpec, max_n: int = 10, budget: int = DEFAULT_BUD
 
     checks.extend(_recurrence_checks(spec, f, g, fa, max_n))
 
-    if sol.correction is not None:
-        # the solution stage refuses a solved F that the closed forms
-        # F = z / (z - q + R) from the core and its conjugate do not reproduce
+    if sol.mode == "reduced":
+        # the solution stage refuses, in either mode, an F that the closed
+        # forms from the core and its conjugate miss; the reduced report names it
         checks.append(CheckResult("series_equals_correction_form", True))
 
     mat = an.matrix

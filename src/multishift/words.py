@@ -77,6 +77,8 @@ def non_terminal_occurrences(a: Sequence[str], r: Sequence[str],
     """
     r = tuple(r)
     cut = max(len(r), threshold)
+    if len(a) <= cut:  # no overlap is longer than a
+        return 0
     return sum(1 for t in correlation_shifts(a, r) if t > cut)
 
 

@@ -347,18 +347,22 @@ def small_specs(draw):
         reject()
 
 
-def family_spec(rng: random.Random, family: str) -> ShiftSpec:
+FAMILIES = ("short_forbidden", "unit_repeated", "nonreduced")
+
+
+def family_spec(rng: random.Random, family: str, top: int = 6) -> ShiftSpec:
     """Rejection-sample a valid spec of one family: "short_forbidden" has
     a forbidden word shorter than p, "unit_repeated" a repeated word of
     length one, "nonreduced" a repeated word inside a forbidden one.
-    The matrix may be reducible."""
+    A multiplicity is 2, 3, 5 or a power of ten up to 10^top.  The
+    matrix may be reducible."""
     shape = {"short_forbidden": lambda s: any(len(a) < s.p for a in s.forbidden),
              "unit_repeated": lambda s: any(len(r) == 1 for r in s.repeated_words),
              "nonreduced": lambda s: not s.union_reduced}[family]
     for _ in range(5000):
         alphabet = "012"[:rng.choice((2, 2, 3))]
         reps = [(random_word(rng, alphabet, 1 if family == "unit_repeated" else 2, 4),
-                 rng.choice((2, 3, 5, 10 ** rng.randint(2, 6))))
+                 rng.choice((2, 3, 5, 10 ** rng.randint(2, top))))
                 for _ in range(rng.randint(1, 2))]
         fws = [random_word(rng, alphabet, 2, 5) for _ in range(rng.randint(0, 3))]
         if family == "nonreduced":

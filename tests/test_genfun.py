@@ -6,11 +6,11 @@ import pytest
 
 from hypothesis import HealthCheck, given, settings
 
-from conftest import (FractionPoly, family_spec, random_spec, reference_solve, reference_sum,
-                      reference_system_json, reference_system_rows, small_specs)
+from conftest import (FAMILIES, FractionPoly, family_spec, random_spec, reference_solve,
+                      reference_sum, reference_system_json, reference_system_rows, small_specs)
 from multishift import genfun
 from multishift.cli import main
-from multishift.errors import NumericError, SpecError
+from multishift.errors import NumericError
 from multishift.fixtures import list_fixtures, load_fixture
 from multishift.genfun import (build_system, closed_form, conjugate_correlation_matrix,
                                constraint_correction, correlation_matrix,
@@ -148,12 +148,17 @@ def test_correction_identity():
         assert RatFun(num, den) == sol.all_words
 
 
-@pytest.mark.parametrize("perturbed", ["core", "conjugate"])
-def test_a_closed_form_off_by_one_coefficient_is_refused(monkeypatch, perturbed):
+@pytest.mark.parametrize("fixture, perturbed", [
+    pytest.param("eigenvectors", "core", id="core"),
+    pytest.param("eigenvectors", "conjugate", id="conjugate"),
+    pytest.param("nonreduced", "core", id="nonreduced-core"),
+    pytest.param("nonreduced", "conjugate", id="nonreduced-conjugate"),
+])
+def test_a_closed_form_off_by_one_coefficient_is_refused(monkeypatch, fixture, perturbed):
     # one more in the constant term of the correction from the core, or
     # of the one from the conjugate core: the solve refuses the
-    # mismatch, and so does verify, with the numeric exit code
-    spec = load_fixture("eigenvectors")
+    # mismatch in either mode, and so does verify, with the numeric exit code
+    spec = load_fixture(fixture)
     system = build_system(spec)
     target = (system.core if perturbed == "core" else system.conjugate).entries
     assert system.core.entries != system.conjugate.entries
@@ -166,7 +171,7 @@ def test_a_closed_form_off_by_one_coefficient_is_refused(monkeypatch, perturbed)
     monkeypatch.setattr(genfun, "constraint_correction", skewed)
     with pytest.raises(NumericError, match="closed forms disagree"):
         solve_generating_functions(spec)
-    assert main(["verify", "--spec", str(FIXDIR / "eigenvectors.json")]) == 4
+    assert main(["verify", "--spec", str(FIXDIR / f"{fixture}.json")]) == 4
 
 
 def reference_correction(spec, core):
@@ -177,22 +182,16 @@ def reference_correction(spec, core):
                          for (_, w), (x,) in zip(targets(spec), xs))
 
 
-def reduced_cores():
-    for name in list_fixtures():
-        system = build_system(load_fixture(name))
-        if system.mode == "reduced":
-            yield name, system
-
-
 def test_correction_by_cramer_equals_the_field_solve_on_fixtures():
-    for name, system in reduced_cores():
+    for name in list_fixtures():
         s = load_fixture(name)
+        system = build_system(s)
         for core in (system.core, system.conjugate):
             assert constraint_correction(s, core) == reference_correction(s, core), name
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-@given(small_specs().filter(lambda s: s.union_reduced))
+@given(small_specs())
 def test_correction_by_cramer_equals_the_field_solve_property(s):
     system = build_system(s)
     for core in (system.core, system.conjugate):
@@ -207,8 +206,8 @@ def test_common_denominator_is_the_scaled_core_determinant():
         return sum(sympy.Rational(c.numerator, c.denominator) * z ** k
                    for k, c in enumerate(map(Fraction, coeffs)))
 
-    for name, system in reduced_cores():
-        core = system.core
+    for name in list_fixtures():
+        core = build_system(load_fixture(name)).core
         ones = [Poly.one()] * core.nrows
         # the rows Cramer eliminates: each core row scaled into Z[z]
         scaled = [[expr(e) for e in row[:-1]]
@@ -218,12 +217,31 @@ def test_common_denominator_is_the_scaled_core_determinant():
         assert sympy.expand(det - d) == 0 or sympy.expand(det + d) == 0, name
 
 
-def test_correction_requires_reduced_union():
+def test_the_core_of_a_nonreduced_union():
+    # 00 sits inside 001: the core is still the lower-right block of the
+    # bordered matrix, 001 weighs minus its embedded weight m = 2, and the
+    # correction from the core gives F = z / (z - q + R)
     s = validate_spec("01", ["001"], [("00", 2)])
-    with pytest.raises(SpecError):
-        build_system(s).core
-    with pytest.raises(SpecError):
-        correlation_matrix(s)
+    system = build_system(s)
+    assert correlation_matrix(s).entries == tuple(row[1:] for row in system.matrix.entries[1:])
+    assert targets(s) == ((("0", "0"), Fraction(1, 2)), (("0", "0", "1"), Fraction(-2)))
+    r = constraint_correction(s, system.core)
+    assert r == reference_correction(s, system.core)
+    assert RatFun(*closed_form(s.q, r)) == RatFun(Poly([0, 0, -1, 1]), Poly([2, 1, -3, 1]))
+
+
+def test_series_from_the_core_solve_equal_the_bordered_solve():
+    # the reference solves the whole bordered system; every fixture and
+    # 510 draws, both modes, multiplicities up to 10^9
+    rng = random.Random(29)
+    specs = [load_fixture(name) for name in list_fixtures()]
+    specs += [family_spec(rng, FAMILIES[k % 3], top=9) for k in range(510)]
+    assert sum(not s.union_reduced for s in specs) >= 170
+    assert any(m >= 10 ** 7 for s in specs for _, m in s.repeated)
+    for s in specs:
+        sol = solve_generating_functions(s)
+        series = [sol.all_words] + [f for _, f in sol.ending_with + sol.forbidden_tail]
+        assert series == sol.system.matrix.solve(list(sol.system.rhs)), s
 
 
 def test_series_match_oracle_fixed_specs():
@@ -308,8 +326,7 @@ def test_system_rows_equal_the_reference_on_every_fixture():
 
 def test_system_rows_equal_the_reference_on_family_draws():
     rng = random.Random(16)
-    families = ("short_forbidden", "unit_repeated", "nonreduced")
-    specs = [family_spec(rng, families[i % 3]) for i in range(510)]
+    specs = [family_spec(rng, FAMILIES[i % 3]) for i in range(510)]
     assert sum(not s.union_reduced for s in specs) >= 50
     assert sum(any(len(r) == 1 for r in s.repeated_words) for s in specs) >= 50
     for spec in specs:

@@ -717,6 +717,28 @@ def test_pushforward_check_cost_polynomial_in_length():
     assert report["violations"] == []
 
 
+def test_verify_counts_the_vertex_paths_once(monkeypatch):
+    # measure_additivity and pushforward_equality report the same count of
+    # vertex paths, which one DP per context and length gives
+    made, stored = MeasureContext, []
+
+    class Recording(dict):
+        def __setitem__(self, n_max, total):
+            stored.append(n_max)
+            super().__setitem__(n_max, total)
+
+    def recording(*args, **kwargs):
+        ctx = made(*args, **kwargs)
+        ctx._path_counts = Recording()
+        return ctx
+
+    monkeypatch.setattr(measures, "MeasureContext", recording)
+    checks = {c.name: c for c in run_verification(load_fixture("counting"), max_n=7).checks}
+    assert stored == [4]
+    assert checks["measure_additivity"].detail.endswith("over 77 cylinders")
+    assert checks["pushforward_equality"].detail == "77 vertex words"
+
+
 def test_failing_checks_cost_polynomial_in_length():
     # of about 5e10 vertex paths of up to 40 edges, every one ending at
     # block 00 or 10 fails additivity and every one ending at 00 the

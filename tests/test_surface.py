@@ -16,7 +16,7 @@ SRC = Path(multishift.__file__).resolve().parent
 # package calls; the tracer looks each one up by name, so they stay until
 # the tracer drops them.
 TRACED = {"langmodel.weighted_count_ending_with", "langmodel.weighted_count_forbidden_suffix",
-          "genfun.correlation_matrix", "ratfield.RatMat.inverse",
+          "genfun.correlation_matrix", "ratfield.RatMat.inverse", "ratfield.RatMat.solve",
           "spectral.eigenvector_normalization"}
 
 
