@@ -131,8 +131,21 @@ class Poly:
         """Multiply by z**k."""
         return Poly._of([0] * k + list(self.ints), self.den) if self.ints else self
 
-    def derivative(self) -> "Poly":
-        return Poly._of([i * c for i, c in enumerate(self.ints)][1:], self.den)
+    def derivative_at(self, x):
+        """The derivative at x, exact for Fraction/int input, without
+        building the derivative polynomial: Horner over the terms i c_i /
+        den, each float term rounded once (int true division rounds
+        correctly), so a float x gives the bits of Horner over the
+        derivative's rounded coefficients."""
+        ints, den = [i * c for i, c in enumerate(self.ints)][1:], self.den
+        if isinstance(x, float):
+            acc = 0.0
+            for c in reversed(ints):
+                acc = acc * x + c / den
+            return acc
+        x = _fr(x)
+        v = x.denominator
+        return Fraction(_zhorner(ints, x.numerator, v), den * v ** max(len(ints) - 1, 0))
 
     def __call__(self, x):
         """Horner evaluation; exact for Fraction/int input, float for float."""

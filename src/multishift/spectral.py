@@ -17,8 +17,11 @@ The Perron root always travels two independent routes: the largest real
 zero of the denominator of the closed form F = z / (z - q + R)
 (:func:`genfun.closed_form`), R from one solve of the core in either
 mode, isolated by Sturm sequences, and an exact Collatz-Wielandt
-enclosure on the integer matrix; the two must meet or the computation
-refuses to answer.
+enclosure on the transfer matrix of the automaton of F and R, whose
+order is at most sum |w| + 1 however many blocks there are; the two
+must meet or the computation refuses to answer.  The block matrix keeps
+irreducibility, the empty-shift refusal, the eigenvectors and the
+report.
 
 Eigenvectors come from the correlation formulas; when the root is
 certified exact the whole pipeline stays in big rationals.
@@ -35,7 +38,7 @@ from typing import NamedTuple, Sequence
 
 from . import genfun
 from .errors import EmptyShiftError, NumericError, RouteMismatchError, SpecError
-from .langmodel import (ShiftSpec, enumerate_slice,
+from .langmodel import (ShiftSpec, _pattern_states, enumerate_slice,
                         extend_repeated_to_full_length, weighted_count)
 from .ratfield import Poly, RatFun, RatMat, RootCertificate, largest_real_zero, solve_numeric
 from .words import Word
@@ -107,7 +110,7 @@ class AdjMatrix:
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Strong components of the positive-entry digraph (see
         :func:`_strong_components`)."""
-        return tuple(map(tuple, _strong_components(self)))
+        return tuple(map(tuple, _strong_components(self.successors)))
 
     def path(self, vertices: Sequence[Word],
              branches: Sequence[int] | None = None) -> list[int]:
@@ -180,22 +183,23 @@ def adjacency_matrix(spec: ShiftSpec) -> AdjMatrix:
         spec, lambda xy: 0 if xy in forbidden else reps.get(xy) or lead(xy[:-1]))
 
 
-def _strong_components(mat: AdjMatrix) -> list[list[int]]:
-    """Strongly connected components of the positive-entry digraph, by
-    Tarjan's algorithm (1972) over the successor lists, without
-    recursion.  A block's low link drops to the size once its component
-    is out, so finished blocks never lower another's."""
+def _strong_components(successors: Sequence[Sequence[tuple[int, int]]]) -> list[list[int]]:
+    """Strongly connected components of the positive-entry digraph of the
+    successor lists, by Tarjan's algorithm (1972), without recursion.  A
+    vertex's low link drops to the order once its component is out, so
+    finished vertices never lower another's."""
+    size = len(successors)
     low: dict[int, int] = {}
     stack: list[int] = []
-    work: list[tuple] = []  # (block, its number, its unread successors, its stack slot)
+    work: list[tuple] = []  # (vertex, its number, its unread successors, its stack slot)
     components = []
 
     def enter(v: int) -> None:
         low[v] = len(low)
-        work.append((v, low[v], iter(mat.successors[v]), len(stack)))
+        work.append((v, low[v], iter(successors[v]), len(stack)))
         stack.append(v)
 
-    for root in range(mat.size):
+    for root in range(size):
         if root not in low:
             enter(root)
         while work:
@@ -212,7 +216,7 @@ def _strong_components(mat: AdjMatrix) -> list[list[int]]:
                 if low[v] == index:
                     components.append(stack[slot:])
                     del stack[slot:]
-                    low.update(dict.fromkeys(components[-1], mat.size))
+                    low.update(dict.fromkeys(components[-1], size))
     return components
 
 
@@ -280,21 +284,24 @@ def power_iteration(successors: Sequence[Sequence[tuple[int, int]]]) -> PowerRes
     return PowerResult(Fraction(ys[lo], xs[lo]) - 1, Fraction(ys[hi], xs[hi]) - 1, it)
 
 
-def _cw_enclosure(mat: AdjMatrix) -> tuple[Fraction, Fraction]:
-    """Enclosure of the spectral radius of any non-negative matrix: the
-    largest over its strong components, each enclosed by the power
-    iteration on the successor lists restricted to it, re-indexed in
-    component order (a one-block component gives its diagonal entry
-    exactly, in one step)."""
-    blocks = []
-    for comp in mat.components:
-        if len(comp) == mat.size:
-            blocks.append(power_iteration(mat.successors))
+def _cw_enclosure(successors: Sequence[Sequence[tuple[int, int]]]) -> tuple[Fraction, Fraction]:
+    """Enclosure of the spectral radius of any non-negative matrix, given
+    as its successor lists: the largest over its strong components, each
+    enclosed by the power iteration on its rows re-indexed in component
+    order.  A one-vertex component without a loop is exactly [0, 0] and
+    is not iterated."""
+    lower = upper = Fraction(0)
+    for comp in _strong_components(successors):
+        if len(comp) == 1 and all(j != comp[0] for j, _ in successors[comp[0]]):
             continue
-        pos = {b: k for k, b in enumerate(comp)}
-        blocks.append(power_iteration(
-            [sorted((pos[j], e) for j, e in mat.successors[i] if j in pos) for i in comp]))
-    return max(b.lower for b in blocks), max(b.upper for b in blocks)
+        if len(comp) == len(successors):
+            rows = successors
+        else:
+            pos = {v: k for k, v in enumerate(comp)}
+            rows = [sorted((pos[j], e) for j, e in successors[i] if j in pos) for i in comp]
+        res = power_iteration(rows)
+        lower, upper = max(lower, res.lower), max(upper, res.upper)
+    return lower, upper
 
 
 class PerronResult(NamedTuple):
@@ -327,14 +334,23 @@ class PerronResult(NamedTuple):
 def perron_root(source: ShiftSpec | Analysis, allow_reducible: bool = False) -> PerronResult:
     """Perron root by the combinatorial route, cross-checked iteratively.
 
-    Accepts a validated spec or an :class:`Analysis` whose matrix and
-    correction it reuses; a caller holding an integer matrix converts it
-    with :func:`langmodel.spec_from_matrix` first.
-    The Sturm interval must meet the exact Collatz-Wielandt enclosure,
-    whose midpoint is ``theta_iterative``.  Reducible inputs are an error
-    unless explicitly allowed, in which case the enclosure is the largest
-    over the strong components.  A block graph without a cycle is
-    refused: it is nilpotent, with root 0, and the shift is empty.
+    Accepts a validated spec or an :class:`Analysis` whose matrix,
+    transfer matrix and correction it reuses; a caller holding an integer
+    matrix converts it with :func:`langmodel.spec_from_matrix` first.
+    The Sturm interval must meet the exact Collatz-Wielandt enclosure of
+    the transfer matrix T (:attr:`Analysis.transfer`), whose midpoint is
+    ``theta_iterative``; the enclosure is the largest over T's strong
+    components.  Reducible inputs are an error unless explicitly allowed.
+    A block graph without a cycle is refused: it is nilpotent, with root
+    0, and the shift is empty.
+
+    T and the block matrix A have the same spectral radius, reducible or
+    not.  The automaton's walk gives f_n = e_root^T T^n 1 (the oracle's
+    count), and every live state is reachable from the root, so rho(T) =
+    limsup f_n^(1/n).  1^T A^k 1 is f_(p-1+k) but for the repeated
+    occurrences that start in the last p - 1 symbols, a factor between 1
+    and M^(p-1) for the largest multiplicity M, so rho(A) = limsup
+    (1^T A^k 1)^(1/k) is the same growth rate.
     """
     an = source if isinstance(source, Analysis) else Analysis(source)
     mat = an.matrix
@@ -346,7 +362,7 @@ def perron_root(source: ShiftSpec | Analysis, allow_reducible: bool = False) -> 
     # the root never exceeds the maximal row sum of a non-negative matrix
     cert = largest_real_zero(genfun.closed_form(an.spec.q, an.correction)[1],
                              1, mat.max_row_sum + 1)
-    lower, upper = _cw_enclosure(mat)
+    lower, upper = _cw_enclosure(an.transfer)
     if cert.low > upper or cert.high < lower:
         raise RouteMismatchError(
             f"combinatorial root in [{float(cert.low)!r}, {float(cert.high)!r}] misses "
@@ -517,7 +533,7 @@ def correction_derivative_at(spec: ShiftSpec, core: RatMat, theta, r: list, y: l
     from the core P, r = P(theta)^-1 1 and y = P(theta)^-T w, without a
     solve: the product rule and (P^-1)' = -P^-1 P' P^-1 give the
     bilinear form R'(theta) = w^T r - theta y^T P'(theta) r."""
-    slope = sum(yi * sum(e.derivative()(theta) * rj for e, rj in zip(row, r))
+    slope = sum(yi * sum(e.derivative_at(theta) * rj for e, rj in zip(row, r))
                 for yi, row in zip(y, core.entries))
     return sum(w * ri for (_, w), ri in zip(genfun.targets(spec), r)) - theta * slope
 
@@ -560,16 +576,17 @@ def entropy(source: ShiftSpec | Analysis, allow_reducible: bool = False) -> Entr
 class Analysis:
     """Every derived stage of one spec, each computed once on first use.
 
-    A stage first reads the stages it needs.  ``ext``, ``matrix`` and
-    ``system`` read the spec; ``ext_system`` is the counting system of
-    ``ext`` from the same builder (it is ``system`` when the extension is
-    the spec), and is never solved symbolically; ``correction`` reads the
-    one solve of the core of ``system``, in either mode; ``solution``
-    reads that solve, ``correction`` and the conjugate core; ``root``
-    reads ``matrix`` and ``correction``; ``_core_at_root`` solves the
-    core of ``ext_system`` twice at ``root``; ``vectors`` read ``matrix``
-    and those solves; ``normalization`` reads ``vectors``, the solves and
-    the derivative of that core at the root; ``entropy`` reads ``root``.
+    A stage first reads the stages it needs.  ``ext``, ``matrix``,
+    ``transfer`` and ``system`` read the spec; ``ext_system`` is the
+    counting system of ``ext`` from the same builder (it is ``system``
+    when the extension is the spec), and is never solved symbolically;
+    ``correction`` reads the one solve of the core of ``system``, in
+    either mode; ``solution`` reads that solve, ``correction`` and the
+    conjugate core; ``root`` reads ``matrix``, ``transfer`` and
+    ``correction``; ``_core_at_root`` solves the core of ``ext_system``
+    twice at ``root``; ``vectors`` read ``matrix`` and those solves;
+    ``normalization`` reads ``vectors``, the solves and the derivative
+    of that core at the root; ``entropy`` reads ``root``.
     A failed stage is not cached: reading it again repeats the
     computation and raises again.
     """
@@ -588,6 +605,26 @@ class Analysis:
         """The adjacency matrix, of the spec and of its extension alike
         (extending the repeated words leaves it unchanged)."""
         return adjacency_matrix(self.spec)
+
+    @cached_property
+    def transfer(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Successor lists of the transfer matrix T on the live states of
+        the automaton of F and R (:func:`langmodel._pattern_states`): T_st
+        sums factor(t) over the symbols that move s to t, forbidden moves
+        left out.  A live state is one that ends no forbidden word; its
+        word is allowed, so the root reaches it.  Its order is at most
+        sum |w| + 1, whatever q and p."""
+        delta, factor, bad, _ = _pattern_states(self.spec)
+        live = [s for s, a in enumerate(bad) if a is None]
+        pos = {s: k for k, s in enumerate(live)}
+        rows = []
+        for s in live:
+            row: dict[int, int] = {}
+            for t in delta[s]:
+                if bad[t] is None:
+                    row[pos[t]] = row.get(pos[t], 0) + factor[t]
+            rows.append(tuple(sorted(row.items())))
+        return tuple(rows)
 
     @cached_property
     def system(self) -> genfun.GenFunSystem:

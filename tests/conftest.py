@@ -714,7 +714,7 @@ def reference_identity(spec: ShiftSpec, theta):
     core = build_system(ext).core
     n = core.nrows
     value = [[e(theta) for e in row] for row in core.entries]
-    slope = [[e.derivative()(theta) for e in row] for row in core.entries]
+    slope = [[FractionPoly(e).derivative()(theta) for e in row] for row in core.entries]
     zero = [0 * theta] * n
     block = [row + zero for row in value] + [d + v for d, v in zip(slope, value)]
     xs = solve_numeric(block, [1 + 0 * theta] * n + zero)
@@ -832,7 +832,7 @@ def reference_correction_derivative_at(spec: ShiftSpec, core: RatMat, theta, m: 
     linear solve: r' = -P^{-1} P' r and the product rule on the diagonal
     weights."""
     n = len(m)
-    md = [[e.derivative()(theta) for e in row] for row in core.entries]
+    md = [[FractionPoly(e).derivative()(theta) for e in row] for row in core.entries]
     rhs = [sum(md[i][j] * r[j] for j in range(n)) for i in range(n)]
     rprime = [-x for x in solve_numeric(m, rhs)]
     return sum(w * (r[i] + theta * rprime[i])

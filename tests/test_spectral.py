@@ -146,22 +146,60 @@ def test_gcd_free_numerator_keeps_the_root(monkeypatch):
     (((1, 1, 1), (1, 1, 0), (0, 0, 1)), 2),  # a two-block component beside a loop
 ])
 def test_reducible_root_is_the_largest_component_root(entries, theta):
+    # on the matrix itself and on the transfer matrix of its length-2 spec,
+    # whose enclosure gives theta_iterative
     mat = AdjMatrix(tuple((str(i),) for i in range(len(entries))), sparse(entries))
     assert not is_irreducible(mat)
-    lower, upper = spectral._cw_enclosure(mat)
-    assert lower <= theta <= upper and upper - lower <= 1e-10
-    pr = perron_root(spec_from_matrix(entries), allow_reducible=True)
-    assert pr.exact == theta and not pr.irreducible
-    assert pr.theta_iterative == float((lower + upper) / 2)
+    an = spectral.Analysis(spec_from_matrix(entries), allow_reducible=True)
+    for successors in (mat.successors, an.transfer):
+        lower, upper = spectral._cw_enclosure(successors)
+        assert lower <= theta <= upper and upper - lower <= 1e-10
+    assert an.root.exact == theta and not an.root.irreducible
+    assert an.root.theta_iterative == float((lower + upper) / 2)
+
+
+def _transfer_enclosure_checked(s) -> bool:
+    """The transfer matrix's enclosure meets the Sturm certificate and
+    overlaps the block matrix's reference enclosure, when that converges;
+    False for an empty shift."""
+    an = spectral.Analysis(s, allow_reducible=True)
+    try:
+        cert = an.root.certificate
+    except EmptyShiftError:
+        return False
+    lower, upper = spectral._cw_enclosure(an.transfer)
+    assert cert.low <= upper and lower <= cert.high, s
+    assert upper - lower <= 1e-10 * upper, s
+    try:
+        a_lower, a_upper = reference_cw_enclosure(an.matrix)
+    except NumericError:
+        return True
+    assert a_lower <= upper and lower <= a_upper, s
+    return True
 
 
 def test_cw_enclosure_meets_the_sturm_certificate_on_every_fixture():
     for name in list_fixtures():
-        an = spectral.Analysis(load_fixture(name), allow_reducible=True)
-        cert = an.root.certificate
-        lower, upper = spectral._cw_enclosure(an.matrix)
-        assert cert.low <= upper and lower <= cert.high, name
-        assert upper - lower <= 1e-10 * upper, name
+        assert _transfer_enclosure_checked(load_fixture(name)), name
+
+
+def test_transfer_enclosure_meets_the_sturm_certificate_on_draws():
+    rng = random.Random(53)
+    draws = [family_spec(rng, FAMILIES[k % 3]) for k in range(210)]
+    checked = [s for s in draws if _transfer_enclosure_checked(s)]
+    assert len(checked) >= 200
+    assert sum(not s.union_reduced for s in checked) >= 60
+    assert sum(not is_irreducible(adjacency_matrix(s)) for s in checked) >= 30
+
+
+def test_transfer_matrix_is_small_on_b6(monkeypatch):
+    # 1016 blocks, but the enclosure iterates on the 14 live automaton states
+    s = validate_spec("0123", ["000000", "0123"], [("111112", 3)])
+    iterations = _count_calls(monkeypatch, spectral, "power_iteration")
+    an = spectral.Analysis(s)
+    assert an.matrix.size == 1016 and len(an.transfer) == 14
+    assert an.root.irreducible
+    assert iterations and max(len(rows) for rows, in iterations) <= 14
 
 
 def _random_matrices(seed, count):
@@ -249,7 +287,8 @@ def test_integer_cw_step_equals_the_fraction_step(mat):
         mp.setattr(spectral, "POWER_CAP", 2000)
         assert _outcome(power_iteration, mat.successors) == \
             _outcome(reference_power_iteration, mat)
-        assert _outcome(spectral._cw_enclosure, mat) == _outcome(reference_cw_enclosure, mat)
+        assert _outcome(lambda m: spectral._cw_enclosure(m.successors), mat) == \
+            _outcome(reference_cw_enclosure, mat)
 
 
 def test_power_iteration_enclosure():
@@ -327,6 +366,30 @@ def _condition_estimate(m: list[list[float]]) -> float:
         x = [0.0] * n
         x[j] = 1.0
     return max(sum(map(abs, col)) for col in transposed) * inverse_norm
+
+
+def test_derivative_at_equals_the_derivative_polynomial_bit_for_bit():
+    # every entry of the extended core against the reference derivative,
+    # at the root as a float and as the Fraction of that float (and the
+    # exact root where there is one)
+    rng = random.Random(31)
+    specs = [load_fixture(name) for name in list_fixtures()]
+    specs += [family_spec(rng, FAMILIES[k % 3]) for k in range(210)]
+    compared = Counter()
+    for s in specs:
+        an = spectral.Analysis(s, allow_reducible=True)
+        try:
+            theta = an.root.theta
+        except (EmptyShiftError, NumericError):
+            continue
+        points = (theta, Fraction(theta), an.root.scalar())
+        for e in (e for row in an.ext_system.core.entries for e in row):
+            for x in points:
+                got, want = e.derivative_at(x), FractionPoly(e).derivative()(x)
+                assert (type(got), got) == (type(want), want), (s, e, x)
+        compared["spec"] += 1
+        compared["exact"] += an.root.exact is not None
+    assert compared["spec"] >= 200 and compared["exact"] >= 5, compared
 
 
 def test_transposed_solve_gives_the_conjugate_sums_and_the_derivative():
@@ -549,10 +612,16 @@ def test_conjugate_core_built_once_per_counting_system(monkeypatch):
 
 
 def test_strong_components_once_per_matrix(monkeypatch):
-    # irreducibility, the root's enclosure and verify's own check read them
+    # irreducibility, the empty-shift refusal and verify's own check read
+    # the block matrix's; the root's enclosure the transfer matrix's
     tarjan = _count_calls(monkeypatch, spectral, "_strong_components")
-    assert run_verification(load_fixture("counting"), max_n=6).passed
-    assert len(tarjan) == 1
+    report = run_verification(load_fixture("counting"), max_n=6)
+    assert report.passed
+    assert len(tarjan) == 2
+    # the route detail names the order of the matrix the enclosure ran on
+    route = next(c for c in report.checks if c.name == "perron_route_agreement")
+    assert route.detail.startswith(
+        "Sturm interval meets the Collatz-Wielandt enclosure on the 5-state transfer matrix, gap ")
 
 
 def test_agree_exact_on_rationals():
