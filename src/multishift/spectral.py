@@ -130,13 +130,14 @@ class AdjMatrix:
                 raise SpecError(f"branch index {branches[k]} outside 1..{e}")
         return idx
 
-    def power_sum(self, k: int) -> int:
-        """Sum of all entries of the k-th power, 1^T A^k 1, by k sparse
-        products with the ones vector."""
-        v = [1] * self.size
-        for _ in range(k):
+    def power_sums(self, k_max: int) -> list[int]:
+        """The sums of all entries of the powers, 1^T A^k 1 for k = 1..k_max,
+        from one run of k_max sparse products with the ones vector."""
+        v, out = [1] * self.size, []
+        for _ in range(k_max):
             v = [sum(e * v[j] for j, e in row) for row in self.successors]
-        return sum(v)
+            out.append(sum(v))
+        return out
 
     def to_json(self) -> dict:
         return {"labels": ["".join(x) for x in self.labels],

@@ -3,12 +3,15 @@
 Each invariant produces one named pass/fail line.  The suite is what the
 ``verify`` subcommand runs; a spec file may bundle expected tables
 (counts, root) which are then checked as well, so a corrupted spec is
-caught by its stale expectations.
+caught by its stale expectations.  The three counting recurrences (Guibas
+and Odlyzko's correlation recurrences with multiplicities) are compared in
+integers scaled by L = lcm of the multiplicities, exact as L·(m−1)/m is an
+integer, each target's terms built once (:func:`_recurrence_checks`).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from typing import NamedTuple
 
 from . import genfun, measures, spectral, words as W
@@ -41,54 +44,49 @@ class VerificationReport(NamedTuple):
                            for c in self.checks]}
 
 
+def _holds(scale: int, f: list[int], terms: list, n_stop: int) -> bool:
+    """Whether scale·f_n = Σ c·t[n + s] over the terms (c, t, s), for each n < n_stop."""
+    return all(scale * f[n] == sum(c * t[n + s] for c, t, s in terms) for n in range(n_stop))
+
+
 def _recurrence_checks(spec: ShiftSpec, f, g, fa, max_n: int) -> list[CheckResult]:
-    """The counting recurrences satisfied by the oracle tables."""
-    out = []
+    """The three counting recurrences satisfied by the oracle tables, with
+    μ_j = (m_j - 1)/m_j, w(a) = genfun.embedded_weight(a), w_t(a) the same
+    weight beyond the cut-off t, and C(u, v) the correlation shifts:
+
+    - extension, n < max_n: q f_n - f_{n+1} = -Σ_j μ_j g_j(n+1) + Σ_a w(a) fa_a(n+1);
+    - repeated suffix r_k, n <= max_n - p: f_n = g_k(n + |r_k|) - Σ_j Σ_{s ∈ C(r_j, r_k)}
+      μ_j g_j(n+s) + Σ_a Σ_{t ∈ C(a, r_k), t <= |r_k|} w(a) fa_a(n+t);
+    - forbidden suffix a_k, n <= max_n - p: f_n = -Σ_j Σ_{s ∈ C(r_j, a_k), s < |r_j|}
+      μ_j g_j(n+s) + Σ_i Σ_{t ∈ C(a_i, a_k)} w_t(a_i) fa_i(n+t).
+
+    Both sides are multiplied by L = lcm(m_j).  L·μ_j = L - L/m_j is an
+    integer, as m_j divides L, so the scaled sides are integers, equal
+    exactly when the unscaled sides are.  Each target's term list, one
+    (coefficient, table, shift) per correlation shift with the weight
+    folded in, is built once; each recurrence stops at its first failing n.
+    """
     reps, fws = spec.repeated, spec.forbidden
-
-    ok = True
-    for n in range(max_n):
-        lhs = spec.q * f[n] - f[n + 1]
-        rhs = -sum(Fraction(m - 1, m) * g[r][n + 1] for r, m in reps)
-        rhs += sum(genfun.embedded_weight(spec, a) * fa[a][n + 1] for a in fws)
-        if lhs != rhs:
-            ok = False
-            break
-    out.append(CheckResult("recurrence_extension", ok))
-
-    # the join recurrences reach p positions ahead, so stop early enough
-    safe_n = max(0, max_n - spec.p)
-
-    ok = True
-    for r_k, _ in reps:
-        for n in range(safe_n + 1):
-            rhs = Fraction(g[r_k][n + len(r_k)])
-            for r_j, m_j in reps:
-                for s in W.correlation_shifts(r_j, r_k):
-                    rhs -= Fraction(m_j - 1, m_j) * g[r_j][n + s]
-            for a in fws:
-                for t in W.correlation_shifts(a, r_k):
-                    if t <= len(r_k):
-                        rhs += genfun.embedded_weight(spec, a) * fa[a][n + t]
-            if f[n] != rhs:
-                ok = False
-    out.append(CheckResult("recurrence_repeated_suffix", ok))
-
-    ok = True
-    for a_k in fws:
-        for n in range(safe_n + 1):
-            rhs = Fraction(0)
-            for r_j, m_j in reps:
-                for s in W.correlation_shifts(r_j, a_k):
-                    if s <= len(r_j) - 1:
-                        rhs -= Fraction(m_j - 1, m_j) * g[r_j][n + s]
-            for a_i in fws:
-                for t in W.correlation_shifts(a_i, a_k):
-                    rhs += genfun.embedded_weight(spec, a_i, threshold=t) * fa[a_i][n + t]
-            if f[n] != rhs:
-                ok = False
-    out.append(CheckResult("recurrence_forbidden_suffix", ok))
-    return out
+    lcm = math.lcm(*(m for _, m in reps))
+    shed = {r: lcm // m - lcm for r, m in reps}  # -L·μ_j
+    weight = {a: lcm * genfun.embedded_weight(spec, a) for a in fws}
+    extension = [(lcm, f, 1)] + [(shed[r], g[r], 1) for r in shed] + \
+        [(weight[a], fa[a], 1) for a in fws]
+    repeated = [[(lcm, g[r_k], len(r_k))]
+                + [(shed[r], g[r], s) for r in shed for s in W.correlation_shifts(r, r_k)]
+                + [(weight[a], fa[a], t) for a in fws
+                   for t in W.correlation_shifts(a, r_k) if t <= len(r_k)] for r_k, _ in reps]
+    forbidden = [[(shed[r], g[r], s) for r in shed
+                  for s in W.correlation_shifts(r, a_k) if s < len(r)]
+                 + [(lcm * genfun.embedded_weight(spec, a, threshold=t), fa[a], t)
+                    for a in fws for t in W.correlation_shifts(a, a_k)] for a_k in fws]
+    # the suffix recurrences reach p positions ahead, so stop early enough
+    stop = max(0, max_n - spec.p) + 1
+    return [CheckResult("recurrence_extension", _holds(lcm * spec.q, f, extension, max_n)),
+            CheckResult("recurrence_repeated_suffix",
+                        all(_holds(lcm, f, terms, stop) for terms in repeated)),
+            CheckResult("recurrence_forbidden_suffix",
+                        all(_holds(lcm, f, terms, stop) for terms in forbidden))]
 
 
 def _measure_check(name: str, kind: str, failing: list[str], detail: str) -> CheckResult:
@@ -135,8 +133,8 @@ def run_verification(spec: ShiftSpec, max_n: int = 10, budget: int = DEFAULT_BUD
 
     mat = an.matrix
     if all(len(r) == spec.p for r in spec.repeated_words):
-        ok = all(mat.power_sum(n - spec.p + 1) == f[n]
-                 for n in range(spec.p, min(spec.p + 6, max_n) + 1))
+        top = min(spec.p + 6, max_n)
+        ok = mat.power_sums(top - spec.p + 1) == f[spec.p:top + 1]
         checks.append(CheckResult("block_power_sums_match_counts", ok))
 
     irreducible = spectral.is_irreducible(mat)

@@ -11,9 +11,10 @@ route to the normalization identity, the dense-to-sparse row conversion, the
 block-graph references (the
 Collatz-Wielandt step with one Fraction per block, the eigenvector
 formulas over every pair of label and target, and the escape transfer
-with one automaton symbol per parallel edge), and the solves of the
+with one automaton symbol per parallel edge), the solves of the
 evaluated extended core that its transposed solve replaced (the
-conjugate core's row sums and the derivative of the correction).  The
+conjugate core's row sums and the derivative of the correction), and
+the counting recurrences in Fraction arithmetic.  The
 field references take ``ratfield`` values through their Fraction views
 and run no ``ratfield.Poly`` arithmetic.  Definitions that no command
 runs also live here, as references and input builders: the splice of
@@ -44,6 +45,7 @@ from multishift.measures import Cylinder, MeasureContext, StochMat
 from multishift.ratfield import (ROOT_WIDTH, Poly, RatFun, RatMat, RootCertificate, _fr,
                                  solve_numeric)
 from multishift.spectral import AdjMatrix, PowerResult, adjacency_matrix, is_irreducible
+from multishift.verify import CheckResult
 
 
 # HYPOTHESIS_PROFILE=ci prints the reproduce blob of a failing property
@@ -837,6 +839,57 @@ def reference_correction_derivative_at(spec: ShiftSpec, core: RatMat, theta, m: 
     rprime = [-x for x in solve_numeric(m, rhs)]
     return sum(w * (r[i] + theta * rprime[i])
                for i, (_, w) in enumerate(targets(spec)))
+
+
+def reference_recurrence_checks(spec: ShiftSpec, f, g, fa, max_n: int) -> list[CheckResult]:
+    """The counting recurrences in Fraction arithmetic, every term built at
+    every n: the check that ``verify._recurrence_checks`` replaced."""
+    out = []
+    reps, fws = spec.repeated, spec.forbidden
+
+    ok = True
+    for n in range(max_n):
+        lhs = spec.q * f[n] - f[n + 1]
+        rhs = -sum(Fraction(m - 1, m) * g[r][n + 1] for r, m in reps)
+        rhs += sum(embedded_weight(spec, a) * fa[a][n + 1] for a in fws)
+        if lhs != rhs:
+            ok = False
+            break
+    out.append(CheckResult("recurrence_extension", ok))
+
+    # the join recurrences reach p positions ahead, so stop early enough
+    safe_n = max(0, max_n - spec.p)
+
+    ok = True
+    for r_k, _ in reps:
+        for n in range(safe_n + 1):
+            rhs = Fraction(g[r_k][n + len(r_k)])
+            for r_j, m_j in reps:
+                for s in words.correlation_shifts(r_j, r_k):
+                    rhs -= Fraction(m_j - 1, m_j) * g[r_j][n + s]
+            for a in fws:
+                for t in words.correlation_shifts(a, r_k):
+                    if t <= len(r_k):
+                        rhs += embedded_weight(spec, a) * fa[a][n + t]
+            if f[n] != rhs:
+                ok = False
+    out.append(CheckResult("recurrence_repeated_suffix", ok))
+
+    ok = True
+    for a_k in fws:
+        for n in range(safe_n + 1):
+            rhs = Fraction(0)
+            for r_j, m_j in reps:
+                for s in words.correlation_shifts(r_j, a_k):
+                    if s <= len(r_j) - 1:
+                        rhs -= Fraction(m_j - 1, m_j) * g[r_j][n + s]
+            for a_i in fws:
+                for t in words.correlation_shifts(a_i, a_k):
+                    rhs += embedded_weight(spec, a_i, threshold=t) * fa[a_i][n + t]
+            if f[n] != rhs:
+                ok = False
+    out.append(CheckResult("recurrence_forbidden_suffix", ok))
+    return out
 
 
 @pytest.fixture(scope="session")
