@@ -11,12 +11,16 @@ which shares no code with the correlation route.  The weighted slices
 themselves, every allowed word with its multiplicity, come from one
 layered walk over the same states (:func:`language_slices`), which also
 gives the block labels their words; the extension reads its completions
-off the same automaton.
+off the same automaton.  That automaton is built once per spec, on first
+use, and held by it (:attr:`ShiftSpec.pattern_automaton`): the count
+tables, the slices, the block labels, the extension and the transfer
+matrix of :class:`spectral.Analysis` all read the one build.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
 from . import words as W
@@ -28,7 +32,8 @@ DEFAULT_BUDGET = 1 << 24
 
 class ShiftSpec:
     """Validated shift data; build instances through :func:`validate_spec`.
-    Immutable, and compared by identity."""
+    Compared by identity.  The fields are immutable; the one derived
+    value, :attr:`pattern_automaton`, is built lazily and then kept."""
 
     def __init__(self, alphabet: tuple[str, ...], forbidden: tuple[Word, ...],
                  repeated: tuple[tuple[Word, int], ...], p: int, union_reduced: bool):
@@ -60,6 +65,13 @@ class ShiftSpec:
         if bad:
             raise SpecError(f"symbols {bad} not in alphabet {list(self.alphabet)}")
         return w
+
+    @cached_property
+    def pattern_automaton(self) -> PatternStates:
+        """The automaton of F and R with what each state ends
+        (:func:`_pattern_states`), built on first use; every walk over
+        the spec's words reads this one build."""
+        return _pattern_states(self)
 
     def to_json(self) -> dict:
         return {
@@ -155,18 +167,26 @@ class LanguageSlice(NamedTuple):
         }
 
 
-def _pattern_states(spec: ShiftSpec, ends: Sequence[Word] = ()
-                    ) -> tuple[list[list[int]], list[int], list[Word | None], list[tuple[Word, ...]]]:
-    """The automaton of F, R and ``ends`` (:func:`words.automaton`) and,
-    per state, what a move into it completes: the product of m_r over
-    the repeated words r, the forbidden word or None (a reduced
-    collection has at most one), and the words of ``ends``."""
+PatternStates = tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[Word | None, ...],
+                      tuple[tuple[Word, ...], ...]]
+
+
+def _pattern_states(spec: ShiftSpec, tracked: Sequence[Word] = ()) -> PatternStates:
+    """The automaton of F, R and ``tracked`` (:func:`words.automaton`)
+    and, per state, what a move into it completes: the product of m_r
+    over the repeated words r, the forbidden word or None (a reduced
+    collection has at most one), and the repeated and tracked words, in
+    that order.  The spec holds the build without tracked words
+    (:attr:`ShiftSpec.pattern_automaton`); only tracked words outside R
+    need a build of their own."""
     nf, nr = len(spec.forbidden), len(spec.repeated)
-    delta, hits = W.automaton(spec.forbidden + spec.repeated_words + tuple(ends), spec.alphabet)
-    factor = [math.prod(spec.repeated[k - nf][1] for k in h if nf <= k < nf + nr) for h in hits]
-    bad = [spec.forbidden[h[0]] if h and h[0] < nf else None for h in hits]
-    done = [tuple(ends[k - nf - nr] for k in h if k >= nf + nr) for h in hits]
-    return delta, factor, bad, done
+    patterns = spec.forbidden + spec.repeated_words + tuple(tracked)
+    delta, hits = W.automaton(patterns, spec.alphabet)
+    factor = tuple(math.prod(spec.repeated[k - nf][1] for k in h if nf <= k < nf + nr)
+                   for h in hits)
+    bad = tuple(spec.forbidden[h[0]] if h and h[0] < nf else None for h in hits)
+    done = tuple(tuple(patterns[k] for k in h if k >= nf) for h in hits)
+    return tuple(map(tuple, delta)), factor, bad, done
 
 
 def language_slices(n_max: int, spec: ShiftSpec, budget: int = DEFAULT_BUDGET
@@ -177,15 +197,15 @@ def language_slices(n_max: int, spec: ShiftSpec, budget: int = DEFAULT_BUDGET
     symbol in alphabet order, so every slice comes out lexicographic.
     A word's weight is its prefix's weight times m_r for each repeated
     word r that the new symbol completes.  Both depend only on the
-    word's state in the automaton of F and R (:func:`_pattern_states`),
-    whose allowed moves are listed once per state.  Only the current
-    layer is kept.  The budget applies to q**n_max; n_max <= 0 yields
-    nothing.
+    word's state in the spec's automaton of F and R
+    (:attr:`ShiftSpec.pattern_automaton`), whose allowed moves are
+    listed once per state.  Only the current layer is kept.  The budget
+    applies to q**n_max; n_max <= 0 yields nothing.
     """
     if n_max < 1:
         return
     check_budget(n_max, spec, budget)
-    delta, factor, bad, _ = _pattern_states(spec)
+    delta, factor, bad, _ = spec.pattern_automaton
     steps = [[((sym,), factor[t], t) for sym, t in zip(spec.alphabet, row) if bad[t] is None]
              for row in delta]
     layer: list[tuple[Word, int, int]] = [((), 1, 0)]  # (word, weight, state)
@@ -210,14 +230,17 @@ def transfer_tables(spec: ShiftSpec, max_n: int, suffixes: Sequence[Word] = ()
     """The f, g and fa count tables for n = 0..max_n in one transfer pass.
 
     Allowed words are grouped by their state in the automaton of F, R
-    and ``suffixes`` (:func:`_pattern_states`), and each state carries
-    the total weight of its words.  A move completes the forbidden,
-    repeated and tracked words that its target state ends.  g is kept
-    for the repeated words and ``suffixes``.  The cost is states x q x
-    max_n; callers apply the budget.
+    and ``suffixes``, and each state carries the total weight of its
+    words.  A move completes the forbidden, repeated and tracked words
+    that its target state ends.  g is kept for the repeated words and
+    ``suffixes``.  Without suffixes outside R the pass reads the spec's
+    own automaton (:attr:`ShiftSpec.pattern_automaton`); otherwise it
+    builds one that tracks them too (:func:`_pattern_states`).  The cost
+    is states x q x max_n; callers apply the budget.
     """
     ends = tuple(dict.fromkeys(spec.repeated_words + tuple(suffixes)))
-    delta, factor, bad, done = _pattern_states(spec, ends)
+    extra = ends[len(spec.repeated):]
+    delta, factor, bad, done = _pattern_states(spec, extra) if extra else spec.pattern_automaton
     f = [1] + [0] * max_n
     g = {r: [0] * (max_n + 1) for r in ends}
     fa = {a: [0] * (max_n + 1) for a in spec.forbidden}
@@ -315,7 +338,7 @@ def extend_repeated_to_full_length(spec: ShiftSpec) -> ShiftSpec:
     if all(len(r) == spec.p for r in spec.repeated_words):
         return spec
     check_budget(spec.p - 1, spec, DEFAULT_BUDGET)
-    delta, _, bad, _ = _pattern_states(spec)
+    delta, _, bad, _ = spec.pattern_automaton
     new = []
     for r, m in sorted(spec.repeated, key=lambda rm: [spec._index[sym] for sym in rm[0]]):
         s = 0

@@ -38,7 +38,7 @@ from typing import NamedTuple, Sequence
 
 from . import genfun
 from .errors import EmptyShiftError, NumericError, RouteMismatchError, SpecError
-from .langmodel import (ShiftSpec, _pattern_states, enumerate_slice,
+from .langmodel import (ShiftSpec, enumerate_slice,
                         extend_repeated_to_full_length, weighted_count)
 from .ratfield import Poly, RatFun, RatMat, RootCertificate, largest_real_zero, solve_numeric
 from .words import Word
@@ -587,7 +587,10 @@ class Analysis:
     ``correction``; ``_core_at_root`` solves the core of ``ext_system``
     twice at ``root``; ``vectors`` read ``matrix`` and those solves;
     ``normalization`` reads ``vectors``, the solves and the derivative
-    of that core at the root; ``entropy`` reads ``root``.
+    of that core at the root; ``entropy`` reads ``root``.  ``ext``,
+    ``matrix``, ``transfer`` and the count of ``entropy`` walk the one
+    automaton of F and R that the spec builds and holds
+    (:attr:`langmodel.ShiftSpec.pattern_automaton`).
     A failed stage is not cached: reading it again repeats the
     computation and raises again.
     """
@@ -610,12 +613,14 @@ class Analysis:
     @cached_property
     def transfer(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Successor lists of the transfer matrix T on the live states of
-        the automaton of F and R (:func:`langmodel._pattern_states`): T_st
-        sums factor(t) over the symbols that move s to t, forbidden moves
-        left out.  A live state is one that ends no forbidden word; its
-        word is allowed, so the root reaches it.  Its order is at most
+        the spec's one automaton of F and R, which the count tables, the
+        block labels and the extension read too
+        (:attr:`langmodel.ShiftSpec.pattern_automaton`): T_st sums
+        factor(t) over the symbols that move s to t, forbidden moves left
+        out.  A live state is one that ends no forbidden word; its word
+        is allowed, so the root reaches it.  Its order is at most
         sum |w| + 1, whatever q and p."""
-        delta, factor, bad, _ = _pattern_states(self.spec)
+        delta, factor, bad, _ = self.spec.pattern_automaton
         live = [s for s, a in enumerate(bad) if a is None]
         pos = {s: k for k, s in enumerate(live)}
         rows = []

@@ -200,7 +200,8 @@ def test_extension_refuses_before_walking_when_the_blocks_exceed_the_budget(monk
         raise AssertionError("the automaton was built")
     monkeypatch.setattr(langmodel, "_pattern_states", no_walk)
     hole = Cylinder.from_edges([(("1",) * 25, ("1",) * 25, 0)])
-    for run in (extend_repeated_to_full_length, MeasureContext, lambda s: escape_report(s, hole)):
+    for run in (extend_repeated_to_full_length, adjacency_matrix, lambda s: oracle_tables(s, 25),
+                MeasureContext, lambda s: escape_report(s, hole)):
         with pytest.raises(BudgetError, match="2\\^25 strings exceed the budget 16777216"):
             run(s)
 

@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ from conftest import (FAMILIES, FractionPoly, family_spec, leading_multiplicity,
                       reference_correction_derivative_at,
                       reference_cw_enclosure, reference_identity, reference_power_iteration,
                       reference_sum, reference_vectors, sparse, star)
-from multishift import genfun, ratfield, spectral
+from multishift import cli, fixtures, genfun, ratfield, spectral, words
 from multishift.errors import EmptyShiftError, NumericError, SpecError
 from multishift.fixtures import list_fixtures, load_fixture
 from multishift.langmodel import (extend_repeated_to_full_length, multiplicity, oracle_tables,
@@ -561,36 +562,43 @@ def test_one_counting_system_per_distinct_spec(monkeypatch):
     numeric = _count_calls(monkeypatch, spectral, "solve_numeric")
     matrices = _count_calls(monkeypatch, spectral, "adjacency_matrix")
     symbolic = _count_calls(monkeypatch, ratfield.RatMat, "cramer")
+    automata = _count_calls(monkeypatch, words, "automaton")
 
-    def counts(spec, run):
+    def counts(name, run):
+        spec = load_fixture(name)  # a fresh spec has no automaton built yet
         labels = set(genfun.build_system(spec).matrix.row_labels) - {"F"}
-        for calls in (systems, symbolic, numeric, matrices):
+        for calls in (systems, symbolic, numeric, matrices, automata):
             del calls[:]
-        run()
+        run(spec)
         # every symbolic solve is of the spec's own core or its conjugate
         # core, never of the bordered matrix or of the extension's core
-        assert all(set(m.row_labels) <= labels for m, *_ in symbolic), spec
-        return len(systems), len(symbolic), len(numeric), len(matrices)
+        assert all(set(m.row_labels) <= labels for m, *_ in symbolic), name
+        return len(systems), len(symbolic), len(numeric), len(matrices), len(automata)
 
     # counting: the extension is the spec, so one system serves both;
     # extension and nonreduced: the extended spec builds its own system
     # through the same builder, and only the spec's is solved.  In either
     # mode perron solves the core once and verify solves the core and its
-    # conjugate; the bordered matrix is never solved
+    # conjugate; the bordered matrix is never solved.  Every walk over the
+    # spec's words reads its one automaton of F and R
     counting, extension = load_fixture("counting"), load_fixture("extension")
     assert extend_repeated_to_full_length(counting) is counting
-    assert counts(counting, lambda: spectral.spectral_report(counting)) == (1, 1, 2, 1)
-    assert counts(extension, lambda: spectral.spectral_report(extension)) == (2, 1, 2, 1)
+    assert counts("counting", spectral.spectral_report) == (1, 1, 2, 1, 1)
+    assert counts("extension", spectral.spectral_report) == (2, 1, 2, 1, 1)
     ext_labels = genfun.build_system(extend_repeated_to_full_length(extension)).matrix.row_labels
     assert not set(ext_labels) <= set(genfun.build_system(extension).matrix.row_labels)
-    nonreduced = load_fixture("nonreduced")
-    assert counts(nonreduced, lambda: spectral.spectral_report(nonreduced, True)) == (2, 1, 2, 1)
-    assert counts(counting, lambda: run_verification(counting, max_n=6)) == (1, 2, 2, 1)
-    assert counts(extension, lambda: run_verification(extension, max_n=6)) == (2, 2, 2, 1)
-    assert counts(nonreduced, lambda: run_verification(nonreduced, max_n=6,
-                                                       allow_reducible=True)) == (1, 2, 0, 1)
+    assert counts("nonreduced", lambda s: spectral.spectral_report(s, True)) == (2, 1, 2, 1, 1)
+    assert counts("counting", lambda s: run_verification(s, max_n=6)) == (1, 2, 2, 1, 1)
+    assert counts("extension", lambda s: run_verification(s, max_n=6)) == (2, 2, 2, 1, 1)
+    assert counts("nonreduced", lambda s: run_verification(s, max_n=6,
+                                                          allow_reducible=True)) == (1, 2, 0, 1, 1)
+    for name in ("counting", "extension", "nonreduced"):
+        path = str(Path(fixtures.__file__).parent / f"{name}.json")
+        assert counts(name, lambda s: cli.main(["enumerate", "--spec", path, "--max-n", "7",
+                                                "--slices"])) == (0, 0, 0, 0, 1)
+    # the hole and the spec of its counts tau each build their own
     hole = Cylinder((("0", "0"), ("0", "0")), (1,))
-    assert counts(counting, lambda: escape_report(counting, hole, 6)) == (1, 1, 0, 1)
+    assert counts("counting", lambda s: escape_report(s, hole, 6)) == (1, 1, 0, 1, 3)
 
 
 def test_analysis_solution_equals_the_standalone_solve():
