@@ -9,12 +9,13 @@ output.  They read one transfer pass over the states of the pattern
 automaton of F and R (:func:`words.automaton`, :func:`transfer_tables`),
 which shares no code with the correlation route.  The weighted slices
 themselves, every allowed word with its multiplicity, come from one
-layered walk over the same states (:func:`language_slices`), which also
-gives the block labels their words; the extension reads its completions
-off the same automaton.  That automaton is built once per spec, on first
-use, and held by it (:attr:`ShiftSpec.pattern_automaton`): the count
-tables, the slices, the block labels, the extension and the transfer
-matrix of :class:`spectral.Analysis` all read the one build.
+layered walk over the same states (:func:`language_slices`).  Its layer
+at depth p - 1, states kept, gives the block graph
+(:attr:`ShiftSpec.blocks`), which the adjacency matrix and the extension
+both read.  The automaton is built once per spec, on first use, and
+held by it (:attr:`ShiftSpec.pattern_automaton`): the count tables, the
+slices, the block graph and the transfer matrix of
+:class:`spectral.Analysis` all read the one build.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ DEFAULT_BUDGET = 1 << 24
 
 class ShiftSpec:
     """Validated shift data; build instances through :func:`validate_spec`.
-    Compared by identity.  The fields are immutable; the one derived
-    value, :attr:`pattern_automaton`, is built lazily and then kept."""
+    Compared by identity.  The fields are immutable; the derived values,
+    :attr:`pattern_automaton` and :attr:`blocks`, are built lazily and
+    then kept."""
 
     def __init__(self, alphabet: tuple[str, ...], forbidden: tuple[Word, ...],
                  repeated: tuple[tuple[Word, int], ...], p: int, union_reduced: bool):
@@ -72,6 +74,28 @@ class ShiftSpec:
         (:func:`_pattern_states`), built on first use; every walk over
         the spec's words reads this one build."""
         return _pattern_states(self)
+
+    @cached_property
+    def blocks(self) -> BlockGraph:
+        """The block graph, built on first use from the last layer of one
+        walk (:func:`_layers`): its words, each with its weight W and its
+        state, are the labels in lexicographic order.  Per label X come
+        the successors (j, e) in increasing j; the adjacency matrix and
+        the extension read them.
+
+        A splice X*s is allowed when the move from X's state completes no
+        forbidden word, and leads to the label Y = X[1:] + s.  Its edge
+        count e, the leading multiplicity, is m_r for its one repeated
+        prefix r (R is reduced), else 1.  Every other repeated occurrence
+        in X*s lies in Y, so W(X*s) = e W(Y), and e = W(X) factor(t) / W(Y)
+        exactly."""
+        *_, layer = _layers(self.p - 1, self)
+        delta, factor, bad, _ = self.pattern_automaton
+        index = {x: j for j, (x, _, _) in enumerate(layer)}
+        return tuple(x for x, _, _ in layer), tuple(
+            tuple((j := index[x[1:] + (sym,)], weight * factor[t] // layer[j][1])
+                  for sym, t in zip(self.alphabet, delta[s]) if bad[t] is None)
+            for x, weight, s in layer)
 
     def to_json(self) -> dict:
         return {
@@ -169,6 +193,7 @@ class LanguageSlice(NamedTuple):
 
 PatternStates = tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[Word | None, ...],
                       tuple[tuple[Word, ...], ...]]
+BlockGraph = tuple[tuple[Word, ...], tuple[tuple[tuple[int, int], ...], ...]]
 
 
 def _pattern_states(spec: ShiftSpec, tracked: Sequence[Word] = ()) -> PatternStates:
@@ -189,28 +214,36 @@ def _pattern_states(spec: ShiftSpec, tracked: Sequence[Word] = ()) -> PatternSta
     return tuple(map(tuple, delta)), factor, bad, done
 
 
-def language_slices(n_max: int, spec: ShiftSpec, budget: int = DEFAULT_BUDGET
-                    ) -> Iterator[LanguageSlice]:
-    """The weighted slices of lengths 1..n_max from one layered walk.
+def _layers(n_max: int, spec: ShiftSpec, budget: int = DEFAULT_BUDGET
+            ) -> Iterator[list[tuple[Word, int, int]]]:
+    """The layers of lengths 1..n_max of one walk: every allowed word,
+    in lexicographic order, with its weight and its state in the spec's
+    automaton of F and R (:attr:`ShiftSpec.pattern_automaton`).
 
     Layer n is layer n - 1 with each word extended by each allowed
-    symbol in alphabet order, so every slice comes out lexicographic.
-    A word's weight is its prefix's weight times m_r for each repeated
-    word r that the new symbol completes.  Both depend only on the
-    word's state in the spec's automaton of F and R
-    (:attr:`ShiftSpec.pattern_automaton`), whose allowed moves are
-    listed once per state.  Only the current layer is kept.  The budget
-    applies to q**n_max; n_max <= 0 yields nothing.
-    """
-    if n_max < 1:
-        return
+    symbol in alphabet order.  A word's weight is its prefix's weight
+    times m_r for each repeated word r that the new symbol completes.
+    Both depend only on the word's state, whose allowed moves are listed
+    once per state.  Only the current layer is kept.  The budget applies
+    to q**n_max, checked before the automaton is built."""
     check_budget(n_max, spec, budget)
     delta, factor, bad, _ = spec.pattern_automaton
     steps = [[((sym,), factor[t], t) for sym, t in zip(spec.alphabet, row) if bad[t] is None]
              for row in delta]
     layer: list[tuple[Word, int, int]] = [((), 1, 0)]  # (word, weight, state)
-    for n in range(1, n_max + 1):
+    for _ in range(n_max):
         layer = [(w + sym, weight * m, t) for w, weight, s in layer for sym, m, t in steps[s]]
+        yield layer
+
+
+def language_slices(n_max: int, spec: ShiftSpec, budget: int = DEFAULT_BUDGET
+                    ) -> Iterator[LanguageSlice]:
+    """The weighted slices of lengths 1..n_max, one per layer of one walk
+    (:func:`_layers`).  The budget applies to q**n_max; n_max <= 0
+    yields nothing."""
+    if n_max < 1:
+        return
+    for n, layer in enumerate(_layers(n_max, spec, budget), 1):
         entries = tuple((w, m) for w, m, _ in layer)
         yield LanguageSlice(n, entries, sum(m for _, m in entries))
 
@@ -329,27 +362,18 @@ def extend_repeated_to_full_length(spec: ShiftSpec) -> ShiftSpec:
 
     Every allowed length-p word beginning with a repeated word r joins
     the new collection, weighted by m_r (R is reduced, so r is its only
-    repeated prefix): they are the allowed walks of the automaton of F
-    and R from the state of r, in lexicographic order, at most q per
-    block, so the walk takes the block walk's budget on q**(p - 1).  The
-    adjacency matrix is unchanged, the new union is always reduced, and
-    specs whose repeated words already have length p come back untouched.
+    repeated prefix): they are the splices of the spec's block graph
+    (:attr:`ShiftSpec.blocks`) whose edge count exceeds 1, read in edge
+    order, which is lexicographic.  The adjacency matrix is unchanged,
+    the new union is always reduced, and specs whose repeated words
+    already have length p come back untouched.
     """
     if all(len(r) == spec.p for r in spec.repeated_words):
         return spec
-    check_budget(spec.p - 1, spec, DEFAULT_BUDGET)
-    delta, _, bad, _ = spec.pattern_automaton
-    new = []
-    for r, m in sorted(spec.repeated, key=lambda rm: [spec._index[sym] for sym in rm[0]]):
-        s = 0
-        for sym in r:  # r holds no forbidden word, so every move is allowed
-            s = delta[s][spec._index[sym]]
-        tails = [(r, s)]  # (word, state)
-        for _ in range(spec.p - len(r)):
-            tails = [(w + (sym,), t) for w, s in tails for sym, t in zip(spec.alphabet, delta[s])
-                     if bad[t] is None]
-        new += [(w, m) for w, _ in tails]
-    return validate_spec(spec.alphabet, spec.forbidden, new)
+    labels, successors = spec.blocks
+    return validate_spec(spec.alphabet, spec.forbidden,
+                         [(x + labels[j][-1:], e) for x, row in zip(labels, successors)
+                          for j, e in row if e > 1])
 
 
 def spec_from_matrix(entries: Sequence[Sequence[int]]) -> ShiftSpec:

@@ -177,7 +177,6 @@ class MeasureContext:
     def __init__(self, source: ShiftSpec | Analysis, allow_reducible: bool = False):
         an = source if isinstance(source, Analysis) else Analysis(source, allow_reducible)
         self.spec = an.spec
-        self.ext = an.ext
         self.mat = an.matrix
         self.vectors: EigenData = an.vectors
         self.root: PerronResult = self.vectors.root

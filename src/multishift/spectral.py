@@ -38,8 +38,7 @@ from typing import NamedTuple, Sequence
 
 from . import genfun
 from .errors import EmptyShiftError, NumericError, RouteMismatchError, SpecError
-from .langmodel import (ShiftSpec, enumerate_slice,
-                        extend_repeated_to_full_length, weighted_count)
+from .langmodel import ShiftSpec, extend_repeated_to_full_length, weighted_count
 from .ratfield import Poly, RatFun, RatMat, RootCertificate, largest_real_zero, solve_numeric
 from .words import Word
 
@@ -144,44 +143,12 @@ class AdjMatrix:
                 "entries": self.entries}
 
 
-def _splice_matrix(spec: ShiftSpec, weight) -> AdjMatrix:
-    """Matrix on the allowed words of length p-1 whose (X, Y) entry is
-    ``weight(X*Y)`` when the splice exists (Y = X[1:] + s), else 0.  The
-    labels are the entries of the language slice, which come out in
-    lexicographic order, so the splices of X in alphabet order reach its
-    successors in increasing j."""
-    labels = [w for w, _ in enumerate_slice(spec.p - 1, spec).entries]
-    if not labels:
-        raise SpecError("no allowed words of length p-1; spec is over-constrained")
-    index = {x: i for i, x in enumerate(labels)}
-    rows = []
-    for x in labels:
-        row = []
-        for s in spec.alphabet:
-            if (j := index.get(x[1:] + (s,))) is not None and (e := weight(x + (s,))):
-                row.append((j, e))
-        rows.append(tuple(row))
-    return AdjMatrix(tuple(labels), tuple(rows))
-
-
 def adjacency_matrix(spec: ShiftSpec) -> AdjMatrix:
     """The edge-count matrix: labels are allowed words of length p-1 and
     the (X, Y) entry is the leading multiplicity of the splice X*Y when
-    it is allowed, else 0.
-
-    Both labels are allowed, so a splice is forbidden only when it is
-    itself a forbidden word, and its leading multiplicity is m_r for the
-    one repeated word r that is a prefix of it (R is reduced), else 1:
-    one set and one dict lookup per splice, and the prefixes of each
-    label read once."""
-    forbidden, reps = frozenset(spec.forbidden), dict(spec.repeated)
-
-    @cache
-    def lead(x: Word) -> int:
-        return next((reps[x[:k]] for k in range(1, len(x) + 1) if x[:k] in reps), 1)
-
-    return _splice_matrix(
-        spec, lambda xy: 0 if xy in forbidden else reps.get(xy) or lead(xy[:-1]))
+    it is allowed, else 0.  It reads the spec's one block graph
+    (:attr:`langmodel.ShiftSpec.blocks`)."""
+    return AdjMatrix(*spec.blocks)
 
 
 def _strong_components(successors: Sequence[Sequence[tuple[int, int]]]) -> list[list[int]]:
@@ -587,10 +554,11 @@ class Analysis:
     ``correction``; ``_core_at_root`` solves the core of ``ext_system``
     twice at ``root``; ``vectors`` read ``matrix`` and those solves;
     ``normalization`` reads ``vectors``, the solves and the derivative
-    of that core at the root; ``entropy`` reads ``root``.  ``ext``,
-    ``matrix``, ``transfer`` and the count of ``entropy`` walk the one
-    automaton of F and R that the spec builds and holds
-    (:attr:`langmodel.ShiftSpec.pattern_automaton`).
+    of that core at the root; ``entropy`` reads ``root``.  ``ext`` and
+    ``matrix`` read the spec's one block graph
+    (:attr:`langmodel.ShiftSpec.blocks`); its walk, ``transfer`` and the
+    count of ``entropy`` read the one automaton of F and R that the spec
+    builds and holds (:attr:`langmodel.ShiftSpec.pattern_automaton`).
     A failed stage is not cached: reading it again repeats the
     computation and raises again.
     """
@@ -607,14 +575,15 @@ class Analysis:
     @cached_property
     def matrix(self) -> AdjMatrix:
         """The adjacency matrix, of the spec and of its extension alike
-        (extending the repeated words leaves it unchanged)."""
+        (extending the repeated words leaves it unchanged): the spec's
+        block graph, which ``ext`` reads too."""
         return adjacency_matrix(self.spec)
 
     @cached_property
     def transfer(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Successor lists of the transfer matrix T on the live states of
         the spec's one automaton of F and R, which the count tables, the
-        block labels and the extension read too
+        slices and the block graph read too
         (:attr:`langmodel.ShiftSpec.pattern_automaton`): T_st sums
         factor(t) over the symbols that move s to t, forbidden moves left
         out.  A live state is one that ends no forbidden word; its word

@@ -138,50 +138,49 @@ def run_verification(spec: ShiftSpec, max_n: int = 10, budget: int = DEFAULT_BUD
         checks.append(CheckResult("block_power_sums_match_counts", ok))
 
     irreducible = spectral.is_irreducible(mat)
-    if irreducible or allow_reducible:
-        try:
-            # the root is refused unless the Sturm interval meets the enclosure
-            root = an.root
-            checks.append(CheckResult(
-                "perron_route_agreement", True,
-                f"Sturm interval meets the Collatz-Wielandt enclosure on the "
-                f"{len(an.transfer)}-state transfer matrix, gap {root.route_gap:.3g}"))
-        except EmptyShiftError as exc:
-            checks.append(CheckResult("perron_route_agreement", True, f"skipped: {exc}"))
-            root = None
-        except MultishiftError as exc:
-            checks.append(CheckResult("perron_route_agreement", False, str(exc)))
-            root = None
-        if root is not None and irreducible:
-            try:
-                res_l, res_r = an.vectors.residuals
-                checks.append(CheckResult(
-                    "eigen_residuals", max(res_l, res_r) <= THETA_TOL,
-                    f"left {res_l:.3g} right {res_r:.3g}"))
-                norm = an.normalization
-                name = "normalization_identity"
-                if norm.witness is None:
-                    checks.append(CheckResult(
-                        name, True,
-                        f"witness unknown; identity {'holds' if norm.agree else 'fails'} empirically"))
-                else:
-                    checks.append(CheckResult(name, norm.agree))
-                ctx = measures.MeasureContext(an)
-                kol = measures.kolmogorov_report(ctx, min(4, max_n))
-                checks.append(_measure_check(
-                    "measure_additivity", "blocks", kol["violations"],
-                    f"max defect {kol['max_defect']:.3g} over {kol['checked']} cylinders"))
-                push = measures.pushforward_report(ctx, min(4, max_n))
-                checks.append(_measure_check(
-                    "pushforward_equality", "classes",
-                    [f"{v['length']}:{v['block']}" for v in push["violations"]],
-                    f"{push['checked']} vertex words"))
-            except MultishiftError as exc:
-                checks.append(CheckResult("spectral_pipeline", False, str(exc)))
-    else:
+    root = None
+    try:
+        # the root is refused unless the Sturm interval meets the enclosure;
+        # an empty shift is named before a reducible one is refused
+        root = an.root
         checks.append(CheckResult(
             "perron_route_agreement", True,
-            "skipped: reducible adjacency matrix (pass allow_reducible to force)"))
+            f"Sturm interval meets the Collatz-Wielandt enclosure on the "
+            f"{len(an.transfer)}-state transfer matrix, gap {root.route_gap:.3g}"))
+    except EmptyShiftError as exc:
+        checks.append(CheckResult("perron_route_agreement", True, f"skipped: {exc}"))
+    except MultishiftError as exc:
+        refused = not (irreducible or allow_reducible)
+        checks.append(CheckResult(
+            "perron_route_agreement", refused,
+            "skipped: reducible adjacency matrix (pass allow_reducible to force)"
+            if refused else str(exc)))
+    if root is not None and irreducible:
+        try:
+            res_l, res_r = an.vectors.residuals
+            checks.append(CheckResult(
+                "eigen_residuals", max(res_l, res_r) <= THETA_TOL,
+                f"left {res_l:.3g} right {res_r:.3g}"))
+            norm = an.normalization
+            name = "normalization_identity"
+            if norm.witness is None:
+                checks.append(CheckResult(
+                    name, True,
+                    f"witness unknown; identity {'holds' if norm.agree else 'fails'} empirically"))
+            else:
+                checks.append(CheckResult(name, norm.agree))
+            ctx = measures.MeasureContext(an)
+            kol = measures.kolmogorov_report(ctx, min(4, max_n))
+            checks.append(_measure_check(
+                "measure_additivity", "blocks", kol["violations"],
+                f"max defect {kol['max_defect']:.3g} over {kol['checked']} cylinders"))
+            push = measures.pushforward_report(ctx, min(4, max_n))
+            checks.append(_measure_check(
+                "pushforward_equality", "classes",
+                [f"{v['length']}:{v['block']}" for v in push["violations"]],
+                f"{push['checked']} vertex words"))
+        except MultishiftError as exc:
+            checks.append(CheckResult("spectral_pipeline", False, str(exc)))
 
     if expected:
         def against(name: str, got_full: list[int], want_full: list) -> None:

@@ -39,8 +39,8 @@ from hypothesis import reject, settings, strategies as st
 from multishift import spectral, words
 from multishift.errors import NumericError, RootBracketError, SingularMatrixError, SpecError
 from multishift.genfun import build_system, conjugate_rows, embedded_weight, targets
-from multishift.langmodel import (ShiftSpec, extend_repeated_to_full_length, multiplicity,
-                                  validate_spec)
+from multishift.langmodel import (ShiftSpec, enumerate_slice, extend_repeated_to_full_length,
+                                  multiplicity, validate_spec)
 from multishift.measures import Cylinder, MeasureContext, StochMat
 from multishift.ratfield import (ROOT_WIDTH, Poly, RatFun, RatMat, RootCertificate, _fr,
                                  solve_numeric)
@@ -223,8 +223,14 @@ def leading_multiplicity(v, spec: ShiftSpec) -> int:
 def multiplicity_matrix(spec: ShiftSpec) -> AdjMatrix:
     """The naive variant of the adjacency matrix, weighting each splice by
     its full multiplicity.  Coincides with it exactly when all repeated
-    words have length p; otherwise it overcounts paths."""
-    return spectral._splice_matrix(spec, lambda xy: multiplicity(xy, spec))
+    words have length p; otherwise it overcounts paths.  The labels are
+    the slice of length p-1, and each splice X*s is weighted by the
+    brute-force :func:`langmodel.multiplicity`."""
+    labels = tuple(w for w, _ in enumerate_slice(spec.p - 1, spec).entries)
+    index = {x: i for i, x in enumerate(labels)}
+    return AdjMatrix(labels, tuple(tuple((index[x[1:] + (s,)], m) for s in spec.alphabet
+                                         if (m := multiplicity(x + (s,), spec)))
+                                   for x in labels))
 
 
 def preimage_count(ctx: MeasureContext, cyl: Cylinder) -> int:
@@ -651,39 +657,40 @@ def correlation_coeffs(u, v, alpha: int | None = None) -> tuple[int, ...]:
 
 def reference_system_rows(spec: ShiftSpec) -> tuple[tuple[Poly, ...], ...]:
     """The bordered counting rows entry by entry: one correlation scan
-    per (target, word) pair, each entry a sum of ``FractionPoly`` terms
-    converted to a ``Poly``."""
-    z = FractionPoly((0, 1))
-    reps, fws = spec.repeated, spec.forbidden
+    per (target, word) pair, each term's Fraction coefficient placed at
+    its power of z, and each entry's coefficients converted to a
+    ``Poly``."""
 
-    top = [z - spec.q]
-    for _, m in reps:
-        top.append(-(z * Fraction(m - 1, m)))
-    for a in fws:
-        top.append(z * embedded_weight(spec, a))
-    rows = [tuple(map(Poly, top))]
+    def entry(terms) -> Poly:
+        coeffs = [0] * (max((k for k, _ in terms), default=-1) + 1)
+        for k, c in terms:
+            coeffs[k] += c
+        return Poly(coeffs)
+
+    fws = spec.forbidden
+    shares = [Fraction(m - 1, m) for _, m in spec.repeated]
+    top = [entry([(0, -spec.q), (1, 1)])]
+    top += [entry([(1, -share)]) for share in shares]
+    top += [entry([(1, embedded_weight(spec, a))]) for a in fws]
+    rows = [tuple(top)]
 
     targets = [(r, True) for r in spec.repeated_words] + [(a, False) for a in fws]
     for k, (t_k, repeated_row) in enumerate(targets):
-        row = [ONE]
-        for j, (r_j, m_j) in enumerate(reps):
+        row = [entry([(0, 1)])]
+        for j, (r_j, share) in enumerate(zip(spec.repeated_words, shares)):
             # a whole r_j overlapping a forbidden word would sit inside it
             alpha = len(r_j) if repeated_row else len(r_j) - 1
             corr = correlation_coeffs(r_j, t_k, alpha)
-            e = z * Fraction(m_j - 1, m_j) * FractionPoly(corr)
+            terms = [(i + 1, share) for i, c in enumerate(corr) if c]
             if j == k:
-                e = e - z ** len(r_j)
-            row.append(e)
+                terms.append((len(r_j), -1))
+            row.append(entry(terms))
         for a in fws:
             # overhangs past |t_k| would put the whole appended word
             # inside a, impossible for reduced collections
-            e = FractionPoly()
-            for t in words.correlation_shifts(a, t_k):
-                if t <= len(t_k):
-                    weight = embedded_weight(spec, a, threshold=0 if repeated_row else t)
-                    e = e + z ** t * weight
-            row.append(-e)
-        rows.append(tuple(map(Poly, row)))
+            row.append(entry([(t, -embedded_weight(spec, a, threshold=0 if repeated_row else t))
+                              for t in words.correlation_shifts(a, t_k) if t <= len(t_k)]))
+        rows.append(tuple(row))
     return tuple(rows)
 
 
@@ -691,19 +698,19 @@ def reference_system_json(spec: ShiftSpec, rows) -> dict:
     """The printed counting system of the rows of
     :func:`reference_system_rows`: the labels F, then G[r] per repeated
     word and Fa[a] per forbidden word, and every matrix and right-hand
-    side (z, 0, ..., 0) entry printed as the canonical quotient e / 1."""
+    side (z, 0, ..., 0) entry printed as the canonical quotient e / 1,
+    each coefficient in ``str(Fraction)`` form."""
     labels = ["F"] + [f"G[{''.join(r)}]" for r in spec.repeated_words] + \
         [f"Fa[{''.join(a)}]" for a in spec.forbidden]
-    rhs = [FractionPoly((0, 1))] + [FractionPoly()] * (len(labels) - 1)
 
-    def printed(e):
-        return _as_ratfun(FractionPoly(e), ONE).to_json()
+    def printed(coeffs):
+        return {"num": [str(c) for c in coeffs], "den": ["1"]}
 
     return {"mode": "reduced" if spec.union_reduced else "non_reduced",
             "labels": labels,
             "matrix": {"rows": labels, "cols": labels,
-                       "entries": [[printed(e) for e in row] for row in rows]},
-            "rhs": [printed(e) for e in rhs]}
+                       "entries": [[printed(e.coeffs) for e in row] for row in rows]},
+            "rhs": [printed((0, 1))] + [printed(())] * (len(labels) - 1)}
 
 
 def reference_identity(spec: ShiftSpec, theta):

@@ -635,19 +635,27 @@ EMPTY_SHIFT = {"alphabet": ["0", "1"], "forbidden": ["00", "01", "1111"],
                "repeated": [{"word": "1110", "multiplicity": 2}]}
 
 
-@pytest.mark.parametrize("args", [["perron"], ["escape", "--word", "111*110#1"],
-                                  ["measure", "--cylinder", "111"]],
-                         ids=["perron", "escape", "measure"])
-def test_an_empty_shift_is_a_spec_error(tmp_path, capsys, args):
+EMPTY_SHIFT_RUNS = {"perron": ["perron"], "escape": ["escape", "--word", "111*110#1"],
+                    "measure": ["measure", "--cylinder", "111"]}
+
+
+# the shift is named empty with --allow-reducible and without it; the
+# runs with the flag keep the bare command as their id
+@pytest.mark.parametrize("args, flag", [
+    pytest.param(args, flag, id=name + suffix)
+    for suffix, flag in (("", ["--allow-reducible"]), ("-without-flag", []))
+    for name, args in EMPTY_SHIFT_RUNS.items()])
+def test_an_empty_shift_is_a_spec_error(tmp_path, capsys, args, flag):
     path = write_spec(tmp_path, EMPTY_SHIFT)
-    assert main([args[0], "--spec", path, "--allow-reducible", *args[1:]]) == 2
+    assert main([args[0], "--spec", path, *flag, *args[1:]]) == 2
     assert capsys.readouterr().err == \
         "spec error: the shift is empty: its block graph has no cycle\n"
 
 
-def test_verify_skips_the_root_of_an_empty_shift(tmp_path, capsys):
+@pytest.mark.parametrize("flag", [["--allow-reducible"], []], ids=["allow-reducible", "without-flag"])
+def test_verify_skips_the_root_of_an_empty_shift(tmp_path, capsys, flag):
     path = write_spec(tmp_path, EMPTY_SHIFT)
-    assert main(["verify", "--spec", path, "--allow-reducible"]) == 0
+    assert main(["verify", "--spec", path, *flag]) == 0
     assert "PASS perron_route_agreement: skipped: the shift is empty: its block graph " \
         "has no cycle\n" in capsys.readouterr().out
 

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from conftest import (brute_tables, brute_weight, family_spec, leading_multiplicity,
+from conftest import (FAMILIES, brute_tables, brute_weight, family_spec, leading_multiplicity,
                       random_word, reference_transfer_tables, small_specs)
 from multishift import langmodel
 from multishift.errors import BudgetError, SpecError
@@ -19,7 +19,7 @@ from multishift.langmodel import (enumerate_slice, extend_repeated_to_full_lengt
                                   weighted_count,
                                   weighted_count_ending_with,
                                   weighted_count_forbidden_suffix)
-from multishift.spectral import adjacency_matrix
+from multishift.spectral import adjacency_matrix, is_irreducible
 
 
 def spec_counting():
@@ -217,17 +217,23 @@ def test_extension_published_and_matrix_invariance():
         extend_repeated_to_full_length(spec_counting()).repeated == spec_counting().repeated
 
 
-@settings(max_examples=100, deadline=None)
-@given(small_specs())
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_specs(), st.builds(family_spec, st.integers(0, 10 ** 6).map(random.Random),
+                                          st.sampled_from(FAMILIES))))
 def test_extension_weighs_each_completion_by_its_leading_multiplicity(spec):
     # the definition: every allowed length-p word with a repeated prefix,
-    # in lexicographic order, weighted by m(w) / m(w[1:])
+    # in lexicographic order, weighted by m(w) / m(w[1:]); the family
+    # draws add reducible matrices and non-reduced unions
+    event(f"irreducible: {is_irreducible(adjacency_matrix(spec))}, "
+          f"union reduced: {spec.union_reduced}")
+    ext = extend_repeated_to_full_length(spec)
     if all(len(r) == spec.p for r in spec.repeated_words):
+        assert ext is spec
         return
     want = [(w, leading_multiplicity(w, spec))
             for w in itertools.product(spec.alphabet, repeat=spec.p)
             if spec.is_allowed(w) and any(w[:len(r)] == r for r in spec.repeated_words)]
-    assert list(extend_repeated_to_full_length(spec).repeated) == want
+    assert list(ext.repeated) == want
 
 
 def test_extension_matrix_invariance_mixed_lengths():

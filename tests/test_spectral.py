@@ -12,12 +12,12 @@ from conftest import (FAMILIES, FractionPoly, family_spec, leading_multiplicity,
                       reference_correction_derivative_at,
                       reference_cw_enclosure, reference_identity, reference_power_iteration,
                       reference_sum, reference_vectors, sparse, star)
-from multishift import cli, fixtures, genfun, ratfield, spectral, words
+from multishift import cli, fixtures, genfun, langmodel, ratfield, spectral, words
 from multishift.errors import EmptyShiftError, NumericError, SpecError
 from multishift.fixtures import list_fixtures, load_fixture
 from multishift.langmodel import (extend_repeated_to_full_length, multiplicity, oracle_tables,
                                   spec_from_matrix, validate_spec)
-from multishift.measures import Cylinder, escape_report
+from multishift.measures import Cylinder, MeasureContext, cylinder_measure, escape_report
 from multishift.ratfield import solve_numeric
 from multishift.spectral import (AdjMatrix, adjacency_matrix, agree, eigen_residuals,
                                  eigenvector_normalization, entropy, is_irreducible,
@@ -563,42 +563,53 @@ def test_one_counting_system_per_distinct_spec(monkeypatch):
     matrices = _count_calls(monkeypatch, spectral, "adjacency_matrix")
     symbolic = _count_calls(monkeypatch, ratfield.RatMat, "cramer")
     automata = _count_calls(monkeypatch, words, "automaton")
+    layers = _count_calls(monkeypatch, langmodel, "_layers")
 
     def counts(name, run):
         spec = load_fixture(name)  # a fresh spec has no automaton built yet
         labels = set(genfun.build_system(spec).matrix.row_labels) - {"F"}
-        for calls in (systems, symbolic, numeric, matrices, automata):
+        for calls in (systems, symbolic, numeric, matrices, automata, layers):
             del calls[:]
         run(spec)
         # every symbolic solve is of the spec's own core or its conjugate
         # core, never of the bordered matrix or of the extension's core
         assert all(set(m.row_labels) <= labels for m, *_ in symbolic), name
-        return len(systems), len(symbolic), len(numeric), len(matrices), len(automata)
+        block_walks = sum(n == s.p - 1 for n, s, *_ in layers)
+        return (len(systems), len(symbolic), len(numeric), len(matrices), len(automata),
+                block_walks)
 
     # counting: the extension is the spec, so one system serves both;
     # extension and nonreduced: the extended spec builds its own system
     # through the same builder, and only the spec's is solved.  In either
     # mode perron solves the core once and verify solves the core and its
     # conjugate; the bordered matrix is never solved.  Every walk over the
-    # spec's words reads its one automaton of F and R
+    # spec's words reads its one automaton of F and R, and the matrix and
+    # the extension read its one walk of the blocks
     counting, extension = load_fixture("counting"), load_fixture("extension")
     assert extend_repeated_to_full_length(counting) is counting
-    assert counts("counting", spectral.spectral_report) == (1, 1, 2, 1, 1)
-    assert counts("extension", spectral.spectral_report) == (2, 1, 2, 1, 1)
+    assert counts("counting", spectral.spectral_report) == (1, 1, 2, 1, 1, 1)
+    assert counts("extension", spectral.spectral_report) == (2, 1, 2, 1, 1, 1)
     ext_labels = genfun.build_system(extend_repeated_to_full_length(extension)).matrix.row_labels
     assert not set(ext_labels) <= set(genfun.build_system(extension).matrix.row_labels)
-    assert counts("nonreduced", lambda s: spectral.spectral_report(s, True)) == (2, 1, 2, 1, 1)
-    assert counts("counting", lambda s: run_verification(s, max_n=6)) == (1, 2, 2, 1, 1)
-    assert counts("extension", lambda s: run_verification(s, max_n=6)) == (2, 2, 2, 1, 1)
-    assert counts("nonreduced", lambda s: run_verification(s, max_n=6,
-                                                          allow_reducible=True)) == (1, 2, 0, 1, 1)
+    assert counts("nonreduced", lambda s: spectral.spectral_report(s, True)) == (2, 1, 2, 1, 1, 1)
+    assert counts("counting", lambda s: run_verification(s, max_n=6)) == (1, 2, 2, 1, 1, 1)
+    assert counts("extension", lambda s: run_verification(s, max_n=6)) == (2, 2, 2, 1, 1, 1)
+    assert counts("nonreduced", lambda s: run_verification(
+        s, max_n=6, allow_reducible=True)) == (1, 2, 0, 1, 1, 1)
     for name in ("counting", "extension", "nonreduced"):
         path = str(Path(fixtures.__file__).parent / f"{name}.json")
         assert counts(name, lambda s: cli.main(["enumerate", "--spec", path, "--max-n", "7",
-                                                "--slices"])) == (0, 0, 0, 0, 1)
+                                                "--slices"])) == (0, 0, 0, 0, 1, 0)
     # the hole and the spec of its counts tau each build their own
     hole = Cylinder((("0", "0"), ("0", "0")), (1,))
-    assert counts("counting", lambda s: escape_report(s, hole, 6)) == (1, 1, 0, 1, 3)
+    assert counts("counting", lambda s: escape_report(s, hole, 6)) == (1, 1, 0, 1, 3, 1)
+    # a measure and an escape report walk the blocks once too, on the
+    # first edge of each spec's graph
+    for name, flag in (("counting", False), ("extension", False), ("nonreduced", True)):
+        mat = adjacency_matrix(load_fixture(name))
+        hole = Cylinder((mat.labels[0], mat.labels[mat.successors[0][0][0]]), (1,))
+        assert counts(name, lambda s: cylinder_measure(MeasureContext(s, flag), hole))[5] == 1
+        assert counts(name, lambda s: escape_report(s, hole, 6, allow_reducible=flag))[5] == 1
 
 
 def test_analysis_solution_equals_the_standalone_solve():
