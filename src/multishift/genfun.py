@@ -72,8 +72,7 @@ def conjugate_rows(rows) -> list[list[Poly]]:
 
 def conjugate_correlation_matrix(system: GenFunSystem) -> RatMat:
     """The conjugate core of a system (:func:`conjugate_rows`)."""
-    labels = system.matrix.row_labels[1:]
-    return RatMat.from_rows(conjugate_rows(system.matrix.entries), labels, labels)
+    return RatMat.from_rows(conjugate_rows(system.matrix.entries), system.matrix.labels[1:])
 
 
 class GenFunSystem:
@@ -91,7 +90,7 @@ class GenFunSystem:
     def to_json(self) -> dict:
         return {
             "mode": self.mode,
-            "labels": list(self.matrix.row_labels),
+            "labels": list(self.matrix.labels),
             "matrix": self.matrix.to_json(),
             "rhs": [quotient_json(e) for e in self.rhs],
         }
@@ -100,9 +99,8 @@ class GenFunSystem:
     def core(self) -> RatMat:
         """The core correlation matrix: the lower-right block of the
         bordered matrix."""
-        labels = self.matrix.row_labels[1:]
         return RatMat.from_rows([row[1:] for row in self.matrix.entries[1:]],
-                                labels, labels)
+                                self.matrix.labels[1:])
 
     @cached_property
     def conjugate(self) -> RatMat:
@@ -174,7 +172,7 @@ def build_system(spec: ShiftSpec) -> GenFunSystem:
     """The counting system in the mode the spec calls for: the rows of
     :func:`system_rows` as a labelled matrix."""
     labels = ("F",) + _labels(spec)
-    matrix = RatMat.from_rows(system_rows(spec), labels, labels)
+    matrix = RatMat.from_rows(system_rows(spec), labels)
     rhs = (Poly.x(),) + (Poly.zero(),) * (matrix.nrows - 1)
     return GenFunSystem(matrix, rhs, "reduced" if spec.union_reduced else "non_reduced")
 

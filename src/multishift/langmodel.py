@@ -196,21 +196,17 @@ PatternStates = tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[Word |
 BlockGraph = tuple[tuple[Word, ...], tuple[tuple[tuple[int, int], ...], ...]]
 
 
-def _pattern_states(spec: ShiftSpec, tracked: Sequence[Word] = ()) -> PatternStates:
-    """The automaton of F, R and ``tracked`` (:func:`words.automaton`)
-    and, per state, what a move into it completes: the product of m_r
-    over the repeated words r, the forbidden word or None (a reduced
-    collection has at most one), and the repeated and tracked words, in
-    that order.  The spec holds the build without tracked words
-    (:attr:`ShiftSpec.pattern_automaton`); only tracked words outside R
-    need a build of their own."""
-    nf, nr = len(spec.forbidden), len(spec.repeated)
-    patterns = spec.forbidden + spec.repeated_words + tuple(tracked)
-    delta, hits = W.automaton(patterns, spec.alphabet)
-    factor = tuple(math.prod(spec.repeated[k - nf][1] for k in h if nf <= k < nf + nr)
-                   for h in hits)
+def _pattern_states(spec: ShiftSpec) -> PatternStates:
+    """The automaton of F and R (:func:`words.automaton`) and, per state,
+    what a move into it completes: the product of m_r over the repeated
+    words r, the forbidden word or None (a reduced collection has at
+    most one), and the repeated words.  The spec builds it once
+    (:attr:`ShiftSpec.pattern_automaton`)."""
+    nf = len(spec.forbidden)
+    delta, hits = W.automaton(spec.forbidden + spec.repeated_words, spec.alphabet)
+    factor = tuple(math.prod(spec.repeated[k - nf][1] for k in h if k >= nf) for h in hits)
     bad = tuple(spec.forbidden[h[0]] if h and h[0] < nf else None for h in hits)
-    done = tuple(tuple(patterns[k] for k in h if k >= nf) for h in hits)
+    done = tuple(tuple(spec.repeated[k - nf][0] for k in h if k >= nf) for h in hits)
     return tuple(map(tuple, delta)), factor, bad, done
 
 
@@ -258,24 +254,19 @@ def enumerate_slice(n: int, spec: ShiftSpec, budget: int = DEFAULT_BUDGET) -> La
     return last
 
 
-def transfer_tables(spec: ShiftSpec, max_n: int, suffixes: Sequence[Word] = ()
+def transfer_tables(spec: ShiftSpec, max_n: int
                     ) -> tuple[list[int], dict[Word, list[int]], dict[Word, list[int]]]:
     """The f, g and fa count tables for n = 0..max_n in one transfer pass.
 
-    Allowed words are grouped by their state in the automaton of F, R
-    and ``suffixes``, and each state carries the total weight of its
-    words.  A move completes the forbidden, repeated and tracked words
-    that its target state ends.  g is kept for the repeated words and
-    ``suffixes``.  Without suffixes outside R the pass reads the spec's
-    own automaton (:attr:`ShiftSpec.pattern_automaton`); otherwise it
-    builds one that tracks them too (:func:`_pattern_states`).  The cost
-    is states x q x max_n; callers apply the budget.
+    Allowed words are grouped by their state in the spec's automaton of
+    F and R (:attr:`ShiftSpec.pattern_automaton`), and each state carries
+    the total weight of its words.  A move completes the forbidden and
+    repeated words that its target state ends; g is kept per repeated
+    word.  The cost is states x q x max_n; callers apply the budget.
     """
-    ends = tuple(dict.fromkeys(spec.repeated_words + tuple(suffixes)))
-    extra = ends[len(spec.repeated):]
-    delta, factor, bad, done = _pattern_states(spec, extra) if extra else spec.pattern_automaton
+    delta, factor, bad, done = spec.pattern_automaton
     f = [1] + [0] * max_n
-    g = {r: [0] * (max_n + 1) for r in ends}
+    g = {r: [0] * (max_n + 1) for r in spec.repeated_words}
     fa = {a: [0] * (max_n + 1) for a in spec.forbidden}
     # repeated occurrences inside a terminal forbidden word a do not count
     discount = {a: 1 for a in spec.forbidden}
@@ -313,17 +304,19 @@ def weighted_count(n: int, spec: ShiftSpec, budget: int = DEFAULT_BUDGET) -> int
 
 def weighted_count_ending_with(r: Sequence[str], n: int, spec: ShiftSpec,
                                budget: int = DEFAULT_BUDGET) -> int:
-    """Oracle g_r(n): total weight of allowed length-n words with suffix r.
+    """Oracle g_r(n) for a repeated word r: total weight of allowed
+    length-n words with suffix r.
 
     Includes the word r itself at n = |r|; zero for n < |r| and for
-    n = 0.  Read from :func:`transfer_tables` with r tracked, so r need
-    not be a repeated word.
+    n = 0.  Read from :func:`transfer_tables`.
     """
     r = W.word(r)
+    if r not in spec.repeated_words:
+        raise SpecError(f"{''.join(r)} is not a repeated word")
     if n <= 0 or n < len(r):
         return 0
     check_budget(n, spec, budget)
-    return transfer_tables(spec, n, (r,))[1][r][n]
+    return transfer_tables(spec, n)[1][r][n]
 
 
 def weighted_count_forbidden_suffix(a: Sequence[str], n: int, spec: ShiftSpec,

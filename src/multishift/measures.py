@@ -194,20 +194,11 @@ class MeasureContext:
         return self.root.scalar()
 
     def path_count(self, n_max: int) -> int:
-        """Number of vertex paths of 1..n_max edges, counted once per
-        length: one count DP over (block, length) from every start block
-        at once."""
+        """Number of vertex paths of 1..n_max edges, the sum of 1^T B^n 1
+        over the 0/1 pattern B (:meth:`AdjMatrix.power_sums`), counted
+        once per length."""
         if n_max not in self._path_counts:
-            counts, total = [1] * self.mat.size, 0
-            for _ in range(n_max):
-                reach = [0] * self.mat.size
-                for k, c in enumerate(counts):
-                    if c:
-                        for j, _ in self.mat.successors[k]:
-                            reach[j] += c
-                counts = reach
-                total += sum(counts)
-            self._path_counts[n_max] = total
+            self._path_counts[n_max] = sum(self.mat.binary().power_sums(n_max))
         return self._path_counts[n_max]
 
     @cached_property

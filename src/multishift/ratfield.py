@@ -12,11 +12,12 @@ num / den: coprime parts and a monic den, so two quotients are equal
 exactly when their parts are; it carries no arithmetic, and a caller
 that needs a sum or a comparison of two forms cross-multiplies their
 parts.  A matrix holds polynomial entries, as the counting systems do;
-a linear solve scales each row by the lcm of its entries' denominators
-into Z[z], Bareiss elimination and the back substitution use exact
-divisions with a remainder check, and every unknown comes out as the
-quotient y_i / D over one common denominator D, the determinant of the
-scaled matrix up to sign (Cramer's rule).  Polynomial gcds and Sturm
+a linear solve against one right-hand column scales each row by the lcm
+of its entries' denominators into Z[z], Bareiss elimination and the back
+substitution use exact divisions with a remainder check, and every
+unknown comes out as the quotient y_i / D over one common denominator D,
+the determinant of the scaled matrix up to sign (Cramer's rule); the
+inverse is one such solve per identity column.  Polynomial gcds and Sturm
 chains are primitive remainder sequences over Z[z].  Sturm bisection
 keeps its bracket as integer numerators over one denominator l 2^k, and
 the series in 1/z runs over integer coefficients, so both build
@@ -238,59 +239,55 @@ class RatFun:
 
 
 class RatMat:
-    """Rectangular matrix of polynomials with optional index labels.
-    Immutable; build it through :meth:`from_rows`."""
+    """Rectangular matrix of polynomials with optional labels, one tuple
+    that names both the rows and the columns.  Immutable; build it
+    through :meth:`from_rows`."""
 
-    def __init__(self, entries: tuple[tuple[Poly, ...], ...],
-                 row_labels: tuple[str, ...] = (), col_labels: tuple[str, ...] = ()):
-        vars(self).update(entries=entries, row_labels=row_labels, col_labels=col_labels)
+    def __init__(self, entries: tuple[tuple[Poly, ...], ...], labels: tuple[str, ...] = ()):
+        vars(self).update(entries=entries, labels=labels)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Poly]], row_labels=(), col_labels=()) -> "RatMat":
+    def from_rows(cls, rows: Sequence[Sequence[Poly]], labels=()) -> "RatMat":
         ent = tuple(map(tuple, rows))
         widths = {len(r) for r in ent}
         if len(widths) > 1:
             raise ValueError("ragged matrix")
-        return cls(ent, tuple(row_labels), tuple(col_labels))
+        return cls(ent, tuple(labels))
 
     @property
     def nrows(self) -> int:
         return len(self.entries)
 
-    def _integer_rows(self, extra: Sequence[Sequence[Poly]]) -> list[list[list[int]]]:
-        """The augmented rows [self | extra] over Z[z]: each row is scaled
+    def _integer_rows(self, rhs: Sequence[Poly]) -> list[list[list[int]]]:
+        """The augmented rows [self | rhs] over Z[z]: each row is scaled
         by the lcm of its entries' ``den``.  Entries are ascending integer
         coefficient lists."""
         rows = []
-        for row, ext in zip(self.entries, extra):
-            row = list(row) + list(ext)
+        for row, b in zip(self.entries, rhs):
+            row = row + (b,)
             scale = math.lcm(*(p.den for p in row))
             rows.append([[c * (scale // p.den) for c in p.ints] for p in row])
         return rows
 
     def inverse(self) -> list[list[RatFun]]:
-        """Exact inverse, as rows of rational functions: one
-        fraction-free solve against the identity."""
+        """Exact inverse, as rows of rational functions: column j is
+        :meth:`cramer` against the j-th identity column."""
         n = self.nrows
-        if any(len(row) != n for row in self.entries):
-            raise ValueError("inverse of a non-square matrix")
         one, zero = Poly.one(), Poly.zero()
-        ident = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        ys, det = _bareiss_solve(self._integer_rows(ident))
-        d = Poly._of(det)
-        return [[RatFun(Poly._of(y), d) for y in row] for row in ys]
+        cols = [self.cramer([one if i == j else zero for i in range(n)]) for j in range(n)]
+        return [[RatFun(ys[i], det) for ys, det in cols] for i in range(n)]
 
     def cramer(self, rhs: Sequence[Poly]) -> tuple[list[Poly], Poly]:
-        """Cramer's rule for self * x = rhs: numerators y in Z[z] and one
-        common denominator D, the determinant of the row-scaled matrix up
-        to sign, with x_i = y_i / D."""
+        """Cramer's rule for self * x = rhs, one right-hand column:
+        numerators y in Z[z] and one common denominator D, the determinant
+        of the row-scaled matrix up to sign, with x_i = y_i / D."""
         if len(rhs) != self.nrows or any(len(row) != self.nrows for row in self.entries):
             raise ValueError("shape mismatch in solve")
-        ys, det = _bareiss_solve(self._integer_rows([[b] for b in rhs]))
-        return [Poly._of(y[0]) for y in ys], Poly._of(det)
+        ys, det = _bareiss_solve(self._integer_rows(rhs))
+        return [Poly._of(y) for y in ys], Poly._of(det)
 
     @cached_property
     def inverse_row_sums(self) -> tuple[tuple[Poly, ...], Poly]:
@@ -306,8 +303,8 @@ class RatMat:
 
     def to_json(self) -> dict:
         return {
-            "rows": list(self.row_labels),
-            "cols": list(self.col_labels),
+            "rows": list(self.labels),
+            "cols": list(self.labels),
             "entries": [[quotient_json(e) for e in row] for row in self.entries],
         }
 
@@ -398,21 +395,19 @@ def _zhorner(p: Sequence[int], u: int, v: int) -> int:
 
 
 
-def _bareiss_solve(aug: list[list[list[int]]]) -> tuple[list[list[list[int]]], list[int]]:
-    """Fraction-free solve over Z[z] of the augmented rows [A | B].
+def _bareiss_solve(aug: list[list[list[int]]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free solve over Z[z] of the augmented rows [A | b].
 
     The forward pass is Bareiss elimination; every division by the
     previous pivot is exact in Z[z].  The last pivot D is det A up to the
-    sign of the row swaps, so by Cramer y = D * A^-1 B lies in Z[z], and
+    sign of the row swaps, so by Cramer y = D * A^-1 b lies in Z[z], and
     back substitution over the eliminated rows finds it by exact division:
-    y_ij = (D * b_ij - sum_{k>i} a_ik * y_kj) / a_ii.  Returns y, one row
-    per unknown and one column per right-hand column, and D.  Rows are
-    consumed destructively.
+    y_i = (D * b_i - sum_{k>i} a_ik * y_k) / a_ii.  Returns y, one entry
+    per unknown, and D.  Rows are consumed destructively.
     """
     n = len(aug)
     if n == 0:
         return [], [1]
-    width = len(aug[0])
     prev = [1]
     for k in range(n):
         piv = next((i for i in range(k, n) if aug[i][k]), None)
@@ -424,20 +419,19 @@ def _bareiss_solve(aug: list[list[list[int]]]) -> tuple[list[list[list[int]]], l
         for i in range(k + 1, n):
             row = aug[i]
             head = row[k]
-            for j in range(k + 1, width):
+            for j in range(k + 1, n + 1):
                 e = _zsub(_zmul(pivot, row[j]), _zmul(head, top[j]))
                 row[j] = _zdiv(e, prev)
             row[k] = []
         prev = pivot
     det = prev
-    ys: list[list[list[int]]] = [[] for _ in range(n)]
+    ys: list[list[int]] = [[] for _ in range(n)]
     for i in range(n - 1, -1, -1):
         row = aug[i]
-        for col in range(n, width):
-            acc = _zmul(det, row[col])
-            for j in range(i + 1, n):
-                acc = _zsub(acc, _zmul(row[j], ys[j][col - n]))
-            ys[i].append(_zdiv(acc, row[i]))
+        acc = _zmul(det, row[n])
+        for j in range(i + 1, n):
+            acc = _zsub(acc, _zmul(row[j], ys[j]))
+        ys[i] = _zdiv(acc, row[i])
     return ys, det
 
 

@@ -131,10 +131,14 @@ class AdjMatrix:
 
     def power_sums(self, k_max: int) -> list[int]:
         """The sums of all entries of the powers, 1^T A^k 1 for k = 1..k_max,
-        from one run of k_max sparse products with the ones vector."""
+        from one run of k_max sparse products of the ones row vector with A."""
         v, out = [1] * self.size, []
         for _ in range(k_max):
-            v = [sum(e * v[j] for j, e in row) for row in self.successors]
+            nxt = [0] * self.size
+            for c, row in zip(v, self.successors):
+                for j, e in row:
+                    nxt[j] += c * e
+            v = nxt
             out.append(sum(v))
         return out
 

@@ -125,13 +125,12 @@ def reference_automaton(patterns, alphabet) -> dict:
             for u in prefixes}
 
 
-def reference_transfer_tables(spec: ShiftSpec, max_n: int, suffixes=()):
+def reference_transfer_tables(spec: ShiftSpec, max_n: int):
     """The f, g and fa count tables by the transfer pass over the states
-    of the last k symbols (k = p - 1, more when a tracked suffix is
-    longer than p): each state's moves are read by suffix tests of
-    state + symbol against every forbidden, repeated and tracked word."""
-    ends = tuple(dict.fromkeys(spec.repeated_words + tuple(map(tuple, suffixes))))
-    k = max([spec.p] + [len(r) for r in ends]) - 1
+    of the last k = p - 1 symbols: each state's moves are read by suffix
+    tests of state + symbol against every forbidden and repeated word."""
+    ends = spec.repeated_words
+    k = spec.p - 1
 
     def ends_with(w, x):
         return len(x) <= len(w) and w[len(w) - len(x):] == x

@@ -211,7 +211,7 @@ def test_common_denominator_is_the_scaled_core_determinant():
         ones = [Poly.one()] * core.nrows
         # the rows Cramer eliminates: each core row scaled into Z[z]
         scaled = [[expr(e) for e in row[:-1]]
-                  for row in core._integer_rows([[b] for b in ones])]
+                  for row in core._integer_rows(ones)]
         det = sympy.Matrix(core.nrows, core.nrows, sum(scaled, [])).det()
         d = expr(core.cramer(ones)[1].coeffs)
         assert sympy.expand(det - d) == 0 or sympy.expand(det + d) == 0, name

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from conftest import (FAMILIES, brute_tables, brute_weight, family_spec, leading_multiplicity,
-                      random_word, reference_transfer_tables, small_specs)
+                      reference_transfer_tables, small_specs)
 from multishift import langmodel
 from multishift.errors import BudgetError, SpecError
 from multishift.fixtures import list_fixtures, load_fixture
@@ -136,16 +136,24 @@ def test_transfer_tables_equal_the_suffix_keyed_reference_on_family_draws():
     rng = random.Random(8)
     for i in range(210):
         s = family_spec(rng, ("short_forbidden", "unit_repeated", "nonreduced")[i % 3])
-        # tracked words: one longer than p, one that need not be a word of
-        # the spec, and a repeated word tracked twice
-        tracked = (random_word(rng, s.alphabet, s.p + 1, s.p + 2),
-                   random_word(rng, s.alphabet, 1, 3), s.repeated_words[0])
-        assert transfer_tables(s, 24, tracked) == reference_transfer_tables(s, 24, tracked)
+        assert transfer_tables(s, 24) == reference_transfer_tables(s, 24)
 
 
 def test_g_includes_the_word_itself():
     s = spec_counting()
     assert weighted_count_ending_with("000", 3, s) == 2
+
+
+def test_per_word_counts_take_declared_words_only():
+    # g_r and f_a are series of the counting system: r must be a repeated
+    # word and a a forbidden one
+    s = spec_counting()
+    for word in ("010", "00", "0000", "1"):
+        with pytest.raises(SpecError, match=f"^{word} is not a repeated word$"):
+            weighted_count_ending_with(word, 6, s)
+    for word in ("000", "01", "0101"):
+        with pytest.raises(SpecError, match=f"^{word} is not a forbidden word$"):
+            weighted_count_forbidden_suffix(word, 6, s)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])

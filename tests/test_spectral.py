@@ -16,7 +16,7 @@ from multishift import cli, fixtures, genfun, langmodel, ratfield, spectral, wor
 from multishift.errors import EmptyShiftError, NumericError, SpecError
 from multishift.fixtures import list_fixtures, load_fixture
 from multishift.langmodel import (extend_repeated_to_full_length, multiplicity, oracle_tables,
-                                  spec_from_matrix, validate_spec)
+                                  spec_from_matrix, validate_spec, weighted_count_ending_with)
 from multishift.measures import Cylinder, MeasureContext, cylinder_measure, escape_report
 from multishift.ratfield import solve_numeric
 from multishift.spectral import (AdjMatrix, adjacency_matrix, agree, eigen_residuals,
@@ -384,9 +384,12 @@ def test_derivative_at_equals_the_derivative_polynomial_bit_for_bit():
         except (EmptyShiftError, NumericError):
             continue
         points = (theta, Fraction(theta), an.root.scalar())
+        refs = {}  # the reference values at the points, once per distinct entry
         for e in (e for row in an.ext_system.core.entries for e in row):
-            for x in points:
-                got, want = e.derivative_at(x), FractionPoly(e).derivative()(x)
+            if e not in refs:
+                refs[e] = [FractionPoly(e).derivative()(x) for x in points]
+            for x, want in zip(points, refs[e]):
+                got = e.derivative_at(x)
                 assert (type(got), got) == (type(want), want), (s, e, x)
         compared["spec"] += 1
         compared["exact"] += an.root.exact is not None
@@ -567,13 +570,13 @@ def test_one_counting_system_per_distinct_spec(monkeypatch):
 
     def counts(name, run):
         spec = load_fixture(name)  # a fresh spec has no automaton built yet
-        labels = set(genfun.build_system(spec).matrix.row_labels) - {"F"}
+        labels = set(genfun.build_system(spec).matrix.labels) - {"F"}
         for calls in (systems, symbolic, numeric, matrices, automata, layers):
             del calls[:]
         run(spec)
         # every symbolic solve is of the spec's own core or its conjugate
         # core, never of the bordered matrix or of the extension's core
-        assert all(set(m.row_labels) <= labels for m, *_ in symbolic), name
+        assert all(set(m.labels) <= labels for m, *_ in symbolic), name
         block_walks = sum(n == s.p - 1 for n, s, *_ in layers)
         return (len(systems), len(symbolic), len(numeric), len(matrices), len(automata),
                 block_walks)
@@ -589,8 +592,8 @@ def test_one_counting_system_per_distinct_spec(monkeypatch):
     assert extend_repeated_to_full_length(counting) is counting
     assert counts("counting", spectral.spectral_report) == (1, 1, 2, 1, 1, 1)
     assert counts("extension", spectral.spectral_report) == (2, 1, 2, 1, 1, 1)
-    ext_labels = genfun.build_system(extend_repeated_to_full_length(extension)).matrix.row_labels
-    assert not set(ext_labels) <= set(genfun.build_system(extension).matrix.row_labels)
+    ext_labels = genfun.build_system(extend_repeated_to_full_length(extension)).matrix.labels
+    assert not set(ext_labels) <= set(genfun.build_system(extension).matrix.labels)
     assert counts("nonreduced", lambda s: spectral.spectral_report(s, True)) == (2, 1, 2, 1, 1, 1)
     assert counts("counting", lambda s: run_verification(s, max_n=6)) == (1, 2, 2, 1, 1, 1)
     assert counts("extension", lambda s: run_verification(s, max_n=6)) == (2, 2, 2, 1, 1, 1)
@@ -603,6 +606,10 @@ def test_one_counting_system_per_distinct_spec(monkeypatch):
     # the hole and the spec of its counts tau each build their own
     hole = Cylinder((("0", "0"), ("0", "0")), (1,))
     assert counts("counting", lambda s: escape_report(s, hole, 6)) == (1, 1, 0, 1, 3, 1)
+    # the oracle reads the spec's one automaton for every table, g_r included
+    for name in ("counting", "extension", "nonreduced"):
+        assert counts(name, lambda s: [oracle_tables(s, 8)] + [
+            weighted_count_ending_with(r, 8, s) for r in s.repeated_words]) == (0, 0, 0, 0, 1, 0)
     # a measure and an escape report walk the blocks once too, on the
     # first edge of each spec's graph
     for name, flag in (("counting", False), ("extension", False), ("nonreduced", True)):
