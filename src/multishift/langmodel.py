@@ -5,17 +5,17 @@ forbidden words, and a reduced collection of repeated words with
 integer multiplicities >= 2.  Every other module consumes validated
 specs.  This module also hosts the weighted counters f(n), g_r(n) and
 f_a(n) that serve as the independent oracle for all generating-function
-output.  They read one transfer pass over the states of the pattern
-automaton of F and R (:func:`words.automaton`, :func:`transfer_tables`),
-which shares no code with the correlation route.  The weighted slices
-themselves, every allowed word with its multiplicity, come from one
-layered walk over the same states (:func:`language_slices`).  Its layer
-at depth p - 1, states kept, gives the block graph
-(:attr:`ShiftSpec.blocks`), which the adjacency matrix and the extension
-both read.  The automaton is built once per spec, on first use, and
-held by it (:attr:`ShiftSpec.pattern_automaton`): the count tables, the
-slices, the block graph and the transfer matrix of
-:class:`spectral.Analysis` all read the one build.
+output.  They read one transfer pass over the live states of the
+pattern automaton of F and R (:func:`words.automaton`,
+:func:`transfer_tables`), which shares no code with the correlation
+route.  The weighted slices, every allowed word with its multiplicity,
+come from one layered walk over the same states (:func:`language_slices`),
+whose layer at depth p - 1 gives the block graph (:attr:`ShiftSpec.blocks`)
+that the adjacency matrix and the extension read.  The live states are
+built once per spec and held by it (:attr:`ShiftSpec.pattern_automaton`),
+each move decided there once: the slices and the block graph read the
+moves, the count tables the transfer matrix T and the exits, and the
+Perron root's cross-check T.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ DEFAULT_BUDGET = 1 << 24
 class ShiftSpec:
     """Validated shift data; build instances through :func:`validate_spec`.
     Compared by identity.  The fields are immutable; the derived values,
-    :attr:`pattern_automaton` and :attr:`blocks`, are built lazily and
-    then kept."""
+    :attr:`pattern_automaton` (the live states, with the transfer matrix
+    T) and :attr:`blocks`, are built lazily and then kept."""
 
     def __init__(self, alphabet: tuple[str, ...], forbidden: tuple[Word, ...],
                  repeated: tuple[tuple[Word, int], ...], p: int, union_reduced: bool):
@@ -70,9 +70,9 @@ class ShiftSpec:
 
     @cached_property
     def pattern_automaton(self) -> PatternStates:
-        """The automaton of F and R with what each state ends
-        (:func:`_pattern_states`), built on first use; every walk over
-        the spec's words reads this one build."""
+        """The live states of the automaton of F and R, each move decided
+        once (:func:`_pattern_states`), built on first use; every walk
+        over the spec's words, and T, read this one build."""
         return _pattern_states(self)
 
     @cached_property
@@ -83,18 +83,17 @@ class ShiftSpec:
         the successors (j, e) in increasing j; the adjacency matrix and
         the extension read them.
 
-        A splice X*s is allowed when the move from X's state completes no
-        forbidden word, and leads to the label Y = X[1:] + s.  Its edge
-        count e, the leading multiplicity, is m_r for its one repeated
-        prefix r (R is reduced), else 1.  Every other repeated occurrence
-        in X*s lies in Y, so W(X*s) = e W(Y), and e = W(X) factor(t) / W(Y)
-        exactly."""
+        A splice X*s is allowed when it is a move of X's state, and leads
+        to the label Y = X[1:] + s.  Its edge count e, the leading
+        multiplicity, is m_r for its one repeated prefix r (R is reduced),
+        else 1.  Every other repeated occurrence in X*s lies in Y, so
+        W(X*s) = e W(Y), and e = W(X) m / W(Y) exactly for the move's
+        product m."""
         *_, layer = _layers(self.p - 1, self)
-        delta, factor, bad, _ = self.pattern_automaton
+        moves = self.pattern_automaton.moves
         index = {x: j for j, (x, _, _) in enumerate(layer)}
         return tuple(x for x, _, _ in layer), tuple(
-            tuple((j := index[x[1:] + (sym,)], weight * factor[t] // layer[j][1])
-                  for sym, t in zip(self.alphabet, delta[s]) if bad[t] is None)
+            tuple((j := index[x[1:] + sym], weight * m // layer[j][1]) for sym, m, _ in moves[s])
             for x, weight, s in layer)
 
     def to_json(self) -> dict:
@@ -191,44 +190,64 @@ class LanguageSlice(NamedTuple):
         }
 
 
-PatternStates = tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[Word | None, ...],
-                      tuple[tuple[Word, ...], ...]]
+class PatternStates(NamedTuple):
+    """The live states of the automaton of F and R, those that end no
+    forbidden word, numbered in build order from the root (0).  Per
+    state: its moves (one-symbol word, product m of m_r over the repeated
+    words r completed, target) in alphabet order; T's row (target, sum
+    of m) by target; its exits (forbidden word completed, m); and the
+    repeated words it ends."""
+
+    moves: tuple[tuple[tuple[Word, int, int], ...], ...]
+    transfer: tuple[tuple[tuple[int, int], ...], ...]
+    exits: tuple[tuple[tuple[Word, int], ...], ...]
+    done: tuple[tuple[Word, ...], ...]
+
+
 BlockGraph = tuple[tuple[Word, ...], tuple[tuple[tuple[int, int], ...], ...]]
 
 
 def _pattern_states(spec: ShiftSpec) -> PatternStates:
-    """The automaton of F and R (:func:`words.automaton`) and, per state,
-    what a move into it completes: the product of m_r over the repeated
-    words r, the forbidden word or None (a reduced collection has at
-    most one), and the repeated words.  The spec builds it once
-    (:attr:`ShiftSpec.pattern_automaton`)."""
+    """The live states of the automaton of F and R (:func:`words.automaton`),
+    each move decided once.  A state whose first hit is forbidden is dead
+    (F is reduced, so it ends one forbidden word at most); a live state's
+    word is allowed, so the root reaches it.  The spec builds them once."""
     nf = len(spec.forbidden)
     delta, hits = W.automaton(spec.forbidden + spec.repeated_words, spec.alphabet)
-    factor = tuple(math.prod(spec.repeated[k - nf][1] for k in h if k >= nf) for h in hits)
-    bad = tuple(spec.forbidden[h[0]] if h and h[0] < nf else None for h in hits)
-    done = tuple(tuple(spec.repeated[k - nf][0] for k in h if k >= nf) for h in hits)
-    return tuple(map(tuple, delta)), factor, bad, done
+    live = [s for s, h in enumerate(hits) if not h or h[0] >= nf]
+    pos = {s: k for k, s in enumerate(live)}
+    factor = [math.prod(spec.repeated[k - nf][1] for k in h if k >= nf) for h in hits]
+    moves = tuple(tuple(((sym,), factor[t], pos[t]) for sym, t in zip(spec.alphabet, delta[s])
+                        if t in pos) for s in live)
+    transfer = []
+    for row in moves:
+        sums: dict[int, int] = {}
+        for _, e, t in row:
+            sums[t] = sums.get(t, 0) + e
+        transfer.append(tuple(sorted(sums.items())))
+    exits = tuple(tuple((spec.forbidden[hits[t][0]], factor[t]) for t in delta[s] if t not in pos)
+                  for s in live)
+    done = tuple(tuple(spec.repeated[k - nf][0] for k in hits[s] if k >= nf) for s in live)
+    return PatternStates(moves, tuple(transfer), exits, done)
 
 
 def _layers(n_max: int, spec: ShiftSpec, budget: int = DEFAULT_BUDGET
             ) -> Iterator[list[tuple[Word, int, int]]]:
     """The layers of lengths 1..n_max of one walk: every allowed word,
-    in lexicographic order, with its weight and its state in the spec's
-    automaton of F and R (:attr:`ShiftSpec.pattern_automaton`).
+    in lexicographic order, with its weight and its live state in the
+    spec's automaton of F and R (:attr:`ShiftSpec.pattern_automaton`).
 
     Layer n is layer n - 1 with each word extended by each allowed
     symbol in alphabet order.  A word's weight is its prefix's weight
     times m_r for each repeated word r that the new symbol completes.
-    Both depend only on the word's state, whose allowed moves are listed
-    once per state.  Only the current layer is kept.  The budget applies
-    to q**n_max, checked before the automaton is built."""
+    Both depend only on the word's state, read from its allowed moves.
+    Only the current layer is kept.  The budget applies to q**n_max,
+    checked before the automaton is built."""
     check_budget(n_max, spec, budget)
-    delta, factor, bad, _ = spec.pattern_automaton
-    steps = [[((sym,), factor[t], t) for sym, t in zip(spec.alphabet, row) if bad[t] is None]
-             for row in delta]
+    moves = spec.pattern_automaton.moves
     layer: list[tuple[Word, int, int]] = [((), 1, 0)]  # (word, weight, state)
     for _ in range(n_max):
-        layer = [(w + sym, weight * m, t) for w, weight, s in layer for sym, m, t in steps[s]]
+        layer = [(w + sym, weight * m, t) for w, weight, s in layer for sym, m, t in moves[s]]
         yield layer
 
 
@@ -258,13 +277,13 @@ def transfer_tables(spec: ShiftSpec, max_n: int
                     ) -> tuple[list[int], dict[Word, list[int]], dict[Word, list[int]]]:
     """The f, g and fa count tables for n = 0..max_n in one transfer pass.
 
-    Allowed words are grouped by their state in the spec's automaton of
-    F and R (:attr:`ShiftSpec.pattern_automaton`), and each state carries
-    the total weight of its words.  A move completes the forbidden and
-    repeated words that its target state ends; g is kept per repeated
-    word.  The cost is states x q x max_n; callers apply the budget.
+    Allowed words are grouped by their live state in the spec's
+    automaton of F and R (:attr:`ShiftSpec.pattern_automaton`), and each
+    state carries the total weight of its words: a layer is the last
+    times T.  A state's exits add to f_a, and its repeated words to g.
+    The cost is states x q x max_n; callers apply the budget.
     """
-    delta, factor, bad, done = spec.pattern_automaton
+    _, transfer, exits, done = spec.pattern_automaton
     f = [1] + [0] * max_n
     g = {r: [0] * (max_n + 1) for r in spec.repeated_words}
     fa = {a: [0] * (max_n + 1) for a in spec.forbidden}
@@ -278,11 +297,10 @@ def transfer_tables(spec: ShiftSpec, max_n: int
     for n in range(1, max_n + 1):
         nxt: dict[int, int] = {}
         for s, weight in layer.items():
-            for t in delta[s]:
-                if bad[t] is not None:
-                    fa[bad[t]][n] += weight * factor[t] // discount[bad[t]]
-                else:
-                    nxt[t] = nxt.get(t, 0) + weight * factor[t]
+            for a, m in exits[s]:
+                fa[a][n] += weight * m // discount[a]
+            for t, e in transfer[s]:
+                nxt[t] = nxt.get(t, 0) + weight * e
         for t, weight in nxt.items():
             for r in done[t]:
                 g[r][n] += weight

@@ -138,27 +138,11 @@ class Poly:
         den, each float term rounded once (int true division rounds
         correctly), so a float x gives the bits of Horner over the
         derivative's rounded coefficients."""
-        ints, den = [i * c for i, c in enumerate(self.ints)][1:], self.den
-        if isinstance(x, float):
-            acc = 0.0
-            for c in reversed(ints):
-                acc = acc * x + c / den
-            return acc
-        x = _fr(x)
-        v = x.denominator
-        return Fraction(_zhorner(ints, x.numerator, v), den * v ** max(len(ints) - 1, 0))
+        return _horner([i * c for i, c in enumerate(self.ints)][1:], self.den, x)
 
     def __call__(self, x):
         """Horner evaluation; exact for Fraction/int input, float for float."""
-        if isinstance(x, float):
-            # int true division rounds correctly, so each term is float(coeff)
-            acc, den = 0.0, self.den
-            for c in reversed(self.ints):
-                acc = acc * x + c / den
-            return acc
-        x = _fr(x)
-        v = x.denominator
-        return Fraction(_zhorner(self.ints, x.numerator, v), self.den * v ** max(self.degree, 0))
+        return _horner(self.ints, self.den, x)
 
     def exact_div(self, other: "Poly") -> "Poly":
         """The quotient in Q[z]; a remainder raises NumericError.  By
@@ -393,6 +377,19 @@ def _zhorner(p: Sequence[int], u: int, v: int) -> int:
         vk *= v
     return acc
 
+
+def _horner(ints: Sequence[int], den: int, x):
+    """sum ints[i] x^i / den by Horner: exact for Fraction/int x, by
+    :func:`_zhorner`; for a float x each term is float(c / den), rounded
+    once since int true division rounds correctly."""
+    if isinstance(x, float):
+        acc = 0.0
+        for c in reversed(ints):
+            acc = acc * x + c / den
+        return acc
+    x = _fr(x)
+    v = x.denominator
+    return Fraction(_zhorner(ints, x.numerator, v), den * v ** max(len(ints) - 1, 0))
 
 
 def _bareiss_solve(aug: list[list[list[int]]]) -> tuple[list[list[int]], list[int]]:

@@ -306,11 +306,12 @@ class PerronResult(NamedTuple):
 def perron_root(source: ShiftSpec | Analysis, allow_reducible: bool = False) -> PerronResult:
     """Perron root by the combinatorial route, cross-checked iteratively.
 
-    Accepts a validated spec or an :class:`Analysis` whose matrix,
-    transfer matrix and correction it reuses; a caller holding an integer
-    matrix converts it with :func:`langmodel.spec_from_matrix` first.
-    The Sturm interval must meet the exact Collatz-Wielandt enclosure of
-    the transfer matrix T (:attr:`Analysis.transfer`), whose midpoint is
+    Accepts a validated spec or an :class:`Analysis` whose matrix and
+    correction it reuses; a caller holding an integer matrix converts it
+    with :func:`langmodel.spec_from_matrix` first.  The Sturm interval
+    must meet the exact Collatz-Wielandt enclosure of the transfer matrix
+    T on the live states of the spec's automaton of F and R
+    (:attr:`langmodel.ShiftSpec.pattern_automaton`), whose midpoint is
     ``theta_iterative``; the enclosure is the largest over T's strong
     components.  Reducible inputs are an error unless explicitly allowed.
     A block graph without a cycle is refused: it is nilpotent, with root
@@ -334,7 +335,7 @@ def perron_root(source: ShiftSpec | Analysis, allow_reducible: bool = False) -> 
     # the root never exceeds the maximal row sum of a non-negative matrix
     cert = largest_real_zero(genfun.closed_form(an.spec.q, an.correction)[1],
                              1, mat.max_row_sum + 1)
-    lower, upper = _cw_enclosure(an.transfer)
+    lower, upper = _cw_enclosure(an.spec.pattern_automaton.transfer)
     if cert.low > upper or cert.high < lower:
         raise RouteMismatchError(
             f"combinatorial root in [{float(cert.low)!r}, {float(cert.high)!r}] misses "
@@ -548,21 +549,21 @@ def entropy(source: ShiftSpec | Analysis, allow_reducible: bool = False) -> Entr
 class Analysis:
     """Every derived stage of one spec, each computed once on first use.
 
-    A stage first reads the stages it needs.  ``ext``, ``matrix``,
-    ``transfer`` and ``system`` read the spec; ``ext_system`` is the
-    counting system of ``ext`` from the same builder (it is ``system``
-    when the extension is the spec), and is never solved symbolically;
-    ``correction`` reads the one solve of the core of ``system``, in
-    either mode; ``solution`` reads that solve, ``correction`` and the
-    conjugate core; ``root`` reads ``matrix``, ``transfer`` and
-    ``correction``; ``_core_at_root`` solves the core of ``ext_system``
-    twice at ``root``; ``vectors`` read ``matrix`` and those solves;
+    A stage first reads the stages it needs.  ``ext``, ``matrix`` and
+    ``system`` read the spec; ``ext_system`` is the counting system of
+    ``ext`` from the same builder (it is ``system`` when the extension
+    is the spec), and is never solved symbolically; ``correction`` reads
+    the one solve of the core of ``system``, in either mode; ``solution``
+    reads that solve, ``correction`` and the conjugate core; ``root``
+    reads ``matrix``, ``correction`` and the spec's transfer matrix T;
+    ``_core_at_root`` solves the core of ``ext_system`` twice at
+    ``root``; ``vectors`` read ``matrix`` and those solves;
     ``normalization`` reads ``vectors``, the solves and the derivative
     of that core at the root; ``entropy`` reads ``root``.  ``ext`` and
     ``matrix`` read the spec's one block graph
-    (:attr:`langmodel.ShiftSpec.blocks`); its walk, ``transfer`` and the
-    count of ``entropy`` read the one automaton of F and R that the spec
-    builds and holds (:attr:`langmodel.ShiftSpec.pattern_automaton`).
+    (:attr:`langmodel.ShiftSpec.blocks`); its walk, T and the count of
+    ``entropy`` read the live states of the automaton of F and R that
+    the spec builds and holds (:attr:`langmodel.ShiftSpec.pattern_automaton`).
     A failed stage is not cached: reading it again repeats the
     computation and raises again.
     """
@@ -582,28 +583,6 @@ class Analysis:
         (extending the repeated words leaves it unchanged): the spec's
         block graph, which ``ext`` reads too."""
         return adjacency_matrix(self.spec)
-
-    @cached_property
-    def transfer(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Successor lists of the transfer matrix T on the live states of
-        the spec's one automaton of F and R, which the count tables, the
-        slices and the block graph read too
-        (:attr:`langmodel.ShiftSpec.pattern_automaton`): T_st sums
-        factor(t) over the symbols that move s to t, forbidden moves left
-        out.  A live state is one that ends no forbidden word; its word
-        is allowed, so the root reaches it.  Its order is at most
-        sum |w| + 1, whatever q and p."""
-        delta, factor, bad, _ = self.spec.pattern_automaton
-        live = [s for s, a in enumerate(bad) if a is None]
-        pos = {s: k for k, s in enumerate(live)}
-        rows = []
-        for s in live:
-            row: dict[int, int] = {}
-            for t in delta[s]:
-                if bad[t] is None:
-                    row[pos[t]] = row.get(pos[t], 0) + factor[t]
-            rows.append(tuple(sorted(row.items())))
-        return tuple(rows)
 
     @cached_property
     def system(self) -> genfun.GenFunSystem:

@@ -146,7 +146,8 @@ def run_verification(spec: ShiftSpec, max_n: int = 10, budget: int = DEFAULT_BUD
         checks.append(CheckResult(
             "perron_route_agreement", True,
             f"Sturm interval meets the Collatz-Wielandt enclosure on the "
-            f"{len(an.transfer)}-state transfer matrix, gap {root.route_gap:.3g}"))
+            f"{len(spec.pattern_automaton.transfer)}-state transfer matrix, "
+            f"gap {root.route_gap:.3g}"))
     except EmptyShiftError as exc:
         checks.append(CheckResult("perron_route_agreement", True, f"skipped: {exc}"))
     except MultishiftError as exc:

@@ -11,7 +11,8 @@ from conftest import (FAMILIES, FractionPoly, family_spec, leading_multiplicity,
                       multiplicity_matrix, random_spec, reference_conjugate_sums,
                       reference_correction_derivative_at,
                       reference_cw_enclosure, reference_identity, reference_power_iteration,
-                      reference_sum, reference_vectors, sparse, star)
+                      reference_sum, reference_transfer_tables, reference_vectors, sparse,
+                      star)
 from multishift import cli, fixtures, genfun, langmodel, ratfield, spectral, words
 from multishift.errors import EmptyShiftError, NumericError, SpecError
 from multishift.fixtures import list_fixtures, load_fixture
@@ -152,7 +153,7 @@ def test_reducible_root_is_the_largest_component_root(entries, theta):
     mat = AdjMatrix(tuple((str(i),) for i in range(len(entries))), sparse(entries))
     assert not is_irreducible(mat)
     an = spectral.Analysis(spec_from_matrix(entries), allow_reducible=True)
-    for successors in (mat.successors, an.transfer):
+    for successors in (mat.successors, an.spec.pattern_automaton.transfer):
         lower, upper = spectral._cw_enclosure(successors)
         assert lower <= theta <= upper and upper - lower <= 1e-10
     assert an.root.exact == theta and not an.root.irreducible
@@ -168,7 +169,7 @@ def _transfer_enclosure_checked(s) -> bool:
         cert = an.root.certificate
     except EmptyShiftError:
         return False
-    lower, upper = spectral._cw_enclosure(an.transfer)
+    lower, upper = spectral._cw_enclosure(s.pattern_automaton.transfer)
     assert cert.low <= upper and lower <= cert.high, s
     assert upper - lower <= 1e-10 * upper, s
     try:
@@ -198,9 +199,26 @@ def test_transfer_matrix_is_small_on_b6(monkeypatch):
     s = validate_spec("0123", ["000000", "0123"], [("111112", 3)])
     iterations = _count_calls(monkeypatch, spectral, "power_iteration")
     an = spectral.Analysis(s)
-    assert an.matrix.size == 1016 and len(an.transfer) == 14
+    assert an.matrix.size == 1016 and len(s.pattern_automaton.transfer) == 14
     assert an.root.irreducible
     assert iterations and max(len(rows) for rows, in iterations) <= 14
+
+
+def test_root_row_of_the_transfer_powers_is_the_count():
+    # the Collatz-Wielandt route rests on f_n = e_0^T T^n 1; the reference
+    # counts by suffix tests and knows nothing of the automaton.  Each of a
+    # state's q symbols is a move or an exit, never both
+    rng = random.Random(35)
+    specs = [load_fixture(name) for name in list_fixtures()] + \
+        [family_spec(rng, FAMILIES[k % 3]) for k in range(300)]
+    for s in specs:
+        moves, transfer, exits, _ = s.pattern_automaton
+        assert all(len(m) + len(x) == s.q for m, x in zip(moves, exits)), s
+        v, counts = [1] * len(transfer), [1]
+        for _ in range(12):
+            v = [sum(e * v[t] for t, e in row) for row in transfer]
+            counts.append(v[0])
+        assert counts == reference_transfer_tables(s, 12)[0], s
 
 
 def _random_matrices(seed, count):
