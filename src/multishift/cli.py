@@ -12,13 +12,13 @@ import json
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from types import SimpleNamespace
 
-from . import __version__, measures, spectral, verify
+from . import __version__, langmodel, measures, spectral, verify
 from .errors import BudgetError, MultishiftError, NumericError, SpecError
 from .genfun import solve_generating_functions
-from .langmodel import (DEFAULT_BUDGET, ShiftSpec, language_slices, oracle_tables,
-                        validate_spec)
+from .langmodel import DEFAULT_BUDGET, ShiftSpec, oracle_tables, validate_spec
 from .ratfield import series_coeffs
 
 EXIT_VERIFY = 1
@@ -145,6 +145,11 @@ def _leaf_encoder(pad: str):
     return json.JSONEncoder(separators=("," + pad, ": ")).encode
 
 
+class _Printed(functools.partial):
+    """A report value that prints itself: called with the pad of the line
+    it sits on, it returns its JSON text, as :func:`_dumps` would print it."""
+
+
 def _dumps(obj, pad: str) -> str:
     """``json.dumps(obj, indent=2)`` for a value on a line opened by
     ``pad`` (a newline and that line's indent).  A list of scalars, and a
@@ -156,6 +161,8 @@ def _dumps(obj, pad: str) -> str:
     kind = type(obj)
     if kind in _SCALAR:
         return _SCALAR[kind](obj)
+    if kind is _Printed:
+        return obj(pad)
     if kind is not dict and kind is not list and kind is not tuple:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     if not obj:
@@ -175,6 +182,23 @@ def _dumps(obj, pad: str) -> str:
     else:
         body = ("," + deeper).join(_dumps(v, deeper) for v in obj)
     return "[" + deeper + body + pad + "]"
+
+
+def _slices(layers, pad: str) -> str:
+    """The weighted slices, one per layer of the walk, as ``_dumps`` prints
+    them on a line opened by ``pad``.  Each entry is printed from the
+    word's JSON text, which the walk carries, one template per depth: a
+    layer's entries are joined by the text between two words, so a word
+    costs one short format and no encode."""
+    items, fields, rows, cells = (pad + "  " * k for k in range(1, 5))
+    between, after = rows + "]," + rows + "[" + cells + '"', '",' + cells
+    slices = []
+    for n, layer in enumerate(layers, 1):
+        words = between.join([f"{text}{after}{m}" for _, m, _, text in layer])
+        entries = f'[{rows}[{cells}"{words}{rows}]{fields}]' if layer else "[]"
+        slices.append(f'{{{fields}"n": {n},{fields}"entries": {entries},'
+                      f'{fields}"cardinality": {sum(map(itemgetter(1), layer))}{items}}}')
+    return f'[{items}{("," + items).join(slices)}{pad}]' if slices else "[]"
 
 
 def emit(report: dict) -> None:
@@ -200,7 +224,7 @@ def cmd_enumerate(args, doc: dict, spec: ShiftSpec) -> int:
             print("  ".join(f"{x:>10}" for x in row))
     else:
         if args.slices:
-            table["slices"] = [s.to_json() for s in language_slices(n_max, spec, budget)]
+            table["slices"] = _Printed(_slices, langmodel._layers(n_max, spec, budget))
         report = report_skeleton("enumerate", doc)
         report["result"] = table
         emit(report)

@@ -9,9 +9,10 @@ output.  They read one transfer pass over the live states of the
 pattern automaton of F and R (:func:`words.automaton`,
 :func:`transfer_tables`), which shares no code with the correlation
 route.  The weighted slices, every allowed word with its multiplicity,
-come from one layered walk over the same states (:func:`language_slices`),
-whose layer at depth p - 1 gives the block graph (:attr:`ShiftSpec.blocks`)
-that the adjacency matrix and the extension read.  The live states are
+come from one layered walk over the same states (:func:`_layers`), which
+carries each word's JSON text for the CLI to print; its layer at depth
+p - 1 gives the block graph (:attr:`ShiftSpec.blocks`) that the adjacency
+matrix and the extension read.  The live states are
 built once per spec and held by it (:attr:`ShiftSpec.pattern_automaton`),
 each move decided there once: the slices and the block graph read the
 moves, the count tables the transfer matrix T and the exits, and the
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Iterator, NamedTuple, Sequence
 
 from . import words as W
@@ -91,10 +93,10 @@ class ShiftSpec:
         product m."""
         *_, layer = _layers(self.p - 1, self)
         moves = self.pattern_automaton.moves
-        index = {x: j for j, (x, _, _) in enumerate(layer)}
-        return tuple(x for x, _, _ in layer), tuple(
-            tuple((j := index[x[1:] + sym], weight * m // layer[j][1]) for sym, m, _ in moves[s])
-            for x, weight, s in layer)
+        index = {x: j for j, (x, _, _, _) in enumerate(layer)}
+        return tuple(x for x, _, _, _ in layer), tuple(
+            tuple((j := index[x[1:] + sym], weight * m // layer[j][1]) for sym, m, _, _ in moves[s])
+            for x, weight, s, _ in layer)
 
     def to_json(self) -> dict:
         return {
@@ -176,29 +178,25 @@ def check_budget(n: int, spec: ShiftSpec, budget: int) -> None:
 
 
 class LanguageSlice(NamedTuple):
-    """All allowed words of one length, with multiplicities."""
+    """All allowed words of one length, with multiplicities: the words as
+    tuples of symbols, read from one layer of the walk (:func:`_layers`).
+    The CLI prints the same layers from the JSON text the walk carries,
+    and makes no slice."""
 
     n: int
     entries: tuple[tuple[Word, int], ...]
     cardinality: int
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "entries": [["".join(w), m] for w, m in self.entries],
-            "cardinality": self.cardinality,
-        }
 
 
 class PatternStates(NamedTuple):
     """The live states of the automaton of F and R, those that end no
     forbidden word, numbered in build order from the root (0).  Per
     state: its moves (one-symbol word, product m of m_r over the repeated
-    words r completed, target) in alphabet order; T's row (target, sum
-    of m) by target; its exits (forbidden word completed, m); and the
-    repeated words it ends."""
+    words r completed, target, the symbol's JSON text) in alphabet order;
+    T's row (target, sum of m) by target; its exits (forbidden word
+    completed, m); and the repeated words it ends."""
 
-    moves: tuple[tuple[tuple[Word, int, int], ...], ...]
+    moves: tuple[tuple[tuple[Word, int, int, str], ...], ...]
     transfer: tuple[tuple[tuple[int, int], ...], ...]
     exits: tuple[tuple[tuple[Word, int], ...], ...]
     done: tuple[tuple[Word, ...], ...]
@@ -211,18 +209,23 @@ def _pattern_states(spec: ShiftSpec) -> PatternStates:
     """The live states of the automaton of F and R (:func:`words.automaton`),
     each move decided once.  A state whose first hit is forbidden is dead
     (F is reduced, so it ends one forbidden word at most); a live state's
-    word is allowed, so the root reaches it.  The spec builds them once."""
+    word is allowed, so the root reaches it.  Each symbol's JSON text,
+    as ``json.dumps`` escapes it, without the quotes, is made once and
+    rides on its moves for the walk (:func:`_layers`).  The spec builds
+    the states once."""
     nf = len(spec.forbidden)
     delta, hits = W.automaton(spec.forbidden + spec.repeated_words, spec.alphabet)
     live = [s for s, h in enumerate(hits) if not h or h[0] >= nf]
     pos = {s: k for k, s in enumerate(live)}
     factor = [math.prod(spec.repeated[k - nf][1] for k in h if k >= nf) for h in hits]
-    moves = tuple(tuple(((sym,), factor[t], pos[t]) for sym, t in zip(spec.alphabet, delta[s])
-                        if t in pos) for s in live)
+    texts = [encode_basestring_ascii(sym)[1:-1] for sym in spec.alphabet]
+    moves = tuple(tuple(((sym,), factor[t], pos[t], text)
+                        for sym, text, t in zip(spec.alphabet, texts, delta[s]) if t in pos)
+                  for s in live)
     transfer = []
     for row in moves:
         sums: dict[int, int] = {}
-        for _, e, t in row:
+        for _, e, t, _ in row:
             sums[t] = sums.get(t, 0) + e
         transfer.append(tuple(sorted(sums.items())))
     exits = tuple(tuple((spec.forbidden[hits[t][0]], factor[t]) for t in delta[s] if t not in pos)
@@ -232,34 +235,39 @@ def _pattern_states(spec: ShiftSpec) -> PatternStates:
 
 
 def _layers(n_max: int, spec: ShiftSpec, budget: int = DEFAULT_BUDGET
-            ) -> Iterator[list[tuple[Word, int, int]]]:
+            ) -> Iterator[list[tuple[Word, int, int, str]]]:
     """The layers of lengths 1..n_max of one walk: every allowed word,
-    in lexicographic order, with its weight and its live state in the
-    spec's automaton of F and R (:attr:`ShiftSpec.pattern_automaton`).
+    in lexicographic order, with its weight, its live state in the
+    spec's automaton of F and R (:attr:`ShiftSpec.pattern_automaton`)
+    and its JSON text, the word's symbols as ``json.dumps`` prints the
+    joined word, without the quotes.
 
     Layer n is layer n - 1 with each word extended by each allowed
     symbol in alphabet order.  A word's weight is its prefix's weight
     times m_r for each repeated word r that the new symbol completes.
-    Both depend only on the word's state, read from its allowed moves.
-    Only the current layer is kept.  The budget applies to q**n_max,
-    checked before the automaton is built."""
+    Both depend only on the word's state, read from its allowed moves,
+    and so does its text: its prefix's text and the new symbol's, which
+    the move carries escaped, so the CLI prints the words without
+    encoding them again.  Only the current layer is kept.  The budget
+    applies to q**n_max, checked before the automaton is built;
+    n_max <= 0 yields nothing."""
     check_budget(n_max, spec, budget)
     moves = spec.pattern_automaton.moves
-    layer: list[tuple[Word, int, int]] = [((), 1, 0)]  # (word, weight, state)
+    layer: list[tuple[Word, int, int, str]] = [((), 1, 0, "")]  # (word, weight, state, text)
     for _ in range(n_max):
-        layer = [(w + sym, weight * m, t) for w, weight, s in layer for sym, m, t in moves[s]]
+        layer = [(w + sym, weight * m, t, text + escaped) for w, weight, s, text in layer
+                 for sym, m, t, escaped in moves[s]]
         yield layer
 
 
 def language_slices(n_max: int, spec: ShiftSpec, budget: int = DEFAULT_BUDGET
                     ) -> Iterator[LanguageSlice]:
     """The weighted slices of lengths 1..n_max, one per layer of one walk
-    (:func:`_layers`).  The budget applies to q**n_max; n_max <= 0
+    (:func:`_layers`), each word a tuple of symbols; the text the walk
+    carries is left out.  The budget applies to q**n_max; n_max <= 0
     yields nothing."""
-    if n_max < 1:
-        return
     for n, layer in enumerate(_layers(n_max, spec, budget), 1):
-        entries = tuple((w, m) for w, m, _ in layer)
+        entries = tuple((w, m) for w, m, _, _ in layer)
         yield LanguageSlice(n, entries, sum(m for _, m in entries))
 
 

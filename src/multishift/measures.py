@@ -35,7 +35,7 @@ from .errors import NumericError, SpecError
 from .langmodel import (DEFAULT_BUDGET, ShiftSpec, check_budget, multiplicity,
                         spec_from_matrix, transfer_tables, validate_spec)
 from .spectral import (THETA_TOL, AdjMatrix, Analysis, EigenData, NormalizationReport,
-                       PerronResult, agree, perron_vectors)
+                       PerronResult, agree, is_irreducible, perron_vectors)
 from .words import Word
 
 
@@ -177,6 +177,7 @@ class MeasureContext:
     def __init__(self, source: ShiftSpec | Analysis, allow_reducible: bool = False):
         an = source if isinstance(source, Analysis) else Analysis(source, allow_reducible)
         self.spec = an.spec
+        self.allow_reducible = an.allow_reducible
         self.mat = an.matrix
         self.vectors: EigenData = an.vectors
         self.root: PerronResult = self.vectors.root
@@ -207,11 +208,22 @@ class MeasureContext:
         correlation pipeline on the derived length-2 collections.
 
         The derived spec renames labels to single symbols, but its block
-        order matches ours, so everything is used positionally.
+        order matches ours, so everything is used positionally.  A
+        reducible binary matrix is analysed when the context allows it,
+        but its right Perron vector can vanish on a block that reaches no
+        class of the root, where no Parry chain exists; that case is
+        refused by name.
         """
         binary = self.mat.binary()
-        vec = perron_vectors(spec_from_matrix(binary.entries))
-        sp = shannon_parry_matrix(binary, vec.root.scalar(), vec.left_normalized, vec.right)
+        vec = perron_vectors(spec_from_matrix(binary.entries), self.allow_reducible)
+        try:
+            sp = shannon_parry_matrix(binary, vec.root.scalar(), vec.left_normalized, vec.right)
+        except NumericError as exc:
+            if is_irreducible(binary):
+                raise
+            raise NumericError("the Parry measure of the binary matrix is undefined: the matrix "
+                               "is reducible and its right Perron vector is not positive on "
+                               f"every block ({exc})") from exc
         return vec, sp
 
 

@@ -6,6 +6,7 @@ import re
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -13,12 +14,13 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import event, example, given, settings, strategies as st
+from hypothesis import event, example, given, reject, settings, strategies as st
 
-from multishift import ratfield
-from multishift.cli import COMMANDS, emit, main, parse_args
+from multishift import __version__, ratfield
+from multishift.cli import COMMANDS, emit, main, parse_args, spec_from_document
+from multishift.errors import SpecError
 from multishift.fixtures import fixture_document, list_fixtures
-from multishift.langmodel import DEFAULT_BUDGET
+from multishift.langmodel import DEFAULT_BUDGET, language_slices, oracle_tables
 from multishift.measures import EDGE_ROUTES, VERTEX_ROUTES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -112,6 +114,23 @@ def test_escape_and_measure_refuse_a_path_alike(capsys, fixture, word, why):
     for command, option in (("escape", "--word"), ("measure", "--cylinder")):
         code = main([command, "--spec", str(FIXDIR / f"{fixture}.json"), option, word])
         assert (code, capsys.readouterr().err) == (2, f"spec error: {why}\n"), command
+
+
+def test_parry_route_refuses_a_reducible_binary_matrix_by_name(capsys):
+    # nonreduced's block 00 is a loop that reaches no block of the root's
+    # class {01, 10, 11}: the right Perron vector vanishes there
+    args = ["measure", "--spec", str(FIXDIR / "nonreduced.json"), "--allow-reducible",
+            "--cylinder", "010"]
+    for route in (["--route", "parry"], []):
+        assert main(args + route) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and re.fullmatch(
+            r"numeric failure: the Parry measure of the binary matrix is undefined: the matrix "
+            r"is reducible and its right Perron vector is not positive on every block \(row 0 "
+            r"of the stochastic matrix sums to 0\.618\d*\)\n", err), err
+    assert main(args + ["--route", "markov"]) == 0
+    assert [m["route"] for m in json.loads(capsys.readouterr().out)["result"]["measures"]] \
+        == ["markov"]
 
 
 def test_genfun_nonreduced_series():
@@ -524,6 +543,59 @@ def emitted(obj) -> str:
 @example({"a": {"b": [[[1]], [[]]], "c": {}}, "d": [(), [[]]]})
 def test_report_writer_prints_what_json_dumps_indent_2_prints(obj):
     assert emitted(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+# symbols the encoder escapes: a quote, a backslash, a non-ASCII letter
+# and a control character
+ESCAPED = '"\\\u00e9\u0007'
+ESCAPED_SPEC = {"alphabet": list(ESCAPED), "forbidden": ['"\\', "\u00e9" * 3],
+                "repeated": [{"word": '\u00e9"', "multiplicity": 3},
+                             {"word": "\u0007", "multiplicity": 2}]}
+# every pair is forbidden, so the layers die out: entries is [] from n = 2
+DYING_SPEC = {"alphabet": ["0", "1"], "forbidden": ["00", "01", "10", "11"]}
+
+
+@st.composite
+def escaped_spec_documents(draw):
+    """Spec documents over two or three symbols, drawn with the escaped ones."""
+    alphabet = draw(st.lists(st.sampled_from("01" + ESCAPED), min_size=2, max_size=3,
+                             unique=True))
+    words = lambda lo, hi: st.text(st.sampled_from(alphabet), min_size=lo, max_size=hi)
+    repeated = draw(st.lists(st.tuples(words(1, 3), st.integers(2, 4)), max_size=2,
+                             unique_by=lambda e: e[0]))
+    doc = {"alphabet": alphabet, "forbidden": draw(st.lists(words(2, 3), max_size=3, unique=True)),
+           "repeated": [{"word": w, "multiplicity": m} for w, m in repeated]}
+    try:
+        spec_from_document(doc)
+    except SpecError:
+        reject()
+    return doc
+
+
+@settings(max_examples=40, deadline=None)
+@given(escaped_spec_documents(), st.integers(0, 8))
+@example(ESCAPED_SPEC, 6)
+@example(DYING_SPEC, 8)
+@example(DYING_SPEC, 0)
+def test_enumerate_slices_print_what_json_dumps_indent_2_prints(doc, max_n):
+    spec = spec_from_document(doc)
+    f, g, fa = oracle_tables(spec, max_n)
+    slices = [{"n": s.n, "entries": [["".join(w), m] for w, m in s.entries],
+               "cardinality": s.cardinality} for s in language_slices(max_n, spec)]
+    result = {"n": list(range(max_n + 1)), "f": f,
+              "g": {"".join(r): g[r] for r in spec.repeated_words},
+              "fa": {"".join(a): fa[a] for a in spec.forbidden}, "slices": slices}
+    report = {"tool": f"multishift {__version__}", "command": "enumerate", "spec": doc,
+              "result": result}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with redirect_stdout(io.StringIO()) as out:
+            assert main(["enumerate", "--spec", path, "--max-n", str(max_n), "--slices"]) == 0
+    assert out.getvalue() == json.dumps(report, indent=2) + "\n"
+    if doc == DYING_SPEC and max_n > 1:
+        assert slices[1]["entries"] == [] and slices[0]["cardinality"] == 2
 
 
 @pytest.mark.parametrize("obj", [{"x": Fraction(1, 2)}, [[1, Fraction(1, 2)]], [1, {2}],

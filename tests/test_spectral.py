@@ -617,10 +617,12 @@ def test_one_counting_system_per_distinct_spec(monkeypatch):
     assert counts("extension", lambda s: run_verification(s, max_n=6)) == (2, 2, 2, 1, 1, 1)
     assert counts("nonreduced", lambda s: run_verification(
         s, max_n=6, allow_reducible=True)) == (1, 2, 0, 1, 1, 1)
+    # and enumerate --slices prints the slices from one walk of all lengths
     for name in ("counting", "extension", "nonreduced"):
         path = str(Path(fixtures.__file__).parent / f"{name}.json")
         assert counts(name, lambda s: cli.main(["enumerate", "--spec", path, "--max-n", "7",
                                                 "--slices"])) == (0, 0, 0, 0, 1, 0)
+        assert [n for n, *_ in layers] == [7], name
     # the hole and the spec of its counts tau each build their own
     hole = Cylinder((("0", "0"), ("0", "0")), (1,))
     assert counts("counting", lambda s: escape_report(s, hole, 6)) == (1, 1, 0, 1, 3, 1)
